@@ -44,7 +44,9 @@ func ScheduleFuncCtx(ctx context.Context, f *ir.Func, opts Options) (Stats, erro
 
 	var snap *verify.Snapshot
 	if opts.Verify {
+		done := opts.Trace.TimePhase(PhaseVerify)
 		snap = verify.Capture(f)
+		done()
 	}
 
 	if opts.Level > LevelNone {

@@ -118,7 +118,7 @@ var featureIndex = func() map[string]int {
 	for i, n := range featureName {
 		m[n] = i
 	}
-	m["height"] = FeatCP     // the paper's other name for CP
+	m["height"] = FeatCP // the paper's other name for CP
 	m["taken_prob"] = FeatProb
 	return m
 }()

@@ -115,25 +115,25 @@ func TestCanonicalFixpoint(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	bad := []string{
-		"",                       // empty
-		"x.bogus",                // unknown feature
-		"bogus",                  // unknown identifier in pair context
-		"d - cp",                 // bare feature in priority context
-		"gate = x.prob",          // selector in gate context
-		"x.d % y.d",              // unsupported operator
-		`"str"`,                  // unsupported literal
-		"x.d << 1",               // unsupported operator
-		"z.d",                    // bad selector base
-		"foo(x.d)",               // unknown function
-		"abs(x.d, y.d)",          // wrong arity
-		"select(1, 2)",           // wrong arity
+		"",                           // empty
+		"x.bogus",                    // unknown feature
+		"bogus",                      // unknown identifier in pair context
+		"d - cp",                     // bare feature in priority context
+		"gate = x.prob",              // selector in gate context
+		"x.d % y.d",                  // unsupported operator
+		`"str"`,                      // unsupported literal
+		"x.d << 1",                   // unsupported operator
+		"z.d",                        // bad selector base
+		"foo(x.d)",                   // unknown function
+		"abs(x.d, y.d)",              // wrong arity
+		"select(1, 2)",               // wrong arity
 		"priority = 1; priority = 2", // duplicate statement
-		"x.d; y.d",               // two bare expressions
-		"other = 1",              // unknown statement
-		"priority := 1",          // only plain assignment
-		"for {}",                 // not an expression statement
-		"1e999",                  // out-of-range literal
-		"func() {}",              // nested function
+		"x.d; y.d",                   // two bare expressions
+		"other = 1",                  // unknown statement
+		"priority := 1",              // only plain assignment
+		"for {}",                     // not an expression statement
+		"1e999",                      // out-of-range literal
+		"func() {}",                  // nested function
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -76,14 +76,14 @@ func TestCanonicalDeterministic(t *testing.T) {
 
 func TestParseRejectsMalformed(t *testing.T) {
 	bad := []string{
-		"",                                  // no header
-		"gsched-profile v2\n",               // wrong version
-		Header + "\nf 1 2\n",                // short line
-		Header + "\nf 1 2 3 4\n",            // long line
-		Header + "\nf x 2 3\n",              // bad id
-		Header + "\nf -1 2 3\n",             // negative id
-		Header + "\nf 1 -2 3\n",             // negative taken
-		Header + "\nf 1 2 -3\n",             // negative not-taken
+		"",                                        // no header
+		"gsched-profile v2\n",                     // wrong version
+		Header + "\nf 1 2\n",                      // short line
+		Header + "\nf 1 2 3 4\n",                  // long line
+		Header + "\nf x 2 3\n",                    // bad id
+		Header + "\nf -1 2 3\n",                   // negative id
+		Header + "\nf 1 -2 3\n",                   // negative taken
+		Header + "\nf 1 2 -3\n",                   // negative not-taken
 		Header + "\nf 1 99999999999999999999 0\n", // overflow int64
 		Header + "\nf 1 9223372036854775807 0\nf 1 1 0\n", // accumulate overflow
 	}

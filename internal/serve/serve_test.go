@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gsched/internal/asm"
 	"gsched/internal/core"
@@ -178,8 +179,15 @@ func TestSaturationAnswers503(t *testing.T) {
 	}
 	<-entered // the first request holds the only worker
 
-	// Admission slots are now exhausted once a second request queues.
-	// Poll until the saturated state is observable, then assert.
+	// Admission slots are exhausted once the second request queues. Wait
+	// for that before probing: a probe admitted into the free queue slot
+	// would wait on the held worker, and release is only closed below.
+	for deadline := time.Now().Add(10 * time.Second); s.queued.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the second request was never admitted")
+		}
+	}
 	var saturated *http.Response
 	for tries := 0; tries < 100; tries++ {
 		resp, _ := post(t, ts, &Request{Source: "int main() { return 42; }"})

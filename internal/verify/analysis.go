@@ -1,9 +1,9 @@
 package verify
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"gsched/internal/ir"
 )
@@ -19,10 +19,30 @@ import (
 // bitset is a dense set of block numbers.
 type bitset []uint64
 
-func newBitset(n int) bitset        { return make(bitset, (n+63)/64) }
-func (b bitset) has(i int) bool     { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-func (b bitset) set(i int)          { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clone() bitset      { return append(bitset(nil), b...) }
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
+
+// newRows carves k empty n-element bitsets out of one allocation.
+func newRows(k, n int) []bitset {
+	w := (n + 63) / 64
+	slab := make(bitset, k*w)
+	rows := make([]bitset, k)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// count returns the number of members of b.
+func (b bitset) count() int {
+	c := 0
+	for _, w := range b {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 func (b bitset) setAll(n int) {
 	for i := 0; i < n; i++ {
 		b.set(i)
@@ -62,27 +82,26 @@ type ctrlEdge struct{ From, To int }
 // analysis bundles the verifier's independently derived control-flow
 // facts about one function.
 type analysis struct {
-	n      int
-	succs  [][]int // full control flow graph
-	preds  [][]int
-	reach  bitset // blocks reachable from entry
+	n     int
+	succs [][]int // full control flow graph
+	preds [][]int
+	reach bitset // blocks reachable from entry
 
 	fsuccs [][]int // forward graph: back edges removed
 	fpreds [][]int
 	cyclic bool // forward graph still cyclic (irreducible flow graph)
 
-	dom  []bitset // dom[b]: blocks dominating b (reflexive); nil rows for unreachable b
-	pdom []bitset // pdom[b]: blocks postdominating b on the forward graph (reflexive)
-	ipdom []int   // immediate postdominator, vexit for exit blocks, -1 when unknown
-	vexit int     // virtual exit node number (== n)
+	dom   []bitset // dom[b]: blocks dominating b (reflexive); nil rows for unreachable b
+	pdom  []bitset // pdom[b]: blocks postdominating b on the forward graph (reflexive)
+	ipdom []int    // immediate postdominator, vexit for exit blocks, -1 when unknown
+	vexit int      // virtual exit node number (== n)
 
 	freach []bitset // freach[u]: blocks reachable from u in the forward graph (reflexive)
 
 	cdep   [][]ctrlEdge // forward control dependences of each block, sorted
-	cdKey  []string     // canonical rendering of cdep, for equivalence
 	cdSucc [][]int      // blocks directly control dependent on a block
 
-	loopKey []string // canonical set of natural-loop headers containing each block
+	loops [][]int // headers of the natural loops containing each block, ascending
 }
 
 // analyze computes every fact from the current shape of f. Scheduling
@@ -132,24 +151,26 @@ func (an *analysis) computeDominators() {
 	an.dom = make([]bitset, an.n)
 	full := newBitset(an.n)
 	full.setAll(an.n)
+	rows := newRows(an.n+1, an.n)
 	for b := 0; b < an.n; b++ {
 		if !an.reach.has(b) {
 			continue
 		}
+		an.dom[b] = rows[b]
 		if b == 0 {
-			an.dom[b] = newBitset(an.n)
 			an.dom[b].set(0)
 		} else {
-			an.dom[b] = full.clone()
+			copy(an.dom[b], full)
 		}
 	}
+	nv := rows[an.n]
 	for changed := true; changed; {
 		changed = false
 		for b := 1; b < an.n; b++ {
 			if an.dom[b] == nil {
 				continue
 			}
-			nv := full.clone()
+			copy(nv, full)
 			any := false
 			for _, p := range an.preds[b] {
 				if an.dom[p] == nil {
@@ -228,6 +249,7 @@ func (an *analysis) cutBackEdges() {
 // (or per-node DFS if the forward graph is cyclic).
 func (an *analysis) computeForwardReach() {
 	an.freach = make([]bitset, an.n)
+	rows := newRows(an.n, an.n)
 	var dfs func(u int) bitset
 	memoing := make([]bool, an.n)
 	dfs = func(u int) bitset {
@@ -238,7 +260,7 @@ func (an *analysis) computeForwardReach() {
 			return nil
 		}
 		memoing[u] = true
-		r := newBitset(an.n)
+		r := rows[u]
 		r.set(u)
 		for _, v := range an.fsuccs[u] {
 			if rv := dfs(v); rv != nil {
@@ -293,20 +315,23 @@ func (an *analysis) computePostDominators() {
 			exitEdge[b] = true
 		}
 	}
-	an.pdom[an.vexit] = newBitset(nv)
+	rows := newRows(nv+1, nv)
+	an.pdom[an.vexit] = rows[an.vexit]
 	an.pdom[an.vexit].set(an.vexit)
 	for b := 0; b < an.n; b++ {
 		if an.reach.has(b) {
-			an.pdom[b] = full.clone()
+			an.pdom[b] = rows[b]
+			copy(an.pdom[b], full)
 		}
 	}
+	acc := rows[nv]
 	for changed := true; changed; {
 		changed = false
 		for b := an.n - 1; b >= 0; b-- {
 			if an.pdom[b] == nil {
 				continue
 			}
-			acc := full.clone()
+			copy(acc, full)
 			any := false
 			for _, s := range an.fsuccs[b] {
 				if an.pdom[s] == nil {
@@ -330,14 +355,13 @@ func (an *analysis) computePostDominators() {
 	}
 	// Immediate postdominators via set sizes: ipdom(b) is the strict
 	// postdominator of b with the largest postdominance set.
-	count := func(s bitset) int {
-		c := 0
-		for _, w := range s {
-			for ; w != 0; w &= w - 1 {
-				c++
-			}
+	size := make([]int, nv)
+	for c := range size {
+		if c == an.vexit {
+			size[c] = 1
+		} else if an.pdom[c] != nil {
+			size[c] = an.pdom[c].count()
 		}
-		return c
 	}
 	an.ipdom = make([]int, an.n)
 	for b := 0; b < an.n; b++ {
@@ -350,14 +374,8 @@ func (an *analysis) computePostDominators() {
 			if c == b || !an.pdom[b].has(c) {
 				continue
 			}
-			var sz int
-			if c == an.vexit {
-				sz = 1
-			} else {
-				sz = count(an.pdom[c])
-			}
-			if sz > bestCount {
-				best, bestCount = c, sz
+			if size[c] > bestCount {
+				best, bestCount = c, size[c]
 			}
 		}
 		an.ipdom[b] = best
@@ -380,12 +398,10 @@ func (an *analysis) computeControlDeps() {
 		if !an.reach.has(u) {
 			continue
 		}
-		seenEdge := map[int]bool{}
-		for _, v := range an.fsuccs[u] {
-			if seenEdge[v] {
-				continue
+		for i, v := range an.fsuccs[u] {
+			if slices.Contains(an.fsuccs[u][:i], v) {
+				continue // a second edge to the same block
 			}
-			seenEdge[v] = true
 			if an.postDominates(v, u) {
 				continue
 			}
@@ -395,104 +411,78 @@ func (an *analysis) computeControlDeps() {
 			}
 		}
 	}
-	an.cdKey = make([]string, an.n)
 	an.cdSucc = make([][]int, an.n)
 	for b := 0; b < an.n; b++ {
 		deps := an.cdep[b]
-		sort.Slice(deps, func(i, j int) bool {
-			if deps[i].From != deps[j].From {
-				return deps[i].From < deps[j].From
-			}
-			return deps[i].To < deps[j].To
+		slices.SortFunc(deps, func(x, y ctrlEdge) int {
+			return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
 		})
-		var sb strings.Builder
-		for _, d := range deps {
-			fmt.Fprintf(&sb, "%d>%d;", d.From, d.To)
-		}
-		an.cdKey[b] = sb.String()
 		for _, d := range deps {
 			an.cdSucc[d.From] = append(an.cdSucc[d.From], b)
 		}
 	}
 	for u := 0; u < an.n; u++ {
-		s := an.cdSucc[u]
-		sort.Ints(s)
-		out := s[:0]
-		for i, v := range s {
-			if i == 0 || v != s[i-1] {
-				out = append(out, v)
-			}
-		}
-		an.cdSucc[u] = out
+		slices.Sort(an.cdSucc[u])
+		an.cdSucc[u] = slices.Compact(an.cdSucc[u])
 	}
 }
 
-// computeLoops builds natural loops from the back edges and renders each
-// block's set of containing loop headers as a canonical key. Instructions
-// may never change their loop membership (region boundaries, §6).
+// computeLoops builds natural loops from the back edges and records,
+// for each block, the sorted headers of the loops containing it.
+// Instructions may never change their loop membership (region
+// boundaries, §6).
 func (an *analysis) computeLoops() {
-	headers := make([]map[int]bool, an.n)
-	addLoop := func(u, v int) { // back edge u→v, header v
-		if headers[v] == nil {
-			headers[v] = map[int]bool{}
-		}
-		headers[v][v] = true
-		// Blocks reaching u without passing v belong to the loop. The
-		// header is never walked: for a self back edge (u == v) the loop
-		// is exactly {v}, and walking v's predecessors would flood
-		// everything upstream of the loop into it.
-		inLoop := map[int]bool{v: true}
-		var stack []int
-		if !inLoop[u] {
-			inLoop[u] = true
-			if headers[u] == nil {
-				headers[u] = map[int]bool{}
-			}
-			headers[u][v] = true
-			stack = append(stack, u)
-		}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, p := range an.preds[x] {
-				if inLoop[p] || !an.reach.has(p) {
-					continue
-				}
-				inLoop[p] = true
-				if headers[p] == nil {
-					headers[p] = map[int]bool{}
-				}
-				headers[p][v] = true
-				stack = append(stack, p)
-			}
-		}
-	}
+	an.loops = make([][]int, an.n)
+	inLoop := make([]bool, an.n)
+	var body []int
 	for u := 0; u < an.n; u++ {
 		if !an.reach.has(u) {
 			continue
 		}
 		for _, v := range an.succs[u] {
-			if an.dominates(v, u) {
-				addLoop(u, v)
+			if !an.dominates(v, u) {
+				continue
+			}
+			// Back edge u→v, header v: blocks reaching u without passing v
+			// belong to the loop. The header (body[0]) is never walked: for
+			// a self back edge (u == v) the loop is exactly {v}, and walking
+			// v's predecessors would flood everything upstream of the loop
+			// into it.
+			body = append(body[:0], v)
+			inLoop[v] = true
+			if !inLoop[u] {
+				inLoop[u] = true
+				body = append(body, u)
+			}
+			for i := 1; i < len(body); i++ {
+				for _, p := range an.preds[body[i]] {
+					if !inLoop[p] && an.reach.has(p) {
+						inLoop[p] = true
+						body = append(body, p)
+					}
+				}
+			}
+			for _, b := range body {
+				an.loops[b] = append(an.loops[b], v)
+				inLoop[b] = false
 			}
 		}
 	}
-	an.loopKey = make([]string, an.n)
-	for b := 0; b < an.n; b++ {
-		if headers[b] == nil {
-			continue
-		}
-		var hs []int
-		for h := range headers[b] {
-			hs = append(hs, h)
-		}
-		sort.Ints(hs)
-		var sb strings.Builder
-		for _, h := range hs {
-			fmt.Fprintf(&sb, "%d;", h)
-		}
-		an.loopKey[b] = sb.String()
+	for b, hs := range an.loops {
+		slices.Sort(hs)
+		an.loops[b] = slices.Compact(hs)
 	}
+}
+
+// sameLoops reports whether blocks a and b lie in the same natural loops.
+func (an *analysis) sameLoops(a, b int) bool {
+	return slices.Equal(an.loops[a], an.loops[b])
+}
+
+// sameCdep reports whether blocks a and b have identical forward control
+// dependences.
+func (an *analysis) sameCdep(a, b int) bool {
+	return slices.Equal(an.cdep[a], an.cdep[b])
 }
 
 // equivalent implements Definition 3 (via identical control dependences,
@@ -502,7 +492,7 @@ func (an *analysis) equivalent(a, b int) bool {
 	if a == b {
 		return true
 	}
-	if an.cyclic || an.cdKey[a] != an.cdKey[b] {
+	if an.cyclic || !an.sameCdep(a, b) {
 		return false
 	}
 	return (an.dominates(a, b) && an.postDominates(b, a)) ||
@@ -522,11 +512,11 @@ func (an *analysis) specDepth(b, h int) int {
 	if an.equivalent(b, h) && an.dominates(b, h) {
 		return 0
 	}
-	seen := map[int]bool{b: true}
-	var frontier []int
-	frontier = append(frontier, b)
+	seen := make([]bool, an.n)
+	seen[b] = true
+	frontier := []int{b}
 	for e := 0; e < an.n; e++ {
-		if e != b && an.cdKey[e] == an.cdKey[b] && an.dominates(b, e) && an.postDominates(e, b) {
+		if e != b && an.sameCdep(e, b) && an.dominates(b, e) && an.postDominates(e, b) {
 			seen[e] = true
 			frontier = append(frontier, e)
 		}

@@ -1,6 +1,9 @@
 package verify
 
 import (
+	"cmp"
+	"slices"
+
 	"gsched/internal/ir"
 )
 
@@ -76,40 +79,41 @@ func memConflict(a, b *ir.Instr) bool {
 	return true
 }
 
+// summary is what dependence derivation reads of one snapshot
+// instruction, computed once per check.
+type summary struct {
+	ins        *ir.Instr
+	defs, uses []ir.Reg // as ir.Instr.Defs and Uses return them
+	mem, load  bool     // touches memory; is a load
+}
+
+func hasReg(set []ir.Reg, r ir.Reg) bool {
+	for _, x := range set {
+		if x == r {
+			return true
+		}
+	}
+	return false
+}
+
 // pairDeps appends every dependence forcing a to stay before b (a is
 // textually earlier on some path).
-func pairDeps(a, b *ir.Instr, out []dep) []dep {
-	var adefs, auses, bdefs, buses [4]ir.Reg
-	ad := a.Defs(adefs[:0])
-	au := a.Uses(auses[:0])
-	bd := b.Defs(bdefs[:0])
-	bu := b.Uses(buses[:0])
-
-	has := func(set []ir.Reg, r ir.Reg) bool {
-		for _, x := range set {
-			if x == r {
-				return true
-			}
+func pairDeps(a, b *summary, out []dep) []dep {
+	for _, r := range a.defs {
+		if hasReg(b.uses, r) {
+			out = append(out, dep{From: a.ins.ID, To: b.ins.ID, Kind: depFlow, Reg: r})
 		}
-		return false
-	}
-	for _, r := range ad {
-		if has(bu, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depFlow, Reg: r})
-		}
-		if has(bd, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depOutput, Reg: r})
+		if hasReg(b.defs, r) {
+			out = append(out, dep{From: a.ins.ID, To: b.ins.ID, Kind: depOutput, Reg: r})
 		}
 	}
-	for _, r := range au {
-		if has(bd, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depAnti, Reg: r})
+	for _, r := range a.uses {
+		if hasReg(b.defs, r) {
+			out = append(out, dep{From: a.ins.ID, To: b.ins.ID, Kind: depAnti, Reg: r})
 		}
 	}
-	if a.Op.TouchesMemory() && b.Op.TouchesMemory() {
-		if !(a.Op.IsLoad() && b.Op.IsLoad()) && memConflict(a, b) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depMem})
-		}
+	if a.mem && b.mem && !(a.load && b.load) && memConflict(a.ins, b.ins) {
+		out = append(out, dep{From: a.ins.ID, To: b.ins.ID, Kind: depMem})
 	}
 	// Nothing may migrate across a terminator within its block; the
 	// terminator-stays-last structural check covers that instead of
@@ -117,3 +121,176 @@ func pairDeps(a, b *ir.Instr, out []dep) []dep {
 	return out
 }
 
+// occurrence is one snapshot slot mentioning a register.
+type occurrence struct {
+	slot      int32
+	def, used bool
+}
+
+// depIndex locates the snapshot instructions that can depend on each
+// other. Slots number the snapshot's instruction positions block by
+// block; every register maps to the slots that mention it, in slot
+// order, and mem lists the memory-touching slots.
+type depIndex struct {
+	slotID    []int32 // slot -> instruction ID
+	slotBlock []int32 // slot -> block
+	regNum    map[ir.Reg]int32
+	occStart  []int32 // register number -> first entry in occ; one sentinel past the end
+	occ       []occurrence
+	mem       []int32
+}
+
+// occurrences returns the slots mentioning r, in slot order.
+func (x *depIndex) occurrences(r ir.Reg) []occurrence {
+	n, ok := x.regNum[r]
+	if !ok {
+		return nil
+	}
+	return x.occ[x.occStart[n]:x.occStart[n+1]]
+}
+
+// buildIndex summarizes every snapshot instruction and indexes the
+// snapshot's slots by register and memory access.
+func (c *checker) buildIndex() {
+	c.sum = make([]summary, len(c.snap.instrs))
+	var regs []ir.Reg
+	for _, id := range c.snap.ids {
+		ins := c.snap.instrs[id]
+		s := &c.sum[id]
+		s.ins = ins
+		start := len(regs)
+		regs = ins.Defs(regs)
+		s.defs = regs[start:len(regs):len(regs)]
+		start = len(regs)
+		regs = ins.Uses(regs)
+		s.uses = regs[start:len(regs):len(regs)]
+		s.mem, s.load = ins.Op.TouchesMemory(), ins.Op.IsLoad()
+	}
+
+	x := &c.idx
+	x.regNum = make(map[ir.Reg]int32)
+	type mention struct {
+		reg int32
+		occurrence
+	}
+	var ms []mention
+	for b, ids := range c.snap.order {
+		for _, id := range ids {
+			slot := int32(len(x.slotID))
+			x.slotID = append(x.slotID, int32(id))
+			x.slotBlock = append(x.slotBlock, int32(b))
+			s := &c.sum[id]
+			if s.mem {
+				x.mem = append(x.mem, slot)
+			}
+			first := len(ms)
+			note := func(r ir.Reg, def bool) {
+				n, ok := x.regNum[r]
+				if !ok {
+					n = int32(len(x.regNum))
+					x.regNum[r] = n
+				}
+				for k := first; k < len(ms); k++ {
+					if ms[k].reg == n {
+						ms[k].def = ms[k].def || def
+						ms[k].used = ms[k].used || !def
+						return
+					}
+				}
+				ms = append(ms, mention{n, occurrence{slot: slot, def: def, used: !def}})
+			}
+			for _, r := range s.defs {
+				note(r, true)
+			}
+			for _, r := range s.uses {
+				note(r, false)
+			}
+		}
+	}
+	// Counting sort by register keeps each register's slots in order.
+	x.occStart = make([]int32, len(x.regNum)+1)
+	for _, m := range ms {
+		x.occStart[m.reg+1]++
+	}
+	for n := 1; n < len(x.occStart); n++ {
+		x.occStart[n] += x.occStart[n-1]
+	}
+	x.occ = make([]occurrence, len(ms))
+	next := append([]int32(nil), x.occStart[:len(x.regNum)]...)
+	for _, m := range ms {
+		x.occ[next[m.reg]] = m.occurrence
+		next[m.reg]++
+	}
+}
+
+// candidate is a slot pair (a before b) that may carry a dependence,
+// keyed for the order of the all-pairs sweep: same-block pairs first by
+// block and positions, then cross-block pairs by block pair and
+// positions.
+type candidate struct{ blocks, slots uint64 }
+
+func (p candidate) a() int32 { return int32(p.slots >> 32) }
+func (p candidate) b() int32 { return int32(uint32(p.slots)) }
+
+func cmpCandidate(p, q candidate) int {
+	return cmp.Or(cmp.Compare(p.blocks, q.blocks), cmp.Compare(p.slots, q.slots))
+}
+
+// candidates lists, in sweep order and without repeats, every ordered
+// slot pair that shares a register defined on at least one side or is a
+// possibly aliasing memory pair other than two loads. A pair is ordered
+// when its first slot precedes the second in one block, or when the
+// second's block is forward-reachable from the first's. In an
+// irreducible forward graph both orders of a cross-block pair may hold.
+func (c *checker) candidates() []candidate {
+	x := &c.idx
+	var out []candidate
+	add := func(s, t int32) {
+		bs, bt := x.slotBlock[s], x.slotBlock[t]
+		if bs == bt {
+			if s > t {
+				s, t = t, s
+			}
+			out = append(out, candidate{uint64(bs)<<31 | uint64(bs), uint64(s)<<32 | uint64(t)})
+			return
+		}
+		const cross = 1 << 62
+		if c.an.forwardReach(int(bs), int(bt)) {
+			out = append(out, candidate{cross | uint64(bs)<<31 | uint64(bt), uint64(s)<<32 | uint64(t)})
+		}
+		if c.an.forwardReach(int(bt), int(bs)) {
+			out = append(out, candidate{cross | uint64(bt)<<31 | uint64(bs), uint64(t)<<32 | uint64(s)})
+		}
+	}
+	for n := 0; n+1 < len(x.occStart); n++ {
+		occ := x.occ[x.occStart[n]:x.occStart[n+1]]
+		for i, d := range occ {
+			if !d.def {
+				continue
+			}
+			for j, o := range occ {
+				if j == i || (o.def && j < i) {
+					continue // each def-def pair once
+				}
+				add(d.slot, o.slot)
+			}
+		}
+	}
+	for i, s := range x.mem {
+		ss := &c.sum[x.slotID[s]]
+		if ss.load {
+			continue
+		}
+		for j, t := range x.mem {
+			st := &c.sum[x.slotID[t]]
+			if j == i || (!st.load && j < i) {
+				continue // each pair of non-loads (stores, calls) once
+			}
+			if memConflict(ss.ins, st.ins) {
+				add(s, t)
+			}
+		}
+	}
+	slices.SortFunc(out, cmpCandidate)
+	return slices.Compact(out)
+}

@@ -24,7 +24,6 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gsched/internal/ir"
@@ -86,15 +85,19 @@ func (e *Error) Error() string {
 // place locates an instruction: block index and position within it.
 type place struct{ block, pos int }
 
+// absent marks an ID-indexed place slot that holds no instruction.
+var absent = place{-1, -1}
+
 // Snapshot is a deep copy of a function's instruction layout taken
 // before scheduling. Scheduling moves instructions but never blocks, so
 // the snapshot and the scheduled function share one flow graph.
 type Snapshot struct {
 	FuncName string
 	labels   []string
-	order    [][]int // instruction IDs per block, in pre-schedule order
-	instrs   map[int]*ir.Instr
-	home     map[int]place
+	order    [][]int     // instruction IDs per block, in pre-schedule order
+	instrs   []*ir.Instr // instruction ID -> copy, nil for IDs not in the snapshot
+	home     []place     // instruction ID -> pre-schedule location
+	ids      []int       // instruction IDs in the snapshot, ascending
 }
 
 // Capture records the current layout of f.
@@ -103,41 +106,78 @@ func Capture(f *ir.Func) *Snapshot {
 		FuncName: f.Name,
 		labels:   make([]string, len(f.Blocks)),
 		order:    make([][]int, len(f.Blocks)),
-		instrs:   make(map[int]*ir.Instr),
-		home:     make(map[int]place),
 	}
+	size, count, mems := f.NumInstrIDs(), 0, 0
+	for _, b := range f.Blocks {
+		for _, ins := range b.Instrs {
+			size = max(size, ins.ID+1)
+			count++
+			if ins.Mem != nil {
+				mems++
+			}
+		}
+	}
+	s.instrs = make([]*ir.Instr, size)
+	s.home = make([]place, size)
+	clones := make([]ir.Instr, count)
+	memClones := make([]ir.Mem, mems)
+	ids := make([]int, count)
 	for bi, b := range f.Blocks {
 		s.labels[bi] = b.Label
-		ids := make([]int, len(b.Instrs))
+		s.order[bi], ids = ids[:len(b.Instrs):len(b.Instrs)], ids[len(b.Instrs):]
 		for pi, ins := range b.Instrs {
-			ids[pi] = ins.ID
-			s.instrs[ins.ID] = ins.Clone(ins.ID)
+			s.order[bi][pi] = ins.ID
+			c := &clones[0]
+			clones = clones[1:]
+			*c = *ins
+			if ins.Mem != nil {
+				memClones[0] = *ins.Mem
+				c.Mem, memClones = &memClones[0], memClones[1:]
+			}
+			if ins.CallArgs != nil {
+				c.CallArgs = append([]ir.Reg(nil), ins.CallArgs...)
+			}
+			s.instrs[ins.ID] = c
 			s.home[ins.ID] = place{bi, pi}
 		}
-		s.order[bi] = ids
+	}
+	for id, ins := range s.instrs {
+		if ins != nil {
+			s.ids = append(s.ids, id)
+		}
 	}
 	return s
+}
+
+// instr returns the snapshot copy of instruction id, nil when the
+// snapshot has none.
+func (s *Snapshot) instr(id int) *ir.Instr {
+	if id < len(s.instrs) {
+		return s.instrs[id]
+	}
+	return nil
 }
 
 // Check validates the scheduled function f against its pre-schedule
 // snapshot under the given rules. It returns nil for a legal schedule
 // and an *Error listing every violation otherwise.
+//
+// With B blocks, N instructions, D dependent instruction pairs (sharing
+// a register written by one of them, or a store or call and a memory
+// access that may alias) and M cross-block motions, a check costs
+// O(B²/64 + N + D log D + M·(B + occurrences of the moved register)):
+// the flow analysis works on block bitsets, dependences are enumerated
+// from per-register occurrence lists instead of all instruction pairs,
+// and each motion's §5.3 liveness visits only the blocks that mention
+// or reach its register.
 func Check(snap *Snapshot, f *ir.Func, rules Rules) error {
-	c := &checker{
-		snap:       snap,
-		f:          f,
-		rules:      rules,
-		final:      make(map[int]place),
-		finalInstr: make(map[int]*ir.Instr),
-		origin:     make(map[int]int),
-		placements: make(map[int][]place),
-		dupGroup:   make(map[int]bool),
-	}
+	c := &checker{snap: snap, f: f, rules: rules}
 	if !c.structure() {
 		return c.result()
 	}
 	c.an = analyze(f)
 	c.accounting()
+	c.buildIndex()
 	c.motions()
 	c.depOrder()
 	return c.result()
@@ -149,11 +189,20 @@ type checker struct {
 	rules Rules
 	an    *analysis
 
-	final      map[int]place     // instruction ID -> scheduled location
-	finalInstr map[int]*ir.Instr // instruction ID -> scheduled instruction
-	origin     map[int]int       // duplicate-copy ID -> snapshot ID it copies
-	placements map[int][]place   // snapshot ID -> original + copy locations
-	dupGroup   map[int]bool      // snapshot IDs verified as duplication groups
+	// Dense tables indexed by instruction ID, covering the snapshot's
+	// and the scheduled function's IDs.
+	final      []place     // scheduled location, absent when not scheduled
+	finalInstr []*ir.Instr // scheduled instruction
+	origin     []int       // duplicate copy -> snapshot ID it copies, -1 otherwise
+	placements [][]place   // snapshot ID -> original + copy locations
+	dupGroup   []bool      // snapshot IDs verified as duplication groups
+
+	sum []summary // snapshot ID -> dependence summary
+	idx depIndex
+
+	// Scratch for offPathLive, indexed by block.
+	liveIn, kill []bool
+	work         []int32
 
 	vs []Violation
 }
@@ -199,10 +248,24 @@ func (c *checker) structure() bool {
 // instruction with its snapshot, matches extra instructions to the
 // originals they duplicate, and checks that terminators stayed put.
 func (c *checker) accounting() {
-	var extras []int
+	size := len(c.snap.instrs)
+	for _, b := range c.f.Blocks {
+		for _, ins := range b.Instrs {
+			size = max(size, ins.ID+1)
+		}
+	}
+	c.final = make([]place, size)
+	for i := range c.final {
+		c.final[i] = absent
+	}
+	c.finalInstr = make([]*ir.Instr, size)
+	c.origin = make([]int, size)
+	c.placements = make([][]place, size)
+	c.dupGroup = make([]bool, size)
+
 	for bi, b := range c.f.Blocks {
 		for pi, ins := range b.Instrs {
-			if prev, dup := c.final[ins.ID]; dup {
+			if prev := c.final[ins.ID]; prev != absent {
 				c.violate("accounting", ins, "instruction ID appears twice (blocks %d and %d)", prev.block, bi)
 				continue
 			}
@@ -210,27 +273,36 @@ func (c *checker) accounting() {
 			c.finalInstr[ins.ID] = ins
 		}
 	}
-	for _, id := range c.snapIDs() {
-		if _, ok := c.final[id]; !ok {
+	for _, id := range c.snap.ids {
+		if c.final[id] == absent {
 			c.violate("accounting", c.snap.instrs[id], "instruction lost by scheduling")
 		}
 	}
-	bySig := make(map[string][]int)
+	var extras []int // ascending
 	for id, ins := range c.finalInstr {
-		if s, ok := c.snap.instrs[id]; ok {
+		c.origin[id] = -1
+		if ins == nil {
+			continue
+		}
+		if s := c.snap.instr(id); s != nil {
 			if !sameInstr(s, ins) {
 				c.violate("accounting", s, "instruction altered by scheduling: now %q", ins.String())
 			}
-			c.placements[id] = append(c.placements[id], c.final[id])
+			// A one-element window on final: only duplication groups
+			// grow past it (and then copy).
+			c.placements[id] = c.final[id : id+1 : id+1]
 		} else {
 			extras = append(extras, id)
 		}
 	}
-	for _, id := range c.snapIDs() {
-		s := c.snap.instrs[id].String()
-		bySig[s] = append(bySig[s], id) // sorted-id order: deterministic
+	var bySig map[string][]int
+	if len(extras) > 0 {
+		bySig = make(map[string][]int)
+		for _, id := range c.snap.ids {
+			s := c.snap.instrs[id].String()
+			bySig[s] = append(bySig[s], id) // sorted-id order: deterministic
+		}
 	}
-	sort.Ints(extras)
 	for _, e := range extras {
 		ins := c.finalInstr[e]
 		// Several snapshot instructions can share a printed form (loop
@@ -241,7 +313,7 @@ func (c *checker) accounting() {
 		// join (or strictly upstream, when a later session hoisted it).
 		best, bestScore := -1, 0
 		for _, cand := range bySig[ins.String()] {
-			if _, present := c.final[cand]; !present {
+			if c.final[cand] == absent {
 				continue // the original itself was lost; do not pair
 			}
 			if s := c.matchScore(e, cand); s > bestScore {
@@ -278,11 +350,7 @@ func (c *checker) accounting() {
 // sits strictly upstream of that join, 1 as a last resort, ties broken
 // by the caller's ascending candidate order.
 func (c *checker) matchScore(e, cand int) int {
-	home, ok := c.snap.home[cand]
-	if !ok {
-		return 1
-	}
-	J := home.block
+	J := c.snap.home[cand].block
 	fb := c.final[e].block
 	if len(c.an.preds[J]) >= 2 {
 		for _, p := range c.an.preds[J] {
@@ -297,20 +365,11 @@ func (c *checker) matchScore(e, cand int) int {
 	return 1
 }
 
-func (c *checker) snapIDs() []int {
-	ids := make([]int, 0, len(c.snap.instrs))
-	for id := range c.snap.instrs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // motions classifies and validates every cross-block motion.
 func (c *checker) motions() {
-	for _, id := range c.snapIDs() {
-		fin, ok := c.final[id]
-		if !ok {
+	for _, id := range c.snap.ids {
+		fin := c.final[id]
+		if fin == absent {
 			continue // already reported as lost
 		}
 		home := c.snap.home[id]
@@ -346,7 +405,7 @@ func (c *checker) classifyMotion(id int, home, fin place) {
 		c.violate("cross-block", ins, "cross-block motion in an irreducible flow graph (block %d -> %d)", H, B)
 		return
 	}
-	if c.an.loopKey[H] != c.an.loopKey[B] {
+	if !c.an.sameLoops(H, B) {
 		c.violate("region", ins, "motion changes loop membership (block %d -> %d)", H, B)
 		return
 	}
@@ -410,15 +469,20 @@ func (c *checker) checkDuplication(id int) {
 		c.violate("duplication", ins, "duplication in an irreducible flow graph (join block %d)", J)
 		return
 	}
-	predSet := make(map[int]bool)
+	n := len(c.f.Blocks)
+	predSet := make([]bool, n)
+	npreds := 0
 	for _, p := range c.an.preds[J] {
-		predSet[p] = true
+		if !predSet[p] {
+			predSet[p] = true
+			npreds++
+		}
 	}
-	if len(predSet) < 2 {
-		c.violate("duplication", ins, "home block %d is not a join (%d predecessors)", J, len(predSet))
+	if npreds < 2 {
+		c.violate("duplication", ins, "home block %d is not a join (%d predecessors)", J, npreds)
 		return
 	}
-	cover := make(map[int]bool)
+	cover := make([]bool, n)
 	for _, pl := range c.placements[id] {
 		cover[pl.block] = true
 	}
@@ -437,14 +501,14 @@ func (c *checker) checkDuplication(id int) {
 	// below). done[b] computes "every forward path reaching the end of b
 	// has executed a copy" by structural induction over the forward graph.
 	for b := range cover {
-		if b == J {
-			continue // an instance at the home join itself
+		if !cover[b] || b == J {
+			continue // no copy, or an instance at the home join itself
 		}
 		if !predSet[b] && !c.an.forwardReach(b, J) {
 			c.violate("duplication", ins, "copy placed in block %d, not upstream of join %d", b, J)
 			return
 		}
-		if c.an.loopKey[b] != c.an.loopKey[J] {
+		if !c.an.sameLoops(b, J) {
 			c.violate("region", ins, "duplication crosses a loop boundary (block %d vs join %d)", b, J)
 			return
 		}
@@ -452,7 +516,7 @@ func (c *checker) checkDuplication(id int) {
 	// A copy at J covers every entering path by itself; otherwise every
 	// predecessor must be covered by the forward induction.
 	if !cover[J] {
-		done := make([]bool, len(c.f.Blocks))
+		done := make([]bool, n)
 		for changed := true; changed; {
 			changed = false
 			for b := range done {
@@ -476,7 +540,7 @@ func (c *checker) checkDuplication(id int) {
 			}
 		}
 		for p := range predSet {
-			if !done[p] {
+			if predSet[p] && !done[p] {
 				c.violate("duplication", ins, "predecessor block %d of join %d has no covering copy", p, J)
 				return
 			}
@@ -503,11 +567,9 @@ func (c *checker) checkDuplication(id int) {
 // re-checks liveness dynamically after every motion, §5.3) no longer
 // read the clobbered register.
 func (c *checker) checkOffPath(id int, pl place, H int, rule string) {
-	ins := c.snap.instrs[id]
-	var defs [2]ir.Reg
-	for _, r := range ins.Defs(defs[:0]) {
+	for _, r := range c.sum[id].defs {
 		if c.offPathLive(r, pl, H, id) {
-			c.violate(rule, ins,
+			c.violate(rule, c.snap.instrs[id],
 				"definition of %s is live on paths bypassing home block %d (clobbers an off-path value at block %d)",
 				r, H, pl.block)
 		}
@@ -517,50 +579,53 @@ func (c *checker) checkOffPath(id int, pl place, H int, rule string) {
 // offPathLive computes, on the snapshot program with block H masked and
 // with observers restricted to uses still placed downstream of pl, the
 // liveness of r just after position pl.pos of final block pl.block.
+// Only the blocks mentioning r get gen/kill facts; live-in then spreads
+// backwards from the generating blocks through blocks that do not kill r.
 func (c *checker) offPathLive(r ir.Reg, pl place, H int, id int) bool {
-	n := len(c.snap.order)
-	gen := make([]bool, n)
-	kill := make([]bool, n)
-	for b := 0; b < n; b++ {
-		seenDef := false
-		for _, id2 := range c.snap.order[b] {
-			ins2 := c.snap.instrs[id2]
-			if !seenDef && ins2.UsesReg(r) && c.observesDownstream(id2, pl) {
-				gen[b] = true
-			}
-			if ins2.DefsReg(r) {
-				seenDef = true
-			}
-		}
-		kill[b] = seenDef
+	if c.liveIn == nil {
+		c.liveIn = make([]bool, len(c.snap.order))
+		c.kill = make([]bool, len(c.snap.order))
 	}
-	liveIn := make([]bool, n)
-	for changed := true; changed; {
-		changed = false
-		for b := n - 1; b >= 0; b-- {
-			if b == H || liveIn[b] {
-				continue // the home block is masked; live stays live
+	occ := c.idx.occurrences(r)
+	work := c.work[:0]
+	for k := 0; k < len(occ); {
+		b := c.idx.slotBlock[occ[k].slot]
+		gen, seenDef := false, false
+		for ; k < len(occ) && c.idx.slotBlock[occ[k].slot] == b; k++ {
+			o := occ[k]
+			if !seenDef && o.used && c.observesDownstream(int(c.idx.slotID[o.slot]), pl) {
+				gen = true
 			}
-			out := false
-			for _, s := range c.an.succs[b] {
-				if liveIn[s] {
-					out = true
-					break
-				}
-			}
-			if gen[b] || (out && !kill[b]) {
-				liveIn[b] = true
-				changed = true
+			seenDef = seenDef || o.def
+		}
+		c.kill[b] = seenDef
+		if gen && int(b) != H && !c.liveIn[b] { // the home block is masked
+			c.liveIn[b] = true
+			work = append(work, b)
+		}
+	}
+	for i := 0; i < len(work); i++ {
+		for _, p := range c.an.preds[work[i]] {
+			if p != H && !c.liveIn[p] && !c.kill[p] {
+				c.liveIn[p] = true
+				work = append(work, int32(p))
 			}
 		}
 	}
 	live := false
 	for _, s := range c.an.succs[pl.block] {
-		if liveIn[s] {
+		if c.liveIn[s] {
 			live = true
 			break
 		}
 	}
+	for _, b := range work {
+		c.liveIn[b] = false
+	}
+	for _, o := range occ {
+		c.kill[c.idx.slotBlock[o.slot]] = false
+	}
+	c.work = work
 	// Uses and kills between the new position and the end of its block
 	// are taken from the final layout: anything placed after the moved
 	// definition inside its block reads the new value directly.
@@ -583,8 +648,8 @@ func (c *checker) offPathLive(r ir.Reg, pl place, H int, id int) bool {
 // program. Same-block observers are excluded here; the caller walks the
 // final block directly.
 func (c *checker) observesDownstream(u int, pl place) bool {
-	fp, ok := c.final[u]
-	if !ok {
+	fp := c.final[u]
+	if fp == absent {
 		return true // lost instruction: reported elsewhere, stay conservative
 	}
 	if fp.block == pl.block {
@@ -597,17 +662,13 @@ func (c *checker) observesDownstream(u int, pl place) bool {
 // forward consumer of src: in the same block after it, or in a block
 // reachable from src's home in the forward graph.
 func (c *checker) snapConsumer(src, cons int) bool {
-	if o, ok := c.origin[cons]; ok {
+	if o := c.origin[cons]; o >= 0 {
 		cons = o
 	}
-	sh, ok := c.snap.home[src]
-	if !ok {
+	if c.snap.instr(src) == nil || c.snap.instr(cons) == nil {
 		return false
 	}
-	ch, ok := c.snap.home[cons]
-	if !ok {
-		return false
-	}
+	sh, ch := c.snap.home[src], c.snap.home[cons]
 	if sh.block == ch.block {
 		return ch.pos > sh.pos
 	}
@@ -616,35 +677,16 @@ func (c *checker) snapConsumer(src, cons int) bool {
 
 // depOrder re-derives every data dependence of the snapshot program and
 // checks that each one still executes in order at every placement pair.
+// Pairs are visited in the order of a sweep over all instruction pairs
+// (same-block pairs by block and position, then each forward-reachable
+// block pair), but only the candidates that can carry a dependence.
 func (c *checker) depOrder() {
 	var buf []dep
-	emit := func(a, b *ir.Instr) {
-		buf = pairDeps(a, b, buf[:0])
+	for _, p := range c.candidates() {
+		a, b := c.idx.slotID[p.a()], c.idx.slotID[p.b()]
+		buf = pairDeps(&c.sum[a], &c.sum[b], buf[:0])
 		for _, d := range buf {
 			c.checkDep(d)
-		}
-	}
-	for _, ids := range c.snap.order {
-		for x := 0; x < len(ids); x++ {
-			for y := x + 1; y < len(ids); y++ {
-				emit(c.snap.instrs[ids[x]], c.snap.instrs[ids[y]])
-			}
-		}
-	}
-	n := len(c.snap.order)
-	for ai := 0; ai < n; ai++ {
-		if !c.an.reach.has(ai) {
-			continue
-		}
-		for bi := 0; bi < n; bi++ {
-			if ai == bi || !c.an.forwardReach(ai, bi) {
-				continue
-			}
-			for _, x := range c.snap.order[ai] {
-				for _, y := range c.snap.order[bi] {
-					emit(c.snap.instrs[x], c.snap.instrs[y])
-				}
-			}
 		}
 	}
 }

@@ -74,15 +74,26 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 	}
 
 	// With opts.Verify set, every scheduling pass is bracketed by a
-	// snapshot and an independent legality check. Unrolling and rotation
-	// restructure the flow graph, so each bracket snapshots after them:
-	// within a bracket the block skeleton is invariant, which is what the
-	// verifier relies on.
+	// snapshot and an independent legality check, both timed as
+	// PhaseVerify. Unrolling and rotation restructure the flow graph, so
+	// each bracket snapshots after them: within a bracket the block
+	// skeleton is invariant, which is what the verifier relies on.
+	capture := func() *verify.Snapshot {
+		if !opts.Verify {
+			return nil
+		}
+		done := opts.Trace.TimePhase(core.PhaseVerify)
+		defer done()
+		return verify.Capture(f)
+	}
 	check := func(snap *verify.Snapshot, rules verify.Rules) error {
 		if snap == nil {
 			return nil
 		}
-		if err := verify.Check(snap, f, rules); err != nil {
+		done := opts.Trace.TimePhase(core.PhaseVerify)
+		err := verify.Check(snap, f, rules)
+		done()
+		if err != nil {
 			return fmt.Errorf("xform: illegal schedule: %w", err)
 		}
 		return nil
@@ -99,10 +110,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 			st.LoopsUnrolled = transformInnerLoops(f, cfgX.UnrollMaxBlocks, UnrollOnce)
 			done()
 		}
-		var snap *verify.Snapshot
-		if opts.Verify {
-			snap = verify.Capture(f)
-		}
+		snap := capture()
 		// First pass: inner regions only.
 		if err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
 			return r.IsLoop && height == 0
@@ -119,9 +127,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 			done()
 			st.LoopsRotated = rotated
 		}
-		if opts.Verify {
-			snap = verify.Capture(f)
-		}
+		snap = capture()
 		// Second pass: rotated inner loops (now fresh regions) and the
 		// outer regions.
 		if err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
@@ -144,10 +150,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 		if err := ctx.Err(); err != nil {
 			return st, fmt.Errorf("xform: cancelled: %w", err)
 		}
-		var snap *verify.Snapshot
-		if opts.Verify {
-			snap = verify.Capture(f)
-		}
+		snap := capture()
 		mach := opts.Machine
 		done := opts.Trace.TimePhase(core.PhaseLocal)
 		for _, b := range f.Blocks {
@@ -165,10 +168,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 		if err := ctx.Err(); err != nil {
 			return st, fmt.Errorf("xform: cancelled: %w", err)
 		}
-		var snap *verify.Snapshot
-		if opts.Verify {
-			snap = verify.Capture(f)
-		}
+		snap := capture()
 		done := opts.Trace.TimePhase(core.PhaseExact)
 		err := core.ExactPassCtx(ctx, f, &opts, &st.Stats)
 		done()

@@ -180,6 +180,29 @@ func TestDriverFullPipeline(t *testing.T) {
 	}
 }
 
+// TestDriverTimesVerifyPhase: with Verify on, each of the driver's
+// verify brackets (two global passes and the local post-pass, a
+// snapshot and a check each) reports to the trace as PhaseVerify; with
+// Verify off the phase never runs.
+func TestDriverTimesVerifyPhase(t *testing.T) {
+	for _, verify := range []bool{false, true} {
+		_, f := paperex.MinMax()
+		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+		opts.Verify = verify
+		opts.Trace = &core.Trace{}
+		if _, err := Run(f, opts, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		total, runs := opts.Trace.PhaseTotal(core.PhaseVerify)
+		if want := map[bool]int64{false: 0, true: 6}[verify]; runs != want {
+			t.Errorf("verify=%v: %d PhaseVerify runs, want %d", verify, runs, want)
+		}
+		if verify && total <= 0 {
+			t.Errorf("verify=%v: PhaseVerify total %v, want > 0", verify, total)
+		}
+	}
+}
+
 func TestDriverOnMinMax(t *testing.T) {
 	// The 10-block minmax loop exceeds the 4-block unroll/rotate caps,
 	// but the driver must still schedule it globally.
