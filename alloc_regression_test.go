@@ -22,6 +22,7 @@
 package gsched_test
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/core"
@@ -34,11 +35,11 @@ import (
 
 // Budgets for the li workload (the paper's headline benchmark),
 // sequential. The first two are the speculative level; measured
-// 2026-08: ScheduleProgram ~1173 allocs, RunProgram (full
-// unroll/rotate pipeline) ~1405. The dup budget covers level=dup with
-// a trained edge profile, which adds probability lookups, superblock
-// formation and Definition-6 copy bookkeeping on top of the same
-// pipeline; measured 2026-08: ~1506.
+// 2026-10 through the program driver: ScheduleProgramCtx ~1189 allocs,
+// RunProgramCtx (full unroll/rotate pipeline) ~1427. The dup budget
+// covers level=dup with a trained edge profile, which adds probability
+// lookups, superblock formation and Definition-6 copy bookkeeping on
+// top of the same pipeline; measured 2026-10: ~1519.
 const (
 	maxScheduleAllocs    = 1550
 	maxPipelineAllocs    = 1850
@@ -61,13 +62,13 @@ func TestSchedulingAllocBudget(t *testing.T) {
 	// steady state after the first run (AllocsPerRun's warm-up call), so
 	// the measurement sees only per-run work, not one-time growth.
 	got := testing.AllocsPerRun(20, func() {
-		if _, err := core.ScheduleProgram(prog, opts); err != nil {
+		if _, err := xform.ScheduleProgramCtx(context.Background(), prog, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("ScheduleProgram(li): %.0f allocs/run (budget %d)", got, maxScheduleAllocs)
+	t.Logf("ScheduleProgramCtx(li): %.0f allocs/run (budget %d)", got, maxScheduleAllocs)
 	if got > maxScheduleAllocs {
-		t.Errorf("ScheduleProgram(li) allocates %.0f per run, budget %d — see file comment before raising",
+		t.Errorf("ScheduleProgramCtx(li) allocates %.0f per run, budget %d — see file comment before raising",
 			got, maxScheduleAllocs)
 	}
 
@@ -76,13 +77,13 @@ func TestSchedulingAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = testing.AllocsPerRun(20, func() {
-		if _, err := xform.RunProgram(prog2, opts, xform.DefaultConfig()); err != nil {
+		if _, err := xform.RunProgramCtx(context.Background(), prog2, opts, xform.DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("RunProgram(li): %.0f allocs/run (budget %d)", got, maxPipelineAllocs)
+	t.Logf("RunProgramCtx(li): %.0f allocs/run (budget %d)", got, maxPipelineAllocs)
 	if got > maxPipelineAllocs {
-		t.Errorf("RunProgram(li) allocates %.0f per run, budget %d — see file comment before raising",
+		t.Errorf("RunProgramCtx(li) allocates %.0f per run, budget %d — see file comment before raising",
 			got, maxPipelineAllocs)
 	}
 }
@@ -119,13 +120,13 @@ func TestDupSchedulingAllocBudget(t *testing.T) {
 	opts.Profile = prof
 	opts.Parallelism = 1
 	got := testing.AllocsPerRun(20, func() {
-		if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+		if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("RunProgram(li, dup+profile): %.0f allocs/run (budget %d)", got, maxDupPipelineAllocs)
+	t.Logf("RunProgramCtx(li, dup+profile): %.0f allocs/run (budget %d)", got, maxDupPipelineAllocs)
 	if got > maxDupPipelineAllocs {
-		t.Errorf("RunProgram(li, dup+profile) allocates %.0f per run, budget %d — see file comment before raising",
+		t.Errorf("RunProgramCtx(li, dup+profile) allocates %.0f per run, budget %d — see file comment before raising",
 			got, maxDupPipelineAllocs)
 	}
 }

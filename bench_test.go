@@ -12,6 +12,7 @@
 package gsched_test
 
 import (
+	"context"
 	"testing"
 
 	"gsched"
@@ -178,11 +179,11 @@ func BenchmarkAblation(b *testing.B) {
 			}
 			if cfg.xfrm {
 				xform.TransformOnlyProgram(prog, xform.DefaultConfig())
-				if _, err := core.ScheduleProgram(prog, core.Defaults(mach, core.LevelNone)); err != nil {
+				if _, err := xform.ScheduleProgramCtx(context.Background(), prog, core.Defaults(mach, core.LevelNone)); err != nil {
 					b.Fatal(err)
 				}
 			} else {
-				if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+				if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -217,7 +218,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := xform.RunProgram(prog, core.Defaults(mach, core.LevelSpeculative), xform.DefaultConfig()); err != nil {
+		if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(mach, core.LevelSpeculative), xform.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,7 +239,7 @@ func BenchmarkScheduleOnlyLI(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := xform.RunProgram(prog, core.Defaults(mach, core.LevelSpeculative), xform.DefaultConfig()); err != nil {
+		if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(mach, core.LevelSpeculative), xform.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -383,7 +383,7 @@ func benchSchedulerThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := xform.RunProgram(prog, core.Defaults(mach, core.LevelSpeculative), xform.DefaultConfig()); err != nil {
+		if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(mach, core.LevelSpeculative), xform.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -403,7 +403,7 @@ func benchScheduleOnlyLI(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := xform.RunProgram(prog, core.Defaults(mach, core.LevelSpeculative), xform.DefaultConfig()); err != nil {
+		if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(mach, core.LevelSpeculative), xform.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

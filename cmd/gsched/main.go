@@ -16,7 +16,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -156,35 +155,28 @@ func realMain(path string) error {
 	}
 
 	// The simulator and the CFG dump need the whole program in memory;
-	// everything else runs through the streaming pipeline, which
-	// produces identical bytes while scheduling functions as the parser
-	// yields them. Sources that define a function twice fall back to
-	// the materializing path (last-definition-wins needs the whole
-	// unit).
+	// everything else streams, scheduling functions as the parser
+	// yields them. Both go through the same program driver and print
+	// identical bytes.
 	if *run == "" && *dot == "" {
 		cfg := gsched.StreamConfig{Opts: opts, Jobs: *jobs}
 		if *pipeline {
 			cfg.Pipeline, cfg.UsePipeline = gsched.DefaultPipeline(), true
 		}
+		bw := bufio.NewWriter(os.Stdout)
 		var out io.Writer
-		var bw *bufio.Writer
 		if *printAsm {
-			bw = bufio.NewWriter(os.Stdout)
 			out = bw
 		}
 		res, err := gsched.ScheduleStream(context.Background(), l, string(src), cfg, out)
-		if err == nil {
-			if bw != nil {
-				if err := bw.Flush(); err != nil {
-					return err
-				}
-			}
-			printStats(res.Stats)
-			return nil
-		}
-		if !errors.Is(err, gsched.ErrDuplicateFunc) {
+		if err != nil {
 			return err
 		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		printStats(res.Stats)
+		return nil
 	}
 
 	var prog *gsched.Program

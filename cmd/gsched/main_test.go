@@ -1,12 +1,52 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gsched"
 )
+
+// TestMain runs the command's main instead of the tests when
+// GSCHED_MAIN_ARGS holds its arguments (newline-separated), so a test
+// can observe the exit status and stderr of a real run.
+func TestMain(m *testing.M) {
+	if args := os.Getenv("GSCHED_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"gsched"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDuplicateFunctionExitsOne: a unit that defines a function twice
+// makes gsched exit 1 with the line-numbered diagnostic, on the
+// streaming path and on the whole-unit path that -run takes.
+func TestDuplicateFunctionExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dup.s")
+	src := "func f:\n\tRET r0\nfunc f:\n\tRET r1\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-print", path}, {"-run", "f", path}} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "GSCHED_MAIN_ARGS="+strings.Join(args, "\n"))
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit status 1", args, err)
+		}
+		if want := `gsched: asm: line 3: function "f" redeclared`; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%v: stderr %q does not contain %q", args, stderr.String(), want)
+		}
+	}
+}
 
 func TestParseLevel(t *testing.T) {
 	for s, want := range map[string]gsched.Level{

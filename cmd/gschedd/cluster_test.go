@@ -4,7 +4,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -12,7 +11,7 @@ import (
 )
 
 // TestGscheddClusterSmoke is the process-level cluster drill CI runs
-// as the cluster-smoke job: build the real binary, boot three nodes
+// in the test job: build the real binary, boot three nodes
 // wired as peers with per-node cache directories, drive mixed load
 // across all of them, SIGKILL one node mid-workload, keep driving the
 // survivors, restart the killed node on its old address and cache
@@ -40,37 +39,25 @@ func TestGscheddClusterSmoke(t *testing.T) {
 		urls[i] = "http://" + addrs[i]
 		dirs[i] = t.TempDir()
 	}
-	start := func(i int) *exec.Cmd {
+	start := func(i int) *daemon {
 		var peers []string
 		for k, u := range urls {
 			if k != i {
 				peers = append(peers, u)
 			}
 		}
-		cmd := exec.Command(bin,
+		return startDaemon(t, bin,
 			"-addr", addrs[i],
 			"-self", urls[i],
 			"-peers", strings.Join(peers, ","),
 			"-cache-dir", dirs[i],
 			"-replicate-after", "-1", // replicate on first contact: deterministic warm disks
 			"-workers", "2", "-queue", "1024")
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return cmd
 	}
-	cmds := make([]*exec.Cmd, n)
-	for i := range cmds {
-		cmds[i] = start(i)
+	nodes := make([]*daemon, n)
+	for i := range nodes {
+		nodes[i] = start(i)
 	}
-	defer func() {
-		for _, cmd := range cmds {
-			if cmd != nil && cmd.Process != nil {
-				cmd.Process.Kill()
-				cmd.Wait()
-			}
-		}
-	}()
 	for _, u := range urls {
 		waitHealthy(t, u)
 	}
@@ -87,11 +74,7 @@ func TestGscheddClusterSmoke(t *testing.T) {
 
 	// Phase 2: SIGKILL node 0 — no drain, no goodbye — and keep
 	// driving the survivors.
-	if err := cmds[0].Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmds[0].Wait()
-	cmds[0] = nil
+	nodes[0].kill()
 	during, err := serve.Load(serve.LoadOptions{
 		Targets: urls[1:], N: 40, Concurrency: 4, Seed: 12, SkipErrors: true, Tolerate: true})
 	if err != nil {
@@ -108,7 +91,7 @@ func TestGscheddClusterSmoke(t *testing.T) {
 
 	// Phase 3: restart node 0 on its old address and cache directory,
 	// replay phase 1's request stream against it alone.
-	cmds[0] = start(0)
+	nodes[0] = start(0)
 	waitHealthy(t, urls[0])
 	after, err := serve.Load(serve.LoadOptions{
 		Targets: urls[:1], N: 60, Concurrency: 4, Seed: 11, SkipErrors: true})
@@ -147,18 +130,7 @@ func TestGscheddClusterSmoke(t *testing.T) {
 	}
 
 	// Graceful drain still works on a cluster node.
-	if err := cmds[1].Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	if err := nodes[1].terminate(10 * time.Second); err != nil {
+		t.Errorf("cluster node SIGTERM exit: %v", err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmds[1].Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("SIGTERM exit: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Error("cluster node did not drain within 10s of SIGTERM")
-	}
-	cmds[1] = nil
 }

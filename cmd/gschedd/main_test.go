@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -17,7 +18,7 @@ import (
 // requests (cache hits, misses, an injected timeout, an invalid
 // program, an injected panic), scrapes /metrics, checks that the
 // counters are consistent with the client's view, and verifies a
-// graceful SIGTERM drain. CI runs this as the serve-smoke job.
+// graceful SIGTERM drain. CI runs it in the test job.
 func TestGscheddSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping binary smoke test")
@@ -28,16 +29,7 @@ func TestGscheddSmoke(t *testing.T) {
 	}
 
 	addr := freeAddr(t)
-	cmd := exec.Command(bin, "-addr", addr, "-debug-panic", "-workers", "4", "-queue", "1024")
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
+	d := startDaemon(t, bin, "-addr", addr, "-debug-panic", "-workers", "4", "-queue", "1024")
 
 	base := "http://" + addr
 	waitHealthy(t, base)
@@ -77,20 +69,64 @@ func TestGscheddSmoke(t *testing.T) {
 	}
 
 	// Graceful drain: SIGTERM must exit cleanly (status 0).
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.terminate(10 * time.Second); err != nil {
+		t.Errorf("SIGTERM exit: %v", err)
+	}
+}
+
+// daemon is a gschedd child process. Its Wait runs on a goroutine of
+// its own, so a test can bound how long it waits for an exit and still
+// kill and reap the process on every path.
+type daemon struct {
+	cmd  *exec.Cmd
+	done chan struct{} // closed once the process has exited
+	err  error         // Wait's result, set before done closes
+}
+
+// startDaemon starts bin under a context that ends before the test
+// binary's -timeout does: a timeout panic skips every deferred and
+// Cleanup kill, but the context still kills the child first.
+// Otherwise the child is killed and reaped when the test ends.
+func startDaemon(t *testing.T, bin string, args ...string) *daemon {
+	t.Helper()
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if dl, ok := t.Deadline(); ok {
+		ctx, cancel = context.WithDeadline(ctx, dl.Add(-min(5*time.Second, time.Until(dl)/4)))
+	}
+	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.WaitDelay = time.Second
+	if err := cmd.Start(); err != nil {
+		cancel()
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("SIGTERM exit: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Error("daemon did not drain within 10s of SIGTERM")
+	d := &daemon{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		d.err = cmd.Wait()
+		cancel()
+		close(d.done)
+	}()
+	t.Cleanup(d.kill)
+	return d
+}
+
+// kill stops the process, if it still runs, and reaps it.
+func (d *daemon) kill() {
+	d.cmd.Process.Kill()
+	<-d.done
+}
+
+// terminate sends SIGTERM and returns how the process exited, or an
+// error if it is still running after grace.
+func (d *daemon) terminate(grace time.Duration) error {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
 	}
-	cmd.Process = nil
+	select {
+	case <-d.done:
+		return d.err
+	case <-time.After(grace):
+		return fmt.Errorf("still running %v after SIGTERM", grace)
+	}
 }
 
 func freeAddr(t *testing.T) string {
@@ -106,9 +142,10 @@ func freeAddr(t *testing.T) string {
 
 func waitHealthy(t *testing.T, base string) {
 	t.Helper()
+	client := &http.Client{Timeout: 2 * time.Second}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
+		resp, err := client.Get(base + "/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {

@@ -166,14 +166,14 @@ func PrintAsm(p *Program) string { return asm.Print(p) }
 // Schedule runs register renaming, the global scheduler and the basic
 // block post-pass on every function of p, without loop transformations.
 func Schedule(p *Program, opts Options) (Stats, error) {
-	return core.ScheduleProgram(p, opts)
+	return xform.ScheduleProgramCtx(context.TODO(), p, opts)
 }
 
 // SchedulePipeline runs the full §6 flow: unroll inner loops, schedule
 // inner regions, rotate, schedule rotated loops and outer regions, then
 // the basic block pass.
 func SchedulePipeline(p *Program, opts Options, cfg PipelineConfig) (PipelineStats, error) {
-	return xform.RunProgram(p, opts, cfg)
+	return xform.RunProgramCtx(context.TODO(), p, opts, cfg)
 }
 
 // StreamConfig configures ScheduleStream; StreamResult reports what
@@ -182,11 +182,6 @@ type (
 	StreamConfig = stream.Config
 	StreamResult = stream.Result
 )
-
-// ErrDuplicateFunc is returned by ScheduleStream when the source
-// defines the same function twice; the materializing path (CompileC or
-// ParseAsm plus Schedule) resolves that case with last-definition-wins.
-var ErrDuplicateFunc = stream.ErrDuplicateFunc
 
 // ScheduleStream runs the streaming pipeline: parse lang ("c" or
 // "asm") source one function at a time, schedule functions

@@ -47,7 +47,7 @@ func (p *parser) errf(format string, args ...any) error {
 
 // Parse reads a whole program from src. It drives the streaming Reader
 // (see dialect.go), so whole-program and per-function parsing share one
-// implementation; later definitions of a function replace earlier ones.
+// implementation, including the rejection of a function defined twice.
 func Parse(src string) (*ir.Program, error) {
 	r, err := NewReader(src)
 	if err != nil {

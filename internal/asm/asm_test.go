@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -166,6 +167,24 @@ func TestParseLineNumbers(t *testing.T) {
 	}
 	if pe.Line != 5 {
 		t.Errorf("error line = %d, want 5", pe.Line)
+	}
+}
+
+// TestDuplicateFunctionRejected: a second definition of a function is a
+// line-numbered error from the whole-unit parser and from the streaming
+// reader's prescan, before any function is returned.
+func TestDuplicateFunctionRejected(t *testing.T) {
+	src := "func f:\n\tRET r0\n; g calls f\nfunc g:\n\tRET r0\nfunc f r1:\n\tRET r1\n"
+	_, perr := Parse(src)
+	_, rerr := NewReader(src)
+	for name, err := range map[string]error{"Parse": perr, "NewReader": rerr} {
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: want *ParseError, got %T (%v)", name, err, err)
+		}
+		if pe.Line != 6 || pe.Msg != `function "f" redeclared` {
+			t.Errorf("%s: error %q, want line 6: function \"f\" redeclared", name, pe)
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ func TestRoundTripProgenCorpus(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", label, seed, err)
 			}
 			roundTripEqual(t, label+" unscheduled", prog)
-			if _, err := core.ScheduleProgram(prog, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
+			if err := scheduleAll(prog, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
 				t.Fatalf("%s seed %d: schedule: %v", label, seed, err)
 			}
 			roundTripEqual(t, label+" scheduled", prog)

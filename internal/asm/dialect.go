@@ -2,8 +2,8 @@
 // FuncReader that yields ir.Funcs one at a time, so parse allocations
 // are proportional to the largest function, not the whole program.
 // Package asm implements the native assembly dialect here; package
-// minic implements the same interface for mini-C, and internal/stream
-// drives either through the overlapped parse→schedule→print pipeline.
+// minic implements the same interface for mini-C, and xform.Drive runs
+// either through the overlapped parse→schedule→print pipeline.
 package asm
 
 import (
@@ -19,39 +19,55 @@ type FuncReader interface {
 	// Prog returns the program skeleton. Global data symbols are
 	// populated eagerly when the reader is opened (data directives may
 	// appear anywhere in the source but print before all functions, so
-	// streaming printers need them up front). Functions are NOT
-	// appended: each ParseFunc result belongs to the caller, which may
-	// AddFunc it to Prog or drop it after use to bound memory.
+	// streaming printers need them up front). A source reader does NOT
+	// append functions: each ParseFunc result belongs to the caller,
+	// which may AddFunc it to Prog or drop it after use to bound
+	// memory.
 	Prog() *ir.Program
 
 	// ParseFunc parses and returns the next function definition, or
-	// io.EOF when the source is exhausted. A returned function that is
-	// the last definition of its name is fully validated (structure
-	// and call targets, resolved against every function name in the
-	// unit plus builtins). An earlier definition shadowed by a later
-	// one of the same name is returned syntax-checked only, mirroring
-	// Parse's last-definition-wins semantics.
+	// io.EOF when the source is exhausted. A returned function is
+	// fully validated (structure and call targets, resolved against
+	// every function name in the unit plus builtins).
 	ParseFunc() (*ir.Func, error)
 }
 
 // Dialect is a source language with a streaming per-function parser.
 type Dialect interface {
-	// Name identifies the dialect ("asm", "c").
-	Name() string
 	// Open prepares src for streaming. It performs any whole-unit
 	// prescan the dialect needs (data directives and the function name
 	// set here; global declarations and function signatures for
-	// mini-C) but does not parse function bodies.
+	// mini-C) but does not parse function bodies. A function defined
+	// twice is an error here, before any function is returned.
 	Open(src string) (FuncReader, error)
 }
 
 type nativeDialect struct{}
 
-func (nativeDialect) Name() string                        { return "asm" }
 func (nativeDialect) Open(src string) (FuncReader, error) { return NewReader(src) }
 
 // Native is the assembly Dialect implemented by this package.
 var Native Dialect = nativeDialect{}
+
+// ProgramReader returns a FuncReader over an already-parsed program:
+// Prog is p itself, functions included, and ParseFunc yields p.Funcs
+// in order, so a driver schedules them in place.
+func ProgramReader(p *ir.Program) FuncReader { return &programReader{p: p} }
+
+type programReader struct {
+	p    *ir.Program
+	next int
+}
+
+func (r *programReader) Prog() *ir.Program { return r.p }
+
+func (r *programReader) ParseFunc() (*ir.Func, error) {
+	if r.next == len(r.p.Funcs) {
+		return nil, io.EOF
+	}
+	r.next++
+	return r.p.Funcs[r.next-1], nil
+}
 
 // Reader is the native-assembly FuncReader.
 type Reader struct {
@@ -61,20 +77,17 @@ type Reader struct {
 	headerLine int
 	haveHeader bool
 	names      map[string]struct{} // every function name in the unit
-	lastDef    map[string]int      // ordinal of the last definition per name
-	ordinal    int                 // ordinal of the next function definition
-	dups       []string            // names defined more than once, in first-duplicate order
 }
 
 // NewReader opens src for streaming. The prescan parses data
-// directives (populating Prog().Syms in source order) and records the
-// function name set used for per-function call-target validation.
+// directives (populating Prog().Syms in source order), records the
+// function name set used for per-function call-target validation, and
+// rejects a second definition of a function name.
 func NewReader(src string) (*Reader, error) {
 	r := &Reader{
-		p:       parser{prog: ir.NewProgram()},
-		sc:      lineScanner{src: src},
-		names:   make(map[string]struct{}),
-		lastDef: make(map[string]int),
+		p:     parser{prog: ir.NewProgram()},
+		sc:    lineScanner{src: src},
+		names: make(map[string]struct{}),
 	}
 	if err := r.prescan(src); err != nil {
 		return nil, err
@@ -85,18 +98,8 @@ func NewReader(src string) (*Reader, error) {
 // Prog returns the program skeleton (symbols only; see FuncReader).
 func (r *Reader) Prog() *ir.Program { return r.p.prog }
 
-// FuncNames reports whether name is defined as a function in the unit.
-func (r *Reader) FuncNames() map[string]struct{} { return r.names }
-
-// Duplicates lists function names the unit defines more than once.
-// Parse resolves these with last-definition-wins; streaming drivers
-// check this up front, because a streaming printer cannot replace a
-// definition it has already emitted.
-func (r *Reader) Duplicates() []string { return r.dups }
-
 func (r *Reader) prescan(src string) error {
 	sc := lineScanner{src: src}
-	ord := 0
 	for {
 		raw, ok := sc.next()
 		if !ok {
@@ -116,12 +119,11 @@ func (r *Reader) prescan(src string) error {
 			}
 			if rest != "" {
 				if _, seen := r.names[rest]; seen {
-					r.dups = append(r.dups, rest)
+					r.p.line = sc.line
+					return r.p.errf("function %q redeclared", rest)
 				}
 				r.names[rest] = struct{}{}
-				r.lastDef[rest] = ord
 			}
-			ord++
 		}
 	}
 }
@@ -155,8 +157,6 @@ func (r *Reader) ParseFunc() (*ir.Func, error) {
 	if err := p.beginFunc(r.header); err != nil {
 		return nil, err
 	}
-	ord := r.ordinal
-	r.ordinal++
 	for {
 		raw, ok := r.sc.next()
 		if !ok {
@@ -186,10 +186,8 @@ func (r *Reader) ParseFunc() (*ir.Func, error) {
 	f := p.f
 	p.f, p.b = nil, nil
 	f.ReindexBlocks()
-	if r.lastDef[f.Name] == ord {
-		if err := r.validate(f); err != nil {
-			return nil, err
-		}
+	if err := r.validate(f); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

@@ -33,6 +33,8 @@ func FuzzParseAsm(f *testing.F) {
 	// definition as gracefully as the whole-program parser.
 	huge := progen.Huge(2, 300).Source
 	f.Add(huge[:2*len(huge)/3])
+	// A function defined twice: rejected by the prescan.
+	f.Add("func f:\n\tRET r0\nfunc g:\n\tRET r0\nfunc f:\n\tRET r1\n")
 	// One function, many tiny blocks: stresses label handling, block
 	// reindexing, and the per-function (not per-block) scratch reuse.
 	{

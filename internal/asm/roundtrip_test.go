@@ -1,10 +1,13 @@
 package asm
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"gsched/internal/core"
+	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/minic"
 	"gsched/internal/progen"
@@ -26,7 +29,7 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("seed %d: %v", pg.Seed, err)
 		}
 		if schedule {
-			if _, err := core.ScheduleProgram(prog, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
+			if err := scheduleAll(prog, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
 				t.Fatalf("seed %d: %v", pg.Seed, err)
 			}
 		}
@@ -101,4 +104,16 @@ func TestFrameSyntaxRoundTrip(t *testing.T) {
 	if res.Ret != 77 {
 		t.Errorf("ret = %d, want 77", res.Ret)
 	}
+}
+
+// scheduleAll schedules every function of p in place. This package's
+// tests cannot import the program driver (xform imports asm), so they
+// loop over core.ScheduleFuncCtx directly.
+func scheduleAll(p *ir.Program, opts core.Options) error {
+	for _, f := range p.Funcs {
+		if _, err := core.ScheduleFuncCtx(context.Background(), f, opts); err != nil {
+			return fmt.Errorf("%s: %w", f.Name, err)
+		}
+	}
+	return nil
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gsched/internal/ir"
@@ -14,9 +18,9 @@ import (
 func scheduleMinMax(t *testing.T, level Level) (*ir.Program, *ir.Func, Stats) {
 	t.Helper()
 	prog, f := paperex.MinMax()
-	st, err := ScheduleFunc(f, Defaults(machine.RS6K(), level))
+	st, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), level))
 	if err != nil {
-		t.Fatalf("ScheduleFunc: %v", err)
+		t.Fatalf("ScheduleFuncCtx: %v", err)
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatalf("scheduled function invalid: %v\n%s", err, f)
@@ -203,9 +207,9 @@ func TestSchedulingPreservesSemantics(t *testing.T) {
 // must keep printing the right value on both paths.
 func TestSpeculationLiveOnExitRule(t *testing.T) {
 	prog, f := paperex.Speculation()
-	st, err := ScheduleFunc(f, Defaults(machine.RS6K(), LevelSpeculative))
+	st, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), LevelSpeculative))
 	if err != nil {
-		t.Fatalf("ScheduleFunc: %v", err)
+		t.Fatalf("ScheduleFuncCtx: %v", err)
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatalf("invalid after scheduling: %v\n%s", err, f)
@@ -291,7 +295,7 @@ func TestTerminatorStaysLast(t *testing.T) {
 func TestCallsNeverMove(t *testing.T) {
 	prog, f := paperex.Speculation()
 	_ = prog
-	if _, err := ScheduleFunc(f, Defaults(machine.RS6K(), LevelSpeculative)); err != nil {
+	if _, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), LevelSpeculative)); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -310,7 +314,7 @@ func TestRegionTooLargeIsSkipped(t *testing.T) {
 	_, f := paperex.MinMax()
 	opts := Defaults(machine.RS6K(), LevelUseful)
 	opts.MaxRegionInstrs = 5 // the loop has 20
-	st, err := ScheduleFunc(f, opts)
+	st, err := ScheduleFuncCtx(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,5 +336,55 @@ func TestStatsAccumulate(t *testing.T) {
 	total.Add(st)
 	if total.UsefulMoves != 2*st.UsefulMoves {
 		t.Errorf("Add arithmetic wrong: %+v vs %+v", total, st)
+	}
+}
+
+// scheduleProgram schedules every function of p in place on this
+// package's worker pool, as xform's program driver does (core's tests
+// cannot import xform).
+func scheduleProgram(p *ir.Program, opts Options) (Stats, error) {
+	stats := make([]Stats, len(p.Funcs))
+	errs := make([]error, len(p.Funcs))
+	runFuncsParallel(len(p.Funcs), opts.Parallelism, func(i int) {
+		stats[i], errs[i] = ScheduleFuncCtx(context.Background(), p.Funcs[i], opts)
+	})
+	var st Stats
+	for i, err := range errs {
+		if err != nil {
+			return st, fmt.Errorf("%s: %w", p.Funcs[i].Name, err)
+		}
+		st.Add(stats[i])
+	}
+	return st, nil
+}
+
+// TestRegionPoolForwardsPanic: a panic in one region group is raised
+// again on the goroutine that started the pool, carrying the worker's
+// stack, once every worker has stopped.
+func TestRegionPoolForwardsPanic(t *testing.T) {
+	var running atomic.Int32
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		runFuncsParallel(8, 3, func(i int) {
+			running.Add(1)
+			defer running.Add(-1)
+			if i == 2 {
+				panic("group 2")
+			}
+		})
+		return nil
+	}()
+	wp, ok := got.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %v (%T), want *WorkerPanic", got, got)
+	}
+	if wp.Value != "group 2" {
+		t.Errorf("panic value %v, want %q", wp.Value, "group 2")
+	}
+	if !strings.Contains(string(wp.Stack), "TestRegionPoolForwardsPanic") {
+		t.Errorf("stack is not the worker's:\n%s", wp.Stack)
+	}
+	if n := running.Load(); n != 0 {
+		t.Errorf("%d workers still running after the panic was raised", n)
 	}
 }

@@ -34,7 +34,7 @@ func TestDuplicationMovesJoinWork(t *testing.T) {
 	}
 	opts := Defaults(machine.RS6K(), LevelSpeculative)
 	opts.Duplicate = true
-	st, err := ScheduleProgram(prog, opts)
+	st, err := scheduleProgram(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ int f(int a, int b) {
 	}
 	opts := Defaults(machine.RS6K(), LevelSpeculative)
 	opts.Duplicate = true
-	if _, err := ScheduleProgram(prog, opts); err != nil {
+	if _, err := scheduleProgram(prog, opts); err != nil {
 		t.Fatal(err)
 	}
 	m, err := sim.Load(prog)
@@ -125,7 +125,7 @@ func TestDuplicationOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ScheduleProgram(prog, Defaults(machine.RS6K(), LevelSpeculative))
+	st, err := scheduleProgram(prog, Defaults(machine.RS6K(), LevelSpeculative))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/ir"
@@ -19,7 +20,7 @@ func scheduleSrc(t *testing.T, src string, level Level, mod func(*Options)) *ir.
 	if mod != nil {
 		mod(&opts)
 	}
-	if _, err := ScheduleProgram(prog, opts); err != nil {
+	if _, err := scheduleProgram(prog, opts); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	for _, f := range prog.Funcs {
@@ -65,7 +66,7 @@ int f(int a, int b) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ScheduleProgram(prog, Defaults(machine.RS6K(), LevelSpeculative))
+	st, err := scheduleProgram(prog, Defaults(machine.RS6K(), LevelSpeculative))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestIrreducibleFunctionFallsBackToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog.AddFunc(f)
-	st, err := ScheduleFunc(f, Defaults(machine.RS6K(), LevelSpeculative))
+	st, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), LevelSpeculative))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ int f(int a) {
 	}
 	f := prog.Func("f")
 	blocksBefore := len(f.Blocks)
-	if _, err := ScheduleFunc(f, Defaults(machine.RS6K(), LevelSpeculative)); err != nil {
+	if _, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), LevelSpeculative)); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Blocks) != blocksBefore {
@@ -223,7 +224,7 @@ func TestMissingMachineIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScheduleProgram(prog, Options{Level: LevelUseful}); err == nil {
+	if _, err := scheduleProgram(prog, Options{Level: LevelUseful}); err == nil {
 		t.Error("nil machine must be rejected")
 	}
 }
@@ -238,7 +239,7 @@ int f(int a) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ScheduleProgram(prog, Defaults(machine.RS6K(), LevelNone))
+	st, err := scheduleProgram(prog, Defaults(machine.RS6K(), LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -67,7 +68,7 @@ func fbitsOf(v float64) int64 { return int64(math.Float64bits(v)) }
 func TestFloatLoopSchedulesAndRuns(t *testing.T) {
 	for _, level := range []Level{LevelNone, LevelUseful, LevelSpeculative} {
 		prog, f := buildFloatLoop()
-		st, err := ScheduleFunc(f, Defaults(machine.RS6K(), level))
+		st, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), level))
 		if err != nil {
 			t.Fatalf("level %v: %v", level, err)
 		}
@@ -96,7 +97,7 @@ func TestFloatLoopSchedulesAndRuns(t *testing.T) {
 func TestFloatLoopGainsFromScheduling(t *testing.T) {
 	cycles := func(level Level) int64 {
 		prog, f := buildFloatLoop()
-		if _, err := ScheduleFunc(f, Defaults(machine.RS6K(), level)); err != nil {
+		if _, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), level)); err != nil {
 			t.Fatal(err)
 		}
 		m, err := sim.Load(prog)

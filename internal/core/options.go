@@ -136,10 +136,11 @@ type Options struct {
 	MaxRegionInstrs int
 	MaxRegionLevels int
 
-	// Parallelism schedules the functions of a program concurrently on
-	// up to this many workers (ScheduleProgram and the xform pipeline
-	// driver). Values <= 1 schedule sequentially. Functions are
-	// independent, so the emitted schedules and merged Stats are
+	// Parallelism bounds two worker pools: the program driver
+	// (xform.ScheduleProgramCtx, xform.RunProgramCtx) schedules up to
+	// this many functions at once, and within a function up to this
+	// many independent region groups are scheduled at once. Values <= 1
+	// schedule sequentially. The emitted schedules and merged Stats are
 	// identical at every setting; only wall-clock time changes.
 	Parallelism int
 

@@ -14,7 +14,7 @@ import (
 // pipeline is the per-worker scratch arena of the scheduling pipeline.
 // One pipeline serves one goroutine at a time; callers take one from
 // pipelinePool for the duration of a function (or region) and put it
-// back, so a steady stream of ScheduleProgramCtx calls reuses the same
+// back, so a steady stream of ScheduleFuncCtx calls reuses the same
 // DDG arenas, liveness bitsets, candidate storage, ready lists, and
 // local-scheduler buffers instead of reallocating them per region.
 type pipeline struct {
@@ -173,7 +173,7 @@ func regionPositions(pos []int, f *ir.Func, r *cfg.Region) []int {
 // (given the region and its nesting height), children before parents,
 // honouring the size caps in opts. A nil keep selects regions below
 // opts.MaxRegionLevels, counting the rest as skipped (the §6
-// configuration used by ScheduleFunc); a non-nil keep makes skipping
+// configuration used by ScheduleFuncCtx); a non-nil keep makes skipping
 // silent, as the xform pipeline's pass filters expect.
 //
 // With opts.Parallelism > 1, top-level subtrees of the region tree are

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/asm"
@@ -62,7 +63,7 @@ func TestNoStateLeaksBetweenFunctionSchedules(t *testing.T) {
 	base := compileReuse(t)
 	seq := opts
 	seq.Parallelism = 1
-	if _, err := ScheduleProgram(base, seq); err != nil {
+	if _, err := scheduleProgram(base, seq); err != nil {
 		t.Fatal(err)
 	}
 	want := asm.Print(base)
@@ -71,7 +72,7 @@ func TestNoStateLeaksBetweenFunctionSchedules(t *testing.T) {
 	pooled := compileReuse(t)
 	par := opts
 	par.Parallelism = 4
-	if _, err := ScheduleProgram(pooled, par); err != nil {
+	if _, err := scheduleProgram(pooled, par); err != nil {
 		t.Fatal(err)
 	}
 	if got := asm.Print(pooled); got != want {
@@ -83,7 +84,7 @@ func TestNoStateLeaksBetweenFunctionSchedules(t *testing.T) {
 	// depend on that function alone.
 	rev := compileReuse(t)
 	for i := len(rev.Funcs) - 1; i >= 0; i-- {
-		if _, err := ScheduleFunc(rev.Funcs[i], seq); err != nil {
+		if _, err := ScheduleFuncCtx(context.Background(), rev.Funcs[i], seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,10 +97,10 @@ func TestNoStateLeaksBetweenFunctionSchedules(t *testing.T) {
 	// reuse across unrelated compilation units in one goroutine.
 	a, b := compileReuse(t), compileReuse(t)
 	for i := range a.Funcs {
-		if _, err := ScheduleFunc(a.Funcs[i], seq); err != nil {
+		if _, err := ScheduleFuncCtx(context.Background(), a.Funcs[i], seq); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ScheduleFunc(b.Funcs[len(b.Funcs)-1-i], seq); err != nil {
+		if _, err := ScheduleFuncCtx(context.Background(), b.Funcs[len(b.Funcs)-1-i], seq); err != nil {
 			t.Fatal(err)
 		}
 	}

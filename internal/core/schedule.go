@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"gsched/internal/cfg"
 	"gsched/internal/ir"
@@ -11,14 +13,9 @@ import (
 	"gsched/internal/verify"
 )
 
-// ScheduleFunc runs the full scheduling pipeline on one function:
+// ScheduleFuncCtx runs the full scheduling pipeline on one function:
 // optional register renaming, global scheduling of every eligible region
-// (innermost first), and the basic block post-pass.
-func ScheduleFunc(f *ir.Func, opts Options) (Stats, error) {
-	return ScheduleFuncCtx(context.Background(), f, opts)
-}
-
-// ScheduleFuncCtx is ScheduleFunc under a context. Cancellation is
+// (innermost first), and the basic block post-pass. Cancellation is
 // checked between phases and between regions, so a timed-out schedule
 // returns promptly with an error wrapping ctx.Err(); the function may
 // be left partially scheduled (still legal code — every completed
@@ -92,52 +89,34 @@ func ScheduleFuncCtx(ctx context.Context, f *ir.Func, opts Options) (Stats, erro
 	return st, nil
 }
 
-// ScheduleProgram schedules every function of p. Functions are
-// independent compilation units, so with opts.Parallelism > 1 they are
-// scheduled concurrently by a bounded worker pool. Results are
-// deterministic either way: each function's schedule depends only on
-// that function, and per-function Stats are merged in program order
-// after all workers finish.
-func ScheduleProgram(p *ir.Program, opts Options) (Stats, error) {
-	return ScheduleProgramCtx(context.Background(), p, opts)
+// WorkerPanic is a panic raised on a pool worker goroutine and raised
+// again on the goroutine that started the pool, once every worker has
+// stopped. Stack is the worker's stack at the original panic, which the
+// second panic would otherwise lose.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
 }
 
-// ScheduleProgramCtx is ScheduleProgram under a context: per-request
-// timeouts and cancellation propagate into every function's schedule.
-func ScheduleProgramCtx(ctx context.Context, p *ir.Program, opts Options) (Stats, error) {
-	var st Stats
-	if opts.Parallelism > 1 && len(p.Funcs) > 1 {
-		stats := make([]Stats, len(p.Funcs))
-		errs := make([]error, len(p.Funcs))
-		runFuncsParallel(len(p.Funcs), opts.Parallelism, func(i int) {
-			stats[i], errs[i] = ScheduleFuncCtx(ctx, p.Funcs[i], opts)
-		})
-		for i, err := range errs {
-			if err != nil {
-				return st, fmt.Errorf("%s: %w", p.Funcs[i].Name, err)
-			}
-			st.Add(stats[i])
-		}
-		return st, nil
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
+}
+
+// Recovered wraps v, a value recovered on a worker goroutine. A value
+// that is already a WorkerPanic (a nested pool's) keeps its innermost
+// stack. Call it from the worker's deferred recover, where debug.Stack
+// still sees the panicking frames.
+func Recovered(v any) *WorkerPanic {
+	if wp, ok := v.(*WorkerPanic); ok {
+		return wp
 	}
-	for _, f := range p.Funcs {
-		s, err := ScheduleFuncCtx(ctx, f, opts)
-		if err != nil {
-			return st, fmt.Errorf("%s: %w", f.Name, err)
-		}
-		st.Add(s)
-	}
-	return st, nil
+	return &WorkerPanic{Value: v, Stack: debug.Stack()}
 }
 
-// RunFuncsParallel runs fn(i) for every i in [0, n) on min(workers, n)
-// goroutines and waits for all of them. It is the worker pool shared by
-// ScheduleProgram and the xform pipeline driver; fn must only touch
-// state owned by index i.
-func RunFuncsParallel(n, workers int, fn func(i int)) {
-	runFuncsParallel(n, workers, fn)
-}
-
+// runFuncsParallel runs fn(i) for every i in [0, n) on min(workers, n)
+// goroutines and waits for all of them; fn must only touch state owned
+// by index i. A panic in fn stops its worker and is raised again, as a
+// *WorkerPanic, once every worker has stopped.
 func runFuncsParallel(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -148,22 +127,29 @@ func runFuncsParallel(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	next := make(chan int)
+	var next atomic.Int64 // the next index to hand out
+	panics := make([]*WorkerPanic, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := range panics {
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			defer func() {
+				if v := recover(); v != nil {
+					panics[w] = Recovered(v)
+				}
+			}()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				fn(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // ScheduleRegion schedules one region with the global framework, on a

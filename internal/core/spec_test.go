@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/cfg"
@@ -35,7 +36,7 @@ func TestProfileBlocksImprobableSpeculation(t *testing.T) {
 	opts := Defaults(machine.RS6K(), LevelSpeculative)
 	opts.Profile = prof
 	opts.MinSpecProb = 0.4
-	if _, err := ScheduleFunc(f, opts); err != nil {
+	if _, err := ScheduleFuncCtx(context.Background(), f, opts); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range f.Blocks[0].Instrs {
@@ -70,7 +71,7 @@ func TestProfilePrefersProbableCandidate(t *testing.T) {
 	opts := Defaults(machine.RS6K(), LevelSpeculative)
 	opts.Profile = prof
 	opts.MinSpecProb = 0.05 // both sides stay eligible
-	if _, err := ScheduleFunc(f, opts); err != nil {
+	if _, err := ScheduleFuncCtx(context.Background(), f, opts); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range f.Blocks[0].Instrs {
@@ -91,7 +92,7 @@ func TestSpecDegreeTwoReachesDeeperBlocks(t *testing.T) {
 	_, f := paperex.MinMax()
 	opts := Defaults(machine.RS6K(), LevelSpeculative)
 	opts.SpecDegree = 2
-	st, err := ScheduleFunc(f, opts)
+	st, err := ScheduleFuncCtx(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSpecDegreeTwoReachesDeeperBlocks(t *testing.T) {
 	// Semantics hold.
 	prog, f2 := paperex.MinMax()
 	opts2 := opts
-	if _, err := ScheduleFunc(f2, opts2); err != nil {
+	if _, err := ScheduleFuncCtx(context.Background(), f2, opts2); err != nil {
 		t.Fatal(err)
 	}
 	m, err := sim.Load(prog)

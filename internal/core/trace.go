@@ -52,7 +52,7 @@ func (p Phase) String() string {
 
 // Trace accumulates wall-clock time per scheduling phase. All methods
 // are safe for concurrent use: the parallel per-function workers of
-// ScheduleProgram and every request of a scheduling server may share
+// the program driver and every request of a scheduling server may share
 // one Trace. The zero value is ready to use.
 type Trace struct {
 	nanos [NumPhases]atomic.Int64

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"gsched/internal/rename"
 	"gsched/internal/sim"
 	"gsched/internal/verify"
+	"gsched/internal/xform"
 )
 
 // Engine is the differential-testing driver. The zero value is not
@@ -298,10 +300,10 @@ func (e *Engine) checkCell(rep *Report, prog *ir.Program, entry string, args []i
 func scheduleRecover(p *ir.Program, opts core.Options) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("scheduler panic: %v", r)
+			err = fmt.Errorf("scheduler panic: %v", core.Recovered(r).Value)
 		}
 	}()
-	_, err = core.ScheduleProgram(p, opts)
+	_, err = xform.ScheduleProgramCtx(context.TODO(), p, opts)
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"gsched/internal/asm"
 	"gsched/internal/core"
+	"gsched/internal/machine"
 )
 
 // TestDiffLattice is the acceptance test for the differential engine:
@@ -148,5 +149,23 @@ func TestLatticeShape(t *testing.T) {
 	// Distinct seeds per machine: no two machines sweep the same policy.
 	if len(polSrcs) != polCells {
 		t.Errorf("only %d distinct policies across %d policy cells", len(polSrcs), polCells)
+	}
+}
+
+// TestScheduleRecoverParallel: a scheduler panic becomes an oracle
+// failure on parallel cells too, where it happens on a driver worker.
+func TestScheduleRecoverParallel(t *testing.T) {
+	p, err := asm.Parse("func f r1:\n\tAI r2=r1,1\n\tRET r2\nfunc g r1:\n\tAI r2=r1,2\n\tRET r2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An instruction ID outside the function's ID space indexes past
+	// the scheduler's dense tables: a state only a bug can produce.
+	p.Funcs[1].Blocks[0].Instrs[0].ID = -1
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+	opts.Parallelism = 4
+	err = scheduleRecover(p, opts)
+	if err == nil || !strings.HasPrefix(err.Error(), "scheduler panic: runtime error: index out of range") {
+		t.Errorf("err = %v, want the recovered index panic", err)
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"gsched/internal/core"
@@ -30,7 +31,7 @@ func ablationConfigs() []ablationConfig {
 			if mod != nil {
 				mod(&opts)
 			}
-			_, err = xform.RunProgram(prog, opts, xform.DefaultConfig())
+			_, err = xform.RunProgramCtx(context.TODO(), prog, opts, xform.DefaultConfig())
 			return prog, err
 		}
 	}
@@ -49,7 +50,7 @@ func ablationConfigs() []ablationConfig {
 			}
 			opt.Program(prog)
 			xform.TransformOnlyProgram(prog, xform.DefaultConfig())
-			_, err = core.ScheduleProgram(prog, core.Defaults(mach, core.LevelNone))
+			_, err = xform.ScheduleProgramCtx(context.TODO(), prog, core.Defaults(mach, core.LevelNone))
 			return prog, err
 		}},
 		{"useful", full(core.LevelUseful, nil)},

@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"gsched/internal/core"
@@ -67,7 +68,7 @@ func compileDup(w *workload.Workload, mach *machine.Desc, level core.Level,
 	if minProb > 0 {
 		opts.MinSpecProb = minProb
 	}
-	st, err := xform.RunProgram(prog, opts, xform.DefaultConfig())
+	st, err := xform.RunProgramCtx(context.TODO(), prog, opts, xform.DefaultConfig())
 	if err != nil {
 		return 0, xform.Stats{}, err
 	}

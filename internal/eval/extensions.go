@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"gsched/internal/core"
@@ -87,7 +88,7 @@ func compileWithProfile(w *workload.Workload, mach *machine.Desc, prof *profile.
 	opts := core.Defaults(mach, core.LevelSpeculative)
 	opts.Profile = prof
 	opts.MinSpecProb = 0.4
-	_, err = xform.RunProgram(prog, opts, xform.DefaultConfig())
+	_, err = xform.RunProgramCtx(context.TODO(), prog, opts, xform.DefaultConfig())
 	return prog, err
 }
 
@@ -176,7 +177,7 @@ func RegionCaps(ws []*workload.Workload) (*Table, error) {
 			opt.Program(prog)
 			opts := core.Defaults(mach, core.LevelSpeculative)
 			opts.MaxRegionInstrs = cap
-			if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+			if _, err := xform.RunProgramCtx(context.TODO(), prog, opts, xform.DefaultConfig()); err != nil {
 				return nil, err
 			}
 			c, err := Cycles(w, prog, mach)
@@ -220,7 +221,7 @@ func SpecDegrees(ws []*workload.Workload) (*Table, error) {
 			opt.Program(prog)
 			opts := core.Defaults(mach, core.LevelSpeculative)
 			opts.SpecDegree = d
-			if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+			if _, err := xform.RunProgramCtx(context.TODO(), prog, opts, xform.DefaultConfig()); err != nil {
 				return nil, err
 			}
 			c, err := Cycles(w, prog, mach)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"gsched/internal/core"
@@ -55,7 +56,7 @@ func cyclesOrdered(w *workload.Workload, mach *machine.Desc, lim regalloc.Limits
 	opt.Program(prog)
 	opts := core.Defaults(mach, core.LevelSpeculative)
 	if scheduleFirst {
-		if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+		if _, err := xform.RunProgramCtx(context.TODO(), prog, opts, xform.DefaultConfig()); err != nil {
 			return 0, err
 		}
 		if _, err := regalloc.Program(prog, lim); err != nil {
@@ -66,7 +67,7 @@ func cyclesOrdered(w *workload.Workload, mach *machine.Desc, lim regalloc.Limits
 			return 0, err
 		}
 		opts.Rename = false // renaming would undo the allocation
-		if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+		if _, err := xform.RunProgramCtx(context.TODO(), prog, opts, xform.DefaultConfig()); err != nil {
 			return 0, err
 		}
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -23,7 +24,7 @@ func CompileBase(w *workload.Workload, mach *machine.Desc) (*ir.Program, error) 
 		return nil, err
 	}
 	opt.Program(prog)
-	_, err = core.ScheduleProgram(prog, core.Defaults(mach, core.LevelNone))
+	_, err = xform.ScheduleProgramCtx(context.TODO(), prog, core.Defaults(mach, core.LevelNone))
 	return prog, err
 }
 
@@ -36,7 +37,7 @@ func CompileGlobal(w *workload.Workload, mach *machine.Desc, level core.Level) (
 		return nil, err
 	}
 	opt.Program(prog)
-	_, err = xform.RunProgram(prog, core.Defaults(mach, level), xform.DefaultConfig())
+	_, err = xform.RunProgramCtx(context.TODO(), prog, core.Defaults(mach, level), xform.DefaultConfig())
 	return prog, err
 }
 
@@ -50,7 +51,7 @@ func CompileGlobalOpts(w *workload.Workload, opts core.Options) (*ir.Program, er
 		return nil, err
 	}
 	opt.Program(prog)
-	_, err = xform.RunProgram(prog, opts, xform.DefaultConfig())
+	_, err = xform.RunProgramCtx(context.TODO(), prog, opts, xform.DefaultConfig())
 	return prog, err
 }
 

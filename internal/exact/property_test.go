@@ -1,6 +1,7 @@
 package exact_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestExactProperties(t *testing.T) {
 				t.Fatalf("seed %d: compile: %v", seed, err)
 			}
 			opts := core.Defaults(mach, core.LevelSpeculative)
-			if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 				t.Fatalf("seed %d %s: schedule: %v", seed, mach.Name, err)
 			}
 			for _, f := range prog.Funcs {
@@ -126,7 +127,7 @@ func TestExactSchedulesPassVerify(t *testing.T) {
 				t.Fatalf("seed %d: compile: %v", seed, err)
 			}
 			opts := core.Defaults(mach, core.LevelSpeculative)
-			if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 				t.Fatalf("seed %d %s: schedule: %v", seed, mach.Name, err)
 			}
 			for _, f := range prog.Funcs {
@@ -187,7 +188,7 @@ func TestExactDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Defaults(mach, core.LevelSpeculative)
-	if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+	if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range prog.Funcs {

@@ -1,6 +1,7 @@
 package exact_test
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/core"
@@ -63,7 +64,7 @@ func TestHeuristicMissRegression(t *testing.T) {
 		}
 		opts := core.Defaults(mach, core.LevelOptimal)
 		opts.Verify = true
-		st, err := xform.RunProgram(prog, opts, xform.DefaultConfig())
+		st, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig())
 		if err != nil {
 			t.Fatalf("seed %d: optimal pipeline: %v", tc.seed, err)
 		}

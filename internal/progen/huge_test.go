@@ -1,12 +1,14 @@
 package progen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"gsched/internal/asm"
 	"gsched/internal/core"
 	"gsched/internal/machine"
+	"gsched/internal/xform"
 )
 
 func TestHugeValidAndSized(t *testing.T) {
@@ -34,7 +36,7 @@ func TestHugeValidAndSized(t *testing.T) {
 	}
 	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.Verify = true
-	if _, err := core.ScheduleProgram(prog, opts); err != nil {
+	if _, err := xform.ScheduleProgramCtx(context.Background(), prog, opts); err != nil {
 		t.Fatalf("Huge program does not schedule: %v", err)
 	}
 }

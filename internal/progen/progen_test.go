@@ -1,6 +1,7 @@
 package progen
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,11 +29,11 @@ func run(t *testing.T, p *Program, level core.Level, pipeline bool, duplicate ..
 			opts.Duplicate = true
 		}
 		if pipeline {
-			if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 				t.Fatalf("seed %d: xform: %v\n%s", p.Seed, err, p.Source)
 			}
 		} else {
-			if _, err := core.ScheduleProgram(prog, opts); err != nil {
+			if _, err := xform.ScheduleProgramCtx(context.Background(), prog, opts); err != nil {
 				t.Fatalf("seed %d: schedule: %v\n%s", p.Seed, err, p.Source)
 			}
 		}

@@ -1,6 +1,7 @@
 package regalloc
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -69,7 +70,7 @@ func TestAllocationAfterScheduling(t *testing.T) {
 	// The paper's pipeline: schedule on symbolic registers, then
 	// allocate. The aggressive renaming must still fit the machine.
 	prog, f := paperex.MinMax()
-	if _, err := core.ScheduleFunc(f, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
+	if _, err := core.ScheduleFuncCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Func(f, RS6K())

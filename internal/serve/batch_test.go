@@ -92,7 +92,7 @@ func TestBatchMatchesSingleRequests(t *testing.T) {
 func TestBatchRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	resp, err := http.Get(ts.URL + "/schedule/batch")
+	resp, err := httpClient.Get(ts.URL + "/schedule/batch")
 	if err != nil {
 		t.Fatal(err)
 	}

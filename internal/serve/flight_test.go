@@ -23,7 +23,7 @@ func mustJSON(t *testing.T, v any) []byte {
 // rawPost is a goroutine-safe post: it returns errors instead of
 // calling into testing.T, so concurrent request tests can use it.
 func rawPost(url string, body []byte) (*http.Response, []byte, error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := httpClient.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}

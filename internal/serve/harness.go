@@ -154,7 +154,7 @@ func (c *Cluster) Restart(i int) error {
 func (c *Cluster) WaitHealthy(ctx context.Context) error {
 	for _, url := range c.URLs() {
 		for {
-			resp, err := http.Get(url + "/healthz")
+			resp, err := httpClient.Get(url + "/healthz")
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK {

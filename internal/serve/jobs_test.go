@@ -19,7 +19,7 @@ import (
 // getJob polls GET /jobs/{id} once.
 func getJob(t *testing.T, ts *httptest.Server, id string) (*http.Response, *JobResponse, []byte) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	resp, err := httpClient.Get(ts.URL + "/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestJobEndpointErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d", resp.StatusCode)
 	}
-	presp, err := http.Post(ts.URL+"/jobs/"+strings.Repeat("ab", 32), "application/json", nil)
+	presp, err := httpClient.Post(ts.URL+"/jobs/"+strings.Repeat("ab", 32), "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestSoakExactMetricsReconcile(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
-				resp, err := http.Post(ts.URL+"/schedule", "application/json",
+				resp, err := httpClient.Post(ts.URL+"/schedule", "application/json",
 					bytes.NewReader(corpus[(g+k)%corpusSize]))
 				if err != nil {
 					t.Error(err)

@@ -11,9 +11,16 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"gsched/internal/progen"
 )
+
+// httpClient is the HTTP client of the load generator, Scrape, the
+// cluster harness and this package's tests. Its timeout outlasts the
+// server's default 30 s scheduling budget plus queueing, and turns a
+// hung connection into an error instead of a stuck caller.
+var httpClient = &http.Client{Timeout: time.Minute}
 
 // LoadResult tallies one load-generation run against a server or a
 // cluster of servers.
@@ -246,7 +253,7 @@ func Load(opts LoadOptions) (*LoadResult, error) {
 }
 
 func postSchedule(baseURL string, body []byte) (code int, cache string, respBody []byte, err error) {
-	resp, err := http.Post(baseURL+"/schedule", "application/json", bytes.NewReader(body))
+	resp, err := httpClient.Post(baseURL+"/schedule", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return 0, "", nil, err
 	}
@@ -261,7 +268,7 @@ func postSchedule(baseURL string, body []byte) (code int, cache string, respBody
 // Scrape fetches a /metrics endpoint and parses the Prometheus text
 // format into a map of "name{labels}" (exactly as printed) to value.
 func Scrape(url string) (map[string]float64, error) {
-	resp, err := http.Get(url)
+	resp, err := httpClient.Get(url)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -62,7 +63,7 @@ func post(t *testing.T, ts *httptest.Server, req any) (*http.Response, []byte) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
+	resp, err := httpClient.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func post(t *testing.T, ts *httptest.Server, req any) (*http.Response, []byte) {
 	return resp, b
 }
 
-// The served schedule must equal a direct ScheduleProgram run
+// The served schedule must equal a direct ScheduleProgramCtx run
 // byte-for-byte, for both the plain scheduler and the full pipeline.
 func TestScheduleRoundTripMatchesDirect(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -97,11 +98,11 @@ func TestScheduleRoundTripMatchesDirect(t *testing.T) {
 		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 		opts.Parallelism = 1
 		if pipeline {
-			if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := core.ScheduleProgram(prog, opts); err != nil {
+			if _, err := xform.ScheduleProgramCtx(context.Background(), prog, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -228,6 +229,22 @@ func TestMalformedInputAnswers400(t *testing.T) {
 		t.Errorf("400 diagnostic %q does not mention the parse failure", e.Error)
 	}
 
+	// A function defined twice is refused with its line, in either
+	// language.
+	for _, req := range []*Request{
+		{Lang: "asm", Source: "func f:\n\tRET r0\nfunc f:\n\tRET r1\n"},
+		{Source: "int f() { return 0; }\nint f() { return 1; }"},
+	} {
+		resp, body := post(t, ts, req)
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s duplicate: status %d, body %s; want 400", req.Lang, resp.StatusCode, body)
+		}
+		if !strings.Contains(e.Error, `function "f" redeclared`) {
+			t.Errorf("%s duplicate: diagnostic %q does not name the redeclared function", req.Lang, e.Error)
+		}
+	}
+
 	resp, _ = post(t, ts, `{not json`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON: status %d, want 400", resp.StatusCode)
@@ -269,7 +286,7 @@ func TestSimulateMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
-	if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+	if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	m, err := sim.Load(prog)
@@ -322,6 +339,29 @@ func TestPanicRecoveryAnswers500(t *testing.T) {
 	}
 }
 
+// A panic on the program driver's worker goroutine reaches runJob's
+// recovery on the job's goroutine: the job fails with a panic error and
+// the reproducer and the worker's stack are logged, instead of the
+// process crashing.
+func TestDriverWorkerPanicRecovered(t *testing.T) {
+	var logBuf bytes.Buffer
+	s, _ := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(&logBuf, nil))})
+	j, err := resolve(&Request{Source: testSrc}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An instruction ID outside the function's ID space indexes past
+	// the scheduler's dense tables: a state only a bug can produce.
+	j.prog.Funcs[0].Blocks[0].Instrs[0].ID = -1
+	if _, err := s.runJob(context.Background(), j); !isPanic(err) {
+		t.Fatalf("runJob err = %v, want a recovered panic", err)
+	}
+	logged := logBuf.String()
+	if !strings.Contains(logged, "panic reproducer") || !strings.Contains(logged, "gsched/internal/core.") {
+		t.Errorf("panic log lacks the reproducer or the worker's stack:\n%s", logged)
+	}
+}
+
 type lockedWriter struct {
 	w  io.Writer
 	mu *sync.Mutex
@@ -350,7 +390,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	post(t, ts, &Request{Source: testSrc}) // hit
 	post(t, ts, `{"source":"int main( {"}`)
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := httpClient.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +432,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestAuxEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, path := range []string{"/healthz", "/debug/pprof/", "/debug/pprof/cmdline"} {
-		resp, err := http.Get(ts.URL + path)
+		resp, err := httpClient.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}

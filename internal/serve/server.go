@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -816,10 +815,7 @@ func (s *Server) internalCachePut(w http.ResponseWriter, r *http.Request, key Ke
 }
 
 // panicError marks a recovered worker panic.
-type panicError struct {
-	val   any
-	stack []byte
-}
+type panicError struct{ val any }
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
 
@@ -838,12 +834,14 @@ func (s *Server) runJob(ctx context.Context, j *job) (body []byte, err error) {
 	// could mutate the program, so reuse it instead of re-rendering.
 	defer func() {
 		if v := recover(); v != nil {
-			pe := &panicError{val: v, stack: debug.Stack()}
+			// A panic on the driver's worker arrives as a WorkerPanic
+			// carrying that worker's stack.
+			wp := core.Recovered(v)
 			s.cfg.Logger.Error("worker panic",
-				"panic", fmt.Sprint(v),
-				"repro", reproducer(string(j.canon), j, fmt.Sprint(v)),
-				"stack", string(pe.stack))
-			err = pe
+				"panic", fmt.Sprint(wp.Value),
+				"repro", reproducer(string(j.canon), j, fmt.Sprint(wp.Value)),
+				"stack", string(wp.Stack))
+			err = &panicError{val: wp.Value}
 		}
 	}()
 	if s.testHook != nil {
@@ -853,17 +851,18 @@ func (s *Server) runJob(ctx context.Context, j *job) (body []byte, err error) {
 		panic("debug_panic requested")
 	}
 
-	var st xform.Stats
+	var pipe *xform.Config
 	if j.pipeline {
-		st, err = xform.RunProgramCtx(ctx, j.prog, j.opts, xform.DefaultConfig())
-	} else {
-		st.Stats, err = core.ScheduleProgramCtx(ctx, j.prog, j.opts)
+		cfg := xform.DefaultConfig()
+		pipe = &cfg
 	}
+	var out strings.Builder
+	res, err := xform.Drive(ctx, asm.ProgramReader(j.prog), j.opts, pipe, 1, &out)
 	if err != nil {
 		return nil, err
 	}
 
-	resp := &Response{Asm: asm.Print(j.prog), Stats: st}
+	resp := &Response{Asm: out.String(), Stats: res.Stats}
 	if j.simulate != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -43,7 +43,7 @@ func TestSoakConcurrentDeterministic(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
 				idx := (g + k) % corpusSize
-				resp, err := http.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(corpus[idx]))
+				resp, err := httpClient.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(corpus[idx]))
 				if err != nil {
 					t.Error(err)
 					return
@@ -147,7 +147,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}
 		corpus[i] = body
 		// Warm the cache so the benchmark measures steady state.
-		resp, err := http.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
+		resp, err := httpClient.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		for pb.Next() {
 			body := corpus[i%len(corpus)]
 			i++
-			resp, err := http.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
+			resp, err := httpClient.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Error(err)
 				return
@@ -196,7 +196,7 @@ func BenchmarkServeMiss(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
+		resp, err := httpClient.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func postTune(t *testing.T, ts *httptest.Server, req *TuneRequest) (*http.Respon
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/tune", "application/json", bytes.NewReader(body))
+	resp, err := httpClient.Post(ts.URL+"/tune", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTuneLifecycle(t *testing.T) {
 func TestTuneBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	get, err := http.Get(ts.URL + "/tune")
+	get, err := httpClient.Get(ts.URL + "/tune")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestTuneBadRequests(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/tune", "application/json", strings.NewReader("{"))
+	resp, err := httpClient.Post(ts.URL+"/tune", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}

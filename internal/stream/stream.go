@@ -1,11 +1,9 @@
 // Package stream runs the whole per-function tool chain — parse,
-// schedule, verify, print — as one overlapped pipeline over a
-// FuncReader, instead of barrier-per-stage over a materialized
-// program. Functions flow through a bounded worker pool as the
-// front-end produces them; a single emitter reassembles the output in
-// source order, so the bytes written are identical to
+// schedule, verify, print — over a source unit without materializing
+// it: a Dialect's FuncReader feeds the program driver (xform.Drive)
+// one function at a time, so the bytes written are identical to
 //
-//	parse everything; ScheduleProgram/RunProgram; asm.Print
+//	parse everything; xform.ScheduleProgramCtx/RunProgramCtx; asm.Print
 //
 // at any Jobs setting, while peak memory stays proportional to
 // Jobs · (largest function), not to the program (plus the source text
@@ -14,14 +12,11 @@ package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"gsched/internal/asm"
 	"gsched/internal/core"
-	"gsched/internal/ir"
 	"gsched/internal/minic"
 	"gsched/internal/xform"
 )
@@ -42,22 +37,10 @@ type Config struct {
 }
 
 // Result aggregates what flowed through the pipeline.
-type Result struct {
-	Stats  xform.Stats // scheduling stats merged in source order
-	Funcs  int         // functions scheduled
-	Instrs int         // input instructions (counted before scheduling)
-}
-
-// ErrDuplicateFunc reports a source unit that defines the same
-// function twice. The materializing front-end resolves this with
-// last-definition-wins, but a streaming printer cannot (the earlier
-// definition's position would already be emitted), so the driver
-// refuses; callers may fall back to the non-streaming path.
-var ErrDuplicateFunc = errors.New("stream: duplicate function definition")
+type Result = xform.Result
 
 type cDialect struct{}
 
-func (cDialect) Name() string { return "c" }
 func (cDialect) Open(src string) (asm.FuncReader, error) {
 	r, err := minic.Open(src)
 	if err != nil {
@@ -80,157 +63,17 @@ func DialectFor(lang string) (asm.Dialect, error) {
 	return nil, fmt.Errorf("stream: unknown language %q", lang)
 }
 
-// task carries one function through the pipeline. The worker fills st,
-// buf, and err, then closes done; the emitter consumes tasks strictly
-// in source order.
-type task struct {
-	f    *ir.Func
-	st   xform.Stats
-	buf  []byte
-	err  error
-	done chan struct{}
-}
-
-// Schedule streams src through parse → schedule → verify → print,
-// writing the scheduled program to out (data directives first, then
-// each function as soon as it and all its predecessors are done).
-// A nil out discards the text but still schedules everything.
-//
-// Errors follow the materializing path's precedence: a front-end
-// (parse) error wins over scheduling errors; otherwise the scheduling
-// error of the earliest function in source order is returned.
+// Schedule streams src through parse → schedule → verify → print on
+// the program driver (xform.Drive), writing the scheduled program to
+// out; a nil out discards the text but still schedules everything.
 func Schedule(ctx context.Context, d asm.Dialect, src string, cfg Config, out io.Writer) (Result, error) {
-	var res Result
-	jobs := cfg.Jobs
-	if jobs < 1 {
-		jobs = 1
-	}
-
 	r, err := d.Open(src)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
-	// Readers that index definitions up front report duplicates here,
-	// before any output is written, so callers can fall back to the
-	// materializing path cleanly. The per-function check below remains
-	// as a safety net for dialects without the prescan.
-	if dd, ok := r.(interface{ Duplicates() []string }); ok {
-		if dups := dd.Duplicates(); len(dups) > 0 {
-			return res, fmt.Errorf("%w: %q", ErrDuplicateFunc, dups[0])
-		}
-	}
-	if out != nil {
-		var buf []byte
-		for _, s := range r.Prog().Syms {
-			buf = s.AppendString(buf)
-		}
-		if len(buf) > 0 {
-			if _, err := out.Write(buf); err != nil {
-				return res, err
-			}
-		}
-	}
-
-	work := make(chan *task, jobs)
-	order := make(chan *task, 2*jobs) // bounds functions in flight
-	abort := make(chan struct{})      // closed by the emitter on first error
-
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for t := range work {
-				t.st, t.err = scheduleOne(ctx, t.f, &cfg)
-				if t.err == nil && out != nil {
-					t.buf = t.f.AppendString(t.buf)
-				}
-				close(t.done)
-			}
-		}()
-	}
-
-	var emitErr error
-	emitDone := make(chan struct{})
-	go func() {
-		defer close(emitDone)
-		for t := range order {
-			<-t.done
-			if emitErr != nil {
-				continue // draining after failure
-			}
-			if t.err != nil {
-				emitErr = t.err
-				close(abort)
-				continue
-			}
-			res.Stats.Stats.Add(t.st.Stats)
-			res.Stats.LoopsUnrolled += t.st.LoopsUnrolled
-			res.Stats.LoopsRotated += t.st.LoopsRotated
-			res.Stats.TailDuplicated += t.st.TailDuplicated
-			if out != nil {
-				if _, err := out.Write(t.buf); err != nil {
-					emitErr = err
-					close(abort)
-				}
-			}
-		}
-	}()
-
-	seen := make(map[string]struct{})
-	var parseErr error
-parse:
-	for {
-		f, err := r.ParseFunc()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			parseErr = err
-			break
-		}
-		if _, dup := seen[f.Name]; dup {
-			parseErr = fmt.Errorf("%w: %q", ErrDuplicateFunc, f.Name)
-			break
-		}
-		seen[f.Name] = struct{}{}
-		res.Funcs++
-		res.Instrs += f.NumInstrs()
-		t := &task{f: f, done: make(chan struct{})}
-		select {
-		case order <- t:
-		case <-abort:
-			break parse
-		}
-		select {
-		case work <- t:
-		case <-abort:
-			// The emitter will still wait on this task; resolve it.
-			close(t.done)
-			break parse
-		}
-	}
-	close(work)
-	close(order)
-	wg.Wait()
-	<-emitDone
-
-	if parseErr != nil {
-		return res, parseErr
-	}
-	return res, emitErr
-}
-
-func scheduleOne(ctx context.Context, f *ir.Func, cfg *Config) (xform.Stats, error) {
+	var pipe *xform.Config
 	if cfg.UsePipeline {
-		return xform.RunCtx(ctx, f, cfg.Opts, cfg.Pipeline)
+		pipe = &cfg.Pipeline
 	}
-	var st xform.Stats
-	var err error
-	st.Stats, err = core.ScheduleFuncCtx(ctx, f, cfg.Opts)
-	if err != nil {
-		// Match ScheduleProgram's error labelling.
-		err = fmt.Errorf("%s: %w", f.Name, err)
-	}
-	return st, err
+	return xform.Drive(ctx, r, cfg.Opts, pipe, cfg.Jobs, out)
 }

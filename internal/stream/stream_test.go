@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,7 +30,7 @@ func jobsSweep() []int {
 	return out
 }
 
-// materialize parses src the old way: whole program at once.
+// materialize parses src with the whole-unit front end.
 func materialize(t *testing.T, src, lang string) *ir.Program {
 	t.Helper()
 	var p *ir.Program
@@ -47,20 +46,20 @@ func materialize(t *testing.T, src, lang string) *ir.Program {
 	return p
 }
 
-// oldBytes runs the barrier pipeline: parse everything, schedule the
-// whole program, print the whole program.
-func oldBytes(t *testing.T, src, lang string, cfg Config) (string, xform.Stats) {
+// wholeUnitBytes parses everything, schedules the parsed program
+// through the same driver, and prints the whole program.
+func wholeUnitBytes(t *testing.T, src, lang string, cfg Config) (string, xform.Stats) {
 	t.Helper()
 	p := materialize(t, src, lang)
 	var st xform.Stats
 	var err error
 	if cfg.UsePipeline {
-		st, err = xform.RunProgram(p, cfg.Opts, cfg.Pipeline)
+		st, err = xform.RunProgramCtx(context.Background(), p, cfg.Opts, cfg.Pipeline)
 	} else {
-		st.Stats, err = core.ScheduleProgram(p, cfg.Opts)
+		st.Stats, err = xform.ScheduleProgramCtx(context.Background(), p, cfg.Opts)
 	}
 	if err != nil {
-		t.Fatalf("old pipeline: %v", err)
+		t.Fatalf("whole-unit schedule: %v", err)
 	}
 	return asm.Print(p), st
 }
@@ -79,10 +78,10 @@ func streamBytes(t *testing.T, src, lang string, cfg Config) (string, Result) {
 	return buf.String(), res
 }
 
-// TestStreamMatchesMaterialized: the streaming pipeline produces
+// TestStreamMatchesMaterialized: the streaming front end produces
 // byte-identical scheduled output and identical merged stats to the
-// materializing path, for both dialects, both drivers, several levels,
-// and every jobs setting.
+// whole-unit front end, for both dialects, both per-function passes,
+// several levels, and every jobs setting.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	type unit struct {
 		name, src, lang string
@@ -130,7 +129,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	for _, c := range cfgs {
 		c.cfg.Opts.Verify = true
 		for _, u := range units {
-			want, wantSt := oldBytes(t, u.src, u.lang, c.cfg)
+			want, wantSt := wholeUnitBytes(t, u.src, u.lang, c.cfg)
 			for _, jobs := range jobsSweep() {
 				cfg := c.cfg
 				cfg.Jobs = jobs
@@ -179,16 +178,16 @@ func TestStreamHugeJobsSweep(t *testing.T) {
 func TestStreamOptimalLevel(t *testing.T) {
 	src := "func f r1 r2:\n\tA r3=r1,r2\n\tMUL r4=r1,r2\n\tS r5=r3,r4\n\tRET r5\nfunc g r1:\n\tAI r2=r1,3\n\tRET r2\n"
 	cfg := Config{Opts: core.Defaults(machine.RS6K(), core.LevelOptimal)}
-	want, _ := oldBytes(t, src, "asm", cfg)
+	want, _ := wholeUnitBytes(t, src, "asm", cfg)
 	got, _ := streamBytes(t, src, "asm", cfg)
 	if got != want {
 		t.Fatalf("optimal: stream differs:\n%s\nvs\n%s", got, want)
 	}
 }
 
-// TestStreamErrors: front-end errors surface with the materializing
-// path's messages; duplicate definitions are refused with
-// ErrDuplicateFunc.
+// TestStreamErrors: front-end errors surface with the whole-unit front
+// end's messages, including the line-numbered rejection of a function
+// defined twice.
 func TestStreamErrors(t *testing.T) {
 	cfg := Config{Opts: core.Defaults(machine.RS6K(), core.LevelSpeculative), Jobs: 2}
 	cases := []struct {
@@ -198,6 +197,8 @@ func TestStreamErrors(t *testing.T) {
 		{"asm-undef-call", "func f:\n\tCALL missing\n\tRET", "asm", "undefined function"},
 		{"c-syntax", "int main() { return }", "c", "expected expression"},
 		{"c-undef-call", "int main() { return nope(); }", "c", "undefined function"},
+		{"asm-dup", "func f:\n\tRET r0\nfunc f:\n\tRET r1\n", "asm", `line 3: function "f" redeclared`},
+		{"c-dup", "int f() { return 0; }\nint f() { return 1; }", "c", `2:1: function "f" redeclared`},
 	}
 	for _, tc := range cases {
 		d, err := DialectFor(tc.lang)
@@ -208,16 +209,6 @@ func TestStreamErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v does not mention %q", tc.name, err, tc.want)
 		}
-	}
-
-	dup := "func f:\n\tRET r0\nfunc f:\n\tRET r1\n"
-	_, err := Schedule(context.Background(), asm.Native, dup, cfg, &bytes.Buffer{})
-	if !errors.Is(err, ErrDuplicateFunc) {
-		t.Errorf("duplicate function: err = %v, want ErrDuplicateFunc", err)
-	}
-	// The materializing parser still accepts it (last definition wins).
-	if _, err := asm.Parse(dup); err != nil {
-		t.Errorf("materializing Parse rejected duplicate-function program: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/core"
@@ -33,7 +34,7 @@ func scheduledBigMain(tb testing.TB) (*verify.Snapshot, *ir.Func, verify.Rules) 
 		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 		opts.Rename = false // the snapshot must see exactly what the scheduler saw
 		snap := verify.Capture(f)
-		if _, err := core.ScheduleFunc(f, opts); err != nil {
+		if _, err := core.ScheduleFuncCtx(context.Background(), f, opts); err != nil {
 			tb.Fatalf("seed %d: schedule: %v", seed, err)
 		}
 		return snap, f, opts.VerifyRules()

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"gsched/internal/progen"
 	"gsched/internal/sim"
 	"gsched/internal/verify"
+	"gsched/internal/xform"
 )
 
 // equivCorpus returns the programs the equivalence tests schedule:
@@ -92,7 +94,7 @@ func scheduledCorpus(t *testing.T, level core.Level) (snaps []*verify.Snapshot, 
 			snaps = append(snaps, verify.Capture(f))
 			funcs = append(funcs, f)
 		}
-		s, err := core.ScheduleProgram(prog, o)
+		s, err := xform.ScheduleProgramCtx(context.Background(), prog, o)
 		if err != nil {
 			t.Fatalf("schedule: %v", err)
 		}

@@ -8,6 +8,7 @@
 package verify_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"gsched/internal/progen"
 	"gsched/internal/sim"
 	"gsched/internal/verify"
+	"gsched/internal/xform"
 )
 
 // TestPropertyLevelDupSchedulesVerify sweeps generated programs through
@@ -58,7 +60,7 @@ func TestPropertyLevelDupSchedulesVerify(t *testing.T) {
 		for fi, f := range prog.Funcs {
 			snaps[fi] = verify.Capture(f)
 		}
-		st, err := core.ScheduleProgram(prog, opts)
+		st, err := xform.ScheduleProgramCtx(context.Background(), prog, opts)
 		if err != nil {
 			t.Fatalf("seed %d: schedule: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/core"
@@ -18,11 +19,11 @@ func runWorkload(t *testing.T, w *Workload, level core.Level, pipeline bool) *si
 	mach := machine.RS6K()
 	if level >= core.LevelNone {
 		if pipeline {
-			if _, err := xform.RunProgram(prog, core.Defaults(mach, level), xform.DefaultConfig()); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(mach, level), xform.DefaultConfig()); err != nil {
 				t.Fatalf("%s: xform: %v", w.Name, err)
 			}
 		} else {
-			if _, err := core.ScheduleProgram(prog, core.Defaults(mach, level)); err != nil {
+			if _, err := xform.ScheduleProgramCtx(context.Background(), prog, core.Defaults(mach, level)); err != nil {
 				t.Fatalf("%s: schedule: %v", w.Name, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/core"
@@ -84,7 +85,7 @@ func TestCounterLoopSpeedsUpMinMax(t *testing.T) {
 				t.Fatal("conversion failed")
 			}
 		}
-		if _, err := core.ScheduleFunc(f, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
+		if _, err := core.ScheduleFuncCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
 			t.Fatal(err)
 		}
 		m, err := sim.Load(prog)

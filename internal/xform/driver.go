@@ -3,7 +3,10 @@ package xform
 import (
 	"context"
 	"fmt"
+	"io"
+	"sync"
 
+	"gsched/internal/asm"
 	"gsched/internal/cfg"
 	"gsched/internal/core"
 	"gsched/internal/ir"
@@ -47,17 +50,20 @@ type Stats struct {
 	TailDuplicated int
 }
 
-// Run executes the general flow of the global scheduling prototype
-// (§6): 1. certain inner loops are unrolled; 2. global scheduling is
-// applied to the inner regions; 3. certain inner loops are rotated;
-// 4. global scheduling is applied a second time to the rotated inner
-// loops and the outer regions; finally the basic block scheduler runs on
-// every block.
-func Run(f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
-	return RunCtx(context.Background(), f, opts, cfgX)
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Stats.Add(o.Stats)
+	s.LoopsUnrolled += o.LoopsUnrolled
+	s.LoopsRotated += o.LoopsRotated
+	s.TailDuplicated += o.TailDuplicated
 }
 
-// RunCtx is Run under a context. Cancellation is checked between the
+// RunCtx executes the general flow of the global scheduling prototype
+// (§6) on one function: 1. certain inner loops are unrolled; 2. global
+// scheduling is applied to the inner regions; 3. certain inner loops
+// are rotated; 4. global scheduling is applied a second time to the
+// rotated inner loops and the outer regions; finally the basic block
+// scheduler runs on every block. Cancellation is checked between the
 // pipeline's stages and between regions within each scheduling pass, so
 // a timed-out request aborts promptly with an error wrapping ctx.Err().
 func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
@@ -183,47 +189,160 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 	return st, f.Validate()
 }
 
-// RunProgram applies Run to every function of p. Functions are
-// independent, so with opts.Parallelism > 1 they run concurrently on a
-// bounded worker pool; schedules and merged Stats are identical to the
-// sequential run (per-function results are combined in program order
-// after all workers finish).
-func RunProgram(p *ir.Program, opts core.Options, cfgX Config) (Stats, error) {
-	return RunProgramCtx(context.Background(), p, opts, cfgX)
+// ScheduleProgramCtx schedules every function of p in place with
+// core.ScheduleFuncCtx, up to opts.Parallelism at a time (see Drive).
+func ScheduleProgramCtx(ctx context.Context, p *ir.Program, opts core.Options) (core.Stats, error) {
+	res, err := Drive(ctx, asm.ProgramReader(p), opts, nil, opts.Parallelism, nil)
+	return res.Stats.Stats, err
 }
 
-// RunProgramCtx is RunProgram under a context: cancellation propagates
-// into every function's pipeline run.
+// RunProgramCtx applies RunCtx to every function of p in place, up to
+// opts.Parallelism at a time (see Drive).
 func RunProgramCtx(ctx context.Context, p *ir.Program, opts core.Options, cfgX Config) (Stats, error) {
-	var st Stats
-	if opts.Parallelism > 1 && len(p.Funcs) > 1 {
-		stats := make([]Stats, len(p.Funcs))
-		errs := make([]error, len(p.Funcs))
-		core.RunFuncsParallel(len(p.Funcs), opts.Parallelism, func(i int) {
-			stats[i], errs[i] = RunCtx(ctx, p.Funcs[i], opts, cfgX)
-		})
-		for i, err := range errs {
-			if err != nil {
-				return st, err
+	res, err := Drive(ctx, asm.ProgramReader(p), opts, &cfgX, opts.Parallelism, nil)
+	return res.Stats, err
+}
+
+// Result aggregates what flowed through Drive.
+type Result struct {
+	Stats  Stats // scheduling stats merged in source order
+	Funcs  int   // functions scheduled
+	Instrs int   // input instructions (counted before scheduling)
+}
+
+// task carries one function through Drive. The worker fills st, buf
+// and err (a *core.WorkerPanic if scheduling panicked), then closes
+// done; the emitter consumes tasks strictly in source order.
+type task struct {
+	f    *ir.Func
+	st   Stats
+	buf  []byte
+	err  error
+	done chan struct{}
+}
+
+// Drive is the program driver: it schedules every function r yields
+// — with RunCtx under cfgX, or core.ScheduleFuncCtx when cfgX is nil —
+// and writes the scheduled program to out (data directives first, then
+// each function as soon as it and all its predecessors are done). A nil
+// out discards the text but still schedules everything.
+//
+// Functions are independent compilation units, so up to jobs (min 1)
+// are scheduled concurrently while r parses the next ones; at most
+// 2·jobs are in flight, so memory stays proportional to jobs times the
+// largest function. A single emitter merges stats and output in source
+// order, so both are identical at every jobs setting.
+//
+// The first failure in source order stops the pool. A reader (parse)
+// error wins over scheduling errors; otherwise the earliest function's
+// scheduling or write error is returned. A panic in a worker is raised
+// again on the caller's goroutine, as a *core.WorkerPanic carrying the
+// worker's stack, after every goroutine Drive started has exited.
+func Drive(ctx context.Context, r asm.FuncReader, opts core.Options, cfgX *Config, jobs int, out io.Writer) (Result, error) {
+	var res Result
+	if jobs < 1 {
+		jobs = 1
+	}
+	if out != nil {
+		var buf []byte
+		for _, s := range r.Prog().Syms {
+			buf = s.AppendString(buf)
+		}
+		if _, err := out.Write(buf); err != nil {
+			return res, err
+		}
+	}
+
+	work := make(chan *task, jobs)
+	order := make(chan *task, 2*jobs) // bounds functions in flight
+	abort := make(chan struct{})      // closed by the emitter on first failure
+
+	var wg sync.WaitGroup
+	wg.Add(jobs)
+	for w := 0; w < jobs; w++ {
+		go func() {
+			defer wg.Done()
+			for t := range work {
+				t.run(ctx, opts, cfgX, out != nil)
 			}
-			st.Stats.Add(stats[i].Stats)
-			st.LoopsUnrolled += stats[i].LoopsUnrolled
-			st.LoopsRotated += stats[i].LoopsRotated
-			st.TailDuplicated += stats[i].TailDuplicated
-		}
-		return st, nil
+		}()
 	}
-	for _, f := range p.Funcs {
-		s, err := RunCtx(ctx, f, opts, cfgX)
+
+	var emitErr error
+	emitDone := make(chan struct{})
+	go func() {
+		defer close(emitDone)
+		for t := range order {
+			<-t.done
+			if emitErr != nil {
+				continue // draining after failure
+			}
+			if emitErr = t.err; emitErr == nil {
+				res.Stats.Add(t.st)
+				if out != nil {
+					_, emitErr = out.Write(t.buf)
+				}
+			}
+			if emitErr != nil {
+				close(abort)
+			}
+		}
+	}()
+
+	// The sends below cannot block for good: the emitter drains order
+	// to the end, and workers drain work without blocking.
+	var parseErr error
+parse:
+	for {
+		select {
+		case <-abort:
+			break parse
+		default:
+		}
+		f, err := r.ParseFunc()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			return st, err
+			parseErr = err
+			break
 		}
-		st.Stats.Add(s.Stats)
-		st.LoopsUnrolled += s.LoopsUnrolled
-		st.LoopsRotated += s.LoopsRotated
-		st.TailDuplicated += s.TailDuplicated
+		res.Funcs++
+		res.Instrs += f.NumInstrs()
+		t := &task{f: f, done: make(chan struct{})}
+		order <- t
+		work <- t
 	}
-	return st, nil
+	close(work)
+	close(order)
+	wg.Wait()
+	<-emitDone
+
+	if wp, ok := emitErr.(*core.WorkerPanic); ok {
+		panic(wp)
+	}
+	if parseErr != nil {
+		return res, parseErr
+	}
+	return res, emitErr
+}
+
+// run schedules and prints one function on a worker goroutine.
+func (t *task) run(ctx context.Context, opts core.Options, cfgX *Config, print bool) {
+	defer close(t.done)
+	defer func() {
+		if v := recover(); v != nil {
+			t.err = core.Recovered(v)
+		}
+	}()
+	if cfgX != nil {
+		t.st, t.err = RunCtx(ctx, t.f, opts, *cfgX)
+	} else if t.st.Stats, t.err = core.ScheduleFuncCtx(ctx, t.f, opts); t.err != nil {
+		t.err = fmt.Errorf("%s: %w", t.f.Name, t.err)
+	}
+	if t.err == nil && print {
+		t.buf = t.f.AppendString(t.buf)
+	}
 }
 
 // TransformOnly applies unrolling and rotation without any global
@@ -247,9 +366,7 @@ func TransformOnly(f *ir.Func, cfgX Config) Stats {
 func TransformOnlyProgram(p *ir.Program, cfgX Config) Stats {
 	var st Stats
 	for _, f := range p.Funcs {
-		s := TransformOnly(f, cfgX)
-		st.LoopsUnrolled += s.LoopsUnrolled
-		st.LoopsRotated += s.LoopsRotated
+		st.Add(TransformOnly(f, cfgX))
 	}
 	return st
 }

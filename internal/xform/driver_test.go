@@ -1,0 +1,208 @@
+package xform
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"gsched/internal/asm"
+	"gsched/internal/core"
+	"gsched/internal/ir"
+	"gsched/internal/machine"
+)
+
+// smallFuncs renders n independent asm functions f0..f(n-1).
+func smallFuncs(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "func f%d r1:\n\tAI r2=r1,%d\n\tMUL r3=r2,r1\n\tRET r3\n", i, i)
+	}
+	return sb.String()
+}
+
+func parseSmall(t *testing.T, n int) *ir.Program {
+	t.Helper()
+	p, err := asm.Parse(smallFuncs(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// drivePasses are the two per-function passes Drive can run.
+var drivePasses = []struct {
+	name string
+	cfg  *Config
+}{
+	{"plain", nil},
+	{"pipeline", &Config{Unroll: true, UnrollMaxBlocks: 4, Rotate: true, RotateMaxBlocks: 4}},
+}
+
+// waitGoroutines fails t unless the goroutine count returns to base.
+// Goroutines that have signalled their WaitGroup may take a moment to
+// be reaped, so the count is polled for a bounded time.
+func waitGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Errorf("%s: %d goroutines after Drive returned, %d before", what, runtime.NumGoroutine(), base)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDrivePanicReachesCaller: a panic on a worker is raised again on
+// the caller's goroutine, carrying the worker's stack, at every jobs
+// setting and for both passes, and no worker outlives Drive.
+func TestDrivePanicReachesCaller(t *testing.T) {
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+	for _, pass := range drivePasses {
+		for _, jobs := range []int{1, 4} {
+			p := parseSmall(t, 8)
+			// An instruction ID outside the function's ID space indexes
+			// past the scheduler's dense tables: a state only a bug
+			// can produce.
+			p.Funcs[5].Blocks[0].Instrs[0].ID = -1
+			base := runtime.NumGoroutine()
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				Drive(context.Background(), asm.ProgramReader(p), opts, pass.cfg, jobs, nil)
+				return nil
+			}()
+			wp, ok := got.(*core.WorkerPanic)
+			if !ok {
+				t.Fatalf("%s jobs=%d: recovered %v (%T), want *core.WorkerPanic", pass.name, jobs, got, got)
+			}
+			if _, ok := wp.Value.(runtime.Error); !ok {
+				t.Errorf("%s jobs=%d: panic value %v, want the runtime error", pass.name, jobs, wp.Value)
+			}
+			if !strings.Contains(string(wp.Stack), "gsched/internal/core.") {
+				t.Errorf("%s jobs=%d: stack does not show the scheduler frames:\n%s", pass.name, jobs, wp.Stack)
+			}
+			waitGoroutines(t, fmt.Sprintf("%s jobs=%d", pass.name, jobs), base)
+		}
+	}
+}
+
+// failingWriter accepts n writes, then fails.
+type failingWriter struct{ n int }
+
+var errWrite = errors.New("disk full")
+
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errWrite
+	}
+	w.n--
+	return len(b), nil
+}
+
+// dropRet removes the RET of each listed function, so its last block
+// falls off the end, which the pipeline pass's final validation
+// rejects.
+func dropRet(p *ir.Program, funcs ...int) {
+	for _, i := range funcs {
+		b := p.Funcs[i].Blocks[0]
+		b.Instrs = b.Instrs[:len(b.Instrs)-1]
+	}
+}
+
+// TestDriveEarlyExits: every way Drive can stop early returns its error
+// and leaves no goroutine behind.
+func TestDriveEarlyExits(t *testing.T) {
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	source := func(src string) func() asm.FuncReader {
+		return func() asm.FuncReader {
+			r, err := asm.NewReader(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+	}
+	cases := []struct {
+		name   string
+		pass   string // "" runs both passes
+		ctx    context.Context
+		reader func() asm.FuncReader
+		opts   core.Options
+		// failAfter > 0 writes the output to a writer that fails
+		// after that many writes.
+		failAfter int
+		want      func(error) bool
+	}{
+		{
+			name: "parse error mid-stream", ctx: context.Background(), opts: opts,
+			reader: source(smallFuncs(20) + "func bad:\n\tFROB r1\n" + strings.ReplaceAll(smallFuncs(20), "func f", "func g")),
+			want:   func(err error) bool { return err != nil && strings.Contains(err.Error(), "unknown mnemonic") },
+		},
+		{
+			name: "scheduling error", pass: "plain", ctx: context.Background(),
+			opts:   core.Options{Level: core.LevelSpeculative},
+			reader: source(smallFuncs(40)),
+			want:   func(err error) bool { return err != nil && strings.Contains(err.Error(), "Machine is required") },
+		},
+		{
+			name: "scheduling error", pass: "pipeline", ctx: context.Background(), opts: opts,
+			reader: func() asm.FuncReader {
+				p := parseSmall(t, 40)
+				dropRet(p, 25)
+				return asm.ProgramReader(p)
+			},
+			want: func(err error) bool { return err != nil && strings.Contains(err.Error(), "falls through") },
+		},
+		{
+			name: "cancelled context", ctx: cancelled, opts: opts,
+			reader: source(smallFuncs(40)),
+			want:   func(err error) bool { return errors.Is(err, context.Canceled) },
+		},
+		{
+			name: "failing writer", ctx: context.Background(), opts: opts,
+			reader:    source(smallFuncs(40)),
+			failAfter: 3,
+			want:      func(err error) bool { return errors.Is(err, errWrite) },
+		},
+	}
+	for _, tc := range cases {
+		for _, pass := range drivePasses {
+			if tc.pass != "" && tc.pass != pass.name {
+				continue
+			}
+			var out io.Writer
+			if tc.failAfter > 0 {
+				out = &failingWriter{n: tc.failAfter}
+			}
+			r := tc.reader()
+			base := runtime.NumGoroutine()
+			if _, err := Drive(tc.ctx, r, tc.opts, pass.cfg, 4, out); !tc.want(err) {
+				t.Errorf("%s/%s: err = %v", tc.name, pass.name, err)
+			}
+			waitGoroutines(t, tc.name+"/"+pass.name, base)
+		}
+	}
+}
+
+// TestDriveEarliestErrorWins: over a materialized program, the error of
+// the earliest failing function in source order is returned, however
+// the workers interleave.
+func TestDriveEarliestErrorWins(t *testing.T) {
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+	opts.Parallelism = 4
+	for iter := 0; iter < 20; iter++ {
+		p := parseSmall(t, 12)
+		dropRet(p, 3, 4, 9)
+		_, err := RunProgramCtx(context.Background(), p, opts, DefaultConfig())
+		if err == nil || !strings.HasPrefix(err.Error(), "f3: ") {
+			t.Fatalf("iteration %d: err = %v, want f3's error", iter, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/cfg"
@@ -148,7 +149,7 @@ int f(int n) {
 	want := compileAndRun(t, src, "f", []int64{20}, nil)
 	got := compileAndRun(t, src, "f", []int64{20}, func(p *ir.Program) {
 		for _, f := range p.Funcs {
-			if _, err := Run(f, core.Defaults(machine.RS6K(), core.LevelSpeculative), DefaultConfig()); err != nil {
+			if _, err := RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), DefaultConfig()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/asm"
@@ -220,7 +221,7 @@ func TestLevelDupPipelineWithProfile(t *testing.T) {
 	opts := core.Defaults(machine.RS6K(), core.LevelDup)
 	opts.Profile = prof
 	opts.Verify = true
-	st, err := RunProgram(prog, opts, DefaultConfig())
+	st, err := RunProgramCtx(context.Background(), prog, opts, DefaultConfig())
 	if err != nil {
 		t.Fatalf("level=dup pipeline: %v", err)
 	}

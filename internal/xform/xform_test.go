@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"testing"
 
 	"gsched/internal/cfg"
@@ -161,7 +162,7 @@ func TestRotateRefusesBottomTestLoop(t *testing.T) {
 func TestDriverFullPipeline(t *testing.T) {
 	for _, level := range []core.Level{core.LevelNone, core.LevelUseful, core.LevelSpeculative} {
 		p, f := sumProgram()
-		st, err := Run(f, core.Defaults(machine.RS6K(), level), DefaultConfig())
+		st, err := RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), level), DefaultConfig())
 		if err != nil {
 			t.Fatalf("level=%s: %v", level, err)
 		}
@@ -190,7 +191,7 @@ func TestDriverTimesVerifyPhase(t *testing.T) {
 		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 		opts.Verify = verify
 		opts.Trace = &core.Trace{}
-		if _, err := Run(f, opts, DefaultConfig()); err != nil {
+		if _, err := RunCtx(context.Background(), f, opts, DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
 		total, runs := opts.Trace.PhaseTotal(core.PhaseVerify)
@@ -207,7 +208,7 @@ func TestDriverOnMinMax(t *testing.T) {
 	// The 10-block minmax loop exceeds the 4-block unroll/rotate caps,
 	// but the driver must still schedule it globally.
 	p, f := paperex.MinMax()
-	st, err := Run(f, core.Defaults(machine.RS6K(), core.LevelSpeculative), DefaultConfig())
+	st, err := RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +239,11 @@ func TestPipeliningEffect(t *testing.T) {
 		p, f := sumProgram()
 		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 		if withXform {
-			if _, err := Run(f, opts, DefaultConfig()); err != nil {
+			if _, err := RunCtx(context.Background(), f, opts, DefaultConfig()); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := core.ScheduleFunc(f, opts); err != nil {
+			if _, err := core.ScheduleFuncCtx(context.Background(), f, opts); err != nil {
 				t.Fatal(err)
 			}
 		}

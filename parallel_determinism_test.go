@@ -1,6 +1,7 @@
 package gsched_test
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"testing"
@@ -35,7 +36,7 @@ func TestParallelSchedulingDeterministic(t *testing.T) {
 
 			seqOpts := core.Defaults(mach, lv)
 			seqOpts.Parallelism = 1
-			seqStats, err := xform.RunProgram(seqProg, seqOpts, xform.DefaultConfig())
+			seqStats, err := xform.RunProgramCtx(context.Background(), seqProg, seqOpts, xform.DefaultConfig())
 			if err != nil {
 				t.Fatalf("%s level=%v sequential: %v", w.Name, lv, err)
 			}
@@ -44,7 +45,7 @@ func TestParallelSchedulingDeterministic(t *testing.T) {
 			// pool path is exercised even on single-core runners.
 			parOpts := core.Defaults(mach, lv)
 			parOpts.Parallelism = 8
-			parStats, err := xform.RunProgram(parProg, parOpts, xform.DefaultConfig())
+			parStats, err := xform.RunProgramCtx(context.Background(), parProg, parOpts, xform.DefaultConfig())
 			if err != nil {
 				t.Fatalf("%s level=%v parallel: %v", w.Name, lv, err)
 			}
@@ -91,7 +92,7 @@ func TestJobsSweepDeterministic(t *testing.T) {
 				}
 				opts := core.Defaults(mach, lv)
 				opts.Parallelism = jobs
-				stats, err := xform.RunProgram(prog, opts, xform.DefaultConfig())
+				stats, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig())
 				if err != nil {
 					t.Fatalf("%s level=%v jobs=%d: %v", w.Name, lv, jobs, err)
 				}
@@ -139,7 +140,7 @@ func TestJobsSweepDeterministicLevelDup(t *testing.T) {
 			opts := core.Defaults(mach, core.LevelDup)
 			opts.Profile = prof
 			opts.Parallelism = jobs
-			stats, err := xform.RunProgram(prog, opts, xform.DefaultConfig())
+			stats, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig())
 			if err != nil {
 				t.Fatalf("%s jobs=%d: %v", w.Name, jobs, err)
 			}
@@ -176,7 +177,7 @@ func TestProgenJobsSweepDeterministic(t *testing.T) {
 			}
 			opts := opts0
 			opts.Parallelism = jobs
-			stats, err := xform.RunProgram(prog, opts, xform.DefaultConfig())
+			stats, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig())
 			if err != nil {
 				t.Fatalf("seed %d jobs=%d: %v", seed, jobs, err)
 			}

@@ -1,6 +1,7 @@
 package gsched_test
 
 import (
+	"context"
 	"testing"
 
 	"gsched"
@@ -51,7 +52,7 @@ func TestDefaultPolicyMatchesBuiltin(t *testing.T) {
 					if withPolicy {
 						opts.Policy = pol
 					}
-					st, err := xform.RunProgram(prog, opts, xform.DefaultConfig())
+					st, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig())
 					if err != nil {
 						t.Fatalf("seed %d %s level=%v policy=%t: %v", seed, mach.Name, lv, withPolicy, err)
 					}
@@ -99,7 +100,7 @@ func TestPolicySchedulesVerify(t *testing.T) {
 			opts := core.Defaults(mach, core.LevelSpeculative)
 			opts.Policy = policy.Random(ps)
 			opts.Verify = true
-			if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 				t.Fatalf("seed %d policy %d (%q): %v", seed, ps, opts.Policy.Canonical(), err)
 			}
 			got, err := gsched.Run(prog, p.Entry, p.Args, nil, gsched.RunOptions{
@@ -140,7 +141,7 @@ func TestJobsSweepDeterministicPolicy(t *testing.T) {
 				opts := core.Defaults(mach, core.LevelSpeculative)
 				opts.Policy = pol
 				opts.Parallelism = jobs
-				stats, err := xform.RunProgram(prog, opts, xform.DefaultConfig())
+				stats, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig())
 				if err != nil {
 					t.Fatalf("seed %d policy %d jobs=%d: %v", seed, pi, jobs, err)
 				}

@@ -45,7 +45,7 @@ func TestVerifierAcceptsScheduledPrograms(t *testing.T) {
 }
 
 // TestVerifierAcceptsPlainSchedule covers the non-pipeline entry point
-// (core.ScheduleFunc via gsched.Schedule) with the same self-check.
+// (core.ScheduleFuncCtx via gsched.Schedule) with the same self-check.
 func TestVerifierAcceptsPlainSchedule(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
