@@ -81,17 +81,11 @@ type regionScheduler struct {
 	// contribute candidates: instructions never move in or out of a
 	// region.
 	own []bool
-	// live is the current live-variable analysis, recomputed after
-	// motions (§5.3: "this type of information has to be updated
-	// dynamically"). It is computed lazily: liveStale marks it out of
-	// date, and liveness() reruns the analysis at the next query.
-	// When scope is non-nil the analysis is restricted to the scope's
-	// blocks against the frozen baseline liveBase (region-parallel
-	// waves; see ScheduleRegionTree).
-	live      *dataflow.Liveness
-	liveStale bool
-	scope     []bool
-	liveBase  *dataflow.Liveness
+	// scope and liveBase restrict liveness to the scope's blocks
+	// against the frozen baseline liveBase (region-parallel waves; see
+	// ScheduleRegionTree). Both are nil for whole-function liveness.
+	scope    []bool
+	liveBase *dataflow.Liveness
 	// processed marks blocks whose sessions have completed (or that
 	// were pinned and passed) in this region walk, indexed by block.
 	processed []bool
@@ -604,16 +598,18 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 			} else {
 				// Physically move it now so liveness updates see it.
 				rs.f.Blocks[c.home].Remove(c.instr)
+				rs.pl.noteEdit(c.home)
 				insertBeforeTerminator(blk, c.instr)
+				rs.pl.noteEdit(a)
 				movedSomething = true
 				switch {
 				case c.dup:
 					rs.duplicateIntoPreds(a, c)
 					rs.st.DuplicatedMoves++
-					rs.refreshLiveness()
+					rs.pl.refreshLiveness()
 				case c.spec:
 					rs.st.SpeculativeMoves++
-					rs.refreshLiveness()
+					rs.pl.refreshLiveness()
 				default:
 					rs.st.UsefulMoves++
 				}
@@ -637,7 +633,7 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 	blk.Instrs = append(blk.Instrs[:0], newOrder...)
 	rs.pl.newOrder = newOrder
 	if movedSomething {
-		rs.refreshLiveness()
+		rs.pl.refreshLiveness()
 	}
 }
 
@@ -651,6 +647,7 @@ func (rs *regionScheduler) duplicateIntoPreds(a int, c *candidate) {
 		}
 		clone := rs.f.CloneInstr(c.instr)
 		insertBeforeTerminator(rs.f.Blocks[p], clone)
+		rs.pl.noteEdit(p)
 		rs.ensureID(clone.ID)
 		rs.pos[clone.ID] = rs.pos[c.instr.ID]
 		if rs.processed[p] {
@@ -676,20 +673,17 @@ func (rs *regionScheduler) allowSpeculative(a int, i *ir.Instr) bool {
 	return true
 }
 
-// refreshLiveness marks the live sets stale after a code motion; the
-// recomputation happens lazily at the next query. Several motions between
-// two queries then cost one analysis instead of one each, and the values
-// seen at every query are exactly those of an eager recomputation.
-func (rs *regionScheduler) refreshLiveness() {
-	rs.liveStale = true
-}
+// liveCheck, when set (by tests only), is called with every liveness
+// answer given with no edit pending, which must equal a fresh
+// ComputeScoped over the region's scope.
+var liveCheck func(f *ir.Func, g *cfg.Graph, scope []bool, base, got *dataflow.Liveness)
 
 func (rs *regionScheduler) liveness() *dataflow.Liveness {
-	if rs.liveStale || rs.live == nil {
-		rs.live = rs.pl.live.ComputeScoped(rs.f, rs.g, rs.scope, rs.liveBase)
-		rs.liveStale = false
+	lv := rs.pl.liveness(rs.f, rs.g, rs.scope, rs.liveBase)
+	if liveCheck != nil && len(rs.pl.dirty) == 0 {
+		liveCheck(rs.f, rs.g, rs.scope, rs.liveBase, lv)
 	}
-	return rs.live
+	return lv
 }
 
 // insertBeforeTerminator appends i to blk, keeping the terminator last.

@@ -18,8 +18,19 @@ import (
 // DDG arenas, liveness bitsets, candidate storage, ready lists, and
 // local-scheduler buffers instead of reallocating them per region.
 type pipeline struct {
-	live dataflow.Analyzer
 	ddgb *pdg.Builder
+
+	// The §5.3 liveness of the current scope: the whole function, or
+	// one region group's blocks against a frozen baseline (see
+	// dataflow.ComputeScoped). It lives across the scope's regions and
+	// is "updated dynamically" as the paper asks: noteEdit records every
+	// block a motion edits, refreshLiveness marks a refresh point, and
+	// the next query folds the edits in with Analyzer.Update. lv is nil
+	// until the scope's first query.
+	live      dataflow.Analyzer
+	lv        *dataflow.Liveness
+	liveStale bool
+	dirty     []int
 
 	// Dense per-instruction tables, indexed by ir.Instr.ID.
 	scheduled []bool
@@ -104,9 +115,42 @@ func (pl *pipeline) newCand() *candidate {
 	return c
 }
 
+// resetLive starts a liveness scope. Its first query solves it from
+// scratch, so edits made before the reset, or to another function, are
+// never folded in.
+func (pl *pipeline) resetLive() {
+	pl.lv, pl.liveStale, pl.dirty = nil, false, pl.dirty[:0]
+}
+
+// noteEdit records that the instructions of block b changed.
+func (pl *pipeline) noteEdit(b int) { pl.dirty = append(pl.dirty, b) }
+
+// refreshLiveness marks a refresh point after a code motion; the update
+// happens lazily at the next query. Several motions between two queries
+// then cost one update instead of one each, and the values seen at every
+// query are exactly those of an eager recomputation at the last refresh
+// point.
+func (pl *pipeline) refreshLiveness() { pl.liveStale = true }
+
+// liveness returns the analysis of the scope (scope and base, as for
+// ComputeScoped) as of the last refresh point.
+func (pl *pipeline) liveness(f *ir.Func, g *cfg.Graph, scope []bool, base *dataflow.Liveness) *dataflow.Liveness {
+	switch {
+	case pl.lv == nil:
+		pl.lv = pl.live.ComputeScoped(f, g, scope, base)
+	case pl.liveStale:
+		pl.lv = pl.live.Update(pl.dirty)
+	default:
+		return pl.lv // edits since the last refresh point wait for the next
+	}
+	pl.liveStale, pl.dirty = false, pl.dirty[:0]
+	return pl.lv
+}
+
 // scheduleRegion schedules one region on this pipeline's arenas. scope
 // and base carry the liveness scoping of region-parallel waves (nil for
-// whole-function liveness).
+// whole-function liveness); the caller resets the pipeline's liveness
+// whenever they change.
 func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region,
 	opts *Options, st *Stats, scope []bool, base *dataflow.Liveness) error {
 
@@ -194,6 +238,7 @@ func scheduleRegionTree(ctx context.Context, pl *pipeline, f *ir.Func, g *cfg.Gr
 	opts *Options, st *Stats, keep func(r *cfg.Region, height int) bool) error {
 
 	heights := cfg.RegionHeights(li.Root)
+	pl.resetLive()
 
 	// scheduleOne applies the eligibility filters and size caps to one
 	// region and schedules it on worker pipeline wpl.
@@ -247,7 +292,8 @@ func scheduleRegionTree(ctx context.Context, pl *pipeline, f *ir.Func, g *cfg.Gr
 		// The frozen liveness baseline every group's scoped analysis
 		// hangs off (see dataflow.ComputeScoped). Computed before any
 		// motion, on the walker's own pipeline, whose analyzer is not
-		// reused until the root region below.
+		// reused until the root region's first query (pl.lv is still
+		// nil, so that query solves the whole function afresh).
 		base := pl.live.Compute(f, g)
 		scopes := make([][]bool, len(comps))
 		for ci, comp := range comps {
@@ -264,6 +310,7 @@ func scheduleRegionTree(ctx context.Context, pl *pipeline, f *ir.Func, g *cfg.Gr
 		runFuncsParallel(len(comps), opts.Parallelism, func(ci int) {
 			wpl := getPipeline()
 			defer putPipeline(wpl)
+			wpl.resetLive()
 			for _, si := range comps[ci] {
 				if errs[ci] = scheduleSubtree(wpl, subtrees[si], &stats[ci], scopes[ci], base); errs[ci] != nil {
 					return

@@ -151,13 +151,3 @@ func runFuncsParallel(n, workers int, fn func(i int)) {
 		}
 	}
 }
-
-// ScheduleRegion schedules one region with the global framework, on a
-// pooled pipeline with whole-function liveness. It is exported for
-// callers that schedule single regions outside the tree walk (e.g. the
-// minmax evaluation experiments).
-func ScheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region, opts *Options, st *Stats) error {
-	pl := getPipeline()
-	defer putPipeline(pl)
-	return pl.scheduleRegion(f, g, li, r, opts, st, nil, nil)
-}

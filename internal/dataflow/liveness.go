@@ -5,6 +5,8 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"gsched/internal/cfg"
 	"gsched/internal/ir"
 )
@@ -115,16 +117,9 @@ func (s *RegSet) Clear() {
 // ForEach calls fn for every member.
 func (s *RegSet) ForEach(fn func(ir.Reg)) {
 	for c := 0; c < ir.NumClasses; c++ {
-		for w, bitsw := range s.bits[c] {
-			for bitsw != 0 {
-				b := bitsw & (-bitsw)
-				bitsw ^= b
-				n := 0
-				for b > 1 {
-					b >>= 1
-					n++
-				}
-				fn(ir.Reg{Class: ir.RegClass(c), Num: int32(w*64 + n)})
+		for w, v := range s.bits[c] {
+			for ; v != 0; v &= v - 1 {
+				fn(ir.Reg{Class: ir.RegClass(c), Num: int32(w*64 + bits.TrailingZeros64(v))})
 			}
 		}
 	}
@@ -133,7 +128,11 @@ func (s *RegSet) ForEach(fn func(ir.Reg)) {
 // Count returns the number of members.
 func (s *RegSet) Count() int {
 	n := 0
-	s.ForEach(func(ir.Reg) { n++ })
+	for c := 0; c < ir.NumClasses; c++ {
+		for _, v := range s.bits[c] {
+			n += bits.OnesCount64(v)
+		}
+	}
 	return n
 }
 
@@ -142,6 +141,9 @@ type Liveness struct {
 	In, Out []*RegSet
 }
 
+// LiveOnExit reports whether r is live on exit from block b.
+func (lv *Liveness) LiveOnExit(b int, r ir.Reg) bool { return lv.Out[b].Has(r) }
+
 // Compute runs the classic backward live-variable analysis over f using
 // the flow graph g.
 func Compute(f *ir.Func, g *cfg.Graph) *Liveness {
@@ -149,30 +151,63 @@ func Compute(f *ir.Func, g *cfg.Graph) *Liveness {
 }
 
 // Analyzer computes liveness repeatedly over one function, reusing all
-// of its buffers between runs. The scheduler refreshes liveness after
-// every speculative code motion, so the steady state allocates nothing:
-// all 4n per-block sets (use, def, in, out) are carved out of a single
-// backing array that is cleared and re-carved on each run, and the fixed
-// point updates sets word-wise in place instead of copying.
+// of its buffers between runs, and keeps the result exact under code
+// motion without solving it again (Update). The steady state allocates
+// nothing: all 4n per-block sets (in, out, use, def) are carved out of a
+// single backing array, and both the fixed point and Update change sets
+// word-wise in place.
 //
 // The returned Liveness aliases the analyzer's buffers: it is valid
-// until the next Compute call on the same analyzer.
+// until the next ComputeScoped or Update call on the same analyzer.
 type Analyzer struct {
-	sets    []RegSet
+	// The problem of the last ComputeScoped, which Update re-solves.
+	f      *ir.Func
+	g      *cfg.Graph
+	member []bool
+	base   *Liveness
+
+	sets    []RegSet // in, out, use, def of block i at 4i..4i+3
 	backing []uint64
+	words   [ir.NumClasses]int // width of every member row, per class
 	lv      Liveness
 	work    []int
 	inWork  []bool
+
+	// Update scratch: a dirty block's use and def rows before its
+	// rescan, and the registers whose use or def bit changed.
+	old     []uint64
+	changed RegSet
 }
 
-// Compute runs the analysis over f, reusing the analyzer's buffers.
+// Compute runs the analysis over the whole of f, reusing the analyzer's
+// buffers.
 func (a *Analyzer) Compute(f *ir.Func, g *cfg.Graph) *Liveness {
+	return a.ComputeScoped(f, g, nil, nil)
+}
+
+// ComputeScoped runs the analysis over only the member blocks of f
+// (every block when member is nil), treating every non-member block as
+// frozen: a member's successor edge into a non-member block contributes
+// base.In of that block, and the returned Liveness aliases base's sets
+// for every non-member index, so queries about blocks outside the scope
+// see the frozen baseline.
+//
+// The scope serves region-parallel scheduling: when disjoint subtrees
+// of the region tree are scheduled concurrently, each worker analyses
+// its own blocks only, against a baseline computed once before any
+// motion. Scheduling only ever queries liveness of registers touched by
+// its own region's instructions, and legal motions inside other
+// (register-disjoint) scopes cannot change where such a register is
+// live, so the frozen boundary values stay exact for every query the
+// scheduler makes. base must outlive the returned Liveness and must not
+// be recomputed while it is in use.
+func (a *Analyzer) ComputeScoped(f *ir.Func, g *cfg.Graph, member []bool, base *Liveness) *Liveness {
+	a.f, a.g, a.member, a.base = f, g, member, base
 	n := len(f.Blocks)
-	var words [ir.NumClasses]int
 	perSet := 0
 	for c := 0; c < ir.NumClasses; c++ {
-		words[c] = (f.NumRegs(ir.RegClass(c)) + 63) / 64
-		perSet += words[c]
+		a.words[c] = (f.NumRegs(ir.RegClass(c)) + 63) / 64
+		perSet += a.words[c]
 	}
 	if need := 4 * n * perSet; cap(a.backing) < need {
 		a.backing = make([]uint64, need)
@@ -189,248 +224,202 @@ func (a *Analyzer) Compute(f *ir.Func, g *cfg.Graph) *Liveness {
 		for c := 0; c < ir.NumClasses; c++ {
 			// Cap each slice at its own words so an out-of-range Add
 			// reallocates instead of clobbering the next set.
-			sets[i].bits[c] = backing[:words[c]:words[c]]
-			backing = backing[words[c]:]
+			sets[i].bits[c] = backing[:a.words[c]:a.words[c]]
+			backing = backing[a.words[c]:]
 		}
 	}
 	if cap(a.lv.In) < n {
 		a.lv.In = make([]*RegSet, n)
 		a.lv.Out = make([]*RegSet, n)
-	}
-	lv := &a.lv
-	lv.In, lv.Out = lv.In[:n], lv.Out[:n]
-	var scratchBuf [8]ir.Reg
-	scratch := scratchBuf[:0]
-	for i, b := range f.Blocks {
-		in, out := &sets[4*i], &sets[4*i+1]
-		use, def := &sets[4*i+2], &sets[4*i+3]
-		lv.In[i], lv.Out[i] = in, out
-		for _, ins := range b.Instrs {
-			scratch = ins.Uses(scratch[:0])
-			for _, r := range scratch {
-				if !def.Has(r) {
-					use.Add(r)
-				}
-			}
-			scratch = ins.Defs(scratch[:0])
-			for _, r := range scratch {
-				def.Add(r)
-			}
-		}
-	}
-	// A register noted after construction (bypassing Builder/NoteReg) can
-	// grow a use/def set past words[c]; keep every row the same width so
-	// the word-wise loop below sees aligned slices.
-	for c := 0; c < ir.NumClasses; c++ {
-		maxw := words[c]
-		for i := range sets {
-			if len(sets[i].bits[c]) > maxw {
-				maxw = len(sets[i].bits[c])
-			}
-		}
-		if maxw != words[c] {
-			for i := range sets {
-				for len(sets[i].bits[c]) < maxw {
-					sets[i].bits[c] = append(sets[i].bits[c], 0)
-				}
-			}
-		}
-	}
-	// Iterate to the (unique) fixed point with a worklist seeded in
-	// reverse layout order: a block is reprocessed only when the live-in
-	// set of one of its successors grew.
-	if cap(a.inWork) < n {
 		a.inWork = make([]bool, n)
-		a.work = make([]int, n)
-	}
-	inWork, work := a.inWork[:n], a.work[:n]
-	for i := 0; i < n; i++ {
-		work[i] = n - 1 - i
-		inWork[n-1-i] = true
-	}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[i] = false
-		out := lv.Out[i]
-		for _, s := range g.Succs[i] {
-			out.UnionInto(lv.In[s])
-		}
-		// in ∪= use ∪ (out − def); monotone, like the old copy-based
-		// update, but in place.
-		in, use, def := lv.In[i], &sets[4*i+2], &sets[4*i+3]
-		changed := false
-		for c := 0; c < ir.NumClasses; c++ {
-			ib, ob, ub, db := in.bits[c], out.bits[c], use.bits[c], def.bits[c]
-			for w := range ib {
-				v := ub[w] | (ob[w] &^ db[w])
-				if v&^ib[w] != 0 {
-					ib[w] |= v
-					changed = true
-				}
-			}
-		}
-		if changed {
-			for _, p := range g.Preds[i] {
-				if !inWork[p] {
-					inWork[p] = true
-					work = append(work, p)
-				}
-			}
-		}
-	}
-	return lv
-}
-
-// ComputeScoped runs the analysis over only the member blocks of f,
-// treating every non-member block as frozen: a member's successor edge
-// into a non-member block contributes base.In of that block, and the
-// returned Liveness aliases base's sets for every non-member index, so
-// queries about blocks outside the scope see the frozen baseline.
-//
-// This is the region-parallel variant of Compute: when disjoint subtrees
-// of the region tree are scheduled concurrently, each worker recomputes
-// liveness for its own blocks only, against a baseline computed once
-// before any motion. Scheduling only ever queries liveness of registers
-// touched by its own region's instructions, and legal motions inside
-// other (register-disjoint) scopes cannot change where such a register
-// is live, so the frozen boundary values stay exact for every query the
-// scheduler makes. base must outlive the returned Liveness and must not
-// be recomputed while it is in use.
-func (a *Analyzer) ComputeScoped(f *ir.Func, g *cfg.Graph, member []bool, base *Liveness) *Liveness {
-	if member == nil {
-		return a.Compute(f, g)
-	}
-	n := len(f.Blocks)
-	var words [ir.NumClasses]int
-	perSet := 0
-	for c := 0; c < ir.NumClasses; c++ {
-		words[c] = (f.NumRegs(ir.RegClass(c)) + 63) / 64
-		perSet += words[c]
-	}
-	if need := 4 * n * perSet; cap(a.backing) < need {
-		a.backing = make([]uint64, need)
-	} else {
-		a.backing = a.backing[:need]
-		clear(a.backing)
-	}
-	if cap(a.sets) < 4*n {
-		a.sets = make([]RegSet, 4*n)
-	}
-	sets := a.sets[:4*n]
-	backing := a.backing
-	for i := range sets {
-		for c := 0; c < ir.NumClasses; c++ {
-			sets[i].bits[c] = backing[:words[c]:words[c]]
-			backing = backing[words[c]:]
-		}
-	}
-	if cap(a.lv.In) < n {
-		a.lv.In = make([]*RegSet, n)
-		a.lv.Out = make([]*RegSet, n)
+		a.work = make([]int, 0, n)
 	}
 	lv := &a.lv
 	lv.In, lv.Out = lv.In[:n], lv.Out[:n]
-	var scratchBuf [8]ir.Reg
-	scratch := scratchBuf[:0]
-	for i, b := range f.Blocks {
-		if !member[i] {
+	for i := range f.Blocks {
+		if !a.isMember(i) {
 			lv.In[i], lv.Out[i] = base.In[i], base.Out[i]
 			continue
 		}
-		in, out := &sets[4*i], &sets[4*i+1]
-		use, def := &sets[4*i+2], &sets[4*i+3]
-		lv.In[i], lv.Out[i] = in, out
-		for _, ins := range b.Instrs {
-			scratch = ins.Uses(scratch[:0])
-			for _, r := range scratch {
-				if !def.Has(r) {
-					use.Add(r)
-				}
-			}
-			scratch = ins.Defs(scratch[:0])
-			for _, r := range scratch {
-				def.Add(r)
-			}
+		lv.In[i], lv.Out[i] = &sets[4*i], &sets[4*i+1]
+		a.scan(i)
+	}
+	a.widen()
+
+	for c := 0; c < ir.NumClasses; c++ {
+		for w := 0; w < a.words[c]; w++ {
+			a.solve(c, w, ^uint64(0))
 		}
 	}
-	// Keep every member row (and the frozen base rows they union from)
-	// at one width per class, so the word-wise fixpoint below never
-	// indexes past a slice.
+	return lv
+}
+
+func (a *Analyzer) isMember(b int) bool { return a.member == nil || a.member[b] }
+
+// scan recomputes block i's use (upward-exposed) and def sets.
+func (a *Analyzer) scan(i int) {
+	use, def := &a.sets[4*i+2], &a.sets[4*i+3]
+	use.Clear()
+	def.Clear()
+	var scratchBuf [8]ir.Reg
+	scratch := scratchBuf[:0]
+	for _, ins := range a.f.Blocks[i].Instrs {
+		scratch = ins.Uses(scratch[:0])
+		for _, r := range scratch {
+			if !def.Has(r) {
+				use.Add(r)
+			}
+		}
+		scratch = ins.Defs(scratch[:0])
+		for _, r := range scratch {
+			def.Add(r)
+		}
+	}
+}
+
+// widen brings every member row to one width per class, the widest of
+// any member row and of the frozen base rows they union from. A register
+// noted after construction (bypassing Builder/NoteReg) can grow a use or
+// def set past the carved width; aligned rows keep the word-wise loops
+// from indexing past a slice.
+func (a *Analyzer) widen() {
+	n := len(a.lv.In)
 	for c := 0; c < ir.NumClasses; c++ {
-		maxw := words[c]
-		for i := range f.Blocks {
-			if member[i] {
+		maxw := a.words[c]
+		for i := 0; i < n; i++ {
+			if a.isMember(i) {
 				for k := 0; k < 4; k++ {
-					if w := len(sets[4*i+k].bits[c]); w > maxw {
-						maxw = w
-					}
+					maxw = max(maxw, len(a.sets[4*i+k].bits[c]))
 				}
 			} else {
-				if w := len(base.In[i].bits[c]); w > maxw {
-					maxw = w
-				}
+				maxw = max(maxw, len(a.base.In[i].bits[c]))
 			}
 		}
-		if maxw != words[c] {
-			for i := range f.Blocks {
-				if !member[i] {
-					continue
-				}
-				for k := 0; k < 4; k++ {
-					s := &sets[4*i+k]
-					for len(s.bits[c]) < maxw {
-						s.bits[c] = append(s.bits[c], 0)
-					}
+		if maxw == a.words[c] {
+			continue
+		}
+		a.words[c] = maxw
+		for i := 0; i < n; i++ {
+			if !a.isMember(i) {
+				continue
+			}
+			for k := 0; k < 4; k++ {
+				s := &a.sets[4*i+k]
+				for len(s.bits[c]) < maxw {
+					s.bits[c] = append(s.bits[c], 0)
 				}
 			}
 		}
 	}
-	if cap(a.inWork) < n {
-		a.inWork = make([]bool, n)
-		a.work = make([]int, n)
+}
+
+// Update brings the last ComputeScoped result up to date after the
+// instructions of the dirty blocks changed, and returns it; the result
+// is bit for bit what ComputeScoped would return on the current code.
+// A motion changes liveness only through the use and def sets of the
+// blocks it edits, and every register is an independent problem, so
+// Update rescans the dirty blocks and solves again only the registers
+// whose use or def bit changed, bit-parallel per word: at most
+// O(changed registers × (blocks + edges)) instead of a whole solve.
+// Duplicate and non-member entries in dirty are ignored; the blocks
+// themselves must not change.
+func (a *Analyzer) Update(dirty []int) *Liveness {
+	perSet := 0
+	for c := 0; c < ir.NumClasses; c++ {
+		perSet += a.words[c]
+		if len(a.changed.bits[c]) != a.words[c] {
+			a.changed.bits[c] = make([]uint64, a.words[c])
+		}
 	}
-	inWork, work := a.inWork[:n], a.work[:n]
-	clear(inWork)
-	work = work[:0]
-	for i := 0; i < n; i++ {
-		b := n - 1 - i
-		if member[b] {
-			work = append(work, b)
-			inWork[b] = true
+	if cap(a.old) < 2*perSet {
+		a.old = make([]uint64, 2*perSet)
+	}
+	a.changed.Clear()
+	seen := a.inWork // all false between solves
+	for _, i := range dirty {
+		if !a.isMember(i) || seen[i] {
+			continue
+		}
+		seen[i] = true
+		rows := [2]*RegSet{&a.sets[4*i+2], &a.sets[4*i+3]}
+		old := a.old[:0]
+		for _, s := range rows {
+			for c := 0; c < ir.NumClasses; c++ {
+				old = append(old, s.bits[c]...)
+			}
+		}
+		a.scan(i)
+		for _, s := range rows {
+			for c := 0; c < ir.NumClasses; c++ {
+				row := s.bits[c]
+				if len(row) != a.words[c] {
+					// A register numbered past the analysed width:
+					// re-carve the rows (this also clears seen).
+					return a.ComputeScoped(a.f, a.g, a.member, a.base)
+				}
+				ch := a.changed.bits[c]
+				for w, v := range row {
+					ch[w] |= v ^ old[w]
+				}
+				old = old[len(row):]
+			}
+		}
+	}
+	for _, i := range dirty {
+		seen[i] = false
+	}
+	for c, row := range a.changed.bits {
+		for w, m := range row {
+			if m != 0 {
+				a.solve(c, w, m)
+			}
+		}
+	}
+	return &a.lv
+}
+
+// solve computes bits m of word w of class c in every member's In and
+// Out from scratch, holding every other bit fixed (each bit is its own
+// problem). It clears them, then iterates to the least fixed point with
+// a worklist seeded in reverse layout order: a block is reprocessed
+// only when the live-in of one of its successors grew. Clearing first
+// is what keeps Update exact when a motion kills liveness: a grow-only
+// worklist would keep a register live around a loop back edge after its
+// last use left the loop.
+func (a *Analyzer) solve(c, w int, m uint64) {
+	lv, sets, g := &a.lv, a.sets, a.g
+	n := len(lv.In)
+	inWork, work := a.inWork[:n], a.work[:0]
+	for i := n - 1; i >= 0; i-- {
+		if a.isMember(i) {
+			lv.In[i].bits[c][w] &^= m
+			lv.Out[i].bits[c][w] &^= m
+			work = append(work, i)
+			inWork[i] = true
 		}
 	}
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[i] = false
-		out := lv.Out[i]
+		var out uint64
 		for _, s := range g.Succs[i] {
-			out.UnionInto(lv.In[s])
-		}
-		in, use, def := lv.In[i], &sets[4*i+2], &sets[4*i+3]
-		changed := false
-		for c := 0; c < ir.NumClasses; c++ {
-			ib, ob, ub, db := in.bits[c], out.bits[c], use.bits[c], def.bits[c]
-			for w := range ib {
-				v := ub[w] | (ob[w] &^ db[w])
-				if v&^ib[w] != 0 {
-					ib[w] |= v
-					changed = true
-				}
+			if in := lv.In[s].bits[c]; w < len(in) { // a frozen base row may be narrower
+				out |= in[w]
 			}
 		}
-		if changed {
+		out &= m
+		lv.Out[i].bits[c][w] |= out
+		in := lv.In[i].bits[c]
+		if v := (sets[4*i+2].bits[c][w] | out&^sets[4*i+3].bits[c][w]) & m; v&^in[w] != 0 {
+			in[w] |= v
 			for _, p := range g.Preds[i] {
-				if member[p] && !inWork[p] {
+				if a.isMember(p) && !inWork[p] {
 					inWork[p] = true
 					work = append(work, p)
 				}
 			}
 		}
 	}
-	return lv
+	a.work = work
 }
-
-// LiveOnExit reports whether r is live on exit from block b.
-func (lv *Liveness) LiveOnExit(b int, r ir.Reg) bool { return lv.Out[b].Has(r) }
