@@ -87,6 +87,35 @@ func TestBatchMatchesSingleRequests(t *testing.T) {
 	}
 }
 
+// A level=optimal unit answers what the single request answers: 202
+// with the heuristic schedule and the async job handle, not a
+// synchronous exact run. The job is finished before both requests, so
+// its status cannot differ between them.
+func TestBatchOptimalUnitMatchesSingleRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	req := Request{Source: testSrc2, Level: "optimal"}
+	_, ar := postAsync(t, ts, &req)
+	waitJob(t, ts, ar.Job.ID)
+	single, singleBody := post(t, ts, &req)
+
+	resp, body, err := rawPost(ts.URL+"/schedule/batch", mustJSON(t, &BatchRequest{Units: []Request{req}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != 1 {
+		t.Fatalf("batch: status %d, err %v: %s", resp.StatusCode, err, body)
+	}
+	u := br.Results[0]
+	if u.Status != single.StatusCode || u.Cache != single.Header.Get("X-Cache") {
+		t.Errorf("unit answered %d/%q, single request %d/%q",
+			u.Status, u.Cache, single.StatusCode, single.Header.Get("X-Cache"))
+	}
+	if string(u.Body) != string(singleBody) {
+		t.Errorf("unit body differs from the single request's:\n--- unit ---\n%s\n--- single ---\n%s", u.Body, singleBody)
+	}
+}
+
 // TestBatchRejectsBadRequests covers the request-level failure modes:
 // wrong method, empty batch, unit-count cap.
 func TestBatchRejectsBadRequests(t *testing.T) {

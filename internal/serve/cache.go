@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"compress/flate"
 	"container/list"
+	"crypto/sha256"
+	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -31,10 +35,16 @@ func entryCost(body []byte) int64 {
 // overhead — not entry count: scheduling results vary from a few
 // hundred bytes to hundreds of kilobytes, so a byte cap is the only
 // meaningful memory bound.
+//
+// Bodies are held flate-compressed (scheduled assembly is repetitive
+// text and shrinks several-fold) but charged at their uncompressed
+// size, so the cap, the eviction order and the accounted bytes are
+// those of the plain bodies; resident counts what is actually held.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
+	resident int64 // compressed bytes held
 	entries  map[Key]*list.Element
 	lru      *list.List // front = most recently used
 
@@ -45,7 +55,58 @@ type Cache struct {
 
 type cacheEntry struct {
 	key  Key
-	body []byte
+	size int    // uncompressed body length
+	cost int64  // entryCost of the uncompressed body
+	data []byte // the body, flate-compressed
+}
+
+// deflaters pools flate writers: a fresh one allocates about a
+// megabyte of tables, far more than the bodies it compresses.
+var deflaters = sync.Pool{New: func() any {
+	zw, _ := flate.NewWriter(nil, flate.BestSpeed) // BestSpeed is a valid level
+	return &deflater{zw: zw}
+}}
+
+type deflater struct {
+	buf bytes.Buffer
+	zw  *flate.Writer
+}
+
+// compress returns body deflated into an exactly sized slice: the
+// scratch buffer stays pooled, so the entry holds no spare capacity.
+func compress(body []byte) []byte {
+	d := deflaters.Get().(*deflater)
+	d.buf.Reset()
+	d.zw.Reset(&d.buf)
+	d.zw.Write(body) // writes into a bytes.Buffer cannot fail
+	d.zw.Close()
+	out := bytes.Clone(d.buf.Bytes())
+	deflaters.Put(d)
+	return out
+}
+
+var inflaters = sync.Pool{New: func() any {
+	return &inflater{zr: flate.NewReader(nil)}
+}}
+
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser
+}
+
+// decompress inflates an entry into a fresh slice the caller owns.
+func (e *cacheEntry) decompress() []byte {
+	out := make([]byte, e.size)
+	f := inflaters.Get().(*inflater)
+	f.src.Reset(e.data)
+	f.zr.(flate.Resetter).Reset(&f.src, nil)
+	_, err := io.ReadFull(f.zr, out)
+	inflaters.Put(f)
+	if err != nil {
+		// data is what compress wrote for exactly e.size bytes.
+		panic("serve: corrupt in-memory cache entry: " + err.Error())
+	}
+	return out
 }
 
 // NewCache returns a cache bounded to maxBytes of accounted entry
@@ -59,8 +120,7 @@ func NewCache(maxBytes int64) *Cache {
 }
 
 // Get returns the stored body for key, updating the hit/miss counters
-// and the LRU order. The returned slice is shared — callers must not
-// modify it.
+// and the LRU order. The returned slice is a fresh copy the caller owns.
 func (c *Cache) Get(key Key) ([]byte, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
@@ -73,7 +133,7 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*cacheEntry).decompress(), true
 }
 
 // Peek is Get without counters or LRU movement: a second-chance lookup
@@ -87,7 +147,7 @@ func (c *Cache) Peek(key Key) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*cacheEntry).decompress(), true
 }
 
 // Put stores body under key, evicting least-recently-used entries until
@@ -96,17 +156,20 @@ func (c *Cache) Peek(key Key) ([]byte, bool) {
 // keeps the first body: results are deterministic in the key, so both
 // bodies are identical by construction.
 func (c *Cache) Put(key Key, body []byte) {
-	if c.maxBytes > 0 && entryCost(body) > c.maxBytes {
+	cost := entryCost(body)
+	if c.maxBytes > 0 && cost > c.maxBytes {
 		return
 	}
+	e := &cacheEntry{key: key, size: len(body), cost: cost, data: compress(body)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, body: body})
-	c.bytes += entryCost(body)
+	c.entries[key] = c.lru.PushFront(e)
+	c.bytes += cost
+	c.resident += int64(len(e.data))
 	for c.maxBytes > 0 && c.bytes > c.maxBytes {
 		last := c.lru.Back()
 		if last == nil {
@@ -115,7 +178,8 @@ func (c *Cache) Put(key Key, body []byte) {
 		e := last.Value.(*cacheEntry)
 		c.lru.Remove(last)
 		delete(c.entries, e.key)
-		c.bytes -= entryCost(e.body)
+		c.bytes -= e.cost
+		c.resident -= int64(len(e.data))
 		c.evictions.Add(1)
 	}
 }
@@ -126,22 +190,68 @@ type CacheStats struct {
 	Misses    int64
 	Evictions int64
 	Bytes     int64
+	Resident  int64
 	Entries   int
 }
 
 // Stats snapshots the counters and current size. Bytes is the
-// accounted size (bodies plus keys plus per-entry overhead).
+// accounted size (uncompressed bodies plus keys plus per-entry
+// overhead); Resident is the compressed body bytes actually held.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	bytes, entries := c.bytes, len(c.entries)
+	bytes, resident, entries := c.bytes, c.resident, len(c.entries)
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
 		Bytes:     bytes,
+		Resident:  resident,
 		Entries:   entries,
 	}
+}
+
+// memoCap bounds the key memo's entries; past it the memo resets
+// rather than growing, like heatCap (a lost entry costs one full
+// resolve, it never serves wrong bytes).
+const memoCap = 1 << 16
+
+// keyMemo maps the SHA-256 of a raw /schedule request body to the
+// content Key that body resolved to, so a repeated body reaches the
+// store without decoding, compiling, canonicalizing or hashing the
+// program again. resolve is a pure function of the body and the
+// server's fixed Config, so the memoized key is exactly the one the
+// full path would compute. The raw body is the memo key, not a digest
+// of decoded fields: no field list has to track contentKey, and the
+// JSON decode is skipped too; a body spelled differently (whitespace,
+// field order) only takes the full path once more.
+type keyMemo struct {
+	mu   sync.Mutex
+	keys map[[sha256.Size]byte]Key
+	hits atomic.Int64
+}
+
+func newKeyMemo() *keyMemo {
+	return &keyMemo{keys: make(map[[sha256.Size]byte]Key)}
+}
+
+func (m *keyMemo) get(body [sha256.Size]byte) (Key, bool) {
+	m.mu.Lock()
+	key, ok := m.keys[body]
+	m.mu.Unlock()
+	if ok {
+		m.hits.Add(1)
+	}
+	return key, ok
+}
+
+func (m *keyMemo) put(body [sha256.Size]byte, key Key) {
+	m.mu.Lock()
+	if len(m.keys) >= memoCap {
+		m.keys = make(map[[sha256.Size]byte]Key)
+	}
+	m.keys[body] = key
+	m.mu.Unlock()
 }
 
 // flight is one in-progress computation of a content key. The leader

@@ -163,3 +163,37 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 		t.Errorf("refused Put changed state: %+v -> %+v", before, after)
 	}
 }
+
+// The memory tier holds bodies compressed: every size must come back
+// byte-exact, each Get and Peek must hand out a copy the caller may
+// modify, and the byte cap must charge the uncompressed size.
+func TestCacheCompressedRoundTrip(t *testing.T) {
+	big := make([]byte, 70<<10)
+	for i := range big {
+		big[i] = byte(i*i>>7) ^ byte(i)
+	}
+	c := NewCache(0)
+	for i, body := range [][]byte{{}, {'x'}, big} {
+		key := Key{byte(i)}
+		c.Put(key, body)
+		for _, lookup := range []func(Key) ([]byte, bool){c.Get, c.Peek} {
+			got, ok := lookup(key)
+			if !ok || !bytes.Equal(got, body) {
+				t.Fatalf("%d-byte body: got %d bytes, ok=%t", len(body), len(got), ok)
+			}
+			if len(got) > 0 {
+				got[0]++
+			}
+		}
+		if again, _ := c.Get(key); !bytes.Equal(again, body) {
+			t.Errorf("%d-byte body: modifying a returned slice changed the stored body", len(body))
+		}
+	}
+	st := c.Stats()
+	if want := entryCost(nil) + entryCost([]byte{'x'}) + entryCost(big); st.Bytes != want {
+		t.Errorf("accounted bytes %d, want the uncompressed %d", st.Bytes, want)
+	}
+	if st.Resident <= 0 || st.Resident >= st.Bytes {
+		t.Errorf("resident bytes %d, want in (0, %d)", st.Resident, st.Bytes)
+	}
+}

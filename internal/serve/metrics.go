@@ -60,6 +60,8 @@ type Metrics struct {
 	stores       func() []StoreStats
 	replications func() int64
 	computes     func() int64
+	// memoHits samples the key memo's hits (nil without a store).
+	memoHits func() int64
 
 	// exact and tune sample the async job-manager counters (exact tier
 	// and tuning tier respectively); nil for servers without the
@@ -153,8 +155,10 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(cw, "gschedd_cache_misses_total %d\n", cs.Misses)
 		fmt.Fprintf(cw, "# HELP gschedd_cache_evictions_total Schedule cache LRU evictions.\n# TYPE gschedd_cache_evictions_total counter\n")
 		fmt.Fprintf(cw, "gschedd_cache_evictions_total %d\n", cs.Evictions)
-		fmt.Fprintf(cw, "# HELP gschedd_cache_bytes Bytes of cached response bodies.\n# TYPE gschedd_cache_bytes gauge\n")
+		fmt.Fprintf(cw, "# HELP gschedd_cache_bytes Accounted bytes of cached response bodies (uncompressed, plus per-entry overhead).\n# TYPE gschedd_cache_bytes gauge\n")
 		fmt.Fprintf(cw, "gschedd_cache_bytes %d\n", cs.Bytes)
+		fmt.Fprintf(cw, "# HELP gschedd_cache_resident_bytes Compressed bytes of cached response bodies actually held.\n# TYPE gschedd_cache_resident_bytes gauge\n")
+		fmt.Fprintf(cw, "gschedd_cache_resident_bytes %d\n", cs.Resident)
 		fmt.Fprintf(cw, "# HELP gschedd_cache_entries Cached responses.\n# TYPE gschedd_cache_entries gauge\n")
 		fmt.Fprintf(cw, "gschedd_cache_entries %d\n", cs.Entries)
 	}
@@ -197,6 +201,10 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		if m.replications != nil {
 			fmt.Fprintf(cw, "# HELP gschedd_store_replications_total Hot keys copied from their owner into the local tiers.\n# TYPE gschedd_store_replications_total counter\n")
 			fmt.Fprintf(cw, "gschedd_store_replications_total %d\n", m.replications())
+		}
+		if m.memoHits != nil {
+			fmt.Fprintf(cw, "# HELP gschedd_key_memo_hits_total /schedule bodies whose content key came from the request memo, skipping decode, compile and key hash.\n# TYPE gschedd_key_memo_hits_total counter\n")
+			fmt.Fprintf(cw, "gschedd_key_memo_hits_total %d\n", m.memoHits())
 		}
 		if m.computes != nil {
 			fmt.Fprintf(cw, "# HELP gschedd_store_computes_total Lookups that missed every tier and scheduled a computation (single-flight may collapse several into one run).\n# TYPE gschedd_store_computes_total counter\n")

@@ -188,6 +188,7 @@ type job struct {
 	canon    []byte        // canonical input assembly, rendered once at resolve
 	timeout  time.Duration // 0 = server default
 	panicd   bool          // debug-panic requested and allowed
+	missed   bool          // the key memo's store lookup already missed
 }
 
 // badRequest is a client error with an HTTP-facing diagnostic.

@@ -404,6 +404,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`gschedd_requests_total{endpoint="/schedule",code="400"}`: 1,
 		`gschedd_cache_hits_total`:                                1,
 		`gschedd_cache_misses_total`:                              1,
+		`gschedd_key_memo_hits_total`:                             1,
 		`gschedd_request_seconds_count{endpoint="/schedule"}`:     3,
 	}
 	for series, want := range checks {
@@ -411,10 +412,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %g, want %g", series, got, want)
 		}
 	}
-	for _, gauge := range []string{"gschedd_queue_depth", "gschedd_inflight", "gschedd_cache_bytes"} {
+	for _, gauge := range []string{"gschedd_queue_depth", "gschedd_inflight", "gschedd_cache_bytes", "gschedd_cache_resident_bytes"} {
 		if _, ok := m[gauge]; !ok {
 			t.Errorf("missing gauge %s", gauge)
 		}
+	}
+	if r, b := m["gschedd_cache_resident_bytes"], m["gschedd_cache_bytes"]; r <= 0 || r >= b {
+		t.Errorf("resident bytes %g, want in (0, %g accounted)", r, b)
 	}
 	// The scheduler ran, so at least one phase accumulated time.
 	phases := 0.0

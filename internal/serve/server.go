@@ -8,6 +8,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -157,7 +158,8 @@ func (c *Config) defaults() {
 // under http.Server.Shutdown (in-flight schedules finish).
 type Server struct {
 	cfg     Config
-	store   *Tiered // nil when caching is disabled
+	store   *Tiered  // nil when caching is disabled
+	memo    *keyMemo // /schedule body → content key; nil without a store
 	flights *flightGroup
 	trace   *core.Trace
 	metrics *Metrics
@@ -207,6 +209,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		s.store = NewTiered(mem, disk, peer, cfg.ReplicateAfter)
+		s.memo = newKeyMemo()
 	}
 	var mem *Cache
 	if s.store != nil {
@@ -221,6 +224,7 @@ func New(cfg Config) (*Server, error) {
 		s.metrics.stores = s.store.Stats
 		s.metrics.replications = s.store.Replications
 		s.metrics.computes = s.store.Computes
+		s.metrics.memoHits = s.memo.hits.Load
 	}
 	s.jobs = newJobManager(cfg.ExactWorkers, cfg.ExactQueueDepth, cfg.ExactTimeout, s.runExactJob)
 	if s.store != nil {
@@ -312,9 +316,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteTo(w)
 }
 
-// handleSchedule is the request path: limit → parse → resolve → cache
-// lookup → admission → schedule (with timeout and panic recovery) →
-// simulate → respond + store.
+// handleSchedule is the request path: limit → key memo → parse →
+// resolve → cache lookup → admission → schedule (with timeout and panic
+// recovery) → simulate → respond + store.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -334,6 +338,22 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, r, start, http.StatusBadRequest, "", errorBody("read: "+err.Error()), err.Error())
 		return
 	}
+	var digest [sha256.Size]byte
+	missed := false
+	if s.memo != nil {
+		// A body answered 200 before names its content key, so a store
+		// hit is served with no decode, compile or key hash. If every
+		// tier has evicted the key since, this lookup has counted the
+		// request's miss and the full path below must not look again.
+		digest = sha256.Sum256(body)
+		if key, ok := s.memo.get(digest); ok {
+			if cached, tier, ok := s.store.Get(r.Context(), key); ok {
+				s.finish(w, r, start, http.StatusOK, tier, cached, "")
+				return
+			}
+			missed = true
+		}
+	}
 	var req Request
 	if err := json.Unmarshal(body, &req); err != nil {
 		s.finish(w, r, start, http.StatusBadRequest, "", errorBody("json: "+err.Error()), err.Error())
@@ -344,19 +364,27 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, r, start, http.StatusBadRequest, "", errorBody(err.Error()), err.Error())
 		return
 	}
+	j.missed = missed
 
-	var code int
-	var cacheState, errMsg string
-	var resp []byte
-	if j.opts.Level >= core.LevelOptimal {
-		code, cacheState, resp, errMsg = s.executeOptimal(r.Context(), j)
-	} else {
-		code, cacheState, resp, errMsg = s.execute(r.Context(), j)
+	code, cacheState, resp, errMsg := s.dispatch(r.Context(), j)
+	if s.memo != nil && code == http.StatusOK && j.opts.Level < core.LevelOptimal {
+		s.memo.put(digest, j.key)
 	}
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
 	s.finish(w, r, start, code, cacheState, resp, errMsg)
+}
+
+// dispatch runs a resolved job by its level: level=optimal through
+// executeOptimal (202 plus an async exact job), every other level
+// through execute. /schedule and every /schedule/batch unit call it,
+// so a unit's status and body are those of the single request.
+func (s *Server) dispatch(ctx context.Context, j *job) (code int, cacheState string, body []byte, errMsg string) {
+	if j.opts.Level >= core.LevelOptimal {
+		return s.executeOptimal(ctx, j)
+	}
+	return s.execute(ctx, j)
 }
 
 // executeOptimal is the level=optimal request path: compute (or fetch)
@@ -528,17 +556,16 @@ var errQueueWait = errors.New("timed out waiting for a worker")
 // lookup → admission → single-flight collapse → worker slot → schedule
 // → store. It returns the HTTP status, the X-Cache state ("hit" for
 // the memory tier, "disk", "peer", "miss" for a computed body, "" for
-// no lookup), the response body, and a log-facing error message. Both
-// POST /schedule and each unit of POST /schedule/batch go through
-// here, which is what makes batch responses byte-identical to their
-// single-request equivalents.
+// no lookup), the response body, and a log-facing error message.
 func (s *Server) execute(parent context.Context, j *job) (code int, cacheState string, body []byte, errMsg string) {
 	j.opts.Trace = s.trace
 
 	// Content-addressed lookup down the tier stack. Memory hits bypass
-	// the pool entirely: one hash and one map probe, no admission
-	// needed. Disk and peer hits pay IO but never a pipeline run.
-	if s.store != nil {
+	// the pool entirely: one map probe and an inflate of the stored
+	// body, no admission needed. Disk and peer hits pay IO but never a
+	// pipeline run. A job whose memo lookup already missed every tier
+	// skips straight to computing, so the miss is counted once.
+	if s.store != nil && !j.missed {
 		if cached, tier, ok := s.store.Get(parent, j.key); ok {
 			return http.StatusOK, tier, cached, ""
 		}
@@ -688,7 +715,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 				results[i] = BatchResult{Status: http.StatusBadRequest, Body: errorBody(err.Error())}
 				return
 			}
-			code, cacheState, unitBody, _ := s.execute(r.Context(), j)
+			code, cacheState, unitBody, _ := s.dispatch(r.Context(), j)
 			results[i] = BatchResult{Status: code, Cache: cacheState, Body: unitBody}
 		}(i)
 	}
