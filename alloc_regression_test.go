@@ -35,8 +35,9 @@ import (
 
 // Budgets for the li workload (the paper's headline benchmark),
 // sequential. The first two are the speculative level; measured
-// 2026-10 through the program driver: ScheduleProgramCtx ~1189 allocs,
-// RunProgramCtx (full unroll/rotate pipeline) ~1427. The dup budget
+// 2026-10 through the program driver: RunProgramCtx with a zero Config
+// (plain scheduling) ~1189 allocs, with DefaultConfig (full
+// unroll/rotate pipeline) ~1427. The dup budget
 // covers level=dup with a trained edge profile, which adds probability
 // lookups, superblock formation and Definition-6 copy bookkeeping on
 // top of the same pipeline; measured 2026-10: ~1519.
@@ -62,13 +63,13 @@ func TestSchedulingAllocBudget(t *testing.T) {
 	// steady state after the first run (AllocsPerRun's warm-up call), so
 	// the measurement sees only per-run work, not one-time growth.
 	got := testing.AllocsPerRun(20, func() {
-		if _, err := xform.ScheduleProgramCtx(context.Background(), prog, opts); err != nil {
+		if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("ScheduleProgramCtx(li): %.0f allocs/run (budget %d)", got, maxScheduleAllocs)
+	t.Logf("RunProgramCtx(li, Config{}): %.0f allocs/run (budget %d)", got, maxScheduleAllocs)
 	if got > maxScheduleAllocs {
-		t.Errorf("ScheduleProgramCtx(li) allocates %.0f per run, budget %d — see file comment before raising",
+		t.Errorf("RunProgramCtx(li, Config{}) allocates %.0f per run, budget %d — see file comment before raising",
 			got, maxScheduleAllocs)
 	}
 

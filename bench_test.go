@@ -179,7 +179,7 @@ func BenchmarkAblation(b *testing.B) {
 			}
 			if cfg.xfrm {
 				xform.TransformOnlyProgram(prog, xform.DefaultConfig())
-				if _, err := xform.ScheduleProgramCtx(context.Background(), prog, core.Defaults(mach, core.LevelNone)); err != nil {
+				if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(mach, core.LevelNone), xform.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			} else {

@@ -164,9 +164,11 @@ func ParseAsm(src string) (*Program, error) { return asm.Parse(src) }
 func PrintAsm(p *Program) string { return asm.Print(p) }
 
 // Schedule runs register renaming, the global scheduler and the basic
-// block post-pass on every function of p, without loop transformations.
+// block post-pass on every function of p, without loop transformations:
+// SchedulePipeline with a zero PipelineConfig.
 func Schedule(p *Program, opts Options) (Stats, error) {
-	return xform.ScheduleProgramCtx(context.TODO(), p, opts)
+	st, err := xform.RunProgramCtx(context.TODO(), p, opts, xform.Config{})
+	return st.Stats, err
 }
 
 // SchedulePipeline runs the full §6 flow: unroll inner loops, schedule

@@ -1,6 +1,7 @@
 package gsched_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -88,6 +89,56 @@ func TestScheduleWithoutPipeline(t *testing.T) {
 		}
 		if res.Ret != tc.want {
 			t.Errorf("f(%d) = %d, want %d", tc.in, res.Ret, tc.want)
+		}
+	}
+}
+
+// TestMissingMachineIsAnError: options without a machine description
+// are rejected with an error, never a panic, on every public entry
+// point that schedules, with and without the §6 pipeline.
+func TestMissingMachineIsAnError(t *testing.T) {
+	const src = `int f(int a) { if (a > 0) return a * 2; return a - 1; }`
+	opts := gsched.Defaults(nil, gsched.LevelSpeculative)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Schedule", func() error {
+			prog, err := gsched.CompileC(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = gsched.Schedule(prog, opts)
+			return err
+		}},
+		{"SchedulePipeline", func() error {
+			prog, err := gsched.CompileC(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = gsched.SchedulePipeline(prog, opts, gsched.DefaultPipeline())
+			return err
+		}},
+		{"ScheduleStream", func() error {
+			_, err := gsched.ScheduleStream(context.Background(), "c", src, gsched.StreamConfig{Opts: opts}, nil)
+			return err
+		}},
+		{"ScheduleStream/pipeline", func() error {
+			cfg := gsched.StreamConfig{Opts: opts, Pipeline: gsched.DefaultPipeline(), UsePipeline: true}
+			_, err := gsched.ScheduleStream(context.Background(), "c", src, cfg, nil)
+			return err
+		}},
+	} {
+		err := func() (err error) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Errorf("%s panicked: %v", tc.name, v)
+				}
+			}()
+			return tc.run()
+		}()
+		if err == nil || !strings.Contains(err.Error(), "Machine is required") {
+			t.Errorf("%s: err = %v, want the missing-machine error", tc.name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
-package asm
+package asm_test
 
 import (
+	"context"
 	"go/ast"
 	goparser "go/parser"
 	"go/token"
@@ -8,26 +9,28 @@ import (
 	"strconv"
 	"testing"
 
+	"gsched/internal/asm"
 	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/minic"
 	"gsched/internal/progen"
+	"gsched/internal/xform"
 )
 
-// roundTripEqual asserts Parse(Print(p)) is structurally identical to p
+// roundTripEqual asserts asm.Parse(asm.Print(p)) is structurally identical to p
 // (modulo instruction IDs) and that the second print is stable.
 func roundTripEqual(t *testing.T, label string, p *ir.Program) {
 	t.Helper()
-	text := Print(p)
-	q, err := Parse(text)
+	text := asm.Print(p)
+	q, err := asm.Parse(text)
 	if err != nil {
 		t.Fatalf("%s: reparse failed: %v\n%s", label, err, text)
 	}
 	if !ir.EqualPrograms(p, q) {
-		t.Fatalf("%s: round trip is not structurally identical\n%s\nvs\n%s", label, text, Print(q))
+		t.Fatalf("%s: round trip is not structurally identical\n%s\nvs\n%s", label, text, asm.Print(q))
 	}
-	if Print(q) != text {
+	if asm.Print(q) != text {
 		t.Fatalf("%s: second print differs", label)
 	}
 }
@@ -61,7 +64,7 @@ func TestRoundTripProgenCorpus(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", label, seed, err)
 			}
 			roundTripEqual(t, label+" unscheduled", prog)
-			if err := scheduleAll(prog, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{}); err != nil {
 				t.Fatalf("%s seed %d: schedule: %v", label, seed, err)
 			}
 			roundTripEqual(t, label+" scheduled", prog)
@@ -96,7 +99,7 @@ func TestRoundTripExampleInputs(t *testing.T) {
 			}
 			prog, cerr := minic.Compile(src)
 			if cerr != nil {
-				if prog, err = Parse(src); err != nil {
+				if prog, err = asm.Parse(src); err != nil {
 					return true // a long string that is neither language
 				}
 			}

@@ -1,17 +1,17 @@
-package asm
+package asm_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"testing/quick"
 
+	"gsched/internal/asm"
 	"gsched/internal/core"
-	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/minic"
 	"gsched/internal/progen"
 	"gsched/internal/sim"
+	"gsched/internal/xform"
 )
 
 // TestRoundTripProperty: for random generated programs (including ones
@@ -29,17 +29,17 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("seed %d: %v", pg.Seed, err)
 		}
 		if schedule {
-			if err := scheduleAll(prog, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{}); err != nil {
 				t.Fatalf("seed %d: %v", pg.Seed, err)
 			}
 		}
-		text := Print(prog)
-		prog2, err := Parse(text)
+		text := asm.Print(prog)
+		prog2, err := asm.Parse(text)
 		if err != nil {
 			t.Logf("seed %d: reparse failed: %v\n%s", pg.Seed, err, text)
 			return false
 		}
-		if Print(prog2) != text {
+		if asm.Print(prog2) != text {
 			t.Logf("seed %d: second print differs", pg.Seed)
 			return false
 		}
@@ -81,17 +81,17 @@ func TestFrameSyntaxRoundTrip(t *testing.T) {
 	L r2=frame(,4)
 	RET r2
 `
-	p, err := Parse(src)
+	p, err := asm.Parse(src)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	out := Print(p)
-	p2, err := Parse(out)
+	out := asm.Print(p)
+	p2, err := asm.Parse(out)
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, out)
 	}
-	if Print(p2) != out {
-		t.Errorf("unstable:\n%s\nvs\n%s", out, Print(p2))
+	if asm.Print(p2) != out {
+		t.Errorf("unstable:\n%s\nvs\n%s", out, asm.Print(p2))
 	}
 	m, err := sim.Load(p2)
 	if err != nil {
@@ -104,16 +104,4 @@ func TestFrameSyntaxRoundTrip(t *testing.T) {
 	if res.Ret != 77 {
 		t.Errorf("ret = %d, want 77", res.Ret)
 	}
-}
-
-// scheduleAll schedules every function of p in place. This package's
-// tests cannot import the program driver (xform imports asm), so they
-// loop over core.ScheduleFuncCtx directly.
-func scheduleAll(p *ir.Program, opts core.Options) error {
-	for _, f := range p.Funcs {
-		if _, err := core.ScheduleFuncCtx(context.Background(), f, opts); err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
-		}
-	}
-	return nil
 }

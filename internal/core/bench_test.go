@@ -9,6 +9,7 @@ import (
 	"gsched/internal/machine"
 	"gsched/internal/minic"
 	"gsched/internal/progen"
+	"gsched/internal/xform"
 )
 
 // bigMain returns the source of the first generated program (in seed
@@ -55,7 +56,7 @@ func BenchmarkRegionScheduleBigfunc(b *testing.B) {
 		f := prog.Func("main")
 		instrs = instrCount(f)
 		b.StartTimer()
-		if _, err := core.ScheduleFuncCtx(context.Background(), f, opts); err != nil {
+		if _, err := xform.RunCtx(context.Background(), f, opts, xform.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

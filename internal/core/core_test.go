@@ -1,31 +1,30 @@
-package core
+package core_test
 
 import (
 	"context"
-	"fmt"
-	"strings"
-	"sync/atomic"
 	"testing"
 
+	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/paperex"
 	"gsched/internal/sim"
+	"gsched/internal/xform"
 )
 
 // scheduleMinMax builds the Figure 2 program and schedules it at the
 // given level.
-func scheduleMinMax(t *testing.T, level Level) (*ir.Program, *ir.Func, Stats) {
+func scheduleMinMax(t *testing.T, level core.Level) (*ir.Program, *ir.Func, core.Stats) {
 	t.Helper()
 	prog, f := paperex.MinMax()
-	st, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), level))
+	st, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), level), xform.Config{})
 	if err != nil {
-		t.Fatalf("ScheduleFuncCtx: %v", err)
+		t.Fatalf("RunCtx: %v", err)
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatalf("scheduled function invalid: %v\n%s", err, f)
 	}
-	return prog, f, st
+	return prog, f, st.Stats
 }
 
 func runCycles(t *testing.T, prog *ir.Program, updates int) []int64 {
@@ -90,7 +89,7 @@ func steady(t *testing.T, iters []int64) int64 {
 // TestUsefulSchedulingMovesOfFigure5 checks the §5.4 walk-through: with
 // useful-only scheduling, I18 and I19 move from BL10 into BL1.
 func TestUsefulSchedulingMovesOfFigure5(t *testing.T) {
-	_, f, st := scheduleMinMax(t, LevelUseful)
+	_, f, st := scheduleMinMax(t, core.LevelUseful)
 	if st.UsefulMoves == 0 {
 		t.Fatal("no useful moves performed")
 	}
@@ -120,7 +119,7 @@ func TestUsefulSchedulingMovesOfFigure5(t *testing.T) {
 // TestSpeculativeMovesOfFigure6 checks that the speculative level also
 // moves compares from BL2/BL6 (the paper moves I5 and I12) into BL1.
 func TestSpeculativeMovesOfFigure6(t *testing.T) {
-	_, f, st := scheduleMinMax(t, LevelSpeculative)
+	_, f, st := scheduleMinMax(t, core.LevelSpeculative)
 	if st.SpeculativeMoves == 0 {
 		t.Fatal("no speculative moves performed")
 	}
@@ -145,19 +144,19 @@ func TestSpeculativeMovesOfFigure6(t *testing.T) {
 // (exact values are recorded in EXPERIMENTS.md).
 func TestFigures256CyclesPerIteration(t *testing.T) {
 	for _, tc := range []struct {
-		level    Level
+		level    core.Level
 		updates  int
 		min, max int64
 	}{
-		{LevelNone, 0, 20, 20}, // Figure 2 (the local pass cannot beat the paper's hand layout)
-		{LevelNone, 1, 20, 21},
-		{LevelNone, 2, 20, 22},
-		{LevelUseful, 0, 11, 14}, // Figure 5 band 12–13 (±1 model residual)
-		{LevelUseful, 1, 11, 14},
-		{LevelUseful, 2, 11, 14},
-		{LevelSpeculative, 0, 10, 13}, // Figure 6 band 11–12 (±1)
-		{LevelSpeculative, 1, 10, 13},
-		{LevelSpeculative, 2, 10, 13},
+		{core.LevelNone, 0, 20, 20}, // Figure 2 (the local pass cannot beat the paper's hand layout)
+		{core.LevelNone, 1, 20, 21},
+		{core.LevelNone, 2, 20, 22},
+		{core.LevelUseful, 0, 11, 14}, // Figure 5 band 12–13 (±1 model residual)
+		{core.LevelUseful, 1, 11, 14},
+		{core.LevelUseful, 2, 11, 14},
+		{core.LevelSpeculative, 0, 10, 13}, // Figure 6 band 11–12 (±1)
+		{core.LevelSpeculative, 1, 10, 13},
+		{core.LevelSpeculative, 2, 10, 13},
 	} {
 		prog, _, _ := scheduleMinMax(t, tc.level)
 		got := steady(t, runCycles(t, prog, tc.updates))
@@ -183,7 +182,7 @@ func TestSchedulingPreservesSemantics(t *testing.T) {
 		}
 		ref[updates] = res.Ret
 	}
-	for _, level := range []Level{LevelNone, LevelUseful, LevelSpeculative} {
+	for _, level := range []core.Level{core.LevelNone, core.LevelUseful, core.LevelSpeculative} {
 		prog, _, _ := scheduleMinMax(t, level)
 		m, err := sim.Load(prog)
 		if err != nil {
@@ -207,9 +206,9 @@ func TestSchedulingPreservesSemantics(t *testing.T) {
 // must keep printing the right value on both paths.
 func TestSpeculationLiveOnExitRule(t *testing.T) {
 	prog, f := paperex.Speculation()
-	st, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), LevelSpeculative))
+	st, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{})
 	if err != nil {
-		t.Fatalf("ScheduleFuncCtx: %v", err)
+		t.Fatalf("RunCtx: %v", err)
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatalf("invalid after scheduling: %v\n%s", err, f)
@@ -261,7 +260,7 @@ func TestLocalSchedulerFillsDelaySlot(t *testing.T) {
 	b.Ret(y)
 	f.ReindexBlocks()
 
-	ScheduleBlockLocal(f.Blocks[0], machine.RS6K())
+	core.ScheduleBlockLocalPolicy(f.Blocks[0], machine.RS6K(), nil)
 	idx := func(i *ir.Instr) int {
 		for k, in := range f.Blocks[0].Instrs {
 			if in == i {
@@ -278,7 +277,7 @@ func TestLocalSchedulerFillsDelaySlot(t *testing.T) {
 // TestTerminatorStaysLast ensures every block still ends with its
 // original terminator after scheduling at all levels.
 func TestTerminatorStaysLast(t *testing.T) {
-	for _, level := range []Level{LevelNone, LevelUseful, LevelSpeculative} {
+	for _, level := range []core.Level{core.LevelNone, core.LevelUseful, core.LevelSpeculative} {
 		_, f, _ := scheduleMinMax(t, level)
 		for _, b := range f.Blocks {
 			for k, i := range b.Instrs {
@@ -295,7 +294,7 @@ func TestTerminatorStaysLast(t *testing.T) {
 func TestCallsNeverMove(t *testing.T) {
 	prog, f := paperex.Speculation()
 	_ = prog
-	if _, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), LevelSpeculative)); err != nil {
+	if _, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -312,9 +311,9 @@ func TestCallsNeverMove(t *testing.T) {
 // TestRegionTooLargeIsSkipped checks the §6 size caps.
 func TestRegionTooLargeIsSkipped(t *testing.T) {
 	_, f := paperex.MinMax()
-	opts := Defaults(machine.RS6K(), LevelUseful)
+	opts := core.Defaults(machine.RS6K(), core.LevelUseful)
 	opts.MaxRegionInstrs = 5 // the loop has 20
-	st, err := ScheduleFuncCtx(context.Background(), f, opts)
+	st, err := xform.RunCtx(context.Background(), f, opts, xform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,64 +326,14 @@ func TestRegionTooLargeIsSkipped(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	_, _, st := scheduleMinMax(t, LevelSpeculative)
+	_, _, st := scheduleMinMax(t, core.LevelSpeculative)
 	if st.RegionsScheduled == 0 || st.LocalBlocks == 0 {
 		t.Errorf("stats look empty: %+v", st)
 	}
-	var total Stats
+	var total core.Stats
 	total.Add(st)
 	total.Add(st)
 	if total.UsefulMoves != 2*st.UsefulMoves {
 		t.Errorf("Add arithmetic wrong: %+v vs %+v", total, st)
-	}
-}
-
-// scheduleProgram schedules every function of p in place on this
-// package's worker pool, as xform's program driver does (core's tests
-// cannot import xform).
-func scheduleProgram(p *ir.Program, opts Options) (Stats, error) {
-	stats := make([]Stats, len(p.Funcs))
-	errs := make([]error, len(p.Funcs))
-	runFuncsParallel(len(p.Funcs), opts.Parallelism, func(i int) {
-		stats[i], errs[i] = ScheduleFuncCtx(context.Background(), p.Funcs[i], opts)
-	})
-	var st Stats
-	for i, err := range errs {
-		if err != nil {
-			return st, fmt.Errorf("%s: %w", p.Funcs[i].Name, err)
-		}
-		st.Add(stats[i])
-	}
-	return st, nil
-}
-
-// TestRegionPoolForwardsPanic: a panic in one region group is raised
-// again on the goroutine that started the pool, carrying the worker's
-// stack, once every worker has stopped.
-func TestRegionPoolForwardsPanic(t *testing.T) {
-	var running atomic.Int32
-	got := func() (v any) {
-		defer func() { v = recover() }()
-		runFuncsParallel(8, 3, func(i int) {
-			running.Add(1)
-			defer running.Add(-1)
-			if i == 2 {
-				panic("group 2")
-			}
-		})
-		return nil
-	}()
-	wp, ok := got.(*WorkerPanic)
-	if !ok {
-		t.Fatalf("recovered %v (%T), want *WorkerPanic", got, got)
-	}
-	if wp.Value != "group 2" {
-		t.Errorf("panic value %v, want %q", wp.Value, "group 2")
-	}
-	if !strings.Contains(string(wp.Stack), "TestRegionPoolForwardsPanic") {
-		t.Errorf("stack is not the worker's:\n%s", wp.Stack)
-	}
-	if n := running.Load(); n != 0 {
-		t.Errorf("%d workers still running after the panic was raised", n)
 	}
 }

@@ -1,12 +1,15 @@
-package core
+package core_test
 
 import (
+	"context"
 	"testing"
 
+	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/minic"
 	"gsched/internal/sim"
+	"gsched/internal/xform"
 )
 
 // dupKernel has work at a join that both arms could absorb into their
@@ -32,9 +35,9 @@ func TestDuplicationMovesJoinWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Defaults(machine.RS6K(), LevelSpeculative)
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.Duplicate = true
-	st, err := scheduleProgram(prog, opts)
+	st, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +99,9 @@ int f(int a, int b) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Defaults(machine.RS6K(), LevelSpeculative)
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.Duplicate = true
-	if _, err := scheduleProgram(prog, opts); err != nil {
+	if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := sim.Load(prog)
@@ -125,7 +128,7 @@ func TestDuplicationOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := scheduleProgram(prog, Defaults(machine.RS6K(), LevelSpeculative))
+	st, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

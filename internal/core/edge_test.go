@@ -1,26 +1,28 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 
+	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/minic"
 	"gsched/internal/sim"
+	"gsched/internal/xform"
 )
 
-func scheduleSrc(t *testing.T, src string, level Level, mod func(*Options)) *ir.Program {
+func scheduleSrc(t *testing.T, src string, level core.Level, mod func(*core.Options)) *ir.Program {
 	t.Helper()
 	prog, err := minic.Compile(src)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	opts := Defaults(machine.RS6K(), level)
+	opts := core.Defaults(machine.RS6K(), level)
 	if mod != nil {
 		mod(&opts)
 	}
-	if _, err := scheduleProgram(prog, opts); err != nil {
+	if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{}); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	for _, f := range prog.Funcs {
@@ -45,7 +47,7 @@ func runRet(t *testing.T, prog *ir.Program, entry string, args ...int64) int64 {
 }
 
 func TestSingleBlockFunction(t *testing.T) {
-	prog := scheduleSrc(t, `int f(int a) { return a * 2 + 1; }`, LevelSpeculative, nil)
+	prog := scheduleSrc(t, `int f(int a) { return a * 2 + 1; }`, core.LevelSpeculative, nil)
 	if got := runRet(t, prog, "f", 20); got != 41 {
 		t.Errorf("f(20) = %d, want 41", got)
 	}
@@ -66,7 +68,7 @@ int f(int a, int b) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := scheduleProgram(prog, Defaults(machine.RS6K(), LevelSpeculative))
+	st, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ int f(int a) {
     return r + a;
 }`
 	countLoadsInEntry := func(spec bool) int {
-		prog := scheduleSrc(t, src, LevelSpeculative, func(o *Options) { o.SpeculateLoads = spec })
+		prog := scheduleSrc(t, src, core.LevelSpeculative, func(o *core.Options) { o.SpeculateLoads = spec })
 		f := prog.Func("f")
 		loads := 0
 		for _, i := range f.Blocks[0].Instrs {
@@ -146,7 +148,7 @@ func TestIrreducibleFunctionFallsBackToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog.AddFunc(f)
-	st, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), LevelSpeculative))
+	st, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ int f(int a) {
 	}
 	f := prog.Func("f")
 	blocksBefore := len(f.Blocks)
-	if _, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), LevelSpeculative)); err != nil {
+	if _, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Blocks) != blocksBefore {
@@ -209,7 +211,7 @@ int f(int n) {
 }`
 	first := ""
 	for k := 0; k < 8; k++ {
-		prog := scheduleSrc(t, src, LevelSpeculative, nil)
+		prog := scheduleSrc(t, src, core.LevelSpeculative, nil)
 		text := prog.String()
 		if k == 0 {
 			first = text
@@ -224,7 +226,7 @@ func TestMissingMachineIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scheduleProgram(prog, Options{Level: LevelUseful}); err == nil {
+	if _, err := xform.RunProgramCtx(context.Background(), prog, core.Options{Level: core.LevelUseful}, xform.Config{}); err == nil {
 		t.Error("nil machine must be rejected")
 	}
 }
@@ -239,7 +241,7 @@ int f(int a) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := scheduleProgram(prog, Defaults(machine.RS6K(), LevelNone))
+	st, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(machine.RS6K(), core.LevelNone), xform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

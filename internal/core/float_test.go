@@ -1,13 +1,15 @@
-package core
+package core_test
 
 import (
 	"context"
 	"math"
 	"testing"
 
+	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/sim"
+	"gsched/internal/xform"
 )
 
 // buildFloatLoop sums doubles from memory in a loop whose body mixes
@@ -66,9 +68,9 @@ func fvData(n int) (data []int64, want int64) {
 func fbitsOf(v float64) int64 { return int64(math.Float64bits(v)) }
 
 func TestFloatLoopSchedulesAndRuns(t *testing.T) {
-	for _, level := range []Level{LevelNone, LevelUseful, LevelSpeculative} {
+	for _, level := range []core.Level{core.LevelNone, core.LevelUseful, core.LevelSpeculative} {
 		prog, f := buildFloatLoop()
-		st, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), level))
+		st, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), level), xform.Config{})
 		if err != nil {
 			t.Fatalf("level %v: %v", level, err)
 		}
@@ -95,9 +97,9 @@ func TestFloatLoopSchedulesAndRuns(t *testing.T) {
 // TestFloatLoopGainsFromScheduling: the float load/add chain leaves the
 // fixed point unit idle; global scheduling overlaps the loop control.
 func TestFloatLoopGainsFromScheduling(t *testing.T) {
-	cycles := func(level Level) int64 {
+	cycles := func(level core.Level) int64 {
 		prog, f := buildFloatLoop()
-		if _, err := ScheduleFuncCtx(context.Background(), f, Defaults(machine.RS6K(), level)); err != nil {
+		if _, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), level), xform.Config{}); err != nil {
 			t.Fatal(err)
 		}
 		m, err := sim.Load(prog)
@@ -112,8 +114,8 @@ func TestFloatLoopGainsFromScheduling(t *testing.T) {
 		}
 		return res.Cycles
 	}
-	base := cycles(LevelNone)
-	spec := cycles(LevelSpeculative)
+	base := cycles(core.LevelNone)
+	spec := cycles(core.LevelSpeculative)
 	t.Logf("fsum(48): base %d cycles, speculative %d", base, spec)
 	if spec > base {
 		t.Errorf("scheduling made the float loop slower: %d > %d", spec, base)

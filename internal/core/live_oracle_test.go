@@ -136,7 +136,7 @@ var oracleCells = []struct {
 	level    core.Level
 	policy   bool
 	jobs     int
-	pipeline bool // xform.RunProgramCtx, else xform.ScheduleProgramCtx
+	pipeline bool // xform.DefaultConfig, else a zero xform.Config
 }{
 	{core.LevelSpeculative, false, 1, false},
 	{core.LevelSpeculative, false, 4, true},
@@ -160,7 +160,7 @@ func TestIncrementalLivenessOracle(t *testing.T) {
 	for _, level := range []core.Level{core.LevelUseful, core.LevelSpeculative} {
 		checks += withLiveOracle(t, fmt.Sprintf("minmax level=%v", level), func() {
 			_, f := paperex.MinMax()
-			if _, err := core.ScheduleFuncCtx(context.Background(), f, core.Defaults(mach, level)); err != nil {
+			if _, err := xform.RunCtx(context.Background(), f, core.Defaults(mach, level), xform.Config{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -198,7 +198,7 @@ func TestIncrementalLivenessOracle(t *testing.T) {
 				if c.pipeline {
 					_, err = xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig())
 				} else {
-					_, err = xform.ScheduleProgramCtx(context.Background(), prog, opts)
+					_, err = xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{})
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)

@@ -29,32 +29,22 @@ type localNode struct {
 	feat policy.Features
 }
 
-// ScheduleBlockLocal reorders one basic block with a cycle-driven list
-// scheduler against the machine description. This is the §5.1 post-pass
-// ("the basic block scheduler is applied to every single basic block of a
-// program after the global scheduling is completed") and also the whole
-// of the BASE configuration's scheduling, standing in for the XL
-// compiler's local scheduler of [W90].
-func ScheduleBlockLocal(blk *ir.Block, mach *machine.Desc) {
-	ScheduleBlockLocalPolicy(blk, mach, nil)
-}
-
-// ScheduleBlockLocalPolicy is ScheduleBlockLocal with a scheduling
-// policy: a non-nil policy's priority expression replaces the (D, CP,
-// position) ready-list order. The gate does not apply — the post-pass
-// never moves instructions between blocks, so there is nothing to veto.
+// ScheduleBlockLocalPolicy reorders one basic block with a
+// cycle-driven list scheduler against the machine description. This is
+// the §5.1 post-pass ("the basic block scheduler is applied to every
+// single basic block of a program after the global scheduling is
+// completed") and also the whole of the BASE configuration's
+// scheduling, standing in for the XL compiler's local scheduler of
+// [W90]. A non-nil policy's priority expression replaces the (D, CP,
+// position) ready-list order; a nil policy keeps it. The gate does not
+// apply — the post-pass never moves instructions between blocks, so
+// there is nothing to veto.
 func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Policy) {
-	pl := getPipeline()
-	defer putPipeline(pl)
-	pl.scheduleBlockLocal(blk, mach, pol)
-}
-
-// scheduleBlockLocal is ScheduleBlockLocalPolicy on this pipeline's
-// buffers.
-func (pl *pipeline) scheduleBlockLocal(blk *ir.Block, mach *machine.Desc, pol *policy.Policy) {
 	if len(blk.Instrs) < 2 {
 		return
 	}
+	pl := getPipeline()
+	defer putPipeline(pl)
 	ddg := pl.ddgb.BuildBlockDDG(blk, mach)
 	pdg.HeightsInto(&pl.local.hv, blk, ddg, mach)
 	h := &pl.local.hv

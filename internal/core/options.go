@@ -137,11 +137,11 @@ type Options struct {
 	MaxRegionLevels int
 
 	// Parallelism bounds two worker pools: the program driver
-	// (xform.ScheduleProgramCtx, xform.RunProgramCtx) schedules up to
-	// this many functions at once, and within a function up to this
-	// many independent region groups are scheduled at once. Values <= 1
-	// schedule sequentially. The emitted schedules and merged Stats are
-	// identical at every setting; only wall-clock time changes.
+	// (xform.RunProgramCtx) schedules up to this many functions at
+	// once, and within a function up to this many independent region
+	// groups are scheduled at once. Values <= 1 schedule sequentially.
+	// The emitted schedules and merged Stats are identical at every
+	// setting; only wall-clock time changes.
 	Parallelism int
 
 	// Verify snapshots every function before scheduling and checks the
@@ -204,6 +204,12 @@ func Defaults(m *machine.Desc, level Level) Options {
 // Stats reports what the scheduler did to one function.
 type Stats struct {
 	RegionsScheduled int
+	// RegionsSkipped counts what global scheduling declined: every
+	// region over MaxRegionBlocks or MaxRegionInstrs, or whose PDG
+	// cannot be built, once per scheduling pass that selects it (an
+	// inner loop is selected again after rotation), and every
+	// irreducible function once. Regions beyond MaxRegionLevels are
+	// outside §6's scope and are not counted.
 	RegionsSkipped   int
 	UsefulMoves      int
 	SpeculativeMoves int

@@ -14,8 +14,8 @@ import (
 // pipeline is the per-worker scratch arena of the scheduling pipeline.
 // One pipeline serves one goroutine at a time; callers take one from
 // pipelinePool for the duration of a function (or region) and put it
-// back, so a steady stream of ScheduleFuncCtx calls reuses the same
-// DDG arenas, liveness bitsets, candidate storage, ready lists, and
+// back, so a steady stream of scheduled functions reuses the same DDG
+// arenas, liveness bitsets, candidate storage, ready lists, and
 // local-scheduler buffers instead of reallocating them per region.
 type pipeline struct {
 	ddgb *pdg.Builder
@@ -215,10 +215,9 @@ func regionPositions(pos []int, f *ir.Func, r *cfg.Region) []int {
 
 // ScheduleRegionTree schedules every region of the tree selected by keep
 // (given the region and its nesting height), children before parents,
-// honouring the size caps in opts. A nil keep selects regions below
-// opts.MaxRegionLevels, counting the rest as skipped (the §6
-// configuration used by ScheduleFuncCtx); a non-nil keep makes skipping
-// silent, as the xform pipeline's pass filters expect.
+// honouring the size caps in opts. A region keep rejects is not
+// counted; one over MaxRegionBlocks or MaxRegionInstrs, or whose PDG
+// cannot be built, counts in RegionsSkipped.
 //
 // With opts.Parallelism > 1, top-level subtrees of the region tree are
 // partitioned into groups with pairwise-disjoint register footprints and
@@ -231,12 +230,6 @@ func ScheduleRegionTree(ctx context.Context, f *ir.Func, g *cfg.Graph, li *cfg.L
 
 	pl := getPipeline()
 	defer putPipeline(pl)
-	return scheduleRegionTree(ctx, pl, f, g, li, opts, st, keep)
-}
-
-func scheduleRegionTree(ctx context.Context, pl *pipeline, f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo,
-	opts *Options, st *Stats, keep func(r *cfg.Region, height int) bool) error {
-
 	heights := cfg.RegionHeights(li.Root)
 	pl.resetLive()
 
@@ -246,13 +239,7 @@ func scheduleRegionTree(ctx context.Context, pl *pipeline, f *ir.Func, g *cfg.Gr
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: schedule cancelled: %w", err)
 		}
-		h := heights[r]
-		if keep != nil {
-			if !keep(r, h) {
-				return nil
-			}
-		} else if h >= opts.MaxRegionLevels {
-			wst.RegionsSkipped++
+		if !keep(r, heights[r]) {
 			return nil
 		}
 		if opts.MaxRegionBlocks > 0 && len(r.Blocks) > opts.MaxRegionBlocks {

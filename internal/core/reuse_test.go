@@ -1,13 +1,15 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 
 	"gsched/internal/asm"
+	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/minic"
+	"gsched/internal/xform"
 )
 
 // reuseSrc pairs a function with many blocks against a function with
@@ -57,13 +59,13 @@ func compileReuse(t *testing.T) *ir.Program {
 // carried between function schedules would make the outcome depend on
 // order or interleaving.
 func TestNoStateLeaksBetweenFunctionSchedules(t *testing.T) {
-	opts := Defaults(machine.RS6K(), LevelSpeculative)
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 
 	// Program order, sequential (the baseline).
 	base := compileReuse(t)
 	seq := opts
 	seq.Parallelism = 1
-	if _, err := scheduleProgram(base, seq); err != nil {
+	if _, err := xform.RunProgramCtx(context.Background(), base, seq, xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	want := asm.Print(base)
@@ -72,7 +74,7 @@ func TestNoStateLeaksBetweenFunctionSchedules(t *testing.T) {
 	pooled := compileReuse(t)
 	par := opts
 	par.Parallelism = 4
-	if _, err := scheduleProgram(pooled, par); err != nil {
+	if _, err := xform.RunProgramCtx(context.Background(), pooled, par, xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := asm.Print(pooled); got != want {
@@ -84,7 +86,7 @@ func TestNoStateLeaksBetweenFunctionSchedules(t *testing.T) {
 	// depend on that function alone.
 	rev := compileReuse(t)
 	for i := len(rev.Funcs) - 1; i >= 0; i-- {
-		if _, err := ScheduleFuncCtx(context.Background(), rev.Funcs[i], seq); err != nil {
+		if _, err := xform.RunCtx(context.Background(), rev.Funcs[i], seq, xform.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,10 +99,10 @@ func TestNoStateLeaksBetweenFunctionSchedules(t *testing.T) {
 	// reuse across unrelated compilation units in one goroutine.
 	a, b := compileReuse(t), compileReuse(t)
 	for i := range a.Funcs {
-		if _, err := ScheduleFuncCtx(context.Background(), a.Funcs[i], seq); err != nil {
+		if _, err := xform.RunCtx(context.Background(), a.Funcs[i], seq, xform.Config{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ScheduleFuncCtx(context.Background(), b.Funcs[len(b.Funcs)-1-i], seq); err != nil {
+		if _, err := xform.RunCtx(context.Background(), b.Funcs[len(b.Funcs)-1-i], seq, xform.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}

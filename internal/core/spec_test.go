@@ -1,16 +1,18 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 
 	"gsched/internal/cfg"
+	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/paperex"
 	"gsched/internal/pdg"
 	"gsched/internal/profile"
 	"gsched/internal/sim"
+	"gsched/internal/xform"
 )
 
 // TestProfileBlocksImprobableSpeculation: with a profile saying a branch
@@ -33,10 +35,10 @@ func TestProfileBlocksImprobableSpeculation(t *testing.T) {
 	for k := 0; k < 100; k++ {
 		prof.Record(f.Name, br.ID, true)
 	}
-	opts := Defaults(machine.RS6K(), LevelSpeculative)
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.Profile = prof
 	opts.MinSpecProb = 0.4
-	if _, err := ScheduleFuncCtx(context.Background(), f, opts); err != nil {
+	if _, err := xform.RunCtx(context.Background(), f, opts, xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range f.Blocks[0].Instrs {
@@ -68,10 +70,10 @@ func TestProfilePrefersProbableCandidate(t *testing.T) {
 	for k := 0; k < 10; k++ {
 		prof.Record(f.Name, br.ID, false)
 	}
-	opts := Defaults(machine.RS6K(), LevelSpeculative)
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.Profile = prof
 	opts.MinSpecProb = 0.05 // both sides stay eligible
-	if _, err := ScheduleFuncCtx(context.Background(), f, opts); err != nil {
+	if _, err := xform.RunCtx(context.Background(), f, opts, xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range f.Blocks[0].Instrs {
@@ -90,9 +92,9 @@ func TestProfilePrefersProbableCandidate(t *testing.T) {
 // though their LR instructions are still vetoed by live-on-exit.
 func TestSpecDegreeTwoReachesDeeperBlocks(t *testing.T) {
 	_, f := paperex.MinMax()
-	opts := Defaults(machine.RS6K(), LevelSpeculative)
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.SpecDegree = 2
-	st, err := ScheduleFuncCtx(context.Background(), f, opts)
+	st, err := xform.RunCtx(context.Background(), f, opts, xform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestSpecDegreeTwoReachesDeeperBlocks(t *testing.T) {
 	// Semantics hold.
 	prog, f2 := paperex.MinMax()
 	opts2 := opts
-	if _, err := ScheduleFuncCtx(context.Background(), f2, opts2); err != nil {
+	if _, err := xform.RunCtx(context.Background(), f2, opts2, xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := sim.Load(prog)

@@ -303,7 +303,7 @@ func scheduleRecover(p *ir.Program, opts core.Options) (err error) {
 			err = fmt.Errorf("scheduler panic: %v", core.Recovered(r).Value)
 		}
 	}()
-	_, err = xform.ScheduleProgramCtx(context.TODO(), p, opts)
+	_, err = xform.RunProgramCtx(context.TODO(), p, opts, xform.Config{})
 	return err
 }
 

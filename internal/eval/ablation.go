@@ -50,7 +50,7 @@ func ablationConfigs() []ablationConfig {
 			}
 			opt.Program(prog)
 			xform.TransformOnlyProgram(prog, xform.DefaultConfig())
-			_, err = xform.ScheduleProgramCtx(context.TODO(), prog, core.Defaults(mach, core.LevelNone))
+			_, err = xform.RunProgramCtx(context.TODO(), prog, core.Defaults(mach, core.LevelNone), xform.Config{})
 			return prog, err
 		}},
 		{"useful", full(core.LevelUseful, nil)},

@@ -52,7 +52,7 @@ func MinMaxCycles(level core.Level) ([3]int64, *ir.Func, error) {
 	var fOut *ir.Func
 	for updates := 0; updates <= 2; updates++ {
 		prog, f := paperex.MinMax()
-		if _, err := core.ScheduleFuncCtx(context.TODO(), f, core.Defaults(machine.RS6K(), level)); err != nil {
+		if _, err := xform.RunCtx(context.TODO(), f, core.Defaults(machine.RS6K(), level), xform.Config{}); err != nil {
 			return out, nil, err
 		}
 		fOut = f
@@ -142,7 +142,7 @@ func CounterRegister() (*Table, error) {
 					return 0, fmt.Errorf("eval: counter conversion failed")
 				}
 			}
-			if _, err := core.ScheduleFuncCtx(context.TODO(), f, core.Defaults(machine.RS6K(), level)); err != nil {
+			if _, err := xform.RunCtx(context.TODO(), f, core.Defaults(machine.RS6K(), level), xform.Config{}); err != nil {
 				return 0, err
 			}
 			m, err := sim.Load(prog)

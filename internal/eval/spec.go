@@ -24,7 +24,7 @@ func CompileBase(w *workload.Workload, mach *machine.Desc) (*ir.Program, error) 
 		return nil, err
 	}
 	opt.Program(prog)
-	_, err = xform.ScheduleProgramCtx(context.TODO(), prog, core.Defaults(mach, core.LevelNone))
+	_, err = xform.RunProgramCtx(context.TODO(), prog, core.Defaults(mach, core.LevelNone), xform.Config{})
 	return prog, err
 }
 

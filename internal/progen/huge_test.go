@@ -36,7 +36,7 @@ func TestHugeValidAndSized(t *testing.T) {
 	}
 	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.Verify = true
-	if _, err := xform.ScheduleProgramCtx(context.Background(), prog, opts); err != nil {
+	if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{}); err != nil {
 		t.Fatalf("Huge program does not schedule: %v", err)
 	}
 }

@@ -33,7 +33,7 @@ func run(t *testing.T, p *Program, level core.Level, pipeline bool, duplicate ..
 				t.Fatalf("seed %d: xform: %v\n%s", p.Seed, err, p.Source)
 			}
 		} else {
-			if _, err := xform.ScheduleProgramCtx(context.Background(), prog, opts); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{}); err != nil {
 				t.Fatalf("seed %d: schedule: %v\n%s", p.Seed, err, p.Source)
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"gsched/internal/paperex"
 	"gsched/internal/progen"
 	"gsched/internal/sim"
+	"gsched/internal/xform"
 )
 
 // checkBounds asserts every register in f is below the limits.
@@ -70,7 +71,7 @@ func TestAllocationAfterScheduling(t *testing.T) {
 	// The paper's pipeline: schedule on symbolic registers, then
 	// allocate. The aggressive renaming must still fit the machine.
 	prog, f := paperex.MinMax()
-	if _, err := core.ScheduleFuncCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
+	if _, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Func(f, RS6K())

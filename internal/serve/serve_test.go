@@ -75,8 +75,8 @@ func post(t *testing.T, ts *httptest.Server, req any) (*http.Response, []byte) {
 	return resp, b
 }
 
-// The served schedule must equal a direct ScheduleProgramCtx run
-// byte-for-byte, for both the plain scheduler and the full pipeline.
+// The served schedule must equal a direct RunProgramCtx run
+// byte-for-byte, for both plain scheduling and the full pipeline.
 func TestScheduleRoundTripMatchesDirect(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -102,7 +102,7 @@ func TestScheduleRoundTripMatchesDirect(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := xform.ScheduleProgramCtx(context.Background(), prog, opts); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{}); err != nil {
 				t.Fatal(err)
 			}
 		}

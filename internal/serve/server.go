@@ -878,10 +878,9 @@ func (s *Server) runJob(ctx context.Context, j *job) (body []byte, err error) {
 		panic("debug_panic requested")
 	}
 
-	var pipe *xform.Config
+	var pipe xform.Config // pipeline:false is plain scheduling
 	if j.pipeline {
-		cfg := xform.DefaultConfig()
-		pipe = &cfg
+		pipe = xform.DefaultConfig()
 	}
 	var out strings.Builder
 	res, err := xform.Drive(ctx, asm.ProgramReader(j.prog), j.opts, pipe, 1, &out)

@@ -3,7 +3,7 @@
 // it: a Dialect's FuncReader feeds the program driver (xform.Drive)
 // one function at a time, so the bytes written are identical to
 //
-//	parse everything; xform.ScheduleProgramCtx/RunProgramCtx; asm.Print
+//	parse everything; xform.RunProgramCtx; asm.Print
 //
 // at any Jobs setting, while peak memory stays proportional to
 // Jobs · (largest function), not to the program (plus the source text
@@ -25,9 +25,9 @@ import (
 type Config struct {
 	// Opts are the scheduling options applied to every function.
 	Opts core.Options
-	// Pipeline configures the §6 transform pipeline; used when
-	// UsePipeline is set (xform.RunCtx per function instead of
-	// core.ScheduleFuncCtx).
+	// Pipeline configures the §6 transform pipeline that xform.RunCtx
+	// runs on each function when UsePipeline is set; otherwise a zero
+	// xform.Config, plain scheduling, runs.
 	Pipeline    xform.Config
 	UsePipeline bool
 	// Jobs is the number of functions scheduled concurrently
@@ -71,9 +71,9 @@ func Schedule(ctx context.Context, d asm.Dialect, src string, cfg Config, out io
 	if err != nil {
 		return Result{}, err
 	}
-	var pipe *xform.Config
+	var pipe xform.Config
 	if cfg.UsePipeline {
-		pipe = &cfg.Pipeline
+		pipe = cfg.Pipeline
 	}
 	return xform.Drive(ctx, r, cfg.Opts, pipe, cfg.Jobs, out)
 }

@@ -56,7 +56,7 @@ func wholeUnitBytes(t *testing.T, src, lang string, cfg Config) (string, xform.S
 	if cfg.UsePipeline {
 		st, err = xform.RunProgramCtx(context.Background(), p, cfg.Opts, cfg.Pipeline)
 	} else {
-		st.Stats, err = xform.ScheduleProgramCtx(context.Background(), p, cfg.Opts)
+		st, err = xform.RunProgramCtx(context.Background(), p, cfg.Opts, xform.Config{})
 	}
 	if err != nil {
 		t.Fatalf("whole-unit schedule: %v", err)

@@ -10,6 +10,7 @@ import (
 	"gsched/internal/minic"
 	"gsched/internal/progen"
 	"gsched/internal/verify"
+	"gsched/internal/xform"
 )
 
 // bigMainSize is the generator shape of the bench suite's bigfunc
@@ -34,7 +35,7 @@ func scheduledBigMain(tb testing.TB) (*verify.Snapshot, *ir.Func, verify.Rules) 
 		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 		opts.Rename = false // the snapshot must see exactly what the scheduler saw
 		snap := verify.Capture(f)
-		if _, err := core.ScheduleFuncCtx(context.Background(), f, opts); err != nil {
+		if _, err := xform.RunCtx(context.Background(), f, opts, xform.Config{}); err != nil {
 			tb.Fatalf("seed %d: schedule: %v", seed, err)
 		}
 		return snap, f, opts.VerifyRules()

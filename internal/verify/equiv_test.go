@@ -94,11 +94,11 @@ func scheduledCorpus(t *testing.T, level core.Level) (snaps []*verify.Snapshot, 
 			snaps = append(snaps, verify.Capture(f))
 			funcs = append(funcs, f)
 		}
-		s, err := xform.ScheduleProgramCtx(context.Background(), prog, o)
+		s, err := xform.RunProgramCtx(context.Background(), prog, o, xform.Config{})
 		if err != nil {
 			t.Fatalf("schedule: %v", err)
 		}
-		st.Add(s)
+		st.Add(s.Stats)
 	}
 	return snaps, funcs, opts.VerifyRules(), st
 }

@@ -60,7 +60,7 @@ func TestPropertyLevelDupSchedulesVerify(t *testing.T) {
 		for fi, f := range prog.Funcs {
 			snaps[fi] = verify.Capture(f)
 		}
-		st, err := xform.ScheduleProgramCtx(context.Background(), prog, opts)
+		st, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: schedule: %v", seed, err)
 		}

@@ -23,7 +23,7 @@ func runWorkload(t *testing.T, w *Workload, level core.Level, pipeline bool) *si
 				t.Fatalf("%s: xform: %v", w.Name, err)
 			}
 		} else {
-			if _, err := xform.ScheduleProgramCtx(context.Background(), prog, core.Defaults(mach, level)); err != nil {
+			if _, err := xform.RunProgramCtx(context.Background(), prog, core.Defaults(mach, level), xform.Config{}); err != nil {
 				t.Fatalf("%s: schedule: %v", w.Name, err)
 			}
 		}

@@ -85,7 +85,7 @@ func TestCounterLoopSpeedsUpMinMax(t *testing.T) {
 				t.Fatal("conversion failed")
 			}
 		}
-		if _, err := core.ScheduleFuncCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative)); err != nil {
+		if _, err := RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), Config{}); err != nil {
 			t.Fatal(err)
 		}
 		m, err := sim.Load(prog)

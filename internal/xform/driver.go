@@ -2,6 +2,7 @@ package xform
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -58,16 +59,32 @@ func (s *Stats) Add(o Stats) {
 	s.TailDuplicated += o.TailDuplicated
 }
 
-// RunCtx executes the general flow of the global scheduling prototype
-// (§6) on one function: 1. certain inner loops are unrolled; 2. global
-// scheduling is applied to the inner regions; 3. certain inner loops
-// are rotated; 4. global scheduling is applied a second time to the
-// rotated inner loops and the outer regions; finally the basic block
-// scheduler runs on every block. Cancellation is checked between the
-// pipeline's stages and between regions within each scheduling pass, so
-// a timed-out request aborts promptly with an error wrapping ctx.Err().
+// RunCtx is the per-function pass: the general flow of the global
+// scheduling prototype (§6). 1. certain inner loops are unrolled; 2.
+// global scheduling is applied to the inner regions; 3. certain inner
+// loops are rotated; 4. global scheduling is applied a second time to
+// the rotated inner loops and the outer regions; finally the basic
+// block scheduler runs on every block. A zero Config transforms
+// nothing, which is plain scheduling: every region below
+// opts.MaxRegionLevels, innermost first, then the post-pass.
+// Cancellation is checked between the pipeline's stages and between
+// regions within each scheduling pass, so a timed-out request aborts
+// promptly with an error wrapping ctx.Err(). Every error names f once.
 func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
+	st, err := run(ctx, f, opts, cfgX)
+	if err != nil {
+		return st, fmt.Errorf("%s: %w", f.Name, err)
+	}
+	return st, f.Validate() // its errors already start with f.Name
+}
+
+// run is RunCtx without the final validation and without the function
+// name on its errors.
+func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
 	var st Stats
+	if opts.Machine == nil {
+		return st, errors.New("xform: Options.Machine is required")
+	}
 	if err := ctx.Err(); err != nil {
 		return st, fmt.Errorf("xform: cancelled: %w", err)
 	}
@@ -118,9 +135,10 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 		}
 		snap := capture()
 		// First pass: inner regions only.
-		if err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
+		irreducible, err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
 			return r.IsLoop && height == 0
-		}); err != nil {
+		})
+		if err != nil {
 			return st, err
 		}
 		if err := check(snap, opts.VerifyRules()); err != nil {
@@ -136,7 +154,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 		snap = capture()
 		// Second pass: rotated inner loops (now fresh regions) and the
 		// outer regions.
-		if err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
+		irreducible2, err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
 			if height >= opts.MaxRegionLevels {
 				return false
 			}
@@ -144,8 +162,12 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 				return rotated > 0 // inner loops again only if rotation changed them
 			}
 			return true
-		}); err != nil {
+		})
+		if err != nil {
 			return st, err
+		}
+		if irreducible || irreducible2 {
+			st.RegionsSkipped++ // once per function, not once per pass
 		}
 		if err := check(snap, opts.VerifyRules()); err != nil {
 			return st, err
@@ -186,20 +208,13 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 			return st, err
 		}
 	}
-	return st, f.Validate()
-}
-
-// ScheduleProgramCtx schedules every function of p in place with
-// core.ScheduleFuncCtx, up to opts.Parallelism at a time (see Drive).
-func ScheduleProgramCtx(ctx context.Context, p *ir.Program, opts core.Options) (core.Stats, error) {
-	res, err := Drive(ctx, asm.ProgramReader(p), opts, nil, opts.Parallelism, nil)
-	return res.Stats.Stats, err
+	return st, nil
 }
 
 // RunProgramCtx applies RunCtx to every function of p in place, up to
 // opts.Parallelism at a time (see Drive).
 func RunProgramCtx(ctx context.Context, p *ir.Program, opts core.Options, cfgX Config) (Stats, error) {
-	res, err := Drive(ctx, asm.ProgramReader(p), opts, &cfgX, opts.Parallelism, nil)
+	res, err := Drive(ctx, asm.ProgramReader(p), opts, cfgX, opts.Parallelism, nil)
 	return res.Stats, err
 }
 
@@ -222,10 +237,10 @@ type task struct {
 }
 
 // Drive is the program driver: it schedules every function r yields
-// — with RunCtx under cfgX, or core.ScheduleFuncCtx when cfgX is nil —
-// and writes the scheduled program to out (data directives first, then
-// each function as soon as it and all its predecessors are done). A nil
-// out discards the text but still schedules everything.
+// with RunCtx under cfgX and writes the scheduled program to out (data
+// directives first, then each function as soon as it and all its
+// predecessors are done). A nil out discards the text but still
+// schedules everything.
 //
 // Functions are independent compilation units, so up to jobs (min 1)
 // are scheduled concurrently while r parses the next ones; at most
@@ -238,7 +253,7 @@ type task struct {
 // scheduling or write error is returned. A panic in a worker is raised
 // again on the caller's goroutine, as a *core.WorkerPanic carrying the
 // worker's stack, after every goroutine Drive started has exited.
-func Drive(ctx context.Context, r asm.FuncReader, opts core.Options, cfgX *Config, jobs int, out io.Writer) (Result, error) {
+func Drive(ctx context.Context, r asm.FuncReader, opts core.Options, cfgX Config, jobs int, out io.Writer) (Result, error) {
 	var res Result
 	if jobs < 1 {
 		jobs = 1
@@ -328,18 +343,14 @@ parse:
 }
 
 // run schedules and prints one function on a worker goroutine.
-func (t *task) run(ctx context.Context, opts core.Options, cfgX *Config, print bool) {
+func (t *task) run(ctx context.Context, opts core.Options, cfgX Config, print bool) {
 	defer close(t.done)
 	defer func() {
 		if v := recover(); v != nil {
 			t.err = core.Recovered(v)
 		}
 	}()
-	if cfgX != nil {
-		t.st, t.err = RunCtx(ctx, t.f, opts, *cfgX)
-	} else if t.st.Stats, t.err = core.ScheduleFuncCtx(ctx, t.f, opts); t.err != nil {
-		t.err = fmt.Errorf("%s: %w", t.f.Name, t.err)
-	}
+	t.st, t.err = RunCtx(ctx, t.f, opts, cfgX)
 	if t.err == nil && print {
 		t.buf = t.f.AppendString(t.buf)
 	}
@@ -415,18 +426,18 @@ func transformInnerLoops(f *ir.Func, maxBlocks int,
 
 // scheduleFiltered schedules the regions selected by keep (given the
 // region and its nesting height), innermost first, honouring the size
-// caps in opts. The walk, its region-level parallelism, and its
+// caps in opts, and reports whether f is irreducible, in which case
+// nothing is scheduled. The walk, its region-level parallelism, and its
 // cancellation behaviour live in core.ScheduleRegionTree; this wrapper
 // only rebuilds the flow analyses (the transforms restructure the graph
 // between passes).
 func scheduleFiltered(ctx context.Context, f *ir.Func, opts *core.Options, st *core.Stats,
-	keep func(r *cfg.Region, height int) bool) error {
+	keep func(r *cfg.Region, height int) bool) (irreducible bool, err error) {
 
 	g := cfg.Build(f)
 	li := cfg.FindLoops(g)
 	if li.Irreducible {
-		st.RegionsSkipped++
-		return nil
+		return true, nil
 	}
-	return core.ScheduleRegionTree(ctx, f, g, li, opts, st, keep)
+	return false, core.ScheduleRegionTree(ctx, f, g, li, opts, st, keep)
 }

@@ -14,6 +14,7 @@ import (
 	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
+	"gsched/internal/minic"
 )
 
 // smallFuncs renders n independent asm functions f0..f(n-1).
@@ -34,13 +35,14 @@ func parseSmall(t *testing.T, n int) *ir.Program {
 	return p
 }
 
-// drivePasses are the two per-function passes Drive can run.
+// drivePasses are the two configurations of the per-function pass
+// that the Drive tests run: plain scheduling and the §6 pipeline.
 var drivePasses = []struct {
 	name string
-	cfg  *Config
+	cfg  Config
 }{
-	{"plain", nil},
-	{"pipeline", &Config{Unroll: true, UnrollMaxBlocks: 4, Rotate: true, RotateMaxBlocks: 4}},
+	{"plain", Config{}},
+	{"pipeline", Config{Unroll: true, UnrollMaxBlocks: 4, Rotate: true, RotateMaxBlocks: 4}},
 }
 
 // waitGoroutines fails t unless the goroutine count returns to base.
@@ -114,10 +116,19 @@ func dropRet(p *ir.Program, funcs ...int) {
 	}
 }
 
+// namedOnce reports whether err's text starts with the function name
+// exactly once.
+func namedOnce(err error, name string) bool {
+	msg, prefix := err.Error(), name+": "
+	return strings.HasPrefix(msg, prefix) && !strings.HasPrefix(msg, prefix+prefix)
+}
+
 // TestDriveEarlyExits: every way Drive can stop early returns its error
 // and leaves no goroutine behind.
 func TestDriveEarlyExits(t *testing.T) {
 	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+	verifying := opts
+	verifying.Verify = true
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	source := func(src string) func() asm.FuncReader {
@@ -166,6 +177,28 @@ func TestDriveEarlyExits(t *testing.T) {
 			want:   func(err error) bool { return errors.Is(err, context.Canceled) },
 		},
 		{
+			name: "cancelled context names the function once", ctx: cancelled, opts: opts,
+			reader: source(smallFuncs(40)),
+			want:   func(err error) bool { return errors.Is(err, context.Canceled) && namedOnce(err, "f0") },
+		},
+		{
+			// One instruction ID shared by two blocks is an input the
+			// scheduler runs on and the verifier rejects.
+			name: "verify error names the function once", ctx: context.Background(), opts: verifying,
+			reader: func() asm.FuncReader {
+				p, err := asm.Parse(smallFuncs(3) + "func two r1:\n\tC cr0=r1,r1\n\tBT L,cr0,lt\n\tAI r2=r1,1\n\tRET r2\nL:\n\tAI r3=r1,2\n\tRET r3\n")
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := p.Func("two")
+				f.Blocks[2].Instrs[0].ID = f.Blocks[1].Instrs[0].ID
+				return asm.ProgramReader(p)
+			},
+			want: func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "illegal schedule") && namedOnce(err, "two")
+			},
+		},
+		{
 			name: "failing writer", ctx: context.Background(), opts: opts,
 			reader:    source(smallFuncs(40)),
 			failAfter: 3,
@@ -203,6 +236,96 @@ func TestDriveEarliestErrorWins(t *testing.T) {
 		_, err := RunProgramCtx(context.Background(), p, opts, DefaultConfig())
 		if err == nil || !strings.HasPrefix(err.Error(), "f3: ") {
 			t.Fatalf("iteration %d: err = %v, want f3's error", iter, err)
+		}
+	}
+}
+
+// irreducibleFunc builds a function whose two loops enter each other:
+// no region tree exists, so global scheduling skips it.
+func irreducibleFunc() *ir.Func {
+	f := ir.NewFunc("irr")
+	a, b2 := ir.GPR(0), ir.GPR(1)
+	f.Params = []ir.Reg{a, b2}
+	b := ir.NewBuilder(f)
+	b.Block("e")
+	b.Cmp(ir.CR(0), a, b2)
+	b.BT("L2", ir.CR(0), ir.BitLT)
+	b.Block("L1")
+	b.AI(a, a, -1)
+	b.Cmp(ir.CR(1), a, b2)
+	b.BT("L2", ir.CR(1), ir.BitGT)
+	b.Block("")
+	b.Ret(a)
+	b.Block("L2")
+	b.AI(b2, b2, -1)
+	b.Cmp(ir.CR(2), b2, a)
+	b.BT("L1", ir.CR(2), ir.BitGT)
+	b.Block("")
+	b.Ret(b2)
+	f.ReindexBlocks()
+	return f
+}
+
+// TestRegionsSkipped pins the one definition of Stats.RegionsSkipped
+// under plain scheduling and the §6 pipeline alike: an irreducible
+// function counts once, a region over a size cap counts, and regions
+// beyond MaxRegionLevels do not.
+func TestRegionsSkipped(t *testing.T) {
+	compile := func(src string) func(*testing.T) *ir.Func {
+		return func(t *testing.T) *ir.Func {
+			p, err := minic.Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.Func("f")
+		}
+	}
+	cases := []struct {
+		name string
+		fn   func(*testing.T) *ir.Func
+		mod  func(*core.Options)
+		want int
+	}{
+		{"irreducible function", func(*testing.T) *ir.Func { return irreducibleFunc() }, nil, 1},
+		{
+			"region over MaxRegionInstrs",
+			compile(`int f(int a, int b) { int r = a * b; if (a > b) r = r + a; return r - b; }`),
+			func(o *core.Options) { o.MaxRegionInstrs = 2 },
+			1,
+		},
+		{
+			"regions beyond two nesting levels",
+			compile(`
+int g[64];
+int f(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++)
+            for (int k = 0; k < n; k++)
+                s += g[(i + j + k) & 63];
+    return s;
+}`),
+			nil,
+			0,
+		},
+	}
+	for _, tc := range cases {
+		for _, pass := range []struct {
+			name string
+			cfg  Config
+		}{{"Config{}", Config{}}, {"DefaultConfig", DefaultConfig()}} {
+			f := tc.fn(t)
+			opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+			if tc.mod != nil {
+				tc.mod(&opts)
+			}
+			st, err := RunCtx(context.Background(), f, opts, pass.cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, pass.name, err)
+			}
+			if st.RegionsSkipped != tc.want {
+				t.Errorf("%s/%s: RegionsSkipped = %d, want %d (%+v)", tc.name, pass.name, st.RegionsSkipped, tc.want, st)
+			}
 		}
 	}
 }

@@ -243,7 +243,7 @@ func TestPipeliningEffect(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := core.ScheduleFuncCtx(context.Background(), f, opts); err != nil {
+			if _, err := RunCtx(context.Background(), f, opts, Config{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -45,7 +45,8 @@ func TestVerifierAcceptsScheduledPrograms(t *testing.T) {
 }
 
 // TestVerifierAcceptsPlainSchedule covers the non-pipeline entry point
-// (core.ScheduleFuncCtx via gsched.Schedule) with the same self-check.
+// (gsched.Schedule: xform.RunCtx with a zero Config) with the same
+// self-check.
 func TestVerifierAcceptsPlainSchedule(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
