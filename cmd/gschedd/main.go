@@ -9,12 +9,15 @@
 //
 // Endpoints:
 //
-//	POST /schedule      schedule a mini-C or assembly program
-//	POST /tune          start an async policy/machine auto-tuning run
-//	GET  /jobs/{id}     poll an async exact or tuning job
-//	GET  /metrics       Prometheus text metrics
-//	GET  /healthz       liveness probe
-//	GET  /debug/pprof/  Go profiling
+//	POST /schedule        schedule a mini-C or assembly program
+//	POST /schedule/batch  schedule several programs in one request
+//	GET  /jobs/{id}       poll an async exact (level=optimal) job
+//	GET  /metrics         Prometheus text metrics
+//	GET  /healthz         liveness probe
+//	GET  /debug/pprof/    Go profiling
+//
+// Auto-tuning is an offline search, not an endpoint: run it with
+// go run ./cmd/bench -tune.
 //
 // Example:
 //
@@ -62,10 +65,6 @@ var (
 	exactWorkers = flag.Int("exact-workers", 1, "concurrent exact-tier (level=optimal) jobs")
 	exactQueue   = flag.Int("exact-queue", 16, "queued exact jobs before 503")
 	exactTimeout = flag.Duration("exact-timeout", 60*time.Second, "per-job deadline for exact runs")
-
-	tuneWorkers = flag.Int("tune-workers", 1, "concurrent auto-tuning jobs")
-	tuneQueue   = flag.Int("tune-queue", 8, "queued tuning jobs before 503")
-	tuneTimeout = flag.Duration("tune-timeout", 120*time.Second, "per-job deadline for tuning runs")
 
 	self           = flag.String("self", "", "this node's advertised base URL, e.g. http://10.0.0.1:8421 (required with -peers)")
 	peers          = flag.String("peers", "", "comma-separated base URLs of the other cluster nodes (enables the peer tier)")
@@ -115,9 +114,6 @@ func run() error {
 		ExactWorkers:    *exactWorkers,
 		ExactQueueDepth: *exactQueue,
 		ExactTimeout:    *exactTimeout,
-		TuneWorkers:     *tuneWorkers,
-		TuneQueueDepth:  *tuneQueue,
-		TuneTimeout:     *tuneTimeout,
 		AllowDebugPanic: *debugPanic,
 		Logger:          logger,
 	})

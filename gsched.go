@@ -146,16 +146,10 @@ type Policy = policy.Policy
 // ParsePolicy parses, canonicalises, and compiles a policy program.
 func ParsePolicy(src string) (*Policy, error) { return policy.Parse(src) }
 
-// DefaultPolicy returns the policy expression that reproduces the
-// built-in §5.2 decision order exactly (byte-identical schedules).
-func DefaultPolicy() *Policy { return policy.Default() }
-
-// DefaultPolicySource is the source of DefaultPolicy.
+// DefaultPolicySource is the policy program that reproduces the
+// built-in §5.2 decision order exactly (byte-identical schedules);
+// ParsePolicy(DefaultPolicySource) compiles it.
 const DefaultPolicySource = policy.DefaultSource
-
-// RandomPolicy returns a deterministic, always-valid policy derived
-// from the seed (see internal/policy.Random).
-func RandomPolicy(seed int64) *Policy { return policy.Random(seed) }
 
 // ParseAsm parses the textual assembly form (Figure 2 notation).
 func ParseAsm(src string) (*Program, error) { return asm.Parse(src) }

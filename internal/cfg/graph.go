@@ -91,28 +91,6 @@ func Build(f *ir.Func) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return len(g.Succs) }
 
-// ReversePostorder returns the nodes reachable from entry in reverse
-// postorder of a depth-first search.
-func (g *Graph) ReversePostorder(entry int) []int {
-	seen := make([]bool, g.N())
-	var post []int
-	var dfs func(int)
-	dfs = func(u int) {
-		seen[u] = true
-		for _, v := range g.Succs[u] {
-			if !seen[v] {
-				dfs(v)
-			}
-		}
-		post = append(post, u)
-	}
-	dfs(entry)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
 // Reachable returns the set of nodes reachable from entry.
 func (g *Graph) Reachable(entry int) []bool {
 	seen := make([]bool, g.N())

@@ -3,12 +3,6 @@ package minic
 // The AST mirrors the accepted C subset. Position fields reference the
 // first token of the node for error reporting.
 
-// Program is a parsed compilation unit.
-type Program struct {
-	Globals []*GlobalDecl
-	Funcs   []*FuncDecl
-}
-
 // GlobalDecl declares a global scalar (Size == 0) or array (Size > 0),
 // optionally initialised.
 type GlobalDecl struct {

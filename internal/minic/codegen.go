@@ -29,25 +29,6 @@ func Compile(src string) (*ir.Program, error) {
 	return r.Prog(), nil
 }
 
-// Generate lowers a parsed program to ir.
-func Generate(ast *Program) (*ir.Program, error) {
-	g, err := newGen(ast.Globals, ast.Funcs)
-	if err != nil {
-		return nil, err
-	}
-	for _, fn := range ast.Funcs {
-		f, err := g.genFunc(fn)
-		if err != nil {
-			return nil, err
-		}
-		g.out.AddFunc(f)
-	}
-	if err := g.out.Validate(); err != nil {
-		return nil, fmt.Errorf("minic: internal: generated invalid ir: %w", err)
-	}
-	return g.out, nil
-}
-
 // newGen builds the whole-unit symbol tables every function's lowering
 // needs (globals for addressing, function signatures for call arity and
 // void checks — calls may reference functions declared later), and

@@ -273,6 +273,9 @@ func TestCompileErrors(t *testing.T) {
 		{"unterminated comment", `/* int f() {}`, "unterminated"},
 		{"global redecl", `int g; int g;`, "redeclared"},
 		{"print as value", `int f(int a) { return print(a); }`, "returns no value"},
+		{"float global", `float x; int f(int a) { return a; }`, "only allowed for locals"},
+		{"void global", `void x; int f(int a) { return a; }`, "void globals are not allowed"},
+		{"top-level statement", `return 1;`, "expected 'int' or 'void' declaration"},
 	}
 	for _, tc := range cases {
 		_, err := Compile(tc.src)

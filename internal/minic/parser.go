@@ -9,22 +9,6 @@ type parserState struct {
 	pos  int
 }
 
-// ParseSource lexes and parses a compilation unit.
-func ParseSource(src string) (*Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parserState{toks: toks}
-	prog := &Program{}
-	for !p.at(EOF) {
-		if err := p.parseTopLevel(prog); err != nil {
-			return nil, err
-		}
-	}
-	return prog, nil
-}
-
 func (p *parserState) cur() Token     { return p.toks[p.pos] }
 func (p *parserState) at(k Kind) bool { return p.cur().Kind == k }
 
@@ -42,41 +26,6 @@ func (p *parserState) expect(k Kind) (Token, error) {
 		return t, errAt(t.Line, t.Col, "expected %s, found %s", k, t)
 	}
 	return p.next(), nil
-}
-
-func (p *parserState) parseTopLevel(prog *Program) error {
-	t := p.cur()
-	isVoid := t.Kind == KwVoid
-	if t.Kind == KwFloat {
-		return errAt(t.Line, t.Col, "float is only allowed for locals")
-	}
-	if t.Kind != KwInt && t.Kind != KwVoid {
-		return errAt(t.Line, t.Col, "expected 'int' or 'void' declaration, found %s", t)
-	}
-	p.next()
-	name, err := p.expect(IDENT)
-	if err != nil {
-		return err
-	}
-	switch p.cur().Kind {
-	case LParen:
-		fn, err := p.parseFuncRest(name.Text, isVoid, name.Line)
-		if err != nil {
-			return err
-		}
-		prog.Funcs = append(prog.Funcs, fn)
-		return nil
-	default:
-		if isVoid {
-			return errAt(name.Line, name.Col, "void globals are not allowed")
-		}
-		g, err := p.parseGlobalRest(name.Text, name.Line)
-		if err != nil {
-			return err
-		}
-		prog.Globals = append(prog.Globals, g)
-		return nil
-	}
 }
 
 func (p *parserState) parseGlobalRest(name string, line int) (*GlobalDecl, error) {
@@ -145,19 +94,6 @@ func (p *parserState) parseSignedNumber() (int64, error) {
 		return -n.Num, nil
 	}
 	return n.Num, nil
-}
-
-func (p *parserState) parseFuncRest(name string, isVoid bool, line int) (*FuncDecl, error) {
-	fn := &FuncDecl{Name: name, Void: isVoid, Line: line}
-	if err := p.parseFuncSig(fn); err != nil {
-		return nil, err
-	}
-	body, err := p.parseBlock()
-	if err != nil {
-		return nil, err
-	}
-	fn.Body = body
-	return fn, nil
 }
 
 // parseFuncSig parses the parameter list "(...)" into fn, stopping

@@ -8,17 +8,16 @@ import (
 	"time"
 )
 
-// The async job layer, shared by the exact tier (level=optimal) and
-// the auto-tuner (/tune). Both kinds of work are too slow for the
-// synchronous request path, so the server answers immediately and
-// enqueues the run as a job on its own bounded queue with its own
-// workers — the synchronous pool stays isolated from search time. Jobs
-// are identified by a content-addressed Key, which buys deduplication
-// (resubmitting an identical request joins the existing job) and a
-// forever-cache (a finished job's bytes are kept for every future
-// poll): these results are expensive and deterministic in the key, so
-// they are never evicted. Each manager instance owns one job kind; the
-// spec it carries is opaque to the queue machinery.
+// The async job layer of the exact tier (level=optimal). A proof of
+// optimality is too slow for the synchronous request path, so the
+// server answers immediately and enqueues the exact run as a job on its
+// own bounded queue with its own workers — the synchronous pool stays
+// isolated from search time. Jobs are identified by the request's
+// content-addressed Key, which buys deduplication (resubmitting an
+// identical request joins the existing job) and a forever-cache (a
+// finished job's bytes are kept for every future poll): these results
+// are expensive and deterministic in the key, so they are never
+// evicted.
 
 // Job states, as reported by the API.
 const (
@@ -66,7 +65,7 @@ type ExactStats struct {
 // exactJob is one job's record; guarded by the manager's mutex.
 type exactJob struct {
 	key    Key
-	spec   any // the manager's run callback knows the concrete type
+	spec   *job // the resolved request the exact run replays
 	state  string
 	body   []byte // jobDone: the response bytes, kept forever
 	errMsg string // jobFailed
@@ -84,7 +83,7 @@ type jobManager struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	timeout time.Duration
-	run     func(ctx context.Context, spec any) ([]byte, error)
+	run     func(ctx context.Context, spec *job) ([]byte, error)
 
 	// lookup consults the store stack without request-path accounting;
 	// persist stores a finished result everywhere. Either may be nil
@@ -99,7 +98,7 @@ type jobManager struct {
 }
 
 func newJobManager(workers, depth int, timeout time.Duration,
-	run func(ctx context.Context, spec any) ([]byte, error)) *jobManager {
+	run func(ctx context.Context, spec *job) ([]byte, error)) *jobManager {
 
 	m := &jobManager{
 		queue:   make(chan *exactJob, depth),
@@ -123,7 +122,7 @@ func newJobManager(workers, depth int, timeout time.Duration,
 // proven result already sits in the store stack (an earlier process,
 // another node) is recorded done immediately — warm keys run zero
 // searches.
-func (m *jobManager) submit(key Key, spec any) (state string, ok bool) {
+func (m *jobManager) submit(key Key, spec *job) (state string, ok bool) {
 	m.mu.Lock()
 	if m.closed {
 		m.stats.Rejected++

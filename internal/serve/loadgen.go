@@ -368,17 +368,13 @@ func (r *LoadResult) CheckCounters(m map[string]float64) error {
 			return fmt.Errorf("%s = %g, client saw %d", series, m[series], n)
 		}
 	}
-	// Async job tiers (exact, tune) share the manager and its identity:
-	// every submitted job is completed, failed, queued, or running.
-	for _, p := range []string{"exact", "tune"} {
-		sub, ok := m["gschedd_"+p+"_jobs_submitted_total"]
-		if !ok {
-			continue
-		}
-		acc := m["gschedd_"+p+"_jobs_completed_total"] + m["gschedd_"+p+"_jobs_failed_total"] +
-			m["gschedd_"+p+"_queue_depth"] + m["gschedd_"+p+"_running"]
+	// The exact tier's job identity: every submitted job is completed,
+	// failed, queued, or running.
+	if sub, ok := m["gschedd_exact_jobs_submitted_total"]; ok {
+		acc := m["gschedd_exact_jobs_completed_total"] + m["gschedd_exact_jobs_failed_total"] +
+			m["gschedd_exact_queue_depth"] + m["gschedd_exact_running"]
 		if sub != acc {
-			return fmt.Errorf("%s jobs submitted (%g) != completed+failed+queued+running (%g)", p, sub, acc)
+			return fmt.Errorf("exact jobs submitted (%g) != completed+failed+queued+running (%g)", sub, acc)
 		}
 	}
 	return nil

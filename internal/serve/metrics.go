@@ -63,11 +63,9 @@ type Metrics struct {
 	// memoHits samples the key memo's hits (nil without a store).
 	memoHits func() int64
 
-	// exact and tune sample the async job-manager counters (exact tier
-	// and tuning tier respectively); nil for servers without the
-	// corresponding manager.
+	// exact samples the exact tier's async job-manager counters; nil
+	// for servers without a job manager.
 	exact func() ExactStats
-	tune  func() ExactStats
 }
 
 // NewMetrics returns an empty registry. cache and trace may be nil;
@@ -229,28 +227,20 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(cw, "gschedd_singleflight_waits_total %d\n", m.sfWaits())
 	}
 
-	// The exact and tune tiers share a job manager, so they share a
-	// metric shape: gschedd_<prefix>_* with identical series suffixes.
-	writeJobStats := func(prefix, noun, verb string, es ExactStats) {
-		series := func(suffix, typ, help string, v int64) {
-			name := "gschedd_" + prefix + suffix
+	if m.exact != nil {
+		es := m.exact()
+		series := func(name, typ, help string, v int64) {
 			fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 			fmt.Fprintf(cw, "%s %d\n", name, v)
 		}
-		series("_jobs_submitted_total", "counter", noun+" jobs accepted onto the queue (including retries).", es.Submitted)
-		series("_jobs_deduped_total", "counter", noun+" submissions that joined an existing job.", es.Deduped)
-		series("_jobs_rejected_total", "counter", noun+" submissions refused (queue full).", es.Rejected)
-		series("_jobs_completed_total", "counter", noun+" jobs finished with a result.", es.Completed)
-		series("_jobs_failed_total", "counter", noun+" jobs finished with an error (deadline, verifier, panic).", es.Failed)
-		series("_queue_depth", "gauge", noun+" jobs waiting for a worker.", es.Queued)
-		series("_running", "gauge", noun+" jobs currently "+verb+".", es.Running)
-		series("_jobs_warm_total", "counter", noun+" jobs answered from the store stack without running a search.", es.Warm)
-	}
-	if m.exact != nil {
-		writeJobStats("exact", "Exact", "scheduling", m.exact())
-	}
-	if m.tune != nil {
-		writeJobStats("tune", "Tune", "searching", m.tune())
+		series("gschedd_exact_jobs_submitted_total", "counter", "Exact jobs accepted onto the queue (including retries).", es.Submitted)
+		series("gschedd_exact_jobs_deduped_total", "counter", "Exact submissions that joined an existing job.", es.Deduped)
+		series("gschedd_exact_jobs_rejected_total", "counter", "Exact submissions refused (queue full).", es.Rejected)
+		series("gschedd_exact_jobs_completed_total", "counter", "Exact jobs finished with a result.", es.Completed)
+		series("gschedd_exact_jobs_failed_total", "counter", "Exact jobs finished with an error (deadline, verifier, panic).", es.Failed)
+		series("gschedd_exact_queue_depth", "gauge", "Exact jobs waiting for a worker.", es.Queued)
+		series("gschedd_exact_running", "gauge", "Exact jobs currently scheduling.", es.Running)
+		series("gschedd_exact_jobs_warm_total", "counter", "Exact jobs answered from the store stack without running a search.", es.Warm)
 	}
 
 	if m.trace != nil {

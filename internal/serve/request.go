@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,8 +17,6 @@ import (
 	"gsched/internal/minic"
 	"gsched/internal/policy"
 	"gsched/internal/profile"
-	"gsched/internal/tune"
-	"gsched/internal/workload"
 	"gsched/internal/xform"
 )
 
@@ -414,109 +410,4 @@ func canonOptions(o *core.Options, pipeline bool) string {
 	var sb strings.Builder
 	canonOptionsTo(&sb, o, pipeline)
 	return sb.String()
-}
-
-// TuneRequest is the JSON body of POST /tune: an auto-tuning run over
-// policy weight space and/or machine descriptor space, scored on the
-// named workload proxies. Tuning is deterministic in these fields, so
-// the request is content-addressed exactly like /schedule: identical
-// requests share one async job and one forever-cached result.
-type TuneRequest struct {
-	// Seed anchors the search (default 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Iters is the number of candidate evaluations (default 24, max 256
-	// — each candidate compiles and simulates every workload).
-	Iters int `json:"iters,omitempty"`
-	// Mode is "policy" (default), "machine" or "both".
-	Mode string `json:"mode,omitempty"`
-	// Machine is the baseline descriptor, as in a /schedule request:
-	// preset name or full object (default rs6k).
-	Machine json.RawMessage `json:"machine,omitempty"`
-	// Level is "useful", "speculative" (default) or "dup".
-	Level string `json:"level,omitempty"`
-	// Workloads names the scoring set (internal/workload proxies: li,
-	// eqntott, espresso, gcc). Empty means all four. Order and
-	// duplicates are normalised away.
-	Workloads []string `json:"workloads,omitempty"`
-}
-
-// TuneResponse is the 202 body of POST /tune; poll Job.Poll for the
-// tune.Result JSON.
-type TuneResponse struct {
-	Job JobInfo `json:"job"`
-}
-
-// tuneSpec is a resolved TuneRequest: a runnable tuner config plus its
-// content address.
-type tuneSpec struct {
-	cfg tune.Config
-	key Key
-}
-
-// maxTuneIters bounds the per-request search budget; anything larger is
-// a client error, not a queued month of simulation.
-const maxTuneIters = 256
-
-// resolveTune validates a TuneRequest into a tuneSpec, applying the
-// documented defaults before hashing so a spelled-out default and an
-// empty field share a cache entry.
-func resolveTune(req *TuneRequest) (*tuneSpec, error) {
-	cfg := tune.Config{Seed: req.Seed, Iters: req.Iters, Mode: req.Mode}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Iters == 0 {
-		cfg.Iters = 24
-	}
-	if cfg.Iters < 0 || cfg.Iters > maxTuneIters {
-		return nil, badf("iters %d out of range [1, %d]", cfg.Iters, maxTuneIters)
-	}
-	if cfg.Mode == "" {
-		cfg.Mode = tune.ModePolicy
-	}
-	switch cfg.Mode {
-	case tune.ModePolicy, tune.ModeMachine, tune.ModeBoth:
-	default:
-		return nil, badf("unknown mode %q (want policy, machine or both)", cfg.Mode)
-	}
-	var err error
-	if cfg.Machine, err = resolveMachine(req.Machine); err != nil {
-		return nil, err
-	}
-	if cfg.Level, err = parseLevelName(req.Level); err != nil {
-		return nil, err
-	}
-	switch cfg.Level {
-	case core.LevelUseful, core.LevelSpeculative, core.LevelDup:
-	default:
-		return nil, badf("level %q cannot be tuned (want useful, speculative or dup)", req.Level)
-	}
-	names := req.Workloads
-	if len(names) == 0 {
-		for _, w := range workload.All() {
-			names = append(names, w.Name)
-		}
-	}
-	names = append([]string(nil), names...)
-	sort.Strings(names)
-	names = slices.Compact(names)
-	for _, n := range names {
-		w := workload.ByName(n)
-		if w == nil {
-			return nil, badf("unknown workload %q", n)
-		}
-		cfg.Workloads = append(cfg.Workloads, w)
-	}
-
-	h := sha256.New()
-	fmt.Fprintf(h, "tune\x00seed=%d iters=%d mode=%s level=%s\x00", cfg.Seed, cfg.Iters, cfg.Mode, cfg.Level)
-	cfg.Machine.CanonicalTo(h)
-	h.Write([]byte{0})
-	for _, n := range names {
-		io.WriteString(h, n)
-		h.Write([]byte{0})
-	}
-	spec := &tuneSpec{cfg: cfg}
-	h.Sum(spec.key[:0])
-	return spec, nil
 }

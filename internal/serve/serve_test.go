@@ -447,6 +447,29 @@ func TestAuxEndpoints(t *testing.T) {
 	}
 }
 
+// Tuning is an offline search (cmd/bench -tune), not a service: POST
+// /tune is an unrouted path and /metrics has no tune series.
+func TestNoTuneEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := httpClient.Post(ts.URL+"/tune", "application/json", strings.NewReader(`{"iters":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /tune: status %d, want 404", resp.StatusCode)
+	}
+	m, err := Scrape(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for series := range m {
+		if strings.HasPrefix(series, "gschedd_tune_") {
+			t.Errorf("metrics still expose %s", series)
+		}
+	}
+}
+
 // LRU eviction must keep the byte cap and count evictions.
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(1024)

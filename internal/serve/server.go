@@ -25,7 +25,6 @@ import (
 	"gsched/internal/asm"
 	"gsched/internal/core"
 	"gsched/internal/sim"
-	"gsched/internal/tune"
 	"gsched/internal/xform"
 )
 
@@ -84,17 +83,6 @@ type Config struct {
 	// ExactTimeout is the per-job deadline of one exact run; expiry
 	// records the job as failed, never leaves it hung (default 60s).
 	ExactTimeout time.Duration
-	// TuneWorkers bounds concurrent auto-tuning (/tune) jobs; like the
-	// exact tier they run on their own pool (default 1).
-	TuneWorkers int
-	// TuneQueueDepth bounds tune jobs queued beyond the running
-	// workers; past it POST /tune answers 503 with Retry-After
-	// (default 8).
-	TuneQueueDepth int
-	// TuneTimeout is the per-job deadline of one tuning run (default
-	// 120s — a run costs Iters+1 pipeline-and-simulate sweeps of its
-	// workload set).
-	TuneTimeout time.Duration
 	// AllowDebugPanic honours the debug_panic request field, which
 	// crashes the worker to exercise the panic-to-500 recovery path.
 	// For tests and smoke drills only.
@@ -139,15 +127,6 @@ func (c *Config) defaults() {
 	if c.ExactTimeout <= 0 {
 		c.ExactTimeout = 60 * time.Second
 	}
-	if c.TuneWorkers <= 0 {
-		c.TuneWorkers = 1
-	}
-	if c.TuneQueueDepth <= 0 {
-		c.TuneQueueDepth = 8
-	}
-	if c.TuneTimeout <= 0 {
-		c.TuneTimeout = 120 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -165,7 +144,6 @@ type Server struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 	jobs    *jobManager // async exact-tier (level=optimal) jobs
-	tunes   *jobManager // async auto-tuning (/tune) jobs
 
 	sem      chan struct{} // worker slots
 	queued   atomic.Int64  // admitted, waiting or running
@@ -241,18 +219,9 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.metrics.exact = s.jobs.snapshot
-	s.tunes = newJobManager(cfg.TuneWorkers, cfg.TuneQueueDepth, cfg.TuneTimeout, s.runTuneJob)
-	if s.store != nil {
-		// Tune results are deterministic in their content key too, so
-		// they flow through the same forever-store as exact results.
-		s.tunes.lookup = s.jobs.lookup
-		s.tunes.persist = s.jobs.persist
-	}
-	s.metrics.tune = s.tunes.snapshot
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/schedule", s.handleSchedule)
 	s.mux.HandleFunc("/schedule/batch", s.handleScheduleBatch)
-	s.mux.HandleFunc("/tune", s.handleTune)
 	s.mux.HandleFunc("/jobs/", s.handleJob)
 	s.mux.HandleFunc("/internal/cache/", s.handleInternalCache)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -276,7 +245,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // sits in the persistent tiers.
 func (s *Server) Close() {
 	s.jobs.close()
-	s.tunes.close()
 	if s.store != nil {
 		s.store.Close()
 	}
@@ -420,79 +388,10 @@ func (s *Server) executeOptimal(parent context.Context, j *job) (code int, cache
 	return http.StatusAccepted, cacheState, resp, ""
 }
 
-// handleTune answers POST /tune: resolve the request, enqueue (or
-// join) the content-addressed tuning job on the tune pool, and answer
-// 202 with the job handle. GET /jobs/{id} serves the finished
-// tune.Result JSON forever.
-func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if r.Method != http.MethodPost {
-		s.finish(w, r, start, http.StatusMethodNotAllowed, "",
-			errorBody("POST only"), "method not allowed")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.finish(w, r, start, http.StatusRequestEntityTooLarge, "",
-				errorBody(fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes)), err.Error())
-			return
-		}
-		s.finish(w, r, start, http.StatusBadRequest, "", errorBody("read: "+err.Error()), err.Error())
-		return
-	}
-	var req TuneRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.finish(w, r, start, http.StatusBadRequest, "", errorBody("json: "+err.Error()), err.Error())
-		return
-	}
-	spec, err := resolveTune(&req)
-	if err != nil {
-		s.finish(w, r, start, http.StatusBadRequest, "", errorBody(err.Error()), err.Error())
-		return
-	}
-	status, ok := s.tunes.submit(spec.key, spec)
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		s.finish(w, r, start, http.StatusServiceUnavailable, "",
-			errorBody("tune job queue full"), "tune queue full")
-		return
-	}
-	id := spec.key.String()
-	resp, merr := json.Marshal(&TuneResponse{
-		Job: JobInfo{ID: id, Status: status, Poll: "/jobs/" + id},
-	})
-	if merr != nil {
-		s.finish(w, r, start, http.StatusInternalServerError, "",
-			errorBody("marshal: "+merr.Error()), merr.Error())
-		return
-	}
-	s.finish(w, r, start, http.StatusAccepted, "", resp, "")
-}
-
-// runTuneJob executes one async tuning run; the body is the
-// tune.Result JSON, a pure function of the spec (and thus of the
-// content key).
-func (s *Server) runTuneJob(ctx context.Context, v any) ([]byte, error) {
-	if s.testHook != nil {
-		s.testHook()
-	}
-	spec := v.(*tuneSpec)
-	res, err := tune.Run(ctx, spec.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(res)
-}
-
 // handleJob answers GET /jobs/{id}: the job's state, its result once
-// done (byte-for-byte the stored exact or tune response, forever), or
-// its failure diagnostic. Exact and tune jobs share the id space (both
-// are content addresses) but live in separate managers; the exact
-// manager is consulted first, and its store fallback also answers
-// tune ids proven before a restart — the stored bytes are the same
-// either way.
+// done (byte-for-byte the stored exact response, forever), or its
+// failure diagnostic. An id this process has not seen is answered from
+// the store stack when an earlier process or another node proved it.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodGet {
@@ -507,9 +406,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	state, result, jobErr, ok := s.jobs.get(key)
-	if !ok {
-		state, result, jobErr, ok = s.tunes.get(key)
-	}
 	if !ok {
 		s.finish(w, r, start, http.StatusNotFound, "", errorBody("unknown job"), "unknown job")
 		return
@@ -535,8 +431,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // the canonical assembly captured at resolve time — also what makes the
 // result a pure function of the content key, regardless of which
 // textual source first submitted it.
-func (s *Server) runExactJob(ctx context.Context, v any) ([]byte, error) {
-	spec := v.(*job)
+func (s *Server) runExactJob(ctx context.Context, spec *job) ([]byte, error) {
 	prog, err := asm.Parse(string(spec.canon))
 	if err != nil {
 		return nil, fmt.Errorf("reparse canonical program: %w", err)

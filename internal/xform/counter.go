@@ -50,15 +50,6 @@ func CounterLoops(f *ir.Func) int {
 	}
 }
 
-// CounterLoopsProgram applies CounterLoops to every function.
-func CounterLoopsProgram(p *ir.Program) int {
-	n := 0
-	for _, f := range p.Funcs {
-		n += CounterLoops(f)
-	}
-	return n
-}
-
 func convertCounterLoop(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region) bool {
 	header := f.Blocks[r.Header]
 	if header.Label == "" {

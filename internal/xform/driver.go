@@ -69,8 +69,14 @@ func (s *Stats) Add(o Stats) {
 // opts.MaxRegionLevels, innermost first, then the post-pass.
 // Cancellation is checked between the pipeline's stages and between
 // regions within each scheduling pass, so a timed-out request aborts
-// promptly with an error wrapping ctx.Err(). Every error names f once.
+// promptly with an error wrapping ctx.Err(). f is validated before and
+// after the pass: malformed IR built through the API (an instruction ID
+// used twice, a branch to a missing label) is an error, never a pass
+// that cannot terminate. Every error names f once.
 func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
+	if err := f.Validate(); err != nil {
+		return Stats{}, err // its errors already start with f.Name
+	}
 	st, err := run(ctx, f, opts, cfgX)
 	if err != nil {
 		return st, fmt.Errorf("%s: %w", f.Name, err)
@@ -78,8 +84,8 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 	return st, f.Validate() // its errors already start with f.Name
 }
 
-// run is RunCtx without the final validation and without the function
-// name on its errors.
+// run is RunCtx without validation and without the function name on
+// its errors.
 func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
 	var st Stats
 	if opts.Machine == nil {

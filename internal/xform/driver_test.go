@@ -107,8 +107,7 @@ func (w *failingWriter) Write(b []byte) (int, error) {
 }
 
 // dropRet removes the RET of each listed function, so its last block
-// falls off the end, which the pipeline pass's final validation
-// rejects.
+// falls off the end, which validation rejects.
 func dropRet(p *ir.Program, funcs ...int) {
 	for _, i := range funcs {
 		b := p.Funcs[i].Blocks[0]
@@ -182,20 +181,28 @@ func TestDriveEarlyExits(t *testing.T) {
 			want:   func(err error) bool { return errors.Is(err, context.Canceled) && namedOnce(err, "f0") },
 		},
 		{
-			// One instruction ID shared by two blocks is an input the
-			// scheduler runs on and the verifier rejects.
-			name: "verify error names the function once", ctx: context.Background(), opts: verifying,
+			// Before the entry check, the local issue loop never ended
+			// on this block.
+			name: "one instruction ID twice in a block", ctx: context.Background(), opts: opts,
 			reader: func() asm.FuncReader {
-				p, err := asm.Parse(smallFuncs(3) + "func two r1:\n\tC cr0=r1,r1\n\tBT L,cr0,lt\n\tAI r2=r1,1\n\tRET r2\nL:\n\tAI r3=r1,2\n\tRET r3\n")
-				if err != nil {
-					t.Fatal(err)
-				}
-				f := p.Func("two")
-				f.Blocks[2].Instrs[0].ID = f.Blocks[1].Instrs[0].ID
+				p := parseSmall(t, 3)
+				in := p.Funcs[1].Blocks[0].Instrs
+				in[1].ID = in[0].ID
 				return asm.ProgramReader(p)
 			},
 			want: func(err error) bool {
-				return err != nil && strings.Contains(err.Error(), "illegal schedule") && namedOnce(err, "two")
+				return err != nil && strings.Contains(err.Error(), "duplicate instruction ID") && namedOnce(err, "f1")
+			},
+		},
+		{
+			name: "branch to a missing label", ctx: context.Background(), opts: opts,
+			reader: func() asm.FuncReader {
+				p := twoWay(t)
+				p.Func("two").Blocks[2].Label = "M"
+				return asm.ProgramReader(p)
+			},
+			want: func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), `unresolved branch target "L"`) && namedOnce(err, "two")
 			},
 		},
 		{
@@ -220,6 +227,32 @@ func TestDriveEarlyExits(t *testing.T) {
 				t.Errorf("%s/%s: err = %v", tc.name, pass.name, err)
 			}
 			waitGoroutines(t, tc.name+"/"+pass.name, base)
+		}
+	}
+}
+
+// twoWay parses three small functions and "two", whose entry block
+// branches to L.
+func twoWay(t *testing.T) *ir.Program {
+	t.Helper()
+	p, err := asm.Parse(smallFuncs(3) + "func two r1:\n\tC cr0=r1,r1\n\tBT L,cr0,lt\n\tAI r2=r1,1\n\tRET r2\nL:\n\tAI r3=r1,2\n\tRET r3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestRunVerifyError: an instruction ID shared by two blocks is an
+// input the scheduler runs on and the verifier rejects. RunCtx refuses
+// it up front, so the pass itself is called to reach the verifier.
+func TestRunVerifyError(t *testing.T) {
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+	opts.Verify = true
+	for _, pass := range drivePasses {
+		f := twoWay(t).Func("two")
+		f.Blocks[2].Instrs[0].ID = f.Blocks[1].Instrs[0].ID
+		if _, err := run(context.Background(), f, opts, pass.cfg); err == nil || !strings.Contains(err.Error(), "illegal schedule") {
+			t.Errorf("%s: err = %v, want an illegal schedule", pass.name, err)
 		}
 	}
 }
