@@ -17,12 +17,18 @@
 // path, sort.Slice's reflection, or per-row slice allocation where a
 // counted carve would do.
 //
+// Every measurement runs with the garbage collector off (steadyAllocs):
+// a collection inside the measured window drops pooled scheduler state,
+// and the refills it causes would make a budget pass or fail on
+// unrelated allocation changes.
+//
 // The file is excluded under -race because the race detector adds its
 // own allocations, which would make the budgets meaningless.
 package gsched_test
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"gsched/internal/core"
@@ -35,17 +41,24 @@ import (
 
 // Budgets for the li workload (the paper's headline benchmark),
 // sequential. The first two are the speculative level; measured
-// 2026-10 through the program driver: RunProgramCtx with a zero Config
-// (plain scheduling) ~1189 allocs, with DefaultConfig (full
-// unroll/rotate pipeline) ~1427. The dup budget
-// covers level=dup with a trained edge profile, which adds probability
-// lookups, superblock formation and Definition-6 copy bookkeeping on
-// top of the same pipeline; measured 2026-10: ~1519.
+// 2026-10 through the program driver with the collector off:
+// RunProgramCtx with a zero Config (plain scheduling) 387 allocs, with
+// DefaultConfig (full unroll/rotate pipeline) 365. The dup budget covers
+// level=dup with a trained edge profile, which adds probability lookups,
+// superblock formation and Definition-6 copy bookkeeping on top of the
+// same pipeline; measured 2026-10: 445.
 const (
-	maxScheduleAllocs    = 1550
-	maxPipelineAllocs    = 1850
-	maxDupPipelineAllocs = 1950
+	maxScheduleAllocs    = 500
+	maxPipelineAllocs    = 475
+	maxDupPipelineAllocs = 580
 )
+
+// steadyAllocs is testing.AllocsPerRun(runs, fn) with the garbage
+// collector off for the measurement, restored afterwards.
+func steadyAllocs(runs int, fn func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, fn)
+}
 
 func TestSchedulingAllocBudget(t *testing.T) {
 	w := workload.ByName("li")
@@ -62,7 +75,7 @@ func TestSchedulingAllocBudget(t *testing.T) {
 	// Rescheduling an already-scheduled program is legal and reaches a
 	// steady state after the first run (AllocsPerRun's warm-up call), so
 	// the measurement sees only per-run work, not one-time growth.
-	got := testing.AllocsPerRun(20, func() {
+	got := steadyAllocs(20, func() {
 		if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{}); err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +90,7 @@ func TestSchedulingAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = testing.AllocsPerRun(20, func() {
+	got = steadyAllocs(20, func() {
 		if _, err := xform.RunProgramCtx(context.Background(), prog2, opts, xform.DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +133,7 @@ func TestDupSchedulingAllocBudget(t *testing.T) {
 	opts := core.Defaults(machine.RS6K(), core.LevelDup)
 	opts.Profile = prof
 	opts.Parallelism = 1
-	got := testing.AllocsPerRun(20, func() {
+	got := steadyAllocs(20, func() {
 		if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}

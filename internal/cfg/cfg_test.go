@@ -132,7 +132,7 @@ func TestMinMaxPostDominators(t *testing.T) {
 	li := FindLoops(g)
 	loop := li.Root.Inner[0]
 	sg := g.Forward(loop.Blocks, loop.Header, li.IsBackEdge)
-	pdom := PostDominators(sg, RegionExits(g, li, loop))
+	pdom := PostDominators(sg, RegionExits(nil, g, li, loop))
 	// Within the loop's forward body, BL10 postdominates everything.
 	for b := bl(1); b <= bl(9); b++ {
 		if !pdom.PostDominates(bl(10), b) {

@@ -5,37 +5,55 @@ package cfg
 // serves dominators (forward graph from entry) and postdominators
 // (reversed graph from a virtual exit).
 
+import "slices"
+
 // DomTree holds immediate dominators: Idom[u] is the immediate dominator
 // of u, Idom[root] == root, and Idom[u] == -1 for nodes unreachable from
 // the root.
 type DomTree struct {
 	Root int
 	Idom []int
+
+	// Storage that refill reuses.
+	seen  []bool
+	rpo   []int
+	num   []int
+	stack [][2]int
 }
 
-// computeIdom runs the CHK algorithm over an explicit adjacency.
-// n is the node count; preds gives the predecessors of each node in the
-// direction of the analysis.
-func computeIdom(n, root int, succs, preds [][]int) *DomTree {
-	// Reverse postorder from root over succs.
-	seen := make([]bool, n)
-	var post []int
-	var dfs func(int)
-	dfs = func(u int) {
-		seen[u] = true
-		for _, v := range succs[u] {
+// refill runs the CHK algorithm over an explicit adjacency into t's
+// storage. n is the node count; preds gives the predecessors of each
+// node in the direction of the analysis.
+func (t *DomTree) refill(n, root int, succs, preds [][]int) {
+	// Reverse postorder from root over succs: an explicit depth-first
+	// stack of (node, next successor) pairs, which emits the postorder
+	// of the recursive walk.
+	t.seen = resized(t.seen, n)
+	seen := t.seen
+	post := t.rpo[:0]
+	stack := append(t.stack[:0], [2]int{root, 0})
+	seen[root] = true
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		u := top[0]
+		if top[1] < len(succs[u]) {
+			v := succs[u][top[1]]
+			top[1]++
 			if !seen[v] {
-				dfs(v)
+				seen[v] = true
+				stack = append(stack, [2]int{v, 0})
 			}
+			continue
 		}
+		stack = stack[:len(stack)-1]
 		post = append(post, u)
 	}
-	dfs(root)
-	rpo := make([]int, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		rpo = append(rpo, post[i])
-	}
-	num := make([]int, n) // rpo number, lower = earlier
+	t.stack = stack
+	slices.Reverse(post)
+	rpo := post
+	t.rpo = rpo
+	t.num = resized(t.num, n)
+	num := t.num // rpo number, lower = earlier
 	for i := range num {
 		num[i] = -1
 	}
@@ -43,7 +61,9 @@ func computeIdom(n, root int, succs, preds [][]int) *DomTree {
 		num[u] = i
 	}
 
-	idom := make([]int, n)
+	t.Root = root
+	t.Idom = resized(t.Idom, n)
+	idom := t.Idom
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -84,12 +104,13 @@ func computeIdom(n, root int, succs, preds [][]int) *DomTree {
 			}
 		}
 	}
-	return &DomTree{Root: root, Idom: idom}
 }
 
 // Dominators computes the dominator tree of g from the entry node.
 func Dominators(g *Graph, entry int) *DomTree {
-	return computeIdom(g.N(), entry, g.Succs, g.Preds)
+	t := new(DomTree)
+	t.refill(g.N(), entry, g.Succs, g.Preds)
+	return t
 }
 
 // Dominates reports whether a dominates b (reflexively).
@@ -114,9 +135,15 @@ func (t *DomTree) Dominates(a, b int) bool {
 // PostDomTree is the postdominator tree of a subgraph, computed against a
 // virtual exit node (numbered G.N()).
 type PostDomTree struct {
-	tree *DomTree
+	tree DomTree
 	// VirtualExit is the node number of the added exit.
 	VirtualExit int
+
+	// Storage that Refill reuses: the reversed adjacency.
+	succs, preds [][]int
+	isExit       []bool
+	nsucc, npred []int
+	backing      []int
 }
 
 // PostDominators computes postdominators of the subgraph. exits lists the
@@ -124,19 +151,29 @@ type PostDomTree struct {
 // virtual exit node). Every member with no subgraph successors is treated
 // as an exit automatically.
 func PostDominators(sg *Subgraph, exits []int) *PostDomTree {
+	t := new(PostDomTree)
+	t.Refill(sg, exits)
+	return t
+}
+
+// Refill recomputes t as PostDominators(sg, exits) does, reusing t's
+// storage.
+func (t *PostDomTree) Refill(sg *Subgraph, exits []int) {
 	n := sg.G.N()
 	vx := n
+	t.VirtualExit = vx
 	// Build the reversed adjacency including the virtual exit, carving
 	// all rows from one backing array (count, carve, fill).
-	succs := make([][]int, n+1)
-	preds := make([][]int, n+1)
-	isExit := make([]bool, n)
+	t.succs = resized(t.succs, n+1)
+	t.preds = resized(t.preds, n+1)
+	t.isExit = resized(t.isExit, n)
+	t.nsucc = resized(t.nsucc, n+1)
+	t.npred = resized(t.npred, n+1)
+	succs, preds, isExit, nsucc, npred := t.succs, t.preds, t.isExit, t.nsucc, t.npred
 	for _, e := range exits {
 		isExit[e] = true
 	}
 	total := 0
-	nsucc := make([]int, n+1)
-	npred := make([]int, n+1)
 	for _, u := range sg.Nodes {
 		if len(sg.Succs[u]) == 0 {
 			isExit[u] = true
@@ -152,8 +189,8 @@ func PostDominators(sg *Subgraph, exits []int) *PostDomTree {
 			total++
 		}
 	}
-	backing := make([]int, 2*total)
-	sb, pb := backing[:total], backing[total:]
+	t.backing = resized(t.backing, 2*total)
+	sb, pb := t.backing[:total], t.backing[total:]
 	for i := 0; i <= n; i++ {
 		succs[i], sb = sb[:0:nsucc[i]], sb[nsucc[i]:]
 		preds[i], pb = pb[:0:npred[i]], pb[npred[i]:]
@@ -171,8 +208,7 @@ func PostDominators(sg *Subgraph, exits []int) *PostDomTree {
 			addEdge(u, vx)
 		}
 	}
-	t := computeIdom(n+1, vx, succs, preds)
-	return &PostDomTree{tree: t, VirtualExit: vx}
+	t.tree.refill(n+1, vx, succs, preds)
 }
 
 // PostDominates reports whether a postdominates b (reflexively).

@@ -260,7 +260,9 @@ func TestLocalSchedulerFillsDelaySlot(t *testing.T) {
 	b.Ret(y)
 	f.ReindexBlocks()
 
-	core.ScheduleBlockLocalPolicy(f.Blocks[0], machine.RS6K(), nil)
+	if err := core.ScheduleBlockLocalPolicy(f.Blocks[0], machine.RS6K(), nil); err != nil {
+		t.Fatal(err)
+	}
 	idx := func(i *ir.Instr) int {
 		for k, in := range f.Blocks[0].Instrs {
 			if in == i {

@@ -102,8 +102,9 @@ func (rs *regionScheduler) ensureID(id int) {
 	}
 }
 
-// run schedules every own block of the region in topological order.
-func (rs *regionScheduler) run() {
+// run schedules every own block of the region in topological order. An
+// error is internal: a session that cannot finish on malformed IR.
+func (rs *regionScheduler) run() error {
 	// Own blocks = the region's blocks minus every nested region's,
 	// marked in place (OwnBlocks would allocate a map and slice per
 	// region).
@@ -128,9 +129,12 @@ func (rs *regionScheduler) run() {
 			rs.processed[a] = true
 			continue
 		}
-		rs.scheduleBlock(a)
+		if err := rs.scheduleBlock(a); err != nil {
+			return err
+		}
 		rs.processed[a] = true
 	}
+	return nil
 }
 
 // heightsOf returns the §5.2 priority values (D, CP) of block b's
@@ -465,7 +469,7 @@ func compareCandidates(x, y *candidate) int {
 }
 
 // scheduleBlock runs one cycle-driven scheduling session for block a.
-func (rs *regionScheduler) scheduleBlock(a int) {
+func (rs *regionScheduler) scheduleBlock(a int) error {
 	blk := rs.f.Blocks[a]
 	term := blk.Terminator()
 	ownLeft := 0
@@ -513,8 +517,10 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 		return at
 	}
 
-	cycle := 0
-	guard := 0
+	// A session on well-formed IR places something at least once every
+	// stallLimit cycles (see ScheduleBlockLocalPolicy); idle counts the
+	// cycles since the last placement.
+	cycle, idle, limit := 0, 0, stallLimit(rs.opts.Machine)
 	for {
 		if term != nil {
 			if done[term.ID] {
@@ -523,7 +529,7 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 		} else if ownLeft == 0 {
 			break
 		}
-		if guard++; guard > 1_000_000 {
+		if idle > limit {
 			var stuck []string
 			for _, c := range cands {
 				if done[c.instr.ID] || c.home != a {
@@ -538,8 +544,8 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 				}
 				stuck = append(stuck, msg)
 			}
-			panic(fmt.Sprintf("core: scheduling session for block %d did not converge:\n%s",
-				a, strings.Join(stuck, "\n")))
+			return fmt.Errorf("core: scheduling session for block %d did not converge:\n%s",
+				a, strings.Join(stuck, "\n"))
 		}
 
 		// Collect candidates ready this cycle.
@@ -560,6 +566,7 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 		slices.SortFunc(ready, cmp)
 
 		var unitsUsed [8]int
+		idle++
 
 		var termPick *candidate
 		for _, c := range ready {
@@ -587,6 +594,7 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 			}
 			// Place the instruction.
 			unitsUsed[t]++
+			idle = 0
 
 			done[c.instr.ID] = true
 			rs.scheduled[c.instr.ID] = true
@@ -616,6 +624,7 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 			}
 		}
 		if termPick != nil {
+			idle = 0
 			done[term.ID] = true
 			rs.scheduled[term.ID] = true
 			rs.cycleOf[term.ID] = cycle
@@ -635,6 +644,7 @@ func (rs *regionScheduler) scheduleBlock(a int) {
 	if movedSomething {
 		rs.pl.refreshLiveness()
 	}
+	return nil
 }
 
 // duplicateIntoPreds places copies of a duplicated instruction at the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"gsched/internal/ir"
@@ -39,9 +40,15 @@ type localNode struct {
 // position) ready-list order; a nil policy keeps it. The gate does not
 // apply — the post-pass never moves instructions between blocks, so
 // there is nothing to veto.
-func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Policy) {
+//
+// A well-formed block issues something at least once every stallLimit
+// cycles. If the loop waits longer (malformed IR, such as one
+// instruction ID used twice in the block, leaves an instruction that
+// can never become ready), it returns an error and leaves blk as it
+// was.
+func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Policy) error {
 	if len(blk.Instrs) < 2 {
-		return
+		return nil
 	}
 	pl := getPipeline()
 	defer putPipeline(pl)
@@ -121,9 +128,12 @@ func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Pol
 		return at
 	}
 
-	cycle := 0
+	cycle, idle, limit := 0, 0, stallLimit(mach)
 	ready := pl.local.ready[:0]
 	for len(newOrder) < len(nodes) {
+		if idle > limit {
+			return fmt.Errorf("core: block %s: the local scheduler issued nothing for %d cycles", blk, idle)
+		}
 		ready = ready[:0]
 		for _, n := range nodes {
 			if done[n.instr.ID-lo] {
@@ -152,6 +162,7 @@ func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Pol
 			})
 		}
 		var unitsUsed [8]int
+		idle++
 		for _, n := range ready {
 			t := mach.Unit(n.instr.Op)
 			if unitsUsed[t] >= mach.NumUnits[t] {
@@ -161,6 +172,7 @@ func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Pol
 			done[n.instr.ID-lo] = true
 			cycleOf[n.instr.ID-lo] = cycle
 			newOrder = append(newOrder, n.instr)
+			idle = 0
 		}
 		cycle++
 	}
@@ -169,4 +181,13 @@ func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Pol
 	blk.Instrs = append(blk.Instrs[:0], newOrder...)
 	pl.local.nodes, pl.local.done, pl.local.cycleOf = nodes, done, cycleOf
 	pl.local.newOrder, pl.local.ready = newOrder, ready
+	return nil
+}
+
+// stallLimit bounds the cycles a list scheduler on mach can wait with
+// nothing to issue while its input is well formed: the longest an
+// issued instruction can hold back a dependent, its execution time
+// plus the largest delay on the machine.
+func stallLimit(mach *machine.Desc) int {
+	return max(mach.MulTime, mach.DivTime, 1) + mach.MaxDelay()
 }

@@ -150,7 +150,8 @@ func (pl *pipeline) liveness(f *ir.Func, g *cfg.Graph, scope []bool, base *dataf
 // scheduleRegion schedules one region on this pipeline's arenas. scope
 // and base carry the liveness scoping of region-parallel waves (nil for
 // whole-function liveness); the caller resets the pipeline's liveness
-// whenever they change.
+// whenever they change. A region whose PDG cannot be built is skipped
+// and counted; an error means scheduling could not finish.
 func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region,
 	opts *Options, st *Stats, scope []bool, base *dataflow.Liveness) error {
 
@@ -158,7 +159,8 @@ func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r
 	p, err := pdg.BuildWith(pl.ddgb, f, g, li, r, opts.Machine)
 	donePDG()
 	if err != nil {
-		return err
+		st.RegionsSkipped++
+		return nil
 	}
 	n := f.NumInstrIDs()
 	nb := len(f.Blocks)
@@ -184,8 +186,11 @@ func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r
 		liveBase:  base,
 	}
 	doneRun := opts.Trace.TimePhase(PhaseRegion)
-	rs.run()
+	err = rs.run()
 	doneRun()
+	if err != nil {
+		return err
+	}
 	// Duplication may have grown the ID-indexed tables; keep the larger
 	// backing for the next region.
 	pl.scheduled, pl.cycleOf, pl.blockOf, pl.pos = rs.scheduled, rs.cycleOf, rs.blockOf, rs.pos
@@ -230,7 +235,6 @@ func ScheduleRegionTree(ctx context.Context, f *ir.Func, g *cfg.Graph, li *cfg.L
 
 	pl := getPipeline()
 	defer putPipeline(pl)
-	heights := cfg.RegionHeights(li.Root)
 	pl.resetLive()
 
 	// scheduleOne applies the eligibility filters and size caps to one
@@ -239,7 +243,7 @@ func ScheduleRegionTree(ctx context.Context, f *ir.Func, g *cfg.Graph, li *cfg.L
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: schedule cancelled: %w", err)
 		}
-		if !keep(r, heights[r]) {
+		if !keep(r, r.Height) {
 			return nil
 		}
 		if opts.MaxRegionBlocks > 0 && len(r.Blocks) > opts.MaxRegionBlocks {
@@ -256,10 +260,7 @@ func ScheduleRegionTree(ctx context.Context, f *ir.Func, g *cfg.Graph, li *cfg.L
 				return nil
 			}
 		}
-		if err := wpl.scheduleRegion(f, g, li, r, opts, wst, scope, base); err != nil {
-			wst.RegionsSkipped++
-		}
-		return nil
+		return wpl.scheduleRegion(f, g, li, r, opts, wst, scope, base)
 	}
 	// scheduleSubtree schedules the regions of the tree rooted at r,
 	// children first, sequentially.

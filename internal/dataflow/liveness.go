@@ -105,6 +105,13 @@ func (s *RegSet) Copy() *RegSet {
 	return c
 }
 
+// Set makes s a copy of o, reusing s's storage.
+func (s *RegSet) Set(o *RegSet) {
+	for k := 0; k < ir.NumClasses; k++ {
+		s.bits[k] = append(s.bits[k][:0], o.bits[k]...)
+	}
+}
+
 // Clear empties the set in place.
 func (s *RegSet) Clear() {
 	for c := 0; c < ir.NumClasses; c++ {

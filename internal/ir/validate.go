@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Validate checks structural invariants of the function:
 //
@@ -17,29 +20,49 @@ func (f *Func) Validate() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: function has no blocks", f.Name)
 	}
-	labels := make(map[string]*Block)
+	labels := make([]string, 0, len(f.Blocks))
 	for idx, b := range f.Blocks {
 		if b.Index != idx {
+			if err := duplicateLabel(f.Name, f.Blocks[:idx]); err != nil {
+				return err // an earlier block's violation comes first
+			}
 			return fmt.Errorf("%s: block %q has index %d, want %d (call ReindexBlocks)", f.Name, b, b.Index, idx)
 		}
 		if b.Label != "" {
-			if _, dup := labels[b.Label]; dup {
-				return fmt.Errorf("%s: duplicate label %q", f.Name, b.Label)
-			}
-			labels[b.Label] = b
+			labels = append(labels, b.Label)
 		}
 	}
-	seen := make(map[int]bool)
+	slices.Sort(labels)
+	for k := 1; k < len(labels); k++ {
+		if labels[k] == labels[k-1] {
+			return duplicateLabel(f.Name, f.Blocks)
+		}
+	}
+	// IDs are dense below NumInstrIDs; any other ID (one set by hand)
+	// is tracked in a map made only when one appears.
+	seen := make([]uint64, (f.NumInstrIDs()+63)/64)
+	var seenOther map[int]bool
 	for _, b := range f.Blocks {
 		for k, i := range b.Instrs {
-			if seen[i.ID] {
+			dup := false
+			if w := i.ID / 64; i.ID >= 0 && w < len(seen) {
+				bit := uint64(1) << (i.ID % 64)
+				dup = seen[w]&bit != 0
+				seen[w] |= bit
+			} else {
+				if seenOther == nil {
+					seenOther = make(map[int]bool)
+				}
+				dup = seenOther[i.ID]
+				seenOther[i.ID] = true
+			}
+			if dup {
 				return fmt.Errorf("%s: duplicate instruction ID %d (%s)", f.Name, i.ID, i)
 			}
-			seen[i.ID] = true
 			if i.Op.IsTerminator() && k != len(b.Instrs)-1 {
 				return fmt.Errorf("%s: block %s: terminator %s not last", f.Name, b, i)
 			}
-			if err := f.validateInstr(b, i, labels); err != nil {
+			if err := (checker{f, b, i}).instr(labels); err != nil {
 				return err
 			}
 		}
@@ -51,198 +74,217 @@ func (f *Func) Validate() error {
 	return nil
 }
 
-func (f *Func) validateMem(i *Instr, bad func(string, ...any) error) error {
-	m := i.Mem
-	if !m.Frame {
-		return nil
-	}
-	if m.Sym != "" || m.Base.Valid() {
-		return bad("frame reference must use a constant offset only")
-	}
-	if m.Off < 0 || m.Off+WordSize > f.FrameWords*WordSize {
-		return bad("frame offset %d outside frame of %d words", m.Off, f.FrameWords)
+// duplicateLabel reports the first label, in block order, that an
+// earlier one of blocks already carries, or nil.
+func duplicateLabel(fn string, blocks []*Block) error {
+	seen := make(map[string]bool)
+	for _, b := range blocks {
+		if b.Label == "" {
+			continue
+		}
+		if seen[b.Label] {
+			return fmt.Errorf("%s: duplicate label %q", fn, b.Label)
+		}
+		seen[b.Label] = true
 	}
 	return nil
 }
 
-func (f *Func) validateInstr(b *Block, i *Instr, labels map[string]*Block) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%s: block %s: %s: %s", f.Name, b, i, fmt.Sprintf(format, args...))
+// checker validates one instruction i of block b of f.
+type checker struct {
+	f *Func
+	b *Block
+	i *Instr
+}
+
+func (c checker) bad(format string, args ...any) error {
+	return fmt.Errorf("%s: block %s: %s: %s", c.f.Name, c.b, c.i, fmt.Sprintf(format, args...))
+}
+
+func (c checker) want(r Reg, cl RegClass, what string) error {
+	if !r.Valid() {
+		return c.bad("missing %s", what)
 	}
-	wantClass := func(r Reg, c RegClass, what string) error {
-		if !r.Valid() {
-			return bad("missing %s", what)
-		}
-		if r.Class != c {
-			return bad("%s %s has class %s, want %s", what, r, r.Class, c)
-		}
+	if r.Class != cl {
+		return c.bad("%s %s has class %s, want %s", what, r, r.Class, cl)
+	}
+	return nil
+}
+
+// want2 checks a destination and one source.
+func (c checker) want2(def RegClass, src RegClass, srcWhat string) error {
+	if err := c.want(c.i.Def, def, "destination"); err != nil {
+		return err
+	}
+	return c.want(c.i.A, src, srcWhat)
+}
+
+func (c checker) mem() error {
+	m := c.i.Mem
+	if !m.Frame {
 		return nil
 	}
+	if m.Sym != "" || m.Base.Valid() {
+		return c.bad("frame reference must use a constant offset only")
+	}
+	if m.Off < 0 || m.Off+WordSize > c.f.FrameWords*WordSize {
+		return c.bad("frame offset %d outside frame of %d words", m.Off, c.f.FrameWords)
+	}
+	return nil
+}
+
+// target checks that the branch target is one of the sorted labels.
+func (c checker) target(labels []string) error {
+	if _, ok := slices.BinarySearch(labels, c.i.Target); !ok {
+		return c.bad("unresolved branch target %q", c.i.Target)
+	}
+	return nil
+}
+
+func (c checker) instr(labels []string) error {
+	f, b, i := c.f, c.b, c.i
 	switch i.Op {
 	case OpNop:
 	case OpLI:
-		return wantClass(i.Def, ClassGPR, "destination")
+		return c.want(i.Def, ClassGPR, "destination")
 	case OpLR, OpNeg, OpNot:
-		if err := wantClass(i.Def, ClassGPR, "destination"); err != nil {
-			return err
-		}
-		return wantClass(i.A, ClassGPR, "source")
+		return c.want2(ClassGPR, ClassGPR, "source")
 	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr:
-		if err := wantClass(i.Def, ClassGPR, "destination"); err != nil {
+		if err := c.want2(ClassGPR, ClassGPR, "first source"); err != nil {
 			return err
 		}
-		if err := wantClass(i.A, ClassGPR, "first source"); err != nil {
-			return err
-		}
-		return wantClass(i.B, ClassGPR, "second source")
+		return c.want(i.B, ClassGPR, "second source")
 	case OpAddI, OpMulI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI:
-		if err := wantClass(i.Def, ClassGPR, "destination"); err != nil {
-			return err
-		}
-		return wantClass(i.A, ClassGPR, "source")
+		return c.want2(ClassGPR, ClassGPR, "source")
 	case OpCmp:
-		if err := wantClass(i.Def, ClassCR, "condition destination"); err != nil {
+		if err := c.want(i.Def, ClassCR, "condition destination"); err != nil {
 			return err
 		}
-		if err := wantClass(i.A, ClassGPR, "first source"); err != nil {
+		if err := c.want(i.A, ClassGPR, "first source"); err != nil {
 			return err
 		}
-		return wantClass(i.B, ClassGPR, "second source")
+		return c.want(i.B, ClassGPR, "second source")
 	case OpCmpI:
-		if err := wantClass(i.Def, ClassCR, "condition destination"); err != nil {
+		if err := c.want(i.Def, ClassCR, "condition destination"); err != nil {
 			return err
 		}
-		return wantClass(i.A, ClassGPR, "source")
+		return c.want(i.A, ClassGPR, "source")
 	case OpLoad, OpLoadU:
 		if i.Mem == nil {
-			return bad("load without memory operand")
+			return c.bad("load without memory operand")
 		}
-		if err := f.validateMem(i, bad); err != nil {
+		if err := c.mem(); err != nil {
 			return err
 		}
-		if err := wantClass(i.Def, ClassGPR, "destination"); err != nil {
+		if err := c.want(i.Def, ClassGPR, "destination"); err != nil {
 			return err
 		}
 		if i.Op == OpLoadU {
-			if err := wantClass(i.Def2, ClassGPR, "updated base"); err != nil {
+			if err := c.want(i.Def2, ClassGPR, "updated base"); err != nil {
 				return err
 			}
 			if !i.Mem.Base.Valid() {
-				return bad("load-with-update needs a base register")
+				return c.bad("load-with-update needs a base register")
 			}
 		}
 		return nil
 	case OpStore, OpStoreU:
 		if i.Mem == nil {
-			return bad("store without memory operand")
+			return c.bad("store without memory operand")
 		}
-		if err := f.validateMem(i, bad); err != nil {
+		if err := c.mem(); err != nil {
 			return err
 		}
-		if err := wantClass(i.A, ClassGPR, "stored value"); err != nil {
+		if err := c.want(i.A, ClassGPR, "stored value"); err != nil {
 			return err
 		}
 		if i.Op == OpStoreU {
-			if err := wantClass(i.Def2, ClassGPR, "updated base"); err != nil {
+			if err := c.want(i.Def2, ClassGPR, "updated base"); err != nil {
 				return err
 			}
 			if !i.Mem.Base.Valid() {
-				return bad("store-with-update needs a base register")
+				return c.bad("store-with-update needs a base register")
 			}
 		}
 		return nil
 	case OpFAdd, OpFSub, OpFMul, OpFDiv:
-		if err := wantClass(i.Def, ClassFPR, "destination"); err != nil {
+		if err := c.want2(ClassFPR, ClassFPR, "first source"); err != nil {
 			return err
 		}
-		if err := wantClass(i.A, ClassFPR, "first source"); err != nil {
-			return err
-		}
-		return wantClass(i.B, ClassFPR, "second source")
+		return c.want(i.B, ClassFPR, "second source")
 	case OpFNeg, OpFMove:
-		if err := wantClass(i.Def, ClassFPR, "destination"); err != nil {
-			return err
-		}
-		return wantClass(i.A, ClassFPR, "source")
+		return c.want2(ClassFPR, ClassFPR, "source")
 	case OpFCmp:
-		if err := wantClass(i.Def, ClassCR, "condition destination"); err != nil {
+		if err := c.want(i.Def, ClassCR, "condition destination"); err != nil {
 			return err
 		}
-		if err := wantClass(i.A, ClassFPR, "first source"); err != nil {
+		if err := c.want(i.A, ClassFPR, "first source"); err != nil {
 			return err
 		}
-		return wantClass(i.B, ClassFPR, "second source")
+		return c.want(i.B, ClassFPR, "second source")
 	case OpFCvt:
-		if err := wantClass(i.Def, ClassFPR, "destination"); err != nil {
-			return err
-		}
-		return wantClass(i.A, ClassGPR, "source")
+		return c.want2(ClassFPR, ClassGPR, "source")
 	case OpFTrunc:
-		if err := wantClass(i.Def, ClassGPR, "destination"); err != nil {
-			return err
-		}
-		return wantClass(i.A, ClassFPR, "source")
+		return c.want2(ClassGPR, ClassFPR, "source")
 	case OpFLoad:
 		if i.Mem == nil {
-			return bad("load without memory operand")
+			return c.bad("load without memory operand")
 		}
-		if err := f.validateMem(i, bad); err != nil {
+		if err := c.mem(); err != nil {
 			return err
 		}
-		return wantClass(i.Def, ClassFPR, "destination")
+		return c.want(i.Def, ClassFPR, "destination")
 	case OpFStore:
 		if i.Mem == nil {
-			return bad("store without memory operand")
+			return c.bad("store without memory operand")
 		}
-		if err := f.validateMem(i, bad); err != nil {
+		if err := c.mem(); err != nil {
 			return err
 		}
-		return wantClass(i.A, ClassFPR, "stored value")
+		return c.want(i.A, ClassFPR, "stored value")
 	case OpB:
-		if labels[i.Target] == nil {
-			return bad("unresolved branch target %q", i.Target)
-		}
+		return c.target(labels)
 	case OpBC:
-		if labels[i.Target] == nil {
-			return bad("unresolved branch target %q", i.Target)
+		if err := c.target(labels); err != nil {
+			return err
 		}
-		if err := wantClass(i.A, ClassCR, "condition source"); err != nil {
+		if err := c.want(i.A, ClassCR, "condition source"); err != nil {
 			return err
 		}
 		if b.Index == len(f.Blocks)-1 {
-			return bad("conditional branch in the last block falls through past the end")
+			return c.bad("conditional branch in the last block falls through past the end")
 		}
 	case OpBCT:
-		if labels[i.Target] == nil {
-			return bad("unresolved branch target %q", i.Target)
+		if err := c.target(labels); err != nil {
+			return err
 		}
-		if err := wantClass(i.A, ClassGPR, "counter"); err != nil {
+		if err := c.want(i.A, ClassGPR, "counter"); err != nil {
 			return err
 		}
 		if i.Def != i.A {
-			return bad("counter branch must decrement its own counter (Def == A)")
+			return c.bad("counter branch must decrement its own counter (Def == A)")
 		}
 		if b.Index == len(f.Blocks)-1 {
-			return bad("counter branch in the last block falls through past the end")
+			return c.bad("counter branch in the last block falls through past the end")
 		}
 	case OpCall:
 		if i.Target == "" {
-			return bad("call without target")
+			return c.bad("call without target")
 		}
 		for k, a := range i.CallArgs {
-			if err := wantClass(a, ClassGPR, fmt.Sprintf("argument %d", k)); err != nil {
-				return err
+			if !a.Valid() || a.Class != ClassGPR {
+				return c.want(a, ClassGPR, fmt.Sprintf("argument %d", k))
 			}
 		}
 		if i.Def.Valid() && i.Def.Class != ClassGPR {
-			return bad("call result %s is not a GPR", i.Def)
+			return c.bad("call result %s is not a GPR", i.Def)
 		}
 	case OpRet:
 		if i.A.Valid() && i.A.Class != ClassGPR {
-			return bad("return value %s is not a GPR", i.A)
+			return c.bad("return value %s is not a GPR", i.A)
 		}
 	default:
-		return bad("unknown opcode")
+		return c.bad("unknown opcode")
 	}
 	return nil
 }

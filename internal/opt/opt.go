@@ -7,6 +7,8 @@
 package opt
 
 import (
+	"sync"
+
 	"gsched/internal/cfg"
 	"gsched/internal/dataflow"
 	"gsched/internal/ir"
@@ -21,29 +23,38 @@ type Stats struct {
 	Passes           int
 }
 
-// Func optimizes one function to a fixed point (bounded).
+// Func optimizes one function to a fixed point (bounded). The flow
+// graph is built once and rebuilt only after removeUnreachable drops a
+// block: copy propagation and constant folding rewrite operands, and
+// dead-code elimination never removes a terminator, so neither changes
+// an edge. One liveness analyzer serves every pass.
 func Func(f *ir.Func) Stats {
 	var st Stats
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	g := &s.g
+	g.Refill(f)
 	for pass := 0; pass < 10; pass++ {
 		st.Passes++
 		changed := false
 		for _, b := range f.Blocks {
-			c1 := propagateLocal(f, b)
+			c1 := s.propagateLocal(b)
 			st.CopiesPropagated += c1.CopiesPropagated
 			st.ConstsFolded += c1.ConstsFolded
 			if c1.CopiesPropagated+c1.ConstsFolded > 0 {
 				changed = true
 			}
 		}
-		removed := eliminateDead(f)
+		removed := s.eliminateDead(f, g)
 		st.InstrsRemoved += removed
 		if removed > 0 {
 			changed = true
 		}
-		dropped := removeUnreachable(f)
+		dropped := removeUnreachable(f, g)
 		st.BlocksRemoved += dropped
 		if dropped > 0 {
 			changed = true
+			g.Refill(f)
 		}
 		if !changed {
 			break
@@ -52,16 +63,28 @@ func Func(f *ir.Func) Stats {
 	return st
 }
 
-// removeUnreachable drops blocks no path from the entry reaches. The
-// last remaining block must still end the function properly, which
-// reachability guarantees: an unreachable block cannot be a fallthrough
-// target of a reachable one.
-func removeUnreachable(f *ir.Func) int {
-	g := cfg.Build(f)
+// scratch is the state opt.Func reuses across blocks and passes, and
+// across functions through scratchPool: each call owns one for its
+// duration.
+type scratch struct {
+	g       cfg.Graph
+	copyOf  map[ir.Reg]ir.Reg // r -> original source, within one block
+	constOf map[ir.Reg]int64  // r -> known value, within one block
+	live    dataflow.Analyzer
+	out     dataflow.RegSet // a block's live set during its backward walk
+	keep    []bool
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{copyOf: make(map[ir.Reg]ir.Reg), constOf: make(map[ir.Reg]int64)}
+}}
+
+// removeUnreachable drops blocks no path from the entry reaches in g,
+// the current flow graph of f. The last remaining block must still end
+// the function properly, which reachability guarantees: an unreachable
+// block cannot be a fallthrough target of a reachable one.
+func removeUnreachable(f *ir.Func, g *cfg.Graph) int {
 	reach := g.Reachable(0)
-	// A reachable block that falls through keeps its layout successor
-	// alive implicitly; cfg.Build already encoded fallthrough edges, so
-	// reach is exact.
 	kept := f.Blocks[:0]
 	dropped := 0
 	for i, b := range f.Blocks {
@@ -95,10 +118,11 @@ func Program(p *ir.Program) Stats {
 
 // propagateLocal walks one block tracking register copies and constants,
 // rewriting uses and folding constant ALU operations in place.
-func propagateLocal(f *ir.Func, b *ir.Block) Stats {
+func (s *scratch) propagateLocal(b *ir.Block) Stats {
 	var st Stats
-	copyOf := make(map[ir.Reg]ir.Reg) // r -> original source
-	constOf := make(map[ir.Reg]int64) // r -> known value
+	copyOf, constOf := s.copyOf, s.constOf
+	clear(copyOf)
+	clear(constOf)
 
 	kill := func(r ir.Reg) {
 		if !r.Valid() {
@@ -305,15 +329,15 @@ func evalALUImm(op ir.Op, a, imm int64) int64 {
 
 // eliminateDead removes instructions whose results are never used and
 // which have no side effects. A backwards walk per block against the
-// global live-out sets.
-func eliminateDead(f *ir.Func) int {
-	g := cfg.Build(f)
-	lv := dataflow.Compute(f, g)
+// global live-out sets, computed over g.
+func (s *scratch) eliminateDead(f *ir.Func, g *cfg.Graph) int {
+	lv := s.live.Compute(f, g)
 	removed := 0
 	for bi, b := range f.Blocks {
-		live := lv.Out[bi].Copy()
+		live := &s.out
+		live.Set(lv.Out[bi])
 		// Walk backwards; keep side-effecting instructions.
-		kept := make([]*ir.Instr, 0, len(b.Instrs))
+		keep := s.keep[:0]
 		for k := len(b.Instrs) - 1; k >= 0; k-- {
 			i := b.Instrs[k]
 			sideEffect := i.Op.IsStore() || i.Op == ir.OpCall || i.Op.IsTerminator() || i.Op == ir.OpNop
@@ -324,6 +348,7 @@ func eliminateDead(f *ir.Func) int {
 					needed = true
 				}
 			}
+			keep = append(keep, needed)
 			if !needed {
 				removed++
 				continue
@@ -335,12 +360,16 @@ func eliminateDead(f *ir.Func) int {
 			for _, u := range i.Uses(uses[:0]) {
 				live.Add(u)
 			}
-			kept = append(kept, i)
 		}
-		// Reverse kept back into order.
-		for l, r := 0, len(kept)-1; l < r; l, r = l+1, r-1 {
-			kept[l], kept[r] = kept[r], kept[l]
+		s.keep = keep
+		// keep is in reverse order; compact the survivors in place.
+		kept := b.Instrs[:0]
+		for k, i := range b.Instrs {
+			if keep[len(keep)-1-k] {
+				kept = append(kept, i)
+			}
 		}
+		clear(b.Instrs[len(kept):])
 		b.Instrs = kept
 	}
 	return removed

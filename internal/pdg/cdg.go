@@ -47,18 +47,30 @@ type CDG struct {
 	// keys[b] is the precomputed canonical control-dependence string of
 	// block b; all keys share one backing string.
 	keys []string
+
+	// Storage that Refill reuses.
+	count       []int
+	depBacking  []CtrlDep
+	succBacking []int
+	buf         []byte
+	span        []int
 }
 
 // BuildCDG computes forward control dependences over the region's forward
 // subgraph sg using its postdominator tree.
 func BuildCDG(sg *cfg.Subgraph, pdom *cfg.PostDomTree) *CDG {
+	c := new(CDG)
+	c.Refill(sg, pdom)
+	return c
+}
+
+// Refill recomputes c as BuildCDG(sg, pdom) does, reusing c's storage.
+func (c *CDG) Refill(sg *cfg.Subgraph, pdom *cfg.PostDomTree) {
 	n := sg.G.N()
-	c := &CDG{
-		Deps:  make([][]CtrlDep, n),
-		Succs: make([][]int, n),
-		nodes: sg.Nodes,
-		keys:  make([]string, n),
-	}
+	c.Deps = resized(c.Deps, n)
+	c.Succs = resized(c.Succs, n)
+	c.nodes = sg.Nodes
+	c.keys = resized(c.keys, n)
 	// Walk the dependence-generating edges twice: once to count rows, once
 	// to fill them, so every row is carved from a single backing array.
 	walk := func(visit func(m int, d CtrlDep)) {
@@ -79,10 +91,12 @@ func BuildCDG(sg *cfg.Subgraph, pdom *cfg.PostDomTree) *CDG {
 			}
 		}
 	}
-	ndeps := make([]int, n)
+	c.count = resized(c.count, n)
+	ndeps := c.count
 	total := 0
 	walk(func(m int, _ CtrlDep) { ndeps[m]++; total++ })
-	depBacking := make([]CtrlDep, total)
+	c.depBacking = resized(c.depBacking, total)
+	depBacking := c.depBacking
 	for i := 0; i < n; i++ {
 		if ndeps[i] > 0 {
 			c.Deps[i], depBacking = depBacking[:0:ndeps[i]], depBacking[ndeps[i]:]
@@ -90,7 +104,7 @@ func BuildCDG(sg *cfg.Subgraph, pdom *cfg.PostDomTree) *CDG {
 	}
 	walk(func(m int, d CtrlDep) { c.Deps[m] = append(c.Deps[m], d) })
 
-	nsucc := make([]int, n)
+	nsucc := resized(ndeps, n)
 	for _, b := range sg.Nodes {
 		deps := c.Deps[b]
 		slices.SortFunc(deps, func(x, y CtrlDep) int {
@@ -103,7 +117,8 @@ func BuildCDG(sg *cfg.Subgraph, pdom *cfg.PostDomTree) *CDG {
 			nsucc[d.Node]++
 		}
 	}
-	succBacking := make([]int, total)
+	c.succBacking = resized(c.succBacking, total)
+	succBacking := c.succBacking
 	for i := 0; i < n; i++ {
 		if nsucc[i] > 0 {
 			c.Succs[i], succBacking = succBacking[:0:nsucc[i]], succBacking[nsucc[i]:]
@@ -129,24 +144,23 @@ func BuildCDG(sg *cfg.Subgraph, pdom *cfg.PostDomTree) *CDG {
 	}
 
 	// Precompute the canonical keys: all spans of one shared string.
-	var buf []byte
-	start := make([]int, n)
-	end := make([]int, n)
+	buf := c.buf[:0]
+	span := resized(c.span, 2*n)
 	for _, u := range sg.Nodes {
-		start[u] = len(buf)
+		span[2*u] = len(buf)
 		for _, d := range c.Deps[u] {
 			buf = strconv.AppendInt(buf, int64(d.Node), 10)
 			buf = append(buf, '/')
 			buf = strconv.AppendInt(buf, int64(d.Label), 10)
 			buf = append(buf, ';')
 		}
-		end[u] = len(buf)
+		span[2*u+1] = len(buf)
 	}
+	c.buf, c.span = buf, span
 	all := string(buf)
 	for _, u := range sg.Nodes {
-		c.keys[u] = all[start[u]:end[u]]
+		c.keys[u] = all[span[2*u]:span[2*u+1]]
 	}
-	return c
 }
 
 // Key returns a canonical string for b's control dependence set, used to

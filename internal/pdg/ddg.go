@@ -66,12 +66,13 @@ type DDG struct {
 	pending []DepEdge // construction buffer, consumed by finalize
 }
 
-// Builder constructs DDGs repeatedly, reusing every construction arena
-// between builds: the adjacency headers and edge backing of the graph
-// itself, the per-block def/use indexes, and the register lookup map.
-// A builder serves one goroutine at a time; the graph returned by a
-// build aliases the builder's arenas and is valid until the next build
-// on the same builder.
+// Builder constructs DDGs and PDGs repeatedly, reusing every
+// construction arena between builds: the adjacency headers and edge
+// backing of the graph itself, the per-block def/use indexes, the
+// register lookup map, and BuildWith's per-region flow analyses. A
+// builder serves one goroutine at a time; the graph returned by a build
+// aliases the builder's arenas and is valid until the next build on the
+// same builder.
 type Builder struct {
 	ddg          DDG
 	nsucc, npred []int32
@@ -79,6 +80,24 @@ type Builder struct {
 	bis          []*blockIndex
 	byReg        map[uint64]int32 // packed reg -> index into current blockIndex
 	touches      []instrTouch
+
+	// BuildWith's per-region analyses.
+	pdg              PDG
+	forward, depView cfg.Subgraph
+	exits            []int
+	pdom             cfg.PostDomTree
+	cdg              CDG
+	byKey            []int
+	equivAll         [][]int
+	equivDom         [][]int
+	equivBacking     []int
+
+	// SpecCandidatesN's scratch.
+	spec struct {
+		seen                []int
+		stamp               int
+		frontier, next, out []int
+	}
 }
 
 // NewBuilder returns an empty builder.

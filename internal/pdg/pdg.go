@@ -1,7 +1,8 @@
 package pdg
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"gsched/internal/cfg"
 	"gsched/internal/ir"
@@ -45,21 +46,25 @@ func Build(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region, mach *mach
 	return BuildWith(nil, f, g, li, r, mach)
 }
 
-// BuildWith is Build constructing the region's DDG with the given
-// builder (nil for a fresh one). The resulting graph aliases the
-// builder's arenas: the PDG is valid until the next build on the same
-// builder.
+// BuildWith is Build using the given builder (nil for a fresh one).
+// Every part of the result — the PDG itself, its subgraph views,
+// postdominators, CDG, reachability, equivalence tables and DDG — lives
+// in the builder's storage, which the next build on the same builder
+// overwrites: the PDG is valid until then.
 func BuildWith(b *Builder, f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region, mach *machine.Desc) (*PDG, error) {
 	if b == nil {
 		b = NewBuilder()
 	}
-	sg := g.Forward(r.Blocks, r.Header, li.IsBackEdge)
-	topo, err := sg.Topological()
-	if err != nil {
+	sg := &b.forward
+	sg.Refill(g, r.Blocks, r.Header, li.IsBackEdge)
+	if _, err := sg.Topological(); err != nil {
 		return nil, err
 	}
-	pdom := cfg.PostDominators(sg, cfg.RegionExits(g, li, r))
-	cdg := BuildCDG(sg, pdom)
+	b.exits = cfg.RegionExits(b.exits[:0], g, li, r)
+	pdom := &b.pdom
+	pdom.Refill(sg, b.exits)
+	cdg := &b.cdg
+	cdg.Refill(sg, pdom)
 	// Data dependences use reachability in the control flow graph
 	// (§4.2: "such that B is reachable from A in the control flow
 	// graph"), not the acyclic forward view: a block after a nested
@@ -67,40 +72,45 @@ func BuildWith(b *Builder, f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Re
 	// not migrate across the loop against such dependences. Only the
 	// region's own back edges are cut (one-iteration scheduling);
 	// nested regions keep their cycles, so paths through them survive.
-	depView := g.Forward(r.Blocks, r.Header, func(u, v int) bool {
+	depView := &b.depView
+	depView.Refill(g, r.Blocks, r.Header, func(u, v int) bool {
 		return v == r.Header && li.IsBackEdge(u, v)
 	})
 	reach := depView.ReachableFrom()
 	ddg := b.BuildDDG(f, r.Blocks, reach, mach)
-	// Sessions must follow CFG-path order (§5.1), which the dependence
-	// view's condensation provides: a block after a nested loop is
-	// processed after every block of that loop, even when the layout
-	// interleaves them (e.g. break blocks).
-	topo = depView.CondensationOrder()
 
-	p := &PDG{
+	p := &b.pdg
+	*p = PDG{
 		F: f, G: g, Region: r, b: b,
-		Forward: sg, Topo: topo,
-		Dom: li.Dom(), PDom: pdom,
+		Forward: sg,
+		// Sessions must follow CFG-path order (§5.1), which the
+		// dependence view's condensation provides: a block after a
+		// nested loop is processed after every block of that loop,
+		// even when the layout interleaves them (e.g. break blocks).
+		Topo: depView.CondensationOrder(),
+		Dom:  li.Dom(), PDom: pdom,
 		CDG: cdg, Reach: reach, DDG: ddg,
-		equivAll: make([][]int, g.N()),
-		equivDom: make([][]int, g.N()),
+		equivAll: resized(b.equivAll, g.N()),
+		equivDom: resized(b.equivDom, g.N()),
 	}
-	byKey := make(map[string][]int, len(r.Blocks))
-	for _, b := range r.Blocks {
-		k := cdg.Key(b)
-		byKey[k] = append(byKey[k], b)
-	}
+	b.equivAll, b.equivDom = p.equivAll, p.equivDom
+	// Group the region's blocks by control-dependence key: sorted by
+	// key, then block, each group is a run of ascending blocks.
+	byKey := append(b.byKey[:0], r.Blocks...)
+	slices.SortFunc(byKey, func(x, y int) int {
+		if c := strings.Compare(cdg.Key(x), cdg.Key(y)); c != 0 {
+			return c
+		}
+		return x - y
+	})
+	b.byKey = byKey
 	// Both equivalence tables are carved from single backing arrays:
 	// every block of a k-member group contributes k-1 entries.
 	total := 0
-	for _, group := range byKey {
-		total += len(group) * (len(group) - 1)
-	}
-	backing := make([]int, 2*total)
-	allB, domB := backing[:total], backing[total:]
-	for _, group := range byKey {
-		sort.Ints(group)
+	forGroups(byKey, cdg, func(group []int) { total += len(group) * (len(group) - 1) })
+	b.equivBacking = resized(b.equivBacking, 2*total)
+	allB, domB := b.equivBacking[:total], b.equivBacking[total:]
+	forGroups(byKey, cdg, func(group []int) {
 		for _, b := range group {
 			row := allB[: 0 : len(group)-1]
 			allB = allB[len(group)-1:]
@@ -122,8 +132,32 @@ func BuildWith(b *Builder, f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Re
 				p.equivDom[b] = dom
 			}
 		}
-	}
+	})
 	return p, nil
+}
+
+// forGroups calls fn with every run of blocks sharing one control
+// dependence key in blocks, which is sorted by key.
+func forGroups(blocks []int, cdg *CDG, fn func(group []int)) {
+	for lo := 0; lo < len(blocks); {
+		hi := lo + 1
+		for hi < len(blocks) && cdg.Key(blocks[hi]) == cdg.Key(blocks[lo]) {
+			hi++
+		}
+		fn(blocks[lo:hi])
+		lo = hi
+	}
+}
+
+// resized returns s with n elements, all zero, reusing its backing
+// array when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // RebuildDDG recomputes the data dependence graph over the region's
@@ -169,32 +203,38 @@ func (p *PDG) SpecCandidates(a int) []int { return p.SpecCandidatesN(a, 1) }
 // SpecCandidatesN generalises SpecCandidates to n-branch speculation
 // (Definition 7): blocks within CSPDG distance n of a or of a member of
 // EQUIV(a). The paper implements n = 1 and leaves larger n as future
-// work; both are supported here.
+// work; both are supported here. The result lives in the builder's
+// storage: it is valid until the next call on p.
 func (p *PDG) SpecCandidatesN(a, n int) []int {
-	eq := p.Equiv(a)
-	seen := map[int]bool{a: true}
-	for _, b := range eq {
-		seen[b] = true
+	s := &p.b.spec
+	if len(s.seen) < len(p.equivDom) {
+		s.seen = make([]int, len(p.equivDom))
 	}
-	frontier := make([]int, 0, 1+len(eq))
-	frontier = append(frontier, a)
-	frontier = append(frontier, eq...)
-	var out []int
+	s.stamp++ // seen[b] == stamp marks b seen in this call
+	eq := p.Equiv(a)
+	s.seen[a] = s.stamp
+	for _, b := range eq {
+		s.seen[b] = s.stamp
+	}
+	frontier := append(append(s.frontier[:0], a), eq...)
+	next := s.next[:0]
+	out := s.out[:0]
 	for depth := 0; depth < n; depth++ {
-		var next []int
+		next = next[:0]
 		for _, node := range frontier {
 			for _, ch := range p.CDG.Succs[node] {
-				if seen[ch] || !p.Dom.Dominates(a, ch) {
+				if s.seen[ch] == s.stamp || !p.Dom.Dominates(a, ch) {
 					continue
 				}
-				seen[ch] = true
+				s.seen[ch] = s.stamp
 				out = append(out, ch)
 				next = append(next, ch)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	sort.Ints(out)
+	slices.Sort(out)
+	s.frontier, s.next, s.out = frontier, next, out
 	return out
 }
 

@@ -50,12 +50,9 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 	for i := range defIdx {
 		defIdx[i] = [2]int32{-1, -1}
 	}
-	regDefs := make([][]int32, numRegs) // packed register -> def ids (for kill sets)
-
 	addDef := func(i *ir.Instr, slot int, r ir.Reg) int32 {
 		id := int32(len(defs))
 		defs = append(defs, defSite{instr: i, slot: slot, reg: r})
-		regDefs[regIdx(r)] = append(regDefs[regIdx(r)], id)
 		return id
 	}
 
@@ -99,6 +96,22 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 
 	nd := len(defs)
 	words := (nd + 63) / 64
+
+	// Packed register -> its def ids, ascending (for kill sets): rows
+	// counted, then carved from one backing array.
+	regDefs := make([][]int32, numRegs)
+	count := make([]int32, numRegs)
+	for _, d := range defs {
+		count[regIdx(d.reg)]++
+	}
+	defBacking := make([]int32, nd)
+	for r, c := range count {
+		regDefs[r], defBacking = defBacking[:0:c], defBacking[c:]
+	}
+	for id, d := range defs {
+		r := regIdx(d.reg)
+		regDefs[r] = append(regDefs[r], int32(id))
+	}
 
 	// 2. Reaching definitions (block-level gen/kill, then instruction
 	// walk). The four bit-vectors per block are carved from one backing

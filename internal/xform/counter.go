@@ -28,9 +28,10 @@ import (
 // Returns the number of loops converted.
 func CounterLoops(f *ir.Func) int {
 	converted := 0
+	var fl cfg.Flow
 	for {
-		g := cfg.Build(f)
-		li := cfg.FindLoops(g)
+		fl.Refill(f)
+		g, li := &fl.G, &fl.Loops
 		if li.Irreducible {
 			return converted
 		}

@@ -94,10 +94,17 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats
 	if err := ctx.Err(); err != nil {
 		return st, fmt.Errorf("xform: cancelled: %w", err)
 	}
-	g := cfg.Build(f)
+	// One flow analysis serves the whole pass. Renaming and scheduling
+	// never change the block skeleton, so it is refilled only after a
+	// transform that does.
+	fl := flowPool.Get().(*cfg.Flow)
+	defer flowPool.Put(fl)
+	if opts.Rename || opts.Level > core.LevelNone {
+		fl.Refill(f)
+	}
 	if opts.Rename {
 		done := opts.Trace.TimePhase(core.PhaseRename)
-		st.RenamedWebs += rename.Run(f, g)
+		st.RenamedWebs += rename.Run(f, &fl.G)
 		done()
 		opts.Rename = false // done once
 	}
@@ -132,16 +139,19 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats
 		if cfgX.Superblock && opts.Duplicate && opts.Profile != nil {
 			done := opts.Trace.TimePhase(core.PhaseXform)
 			st.TailDuplicated = FormSuperblocks(f, opts.Profile, DefaultSuperblock())
+			if st.TailDuplicated > 0 {
+				fl.Refill(f)
+			}
 			done()
 		}
 		if cfgX.Unroll {
 			done := opts.Trace.TimePhase(core.PhaseXform)
-			st.LoopsUnrolled = transformInnerLoops(f, cfgX.UnrollMaxBlocks, UnrollOnce)
+			st.LoopsUnrolled = transformInnerLoops(f, fl, cfgX.UnrollMaxBlocks, UnrollOnce)
 			done()
 		}
 		snap := capture()
 		// First pass: inner regions only.
-		irreducible, err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
+		irreducible, err := scheduleFiltered(ctx, f, fl, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
 			return r.IsLoop && height == 0
 		})
 		if err != nil {
@@ -153,14 +163,14 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats
 		rotated := 0
 		if cfgX.Rotate {
 			done := opts.Trace.TimePhase(core.PhaseXform)
-			rotated = transformInnerLoops(f, cfgX.RotateMaxBlocks, Rotate)
+			rotated = transformInnerLoops(f, fl, cfgX.RotateMaxBlocks, Rotate)
 			done()
 			st.LoopsRotated = rotated
 		}
 		snap = capture()
 		// Second pass: rotated inner loops (now fresh regions) and the
 		// outer regions.
-		irreducible2, err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
+		irreducible2, err := scheduleFiltered(ctx, f, fl, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
 			if height >= opts.MaxRegionLevels {
 				return false
 			}
@@ -188,7 +198,10 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats
 		mach := opts.Machine
 		done := opts.Trace.TimePhase(core.PhaseLocal)
 		for _, b := range f.Blocks {
-			core.ScheduleBlockLocalPolicy(b, mach, opts.Policy)
+			if err := core.ScheduleBlockLocalPolicy(b, mach, opts.Policy); err != nil {
+				done()
+				return st, err
+			}
 			st.LocalBlocks++
 		}
 		done()
@@ -370,11 +383,13 @@ func (t *task) run(ctx context.Context, opts core.Options, cfgX Config, print bo
 // contribution from the global scheduler's.
 func TransformOnly(f *ir.Func, cfgX Config) Stats {
 	var st Stats
+	var fl cfg.Flow
+	fl.Refill(f)
 	if cfgX.Unroll {
-		st.LoopsUnrolled = transformInnerLoops(f, cfgX.UnrollMaxBlocks, UnrollOnce)
+		st.LoopsUnrolled = transformInnerLoops(f, &fl, cfgX.UnrollMaxBlocks, UnrollOnce)
 	}
 	if cfgX.Rotate {
-		st.LoopsRotated = transformInnerLoops(f, cfgX.RotateMaxBlocks, Rotate)
+		st.LoopsRotated = transformInnerLoops(f, &fl, cfgX.RotateMaxBlocks, Rotate)
 	}
 	return st
 }
@@ -388,19 +403,23 @@ func TransformOnlyProgram(p *ir.Program, cfgX Config) Stats {
 	return st
 }
 
+// flowPool recycles the flow analysis of RunCtx: a Drive worker takes
+// one for the duration of a function, so its storage is sized by the
+// largest function the worker has seen.
+var flowPool = sync.Pool{New: func() any { return new(cfg.Flow) }}
+
 // transformInnerLoops repeatedly finds an untouched inner loop of at most
-// maxBlocks blocks and applies xf to it. The flow analyses are rebuilt
-// only after a successful transformation — a refused loop leaves f
-// untouched (the transforms check eligibility before mutating), so the
-// existing graph stays valid and the scan continues on it. Returns the
-// number of successful transformations.
-func transformInnerLoops(f *ir.Func, maxBlocks int,
+// maxBlocks blocks and applies xf to it. fl must be f's current flow
+// analysis, and is again on return: it is refilled after each successful
+// transformation. A refused loop leaves f untouched (the transforms
+// check eligibility before mutating), so the scan continues on the same
+// analysis. Returns the number of successful transformations.
+func transformInnerLoops(f *ir.Func, fl *cfg.Flow, maxBlocks int,
 	xf func(*ir.Func, *cfg.Graph, *cfg.LoopInfo, *cfg.Region) bool) int {
 
-	donePointers := make(map[*ir.Block]bool)
+	var done map[*ir.Block]bool // headers already tried
 	count := 0
-	g := cfg.Build(f)
-	li := cfg.FindLoops(g)
+	li := &fl.Loops
 	for {
 		if li.Irreducible {
 			return count
@@ -413,7 +432,7 @@ func transformInnerLoops(f *ir.Func, maxBlocks int,
 			if len(r.Blocks) > maxBlocks {
 				return
 			}
-			if donePointers[f.Blocks[r.Header]] {
+			if done[f.Blocks[r.Header]] {
 				return
 			}
 			target = r
@@ -421,11 +440,13 @@ func transformInnerLoops(f *ir.Func, maxBlocks int,
 		if target == nil {
 			return count
 		}
-		donePointers[f.Blocks[target.Header]] = true
-		if xf(f, g, li, target) {
+		if done == nil {
+			done = make(map[*ir.Block]bool)
+		}
+		done[f.Blocks[target.Header]] = true
+		if xf(f, &fl.G, li, target) {
 			count++
-			g = cfg.Build(f)
-			li = cfg.FindLoops(g)
+			fl.Refill(f)
 		}
 	}
 }
@@ -433,17 +454,15 @@ func transformInnerLoops(f *ir.Func, maxBlocks int,
 // scheduleFiltered schedules the regions selected by keep (given the
 // region and its nesting height), innermost first, honouring the size
 // caps in opts, and reports whether f is irreducible, in which case
-// nothing is scheduled. The walk, its region-level parallelism, and its
-// cancellation behaviour live in core.ScheduleRegionTree; this wrapper
-// only rebuilds the flow analyses (the transforms restructure the graph
-// between passes).
-func scheduleFiltered(ctx context.Context, f *ir.Func, opts *core.Options, st *core.Stats,
+// nothing is scheduled. fl is f's current flow analysis; scheduling
+// moves instructions only within the block skeleton, so fl stays valid.
+// The walk, its region-level parallelism, and its cancellation
+// behaviour live in core.ScheduleRegionTree.
+func scheduleFiltered(ctx context.Context, f *ir.Func, fl *cfg.Flow, opts *core.Options, st *core.Stats,
 	keep func(r *cfg.Region, height int) bool) (irreducible bool, err error) {
 
-	g := cfg.Build(f)
-	li := cfg.FindLoops(g)
-	if li.Irreducible {
+	if fl.Loops.Irreducible {
 		return true, nil
 	}
-	return false, core.ScheduleRegionTree(ctx, f, g, li, opts, st, keep)
+	return false, core.ScheduleRegionTree(ctx, f, &fl.G, &fl.Loops, opts, st, keep)
 }

@@ -70,8 +70,10 @@ func FormSuperblocks(f *ir.Func, prof *profile.Profile, scfg SuperblockConfig) i
 		}
 	}
 	formed := 0
+	var fl cfg.Flow
 	for budget > 0 {
-		if !tailDuplicateOne(f, prof, scfg, &budget) {
+		fl.Refill(f)
+		if !tailDuplicateOne(f, &fl, prof, scfg, &budget) {
 			break
 		}
 		formed++
@@ -82,10 +84,9 @@ func FormSuperblocks(f *ir.Func, prof *profile.Profile, scfg SuperblockConfig) i
 // tailDuplicateOne finds the first hot conditional edge into a join
 // block that passes every gate, duplicates the join onto that edge, and
 // reports whether anything changed. One duplication per call keeps the
-// flow analyses honest: the caller re-enters with freshly built graphs.
-func tailDuplicateOne(f *ir.Func, prof *profile.Profile, scfg SuperblockConfig, budget *int) bool {
-	g := cfg.Build(f)
-	li := cfg.FindLoops(g)
+// flow analyses honest: the caller re-enters with fl refilled.
+func tailDuplicateOne(f *ir.Func, fl *cfg.Flow, prof *profile.Profile, scfg SuperblockConfig, budget *int) bool {
+	g, li := &fl.G, &fl.Loops
 	if li.Irreducible {
 		return false
 	}
