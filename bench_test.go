@@ -13,16 +13,23 @@ package gsched_test
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"runtime"
 	"testing"
+	"time"
 
 	"gsched"
+	"gsched/internal/asm"
 	"gsched/internal/cfg"
 	"gsched/internal/core"
 	"gsched/internal/eval"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/pdg"
+	"gsched/internal/progen"
 	"gsched/internal/sim"
+	"gsched/internal/stream"
 	"gsched/internal/workload"
 	"gsched/internal/xform"
 )
@@ -243,6 +250,74 @@ func BenchmarkScheduleOnlyLI(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkScaling is the big-program scaling sweep: a progen.Huge
+// program of about 1k, 10k and 100k instructions through the full
+// streaming pipeline (parse, rename, speculative scheduling with the §6
+// transforms, print to a discarded writer) at GOMAXPROCS workers.
+// Generation happens outside the timer. Flat ns/instr and allocs/instr
+// across the sizes mean the tool chain scales to big programs; a jump
+// flags a superlinear hot spot. Peak heap is HeapAlloc sampled every
+// 10 ms during the timed loop. Profile a size with go test's own
+// -cpuprofile or -memprofile.
+func BenchmarkScaling(b *testing.B) {
+	cfg := stream.Config{
+		Opts:     core.Defaults(machine.RS6K(), core.LevelSpeculative),
+		Pipeline: xform.DefaultConfig(), UsePipeline: true,
+		Jobs: runtime.GOMAXPROCS(0),
+	}
+	for _, target := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprint(target), func(b *testing.B) {
+			src := progen.Huge(11, target).Source
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			stopHeap := sampleHeap()
+			b.ResetTimer()
+			var instrs int
+			for i := 0; i < b.N; i++ {
+				res, err := stream.Schedule(context.Background(), asm.Native, src, cfg, io.Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += res.Instrs
+			}
+			b.StopTimer()
+			peak := stopHeap()
+			runtime.ReadMemStats(&after)
+			n := float64(instrs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/instr")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/instr")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/instr")
+			b.ReportMetric(float64(max(peak, after.HeapAlloc))/(1<<20), "peak-heap-MiB")
+		})
+	}
+}
+
+// sampleHeap polls HeapAlloc every 10 ms until the returned stop is
+// called, and stop returns the largest value seen, so the peak covers
+// mid-run state and not just the final heap.
+func sampleHeap() (stop func() uint64) {
+	var peak uint64
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		var ms runtime.MemStats
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				runtime.ReadMemStats(&ms)
+				peak = max(peak, ms.HeapAlloc)
+			}
+		}
+	}()
+	return func() uint64 { close(done); <-sampled; return peak }
 }
 
 // biggestRegion returns the flow analyses and root region of the largest

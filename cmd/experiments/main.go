@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (and this reproduction's extensions):
 //
-//	experiments -fig all        # everything
+//	experiments -fig all        # everything, in the order below
 //	experiments -fig 256        # Figures 2/5/6 cycle counts
 //	experiments -fig 3          # Figure 3: minmax control flow graph
 //	experiments -fig 4          # Figure 4: minmax CSPDG
@@ -12,22 +12,95 @@
 //	experiments -fig 8r         # Figure 8 under taken-only branch delays
 //	experiments -fig wider      # wider-machine projection (§6 remark)
 //	experiments -fig ablation   # design-choice ablations
+//	experiments -fig order      # scheduling before vs after register allocation
+//	experiments -fig profile    # profile-guided speculation (§1 remark)
+//	experiments -fig degree     # n-branch speculation degrees
 //	experiments -fig depth      # speedup vs speculation depth × probability gate
 //	experiments -fig dup        # Definition-6 duplication vs the published levels
+//	experiments -fig character  # Unix-type vs scientific code (§1)
+//	experiments -fig caps       # region size caps (§6)
+//	experiments -fig counter    # counter register (footnote 3)
+//	experiments -fig tuned      # auto-tuned policies and machines
+//
+// An unknown figure name is an error that lists the valid ones.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"gsched/internal/core"
 	"gsched/internal/eval"
+	"gsched/internal/tune"
 	"gsched/internal/workload"
 )
 
+// figure is one selectable table: its -fig name, the header printed
+// above it, and the function that renders it.
+type figure struct {
+	name, title string
+	render      func() (fmt.Stringer, error)
+}
+
+// table adapts the common eval signature over the workload proxies.
+func table(f func([]*workload.Workload) (*eval.Table, error)) func() (fmt.Stringer, error) {
+	return func() (fmt.Stringer, error) { return f(workload.All()) }
+}
+
+// text adapts a figure rendered as plain text.
+type text string
+
+func (t text) String() string { return string(t) }
+
+func listing(level core.Level) func() (fmt.Stringer, error) {
+	return func() (fmt.Stringer, error) {
+		s, err := eval.ScheduledListing(level)
+		return text(s), err
+	}
+}
+
+var figures = []figure{
+	{"256", "Figures 2/5/6: minmax cycles per iteration", func() (fmt.Stringer, error) { return eval.Figures256() }},
+	{"3", "Figure 3: control flow graph of the minmax loop (function block numbering)",
+		func() (fmt.Stringer, error) { return text(eval.Figure3()), nil }},
+	{"4", "Figure 4: forward control dependences of the minmax loop", func() (fmt.Stringer, error) {
+		s, err := eval.Figure4()
+		return text(s), err
+	}},
+	{"5", "Figure 5: minmax loop after useful-only global scheduling", listing(core.LevelUseful)},
+	{"6", "Figure 6: minmax loop after useful + speculative scheduling", listing(core.LevelSpeculative)},
+	{"7", "Figure 7: compile-time overhead", func() (fmt.Stringer, error) { return eval.Figure7(workload.All(), *reps) }},
+	{"8", "Figure 8: run-time improvement", table(eval.Figure8)},
+	{"8r", "Figure 8 under the taken-only branch delay model", table(eval.Figure8Realistic)},
+	{"wider", "Wider machines (§6 closing remark)", table(eval.WiderMachines)},
+	{"ablation", "Ablations", table(eval.Ablation)},
+	{"order", "Phase order: scheduling before vs after register allocation", table(eval.ScheduleOrder)},
+	{"profile", "Profile-guided speculation (§1 branch probabilities)", table(eval.ProfileGuided)},
+	{"degree", "n-branch speculation degrees (Definition 7 / future work)", table(eval.SpecDegrees)},
+	{"depth", "Speedup vs speculation depth (degree × probability gate)", table(eval.SpeedupVsDepth)},
+	{"dup", "Definition-6 duplication (level=dup vs the published levels)", table(eval.DupMotion)},
+	{"character", "Code character: Unix-type vs scientific (§1)", func() (fmt.Stringer, error) { return eval.CodeCharacter() }},
+	{"caps", "Region size caps (§6)", table(eval.RegionCaps)},
+	{"counter", "Counter register (footnote 3)", func() (fmt.Stringer, error) { return eval.CounterRegister() }},
+	{"tuned", "Auto-tuned policies and machines (design-space exploration)", func() (fmt.Stringer, error) {
+		return tune.Table(context.Background(), workload.All(), 32)
+	}},
+}
+
+// figureNames is the -fig vocabulary: "all" and every figure's name.
+func figureNames() string {
+	names := []string{"all"}
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return strings.Join(names, ", ")
+}
+
 var (
-	fig  = flag.String("fig", "all", "which figure to regenerate (256, 3, 4, 5, 6, 7, 8, 8r, wider, ablation, all)")
+	fig  = flag.String("fig", "all", "which figure to regenerate: "+figureNames())
 	reps = flag.Int("reps", 3, "timing repetitions for Figure 7")
 )
 
@@ -40,149 +113,21 @@ func main() {
 }
 
 func run(which string) error {
-	ws := workload.All()
-	all := which == "all"
-	header := func(s string) { fmt.Printf("\n==== %s ====\n\n", s) }
-
-	if all || which == "256" || which == "2" {
-		header("Figures 2/5/6: minmax cycles per iteration")
-		t, err := eval.Figures256()
-		if err != nil {
-			return err
+	found := false
+	for _, f := range figures {
+		if which != "all" && which != f.name {
+			continue
 		}
-		fmt.Print(t)
-	}
-	if all || which == "3" {
-		header("Figure 3: control flow graph of the minmax loop (function block numbering)")
-		fmt.Print(eval.Figure3())
-	}
-	if all || which == "4" {
-		header("Figure 4: forward control dependences of the minmax loop")
-		s, err := eval.Figure4()
+		found = true
+		fmt.Printf("\n==== %s ====\n\n", f.title)
+		s, err := f.render()
 		if err != nil {
 			return err
 		}
 		fmt.Print(s)
 	}
-	if all || which == "5" {
-		header("Figure 5: minmax loop after useful-only global scheduling")
-		s, err := eval.ScheduledListing(core.LevelUseful)
-		if err != nil {
-			return err
-		}
-		fmt.Print(s)
-	}
-	if all || which == "6" {
-		header("Figure 6: minmax loop after useful + speculative scheduling")
-		s, err := eval.ScheduledListing(core.LevelSpeculative)
-		if err != nil {
-			return err
-		}
-		fmt.Print(s)
-	}
-	if all || which == "7" {
-		header("Figure 7: compile-time overhead")
-		t, err := eval.Figure7(ws, *reps)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "8" {
-		header("Figure 8: run-time improvement")
-		t, err := eval.Figure8(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "8r" {
-		header("Figure 8 under the taken-only branch delay model")
-		t, err := eval.Figure8Realistic(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "wider" {
-		header("Wider machines (§6 closing remark)")
-		t, err := eval.WiderMachines(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "ablation" {
-		header("Ablations")
-		t, err := eval.Ablation(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "order" {
-		header("Phase order: scheduling before vs after register allocation")
-		t, err := eval.ScheduleOrder(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "profile" {
-		header("Profile-guided speculation (§1 branch probabilities)")
-		t, err := eval.ProfileGuided(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "degree" {
-		header("n-branch speculation degrees (Definition 7 / future work)")
-		t, err := eval.SpecDegrees(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "depth" {
-		header("Speedup vs speculation depth (degree × probability gate)")
-		t, _, err := eval.SpeedupVsDepth(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "dup" {
-		header("Definition-6 duplication (level=dup vs the published levels)")
-		t, err := eval.DupMotion(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "character" {
-		header("Code character: Unix-type vs scientific (§1)")
-		t, err := eval.CodeCharacter()
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "caps" {
-		header("Region size caps (§6)")
-		t, err := eval.RegionCaps(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-	}
-	if all || which == "counter" {
-		header("Counter register (footnote 3)")
-		t, err := eval.CounterRegister()
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
+	if !found {
+		return fmt.Errorf("unknown figure %q (want one of %s)", which, figureNames())
 	}
 	return nil
 }

@@ -1,6 +1,14 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"go/parser"
+	"go/token"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
 
 // TestFastFigures exercises the cheap figure paths end to end (the
 // heavier ones are covered by internal/eval's tests and the benchmarks).
@@ -12,9 +20,53 @@ func TestFastFigures(t *testing.T) {
 	}
 }
 
-func TestUnknownFigureIsSilent(t *testing.T) {
-	// An unknown figure selects nothing; that's fine (prints nothing).
-	if err := run("zzz"); err != nil {
-		t.Errorf("run(zzz): %v", err)
+func TestUnknownFigureIsAnError(t *testing.T) {
+	err := run("zzz")
+	if err == nil {
+		t.Fatal("run(zzz) = nil, want an error")
 	}
+	for _, f := range figures {
+		if !strings.Contains(err.Error(), f.name) {
+			t.Errorf("error %q does not list figure %q", err, f.name)
+		}
+	}
+}
+
+// TestFigureNamesDocumented pins the -fig help and the package comment
+// to exactly the names in figures, each once.
+func TestFigureNamesDocumented(t *testing.T) {
+	var want []string
+	for _, f := range figures {
+		if slices.Contains(want, f.name) {
+			t.Errorf("figure %q listed twice", f.name)
+		}
+		want = append(want, f.name)
+	}
+	want = append([]string{"all"}, want...)
+
+	if got := flag.Lookup("fig").Usage; !strings.HasSuffix(got, ": "+strings.Join(want, ", ")) {
+		t.Errorf("-fig usage %q does not list exactly %v", got, want)
+	}
+
+	var documented []string
+	for _, m := range regexp.MustCompile(`(?m)^//\texperiments -fig (\S+)`).FindAllStringSubmatch(packageDoc(t), -1) {
+		documented = append(documented, m[1])
+	}
+	if !slices.Equal(documented, want) {
+		t.Errorf("package comment lists %v, want %v", documented, want)
+	}
+}
+
+// packageDoc returns main.go's package comment, comment markers kept.
+func packageDoc(t *testing.T) string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, c := range f.Doc.List {
+		sb.WriteString(c.Text + "\n")
+	}
+	return sb.String()
 }

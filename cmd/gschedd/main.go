@@ -17,7 +17,7 @@
 //	GET  /debug/pprof/    Go profiling
 //
 // Auto-tuning is an offline search, not an endpoint: run it with
-// go run ./cmd/bench -tune.
+// go run ./cmd/experiments -fig tuned.
 //
 // Example:
 //

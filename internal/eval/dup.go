@@ -19,19 +19,6 @@ import (
 	"gsched/internal/xform"
 )
 
-// DepthPoint is one measurement of the speedup-vs-depth curve: a
-// workload scheduled with speculation degree Degree under gate Gate
-// ("none" = plain speculative, no profile; "p0.5"/"p0.9" = level=dup
-// with the trained profile and MinSpecProb at that probability). RTI is
-// the run-time improvement over BASE in percent.
-type DepthPoint struct {
-	Workload string  `json:"workload"`
-	Degree   int     `json:"degree"`
-	Gate     string  `json:"gate"`
-	Cycles   int64   `json:"cycles"`
-	RTI      float64 `json:"rti_pct"`
-}
-
 // trainProfile runs the BASE build of w once and returns its edge
 // profile.
 func trainProfile(w *workload.Workload, mach *machine.Desc) (*profile.Profile, error) {
@@ -78,9 +65,8 @@ func compileDup(w *workload.Workload, mach *machine.Desc, level core.Level,
 
 // SpeedupVsDepth sweeps the speculation degree (Definition 7) crossed
 // with the probability gate: ungated speculation, and level=dup with
-// the trained profile at MinSpecProb 0.5 and 0.9. The returned points
-// back the table and feed cmd/bench's JSON report.
-func SpeedupVsDepth(ws []*workload.Workload) (*Table, []DepthPoint, error) {
+// the trained profile at MinSpecProb 0.5 and 0.9.
+func SpeedupVsDepth(ws []*workload.Workload) (*Table, error) {
 	mach := machine.RS6K()
 	degrees := []int{1, 2, 3}
 	gates := []struct {
@@ -110,19 +96,18 @@ func SpeedupVsDepth(ws []*workload.Workload) (*Table, []DepthPoint, error) {
 			t.Header = append(t.Header, fmt.Sprintf("d%d/%s", d, g.name))
 		}
 	}
-	var points []DepthPoint
 	for _, w := range ws {
 		progBase, err := CompileBase(w, mach)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
+			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		base, err := Cycles(w, progBase, mach)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
+			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		prof, err := trainProfile(w, mach)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: train: %w", w.Name, err)
+			return nil, fmt.Errorf("%s: train: %w", w.Name, err)
 		}
 		row := []string{w.Name}
 		for _, d := range degrees {
@@ -133,18 +118,15 @@ func SpeedupVsDepth(ws []*workload.Workload) (*Table, []DepthPoint, error) {
 				}
 				c, _, err := compileDup(w, mach, g.level, p, d, g.minProb)
 				if err != nil {
-					return nil, nil, fmt.Errorf("%s d%d/%s: %w", w.Name, d, g.name, err)
+					return nil, fmt.Errorf("%s d%d/%s: %w", w.Name, d, g.name, err)
 				}
 				rti := float64(base-c) / float64(base) * 100
 				row = append(row, fmt.Sprintf("%.1f%%", rti))
-				points = append(points, DepthPoint{
-					Workload: w.Name, Degree: d, Gate: g.name, Cycles: c, RTI: rti,
-				})
 			}
 		}
 		t.Add(row...)
 	}
-	return t, points, nil
+	return t, nil
 }
 
 // DupMotion isolates what Definition-6 duplication buys over the

@@ -447,8 +447,9 @@ func TestAuxEndpoints(t *testing.T) {
 	}
 }
 
-// Tuning is an offline search (cmd/bench -tune), not a service: POST
-// /tune is an unrouted path and /metrics has no tune series.
+// Tuning is an offline search (cmd/experiments -fig tuned), not a
+// service: POST /tune is an unrouted path and /metrics has no tune
+// series.
 func TestNoTuneEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := httpClient.Post(ts.URL+"/tune", "application/json", strings.NewReader(`{"iters":4}`))

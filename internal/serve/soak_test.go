@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gsched/internal/progen"
@@ -208,4 +210,159 @@ func BenchmarkServeMiss(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// benchParallelism is the client goroutines per GOMAXPROCS of the
+// tier benchmarks below.
+const benchParallelism = 4
+
+// scheduleBody marshals a /schedule request for the progen program at
+// seed. It is called from RunParallel's goroutines, where b.Fatal is
+// not allowed; a Request holding only a source always marshals.
+func scheduleBody(seed int64) []byte {
+	body, err := json.Marshal(&Request{Source: progen.New(seed).Source})
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
+// postOK posts body to baseURL's /schedule and wants a 200.
+func postOK(baseURL string, body []byte) error {
+	code, _, resp, err := postSchedule(baseURL, body)
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("status %d: %s", code, resp)
+	}
+	return err
+}
+
+// storeHits sums one server's hits over every store tier, and returns
+// its lookups: the memory tier's hits plus misses, the top of every
+// store walk.
+func storeHits(s *Server) (hits, lookups float64) {
+	for _, st := range s.StoreStats() {
+		hits += float64(st.Hits)
+		if st.Tier == "memory" {
+			lookups = float64(st.Hits + st.Misses)
+		}
+	}
+	return hits, lookups
+}
+
+// reportTier reports the timed loop's request rate and the store hit
+// ratio it measured.
+func reportTier(b *testing.B, hits, lookups float64) {
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	if lookups > 0 {
+		b.ReportMetric(hits/lookups, "hit_ratio")
+	}
+}
+
+// BenchmarkDiskWarmRestart measures what the disk tier buys: a server
+// computes a corpus into its cache directory and closes, and its
+// successor serves the same corpus from the disk files with no
+// pipeline run. The successor's memory tier is shrunk below the corpus
+// so requests keep reaching disk. hit_ratio is the successor's
+// measured store hit ratio: 1.0 when every request warm-started.
+func BenchmarkDiskWarmRestart(b *testing.B) {
+	dir := b.TempDir()
+	const corpusN = 16
+	corpus := make([][]byte, corpusN)
+	s1, err := New(quietConfig(Config{Workers: 4, CacheDir: dir}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	for i := range corpus {
+		corpus[i] = scheduleBody(int64(2_000_000 + i))
+		if err := postOK(ts1.URL, corpus[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, err := New(quietConfig(Config{Workers: 4, QueueDepth: 1 << 20, CacheDir: dir, CacheBytes: 1}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s2.Close()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+
+	var seq atomic.Int64
+	b.SetParallelism(benchParallelism)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := postOK(ts2.URL, corpus[seq.Add(1)%corpusN]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	hits, lookups := storeHits(s2)
+	reportTier(b, hits, lookups)
+}
+
+// BenchmarkCluster3 measures what the peer tier buys: a 3-node
+// in-process cluster at a target hit ratio of 0, 50, 90 and 99%. A
+// warmed 16-program corpus supplies the hits (whichever tier answers
+// first: memory, disk or a peer), fresh programs supply the misses,
+// and requests round-robin across the nodes. hit_ratio is what the
+// store counters of all nodes measured over the timed loop.
+func BenchmarkCluster3(b *testing.B) {
+	for _, pct := range []int64{0, 50, 90, 99} {
+		b.Run(fmt.Sprintf("hit%02d", pct), func(b *testing.B) {
+			const nodes = 3
+			c, err := StartCluster(nodes, quietConfig(Config{Workers: 2, QueueDepth: 1 << 20}), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			urls := c.URLs()
+
+			const corpusN = 16
+			corpus := make([][]byte, corpusN)
+			for i := range corpus {
+				corpus[i] = scheduleBody(int64(3_000_000 + i))
+				// Touch every node so replication and promotion settle
+				// before the timer starts.
+				for _, u := range urls {
+					if err := postOK(u, corpus[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			totals := func() (hits, lookups float64) {
+				for i := 0; i < nodes; i++ {
+					h, l := storeHits(c.Server(i))
+					hits, lookups = hits+h, lookups+l
+				}
+				return hits, lookups
+			}
+			hits0, lookups0 := totals()
+
+			var seq atomic.Int64
+			b.SetParallelism(benchParallelism)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := seq.Add(1)
+					body := corpus[i%corpusN]
+					if i%100 >= pct {
+						body = scheduleBody(4_000_000 + i)
+					}
+					if err := postOK(urls[i%nodes], body); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			hits1, lookups1 := totals()
+			reportTier(b, hits1-hits0, lookups1-lookups0)
+		})
+	}
 }

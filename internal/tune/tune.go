@@ -3,8 +3,9 @@
 // policy.Weighted) and/or machine descriptors (the widened space
 // machine.Random draws from), scored by total simulated cycles of a
 // workload set compiled through the full §6 pipeline. Everything is
-// deterministic in the seed — equal Configs give equal Results — which
-// is what lets gschedd content-address and forever-cache tuning runs.
+// deterministic in the seed — equal Configs give equal Results — so a
+// tuning run is a reproducible experiment table (Table, behind
+// cmd/experiments -fig tuned), not a timing.
 package tune
 
 import (
@@ -182,8 +183,7 @@ func mutateWeights(r *rand.Rand, base []float64) []float64 {
 // Run executes the search: score the baseline (built-in §5.2 order on
 // Config.Machine), then Iters seeded mutations, adopting any candidate
 // with a strictly lower cycle total. The context bounds the whole run;
-// cancellation returns ctx.Err() (gschedd's job deadline surfaces as a
-// failed job, never a hung worker).
+// cancellation returns ctx.Err().
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -277,4 +277,27 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.Workloads = append(res.Workloads, Score{Workload: w.Name, Baseline: basePer[i], Best: bestPer[i]})
 	}
 	return res, nil
+}
+
+// Table runs one seeded mode=both search per workload (seed 1, iters
+// candidate evaluations each) and tabulates baseline → tuned cycles:
+// the best (policy, machine) pair found against the built-in §5.2
+// order on the stock RS6K.
+func Table(ctx context.Context, ws []*workload.Workload, iters int) (*eval.Table, error) {
+	t := &eval.Table{
+		Title:  "Auto-tuned policies and machines — simulated cycles, baseline → tuned",
+		Header: []string{"PROGRAM", "baseline", "tuned", "improvement"},
+		Notes: []string{
+			fmt.Sprintf("one hill-climb per program: seed 1, %d candidate evaluations, mode=both", iters),
+			"(policy weight vectors and machine descriptors), from the built-in order on the RS6K.",
+		},
+	}
+	for _, w := range ws {
+		res, err := Run(ctx, Config{Seed: 1, Iters: iters, Mode: ModeBoth, Workloads: []*workload.Workload{w}})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", w.Name, err)
+		}
+		t.Add(w.Name, fmt.Sprint(res.BaselineCycles), fmt.Sprint(res.BestCycles), fmt.Sprintf("%.1f%%", res.ImprovedPct))
+	}
+	return t, nil
 }

@@ -3,6 +3,8 @@ package tune
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 
 	"gsched/internal/machine"
@@ -116,5 +118,19 @@ func TestWeightedPolicySpace(t *testing.T) {
 		if err := res.Machine.Validate(); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// TestTableRowsAreRuns pins Table's row for a workload to the search
+// Run makes with the same seed, mode and iterations.
+func TestTableRowsAreRuns(t *testing.T) {
+	tb, err := Table(context.Background(), []*workload.Workload{tiny()}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := run(t, Config{Seed: 1, Iters: 4, Mode: ModeBoth, Workloads: []*workload.Workload{tiny()}})
+	want := []string{"tiny", fmt.Sprint(res.BaselineCycles), fmt.Sprint(res.BestCycles), fmt.Sprintf("%.1f%%", res.ImprovedPct)}
+	if len(tb.Rows) != 1 || !slices.Equal(tb.Rows[0], want) {
+		t.Errorf("rows %q, want [%q]", tb.Rows, want)
 	}
 }
