@@ -125,28 +125,30 @@ func (p *parser) beginFunc(line string) error {
 	return nil
 }
 
+// parseReg reads a register name. Numbers must lie below ir.MaxRegs:
+// passes size tables by register number, and a larger number would
+// otherwise wrap in the int32 register field or ask for gigabytes.
 func parseReg(tok string) (ir.Reg, error) {
+	var class ir.RegClass
+	var num, what string
 	switch {
 	case strings.HasPrefix(tok, "cr"):
-		n, err := strconv.Atoi(tok[2:])
-		if err != nil || n < 0 {
-			return ir.NoReg, fmt.Errorf("bad condition register %q", tok)
-		}
-		return ir.CR(n), nil
+		class, num, what = ir.ClassCR, tok[2:], "condition register"
 	case strings.HasPrefix(tok, "r"):
-		n, err := strconv.Atoi(tok[1:])
-		if err != nil || n < 0 {
-			return ir.NoReg, fmt.Errorf("bad register %q", tok)
-		}
-		return ir.GPR(n), nil
+		class, num, what = ir.ClassGPR, tok[1:], "register"
 	case strings.HasPrefix(tok, "f"):
-		n, err := strconv.Atoi(tok[1:])
-		if err != nil || n < 0 {
-			return ir.NoReg, fmt.Errorf("bad float register %q", tok)
-		}
-		return ir.FPR(n), nil
+		class, num, what = ir.ClassFPR, tok[1:], "float register"
+	default:
+		return ir.NoReg, fmt.Errorf("expected register, got %q", tok)
 	}
-	return ir.NoReg, fmt.Errorf("expected register, got %q", tok)
+	n, err := strconv.Atoi(num)
+	if err != nil || n < 0 {
+		return ir.NoReg, fmt.Errorf("bad %s %q", what, tok)
+	}
+	if n >= ir.MaxRegs {
+		return ir.NoReg, fmt.Errorf("%s %q over the limit (numbers below %d)", what, tok, ir.MaxRegs)
+	}
+	return ir.Reg{Class: class, Num: int32(n)}, nil
 }
 
 // parseMem accepts "sym(rB,off)", "(rB,off)", "sym(,off)".

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -156,6 +157,37 @@ func TestParseErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestRegisterLimit: register numbers at or over ir.MaxRegs are a
+// line-numbered error, not a number wrapped into the int32 field (which
+// made r4294967297 alias r1) or a table of gigabytes downstream.
+func TestRegisterLimit(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		line int
+	}{
+		{"func main:\n\tLI r4294967297=5\n\tLI r1=7\n\tRET r4294967297\n", 2},
+		{"func main:\n\tLI r1999999999=0\n\tRET r0\n", 2},
+		{"func main r1048576:\n\tRET r0\n", 1},
+		{"func main:\n\tC cr1048576=r0,r0\n\tRET r0\n", 2},
+		{"func main:\n\tFM f0=f0,f1048576\n\tRET r0\n", 2},
+		{"data a 4\nfunc main:\n\tL r0=a(r1048576,0)\n\tRET r0\n", 3},
+	} {
+		_, err := Parse(tc.src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != tc.line || !strings.Contains(pe.Msg, "over the limit") {
+			t.Errorf("%q: error %v, want line %d: ... over the limit", tc.src, err, tc.line)
+		}
+	}
+	last := fmt.Sprintf("r%d", ir.MaxRegs-1)
+	p, err := Parse("func main:\n\tLI " + last + "=5\n\tRET " + last + "\n")
+	if err != nil {
+		t.Fatalf("highest register rejected: %v", err)
+	}
+	if n := p.Func("main").NumRegs(ir.ClassGPR); n != ir.MaxRegs {
+		t.Errorf("NumRegs = %d, want %d", n, ir.MaxRegs)
 	}
 }
 

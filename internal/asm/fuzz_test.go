@@ -33,6 +33,10 @@ func FuzzParseAsm(f *testing.F) {
 	// definition as gracefully as the whole-program parser.
 	huge := progen.Huge(2, 300).Source
 	f.Add(huge[:2*len(huge)/3])
+	// Register numbers past ir.MaxRegs: one wrapped to r1 in the int32
+	// field, the other made renaming ask for 8 GB.
+	f.Add("func main:\n\tLI r4294967297=5\n\tLI r1=7\n\tRET r4294967297\n")
+	f.Add("func main:\n\tLI r1999999999=0\n\tRET r1999999999\n")
 	// A function defined twice: rejected by the prescan.
 	f.Add("func f:\n\tRET r0\nfunc g:\n\tRET r0\nfunc f:\n\tRET r1\n")
 	// One function, many tiny blocks: stresses label handling, block

@@ -151,8 +151,10 @@ type Options struct {
 	// any check trips. Intended for debugging and property tests; adds
 	// one snapshot plus one check per scheduling pass. A check of a
 	// function with B blocks, N instructions, D dependent instruction
-	// pairs and M cross-block motions costs O(B²/64 + N + D log D +
-	// M·(B + occurrences of the moved register)); see verify.Check.
+	// pairs and M cross-block motions costs O(B²/64 + N + D +
+	// M·(B + occurrences of the moved register)), plus D log D only
+	// when it finds a violation; a check after a pass that moved
+	// nothing across blocks costs O(N + same-block D); see verify.Check.
 	Verify bool
 
 	// Trace, when non-nil, accumulates wall-clock time per scheduling

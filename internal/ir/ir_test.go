@@ -277,6 +277,29 @@ func TestValidateCatchesBrokenFunctions(t *testing.T) {
 			b.Emit(OpLoad, func(i *Instr) { i.Def = GPR(0) })
 			b.Ret(NoReg)
 		}},
+		{"register over the limit", "over the limit", func(b *Builder) {
+			b.Block("e")
+			b.LI(GPR(MaxRegs), 1)
+			b.Ret(NoReg)
+		}},
+		{"call argument over the limit", "over the limit", func(b *Builder) {
+			b.Block("e")
+			b.Call(NoReg, "print", GPR(1999999999))
+			b.Ret(NoReg)
+		}},
+		{"register not noted", "at or over NumRegs", func(b *Builder) {
+			b.Block("e")
+			b.LI(GPR(1), 1)
+			li := b.F.NewInstr(OpLI)
+			li.Def = GPR(7)
+			b.Cur.Instrs = append(b.Cur.Instrs, li)
+			b.Ret(GPR(1))
+		}},
+		{"parameter not noted", "parameter", func(b *Builder) {
+			b.F.Params = []Reg{GPR(3)}
+			b.Block("e")
+			b.Ret(NoReg)
+		}},
 	}
 	for _, c := range cases {
 		err := mk(c.fn)

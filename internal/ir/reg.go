@@ -3,10 +3,11 @@
 // blocks and functions, in the style of Figure 2 of Bernstein & Rodeh,
 // "Global Instruction Scheduling for Superscalar Machines" (PLDI 1991).
 //
-// Registers are symbolic and unbounded (the paper schedules before
-// register allocation); two register classes exist, general purpose
-// registers (r0, r1, ...) and condition register fields (cr0, cr1, ...)
-// written by compares and read by conditional branches.
+// Registers are symbolic (the paper schedules before register
+// allocation) and bounded only by MaxRegs per class; three register
+// classes exist, general purpose registers (r0, r1, ...), condition
+// register fields (cr0, cr1, ...) written by compares and read by
+// conditional branches, and floating point registers (f0, f1, ...).
 package ir
 
 import (
@@ -44,8 +45,15 @@ func (c RegClass) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// Reg names a symbolic register. Registers are unbounded; the zero value
-// is r0, which is an ordinary register. Use NoReg for "no register".
+// MaxRegs bounds the register numbers of each class: a function may
+// use r0 to r1048575, and likewise cr and f registers. Passes size
+// dense tables by register number, so Validate rejects a register at
+// or over the bound, and the asm parser rejects its number.
+const MaxRegs = 1 << 20
+
+// Reg names a symbolic register, numbered below MaxRegs in its class;
+// the zero value is r0, which is an ordinary register. Use NoReg for
+// "no register".
 type Reg struct {
 	Class RegClass
 	Num   int32

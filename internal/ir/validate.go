@@ -13,7 +13,9 @@ import (
 //   - the last block does not fall through past the end of the function,
 //   - instruction IDs are unique,
 //   - operand register classes match the opcode (compares define CRs,
-//     conditional branches test CRs, everything else works on GPRs).
+//     conditional branches test CRs, everything else works on GPRs),
+//   - every register is numbered below MaxRegs and below NumRegs of
+//     its class (registers placed without Builder or NoteReg are not).
 //
 // It returns the first violation found, or nil.
 func (f *Func) Validate() error {
@@ -30,6 +32,11 @@ func (f *Func) Validate() error {
 		}
 		if b.Label != "" {
 			labels = append(labels, b.Label)
+		}
+	}
+	for _, r := range f.Params {
+		if msg := f.outOfRange(r); msg != "" {
+			return fmt.Errorf("%s: parameter %s", f.Name, msg)
 		}
 	}
 	slices.Sort(labels)
@@ -62,7 +69,11 @@ func (f *Func) Validate() error {
 			if i.Op.IsTerminator() && k != len(b.Instrs)-1 {
 				return fmt.Errorf("%s: block %s: terminator %s not last", f.Name, b, i)
 			}
-			if err := (checker{f, b, i}).instr(labels); err != nil {
+			c := checker{f, b, i}
+			if err := c.instr(labels); err != nil {
+				return err
+			}
+			if err := c.regs(); err != nil {
 				return err
 			}
 		}
@@ -109,6 +120,44 @@ func (c checker) want(r Reg, cl RegClass, what string) error {
 		return c.bad("%s %s has class %s, want %s", what, r, r.Class, cl)
 	}
 	return nil
+}
+
+// regs checks that every register of the instruction is in range.
+func (c checker) regs() error {
+	i := c.i
+	for _, r := range [...]Reg{i.Def, i.Def2, i.A, i.B} {
+		if msg := c.f.outOfRange(r); msg != "" {
+			return c.bad("%s", msg)
+		}
+	}
+	if i.Mem != nil {
+		if msg := c.f.outOfRange(i.Mem.Base); msg != "" {
+			return c.bad("%s", msg)
+		}
+	}
+	for _, r := range i.CallArgs {
+		if msg := c.f.outOfRange(r); msg != "" {
+			return c.bad("%s", msg)
+		}
+	}
+	return nil
+}
+
+// outOfRange describes why r, when present, is not numbered below
+// MaxRegs and below f's NumRegs of its class, or returns "".
+func (f *Func) outOfRange(r Reg) string {
+	switch {
+	case !r.Valid():
+		return ""
+	case int(r.Class) >= NumClasses:
+		return fmt.Sprintf("register %s has no register class", r)
+	case r.Num >= MaxRegs:
+		return fmt.Sprintf("register %s over the limit of %d per class", r, MaxRegs)
+	case int(r.Num) >= f.NumRegs(r.Class):
+		return fmt.Sprintf("register %s at or over NumRegs(%s) = %d (place registers with Builder or NoteReg)",
+			r, r.Class, f.NumRegs(r.Class))
+	}
+	return ""
 }
 
 // want2 checks a destination and one source.

@@ -56,15 +56,8 @@ type CDG struct {
 	span        []int
 }
 
-// BuildCDG computes forward control dependences over the region's forward
-// subgraph sg using its postdominator tree.
-func BuildCDG(sg *cfg.Subgraph, pdom *cfg.PostDomTree) *CDG {
-	c := new(CDG)
-	c.Refill(sg, pdom)
-	return c
-}
-
-// Refill recomputes c as BuildCDG(sg, pdom) does, reusing c's storage.
+// Refill computes forward control dependences over the region's forward
+// subgraph sg using its postdominator tree, reusing c's storage.
 func (c *CDG) Refill(sg *cfg.Subgraph, pdom *cfg.PostDomTree) {
 	n := sg.G.N()
 	c.Deps = resized(c.Deps, n)

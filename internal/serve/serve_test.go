@@ -245,6 +245,23 @@ func TestMalformedInputAnswers400(t *testing.T) {
 		}
 	}
 
+	// Register numbers past ir.MaxRegs: once aliased (r4294967297 read
+	// as r1) or an out-of-memory crash of the daemon, now a line-numbered
+	// parse error.
+	for _, src := range []string{
+		"func main:\n\tLI r4294967297=5\n\tLI r1=7\n\tRET r4294967297\n",
+		"func main:\n\tLI r1999999999=0\n\tRET r1999999999\n",
+	} {
+		resp, body := post(t, ts, &Request{Lang: "asm", Source: src, Simulate: &SimRequest{Entry: "main"}})
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, body %s; want 400", src, resp.StatusCode, body)
+		}
+		if !strings.Contains(e.Error, "line 2") || !strings.Contains(e.Error, "over the limit") {
+			t.Errorf("%q: diagnostic %q does not name line 2 and the register limit", src, e.Error)
+		}
+	}
+
 	resp, _ = post(t, ts, `{not json`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON: status %d, want 400", resp.StatusCode)

@@ -265,15 +265,6 @@ func (s *Server) CacheStats() CacheStats {
 	return s.store.Memory().Stats()
 }
 
-// StoreStats snapshots every store tier (nil when caching is
-// disabled).
-func (s *Server) StoreStats() []StoreStats {
-	if s.store == nil {
-		return nil
-	}
-	return s.store.Stats()
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")

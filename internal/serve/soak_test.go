@@ -240,7 +240,7 @@ func postOK(baseURL string, body []byte) error {
 // its lookups: the memory tier's hits plus misses, the top of every
 // store walk.
 func storeHits(s *Server) (hits, lookups float64) {
-	for _, st := range s.StoreStats() {
+	for _, st := range storeStats(s) {
 		hits += float64(st.Hits)
 		if st.Tier == "memory" {
 			lookups = float64(st.Hits + st.Misses)

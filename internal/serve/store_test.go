@@ -251,7 +251,7 @@ func TestServerDiskWarmRestart(t *testing.T) {
 	if runs := s2.runs.Load(); runs != 0 {
 		t.Fatalf("restarted server ran %d pipelines, want 0 (all disk hits)", runs)
 	}
-	stats := s2.StoreStats()
+	stats := storeStats(s2)
 	var disk *StoreStats
 	for i := range stats {
 		if stats[i].Tier == "disk" {
@@ -261,4 +261,13 @@ func TestServerDiskWarmRestart(t *testing.T) {
 	if disk == nil || disk.Hits != 4 {
 		t.Fatalf("disk tier stats = %+v; want 4 hits", stats)
 	}
+}
+
+// storeStats snapshots every store tier of s (nil when caching is
+// disabled); /metrics exports the same counters.
+func storeStats(s *Server) []StoreStats {
+	if s.store == nil {
+		return nil
+	}
+	return s.store.Stats()
 }

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"cmp"
-	"slices"
 
 	"gsched/internal/ir"
 )
@@ -130,30 +129,38 @@ type occurrence struct {
 // depIndex locates the snapshot instructions that can depend on each
 // other. Slots number the snapshot's instruction positions block by
 // block; every register maps to the slots that mention it, in slot
-// order, and mem lists the memory-touching slots.
+// order (so grouped by block), and mem lists the memory-touching slots.
 type depIndex struct {
 	slotID    []int32 // slot -> instruction ID
 	slotBlock []int32 // slot -> block
-	regNum    map[ir.Reg]int32
-	occStart  []int32 // register number -> first entry in occ; one sentinel past the end
-	occ       []occurrence
-	mem       []int32
+	// regNum maps each class's register numbers to dense register
+	// numbers plus one; 0 marks a register the snapshot never mentions.
+	regNum   [ir.NumClasses][]int32
+	occStart []int32 // dense register number -> first entry in occ; one sentinel past the end
+	occ      []occurrence
+	mem      []occurrence // memory-touching slots (def and used unset)
 }
 
-// occurrences returns the slots mentioning r, in slot order.
+// occurrences returns the slots mentioning r, a register of the
+// snapshot, in slot order.
 func (x *depIndex) occurrences(r ir.Reg) []occurrence {
-	n, ok := x.regNum[r]
-	if !ok {
+	n := x.regNum[r.Class][r.Num] - 1
+	if n < 0 {
 		return nil
 	}
 	return x.occ[x.occStart[n]:x.occStart[n+1]]
 }
 
 // buildIndex summarizes every snapshot instruction and indexes the
-// snapshot's slots by register and memory access.
-func (c *checker) buildIndex() {
+// snapshot's slots by register and memory access. It reports false,
+// after recording a violation, when a register has no class or a
+// number outside [0, ir.MaxRegs), which ir.(*Func).Validate rules out:
+// the tables are indexed by register number.
+func (c *checker) buildIndex() bool {
 	c.sum = make([]summary, len(c.snap.instrs))
-	var regs []ir.Reg
+	n := len(c.snap.ids)
+	regs := make([]ir.Reg, 0, 3*n) // at most three per instruction but for calls
+	var size [ir.NumClasses]int
 	for _, id := range c.snap.ids {
 		ins := c.snap.instrs[id]
 		s := &c.sum[id]
@@ -161,19 +168,32 @@ func (c *checker) buildIndex() {
 		start := len(regs)
 		regs = ins.Defs(regs)
 		s.defs = regs[start:len(regs):len(regs)]
-		start = len(regs)
+		mid := len(regs)
 		regs = ins.Uses(regs)
-		s.uses = regs[start:len(regs):len(regs)]
+		s.uses = regs[mid:len(regs):len(regs)]
 		s.mem, s.load = ins.Op.TouchesMemory(), ins.Op.IsLoad()
+		for _, r := range regs[start:] {
+			if int(r.Class) >= ir.NumClasses || r.Num < 0 || r.Num >= ir.MaxRegs {
+				c.violate("structure", ins, "register %s outside the register file (%d per class)", r, ir.MaxRegs)
+				return false
+			}
+			size[r.Class] = max(size[r.Class], int(r.Num)+1)
+		}
 	}
 
 	x := &c.idx
-	x.regNum = make(map[ir.Reg]int32)
+	slab := make([]int32, size[0]+size[1]+size[2])
+	for cl := range x.regNum {
+		x.regNum[cl], slab = slab[:size[cl]:size[cl]], slab[size[cl]:]
+	}
 	type mention struct {
 		reg int32
 		occurrence
 	}
-	var ms []mention
+	x.slotID = make([]int32, 0, n)
+	x.slotBlock = make([]int32, 0, n)
+	ms := make([]mention, 0, len(regs))
+	nregs := int32(0)
 	for b, ids := range c.snap.order {
 		for _, id := range ids {
 			slot := int32(len(x.slotID))
@@ -181,15 +201,16 @@ func (c *checker) buildIndex() {
 			x.slotBlock = append(x.slotBlock, int32(b))
 			s := &c.sum[id]
 			if s.mem {
-				x.mem = append(x.mem, slot)
+				x.mem = append(x.mem, occurrence{slot: slot})
 			}
 			first := len(ms)
 			note := func(r ir.Reg, def bool) {
-				n, ok := x.regNum[r]
-				if !ok {
-					n = int32(len(x.regNum))
-					x.regNum[r] = n
+				num := &x.regNum[r.Class][r.Num]
+				if *num == 0 {
+					nregs++
+					*num = nregs
 				}
+				n := *num - 1
 				for k := first; k < len(ms); k++ {
 					if ms[k].reg == n {
 						ms[k].def = ms[k].def || def
@@ -208,7 +229,7 @@ func (c *checker) buildIndex() {
 		}
 	}
 	// Counting sort by register keeps each register's slots in order.
-	x.occStart = make([]int32, len(x.regNum)+1)
+	x.occStart = make([]int32, nregs+1)
 	for _, m := range ms {
 		x.occStart[m.reg+1]++
 	}
@@ -216,11 +237,12 @@ func (c *checker) buildIndex() {
 		x.occStart[n] += x.occStart[n-1]
 	}
 	x.occ = make([]occurrence, len(ms))
-	next := append([]int32(nil), x.occStart[:len(x.regNum)]...)
+	next := append([]int32(nil), x.occStart[:nregs]...)
 	for _, m := range ms {
 		x.occ[next[m.reg]] = m.occurrence
 		next[m.reg]++
 	}
+	return true
 }
 
 // candidate is a slot pair (a before b) that may carry a dependence,
@@ -236,15 +258,18 @@ func cmpCandidate(p, q candidate) int {
 	return cmp.Or(cmp.Compare(p.blocks, q.blocks), cmp.Compare(p.slots, q.slots))
 }
 
-// candidates lists, in sweep order and without repeats, every ordered
-// slot pair that shares a register defined on at least one side or is a
-// possibly aliasing memory pair other than two loads. A pair is ordered
-// when its first slot precedes the second in one block, or when the
-// second's block is forward-reachable from the first's. In an
-// irreducible forward graph both orders of a cross-block pair may hold.
-func (c *checker) candidates() []candidate {
+// candidates appends to out every ordered slot pair that shares a
+// register defined on at least one side or is a possibly aliasing
+// memory pair other than two loads, in enumeration order and possibly
+// more than once; sorting by cmpCandidate and compacting gives the
+// sweep order. A pair is ordered when its first slot precedes the
+// second in one block, or when the second's block is forward-reachable
+// from the first's. In an irreducible forward graph both orders of a
+// cross-block pair may hold. In a block-local check only same-block
+// pairs are listed: every instruction sits in its home block, where a
+// forward-reachable cross-block pair is in order by construction.
+func (c *checker) candidates(out []candidate) []candidate {
 	x := &c.idx
-	var out []candidate
 	add := func(s, t int32) {
 		bs, bt := x.slotBlock[s], x.slotBlock[t]
 		if bs == bt {
@@ -263,34 +288,55 @@ func (c *checker) candidates() []candidate {
 		}
 	}
 	for n := 0; n+1 < len(x.occStart); n++ {
-		occ := x.occ[x.occStart[n]:x.occStart[n+1]]
-		for i, d := range occ {
-			if !d.def {
+		c.pairRuns(x.occ[x.occStart[n]:x.occStart[n+1]], func(run []occurrence) {
+			for i, d := range run {
+				if !d.def {
+					continue
+				}
+				for j, o := range run {
+					if j == i || (o.def && j < i) {
+						continue // each def-def pair once
+					}
+					add(d.slot, o.slot)
+				}
+			}
+		})
+	}
+	c.pairRuns(x.mem, func(run []occurrence) {
+		for i, s := range run {
+			ss := &c.sum[x.slotID[s.slot]]
+			if ss.load {
 				continue
 			}
-			for j, o := range occ {
-				if j == i || (o.def && j < i) {
-					continue // each def-def pair once
+			for j, t := range run {
+				st := &c.sum[x.slotID[t.slot]]
+				if j == i || (!st.load && j < i) {
+					continue // each pair of non-loads (stores, calls) once
 				}
-				add(d.slot, o.slot)
+				if memConflict(ss.ins, st.ins) {
+					add(s.slot, t.slot)
+				}
 			}
 		}
+	})
+	return out
+}
+
+// pairRuns calls visit on the runs of a slot-ordered list whose
+// members may pair: one run per block in a block-local check, else the
+// whole list.
+func (c *checker) pairRuns(list []occurrence, visit func(run []occurrence)) {
+	if !c.blockLocal {
+		visit(list)
+		return
 	}
-	for i, s := range x.mem {
-		ss := &c.sum[x.slotID[s]]
-		if ss.load {
-			continue
+	for lo := 0; lo < len(list); {
+		b := c.idx.slotBlock[list[lo].slot]
+		hi := lo + 1
+		for hi < len(list) && c.idx.slotBlock[list[hi].slot] == b {
+			hi++
 		}
-		for j, t := range x.mem {
-			st := &c.sum[x.slotID[t]]
-			if j == i || (!st.load && j < i) {
-				continue // each pair of non-loads (stores, calls) once
-			}
-			if memConflict(ss.ins, st.ins) {
-				add(s, t)
-			}
-		}
+		visit(list[lo:hi])
+		lo = hi
 	}
-	slices.SortFunc(out, cmpCandidate)
-	return slices.Compact(out)
 }

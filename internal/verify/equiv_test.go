@@ -103,12 +103,12 @@ func scheduledCorpus(t *testing.T, level core.Level) (snaps []*verify.Snapshot, 
 	return snaps, funcs, opts.VerifyRules(), st
 }
 
-// corrupt applies one random edit to f's layout: an in-block swap, a
-// move to another block, a dropped instruction, a fresh-ID copy, the
-// same instruction placed twice, or an altered instruction. It never
-// mutates an instruction in place, so restoring the block slices undoes
-// it.
-func corrupt(r *rand.Rand, f *ir.Func) {
+// corrupt applies one random edit to f's layout, drawn from the first
+// kinds of: an in-block swap, a move to another block, a dropped
+// instruction, a fresh-ID copy, the same instruction placed twice, or
+// an altered instruction. It never mutates an instruction in place, so
+// restoring the block slices undoes it.
+func corrupt(r *rand.Rand, f *ir.Func, kinds int) {
 	var nonEmpty []*ir.Block
 	for _, b := range f.Blocks {
 		if len(b.Instrs) > 0 {
@@ -129,7 +129,7 @@ func corrupt(r *rand.Rand, f *ir.Func) {
 	remove := func() {
 		src.Instrs = append(src.Instrs[:at:at], src.Instrs[at+1:]...)
 	}
-	switch r.Intn(6) {
+	switch r.Intn(kinds) {
 	case 0: // swap within the block
 		other := r.Intn(len(src.Instrs))
 		s := append([]*ir.Instr(nil), src.Instrs...)
@@ -171,7 +171,7 @@ func TestIndexedCheckMatchesAllPairs(t *testing.T) {
 			}
 			for variant := 0; variant < 8; variant++ {
 				for k := 0; k < (variant+1)/2; k++ {
-					corrupt(r, f)
+					corrupt(r, f, 6)
 				}
 				got := verify.Check(snaps[i], f, rules)
 				want := verify.CheckReference(snaps[i], f, rules)
@@ -201,6 +201,76 @@ func TestIndexedCheckMatchesAllPairs(t *testing.T) {
 			t.Errorf("level %v: the comparison was vacuous", level)
 		}
 	}
+}
+
+// TestPostPassCheckMatchesAllPairs corrupts basic-block post-pass
+// brackets, checked under verify.Rules{} as the driver checks them, and
+// demands that Check equal the all-pairs reference exactly. In-block
+// swaps keep every instruction at home, so Check takes its block-local
+// path; moves, drops, copies and alterations take the full path. Both
+// paths must be exercised, the block-local one on reports of at least
+// two dependence violations, whose order the sorted rerun fixes.
+func TestPostPassCheckMatchesAllPairs(t *testing.T) {
+	progs, _ := equivCorpus(t)
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+	opts.Rename = false // snapshots must see exactly what the scheduler saw
+	opts.Parallelism = 1
+	r := rand.New(rand.NewSource(1))
+	var local, localMulti, full int
+	for _, prog := range progs {
+		for _, f := range prog.Funcs {
+			snap := postPass(t, f, opts)
+			if err := verify.Check(snap, f, verify.Rules{}); err != nil {
+				t.Fatalf("%s: legal post-pass rejected: %v", f.Name, err)
+			}
+			saved := make([][]*ir.Instr, len(f.Blocks))
+			for bi, b := range f.Blocks {
+				saved[bi] = b.Instrs
+			}
+			for variant := 0; variant < 8; variant++ {
+				kinds := 1 // in-block swaps only
+				if variant >= 4 {
+					kinds = 6
+				}
+				for k := 0; k <= variant%4; k++ {
+					corrupt(r, f, kinds)
+				}
+				got := verify.Check(snap, f, verify.Rules{})
+				want := verify.CheckReference(snap, f, verify.Rules{})
+				if !sameViolations(got, want) {
+					t.Fatalf("%s variant %d: indexed and all-pairs checks differ\nindexed: %v\nreference: %v",
+						f.Name, variant, got, want)
+				}
+				if verify.BlockLocal(snap, f) {
+					local++
+					if dependenceViolations(got) >= 2 {
+						localMulti++
+					}
+				} else {
+					full++
+				}
+				for bi, b := range f.Blocks {
+					b.Instrs = saved[bi]
+				}
+			}
+		}
+	}
+	t.Logf("%d block-local checks (%d with two or more dependence violations), %d full checks", local, localMulti, full)
+	if local == 0 || localMulti == 0 || full == 0 {
+		t.Error("the comparison was vacuous on one of the paths")
+	}
+}
+
+func dependenceViolations(err error) int {
+	n := 0
+	if e, ok := err.(*verify.Error); ok {
+		for _, v := range e.Violations {
+			if v.Rule == "dependence" {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func sameViolations(a, b error) bool {

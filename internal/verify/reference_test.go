@@ -12,7 +12,8 @@ import (
 // per query. The indexed versions must find exactly what these find.
 
 // CheckReference is Check with the indexed dependence enumeration
-// replaced by the all-pairs sweep.
+// replaced by the all-pairs sweep and without the block-local path: it
+// always runs the flow analysis and the motion checks.
 func CheckReference(snap *Snapshot, f *ir.Func, rules Rules) error {
 	c := &checker{snap: snap, f: f, rules: rules}
 	if !c.structure() {
@@ -20,10 +21,24 @@ func CheckReference(snap *Snapshot, f *ir.Func, rules Rules) error {
 	}
 	c.an = analyze(f)
 	c.accounting()
-	c.buildIndex()
+	if !c.buildIndex() {
+		return c.result()
+	}
 	c.motions()
 	c.allPairsDepOrder()
 	return c.result()
+}
+
+// BlockLocal reports whether Check takes its block-local path for f
+// against snap: no extra instruction appeared and every surviving one
+// sits in its home block.
+func BlockLocal(snap *Snapshot, f *ir.Func) bool {
+	c := &checker{snap: snap, f: f}
+	if !c.structure() {
+		return false
+	}
+	c.accounting()
+	return c.blockLocal
 }
 
 // allPairsDepOrder visits every instruction pair of every block, then
@@ -161,7 +176,9 @@ func OffPathMismatches(snap *Snapshot, f *ir.Func, rules Rules) (queries int, di
 	}
 	c.an = analyze(f)
 	c.accounting()
-	c.buildIndex()
+	if !c.buildIndex() {
+		return 0, nil
+	}
 	for _, id := range snap.ids {
 		H := snap.home[id].block
 		for _, pl := range c.placements[id] {

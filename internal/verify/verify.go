@@ -24,6 +24,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gsched/internal/ir"
@@ -165,20 +166,30 @@ func (s *Snapshot) instr(id int) *ir.Instr {
 // With B blocks, N instructions, D dependent instruction pairs (sharing
 // a register written by one of them, or a store or call and a memory
 // access that may alias) and M cross-block motions, a check costs
-// O(B²/64 + N + D log D + M·(B + occurrences of the moved register)):
-// the flow analysis works on block bitsets, dependences are enumerated
-// from per-register occurrence lists instead of all instruction pairs,
-// and each motion's §5.3 liveness visits only the blocks that mention
-// or reach its register.
+// O(B²/64 + N + D + M·(B + occurrences of the moved register)): the
+// flow analysis works on block bitsets, dependences are enumerated from
+// per-register occurrence lists instead of all instruction pairs, and
+// each motion's §5.3 liveness visits only the blocks that mention or
+// reach its register. Only a check that finds a dependence violation
+// pays O(D log D) more, to report violations in the order of a sweep
+// over all instruction pairs. When nothing left its block (no extra
+// instructions, every surviving one in its home block, as after a
+// basic-block pass) only dependence order within each block can be
+// broken, and the check is O(N + same-block D) with no flow analysis.
+// Registers must lie below ir.MaxRegs, as ir.(*Func).Validate ensures.
 func Check(snap *Snapshot, f *ir.Func, rules Rules) error {
 	c := &checker{snap: snap, f: f, rules: rules}
 	if !c.structure() {
 		return c.result()
 	}
-	c.an = analyze(f)
 	c.accounting()
-	c.buildIndex()
-	c.motions()
+	if !c.buildIndex() {
+		return c.result()
+	}
+	if !c.blockLocal {
+		c.needAnalysis()
+		c.motions()
+	}
 	c.depOrder()
 	return c.result()
 }
@@ -187,7 +198,12 @@ type checker struct {
 	snap  *Snapshot
 	f     *ir.Func
 	rules Rules
-	an    *analysis
+	an    *analysis // nil until needAnalysis
+
+	// blockLocal records that no extra instruction appeared and every
+	// surviving instruction sits in its home block: no motion happened,
+	// and only dependence order within blocks can be broken.
+	blockLocal bool
 
 	// Dense tables indexed by instruction ID, covering the snapshot's
 	// and the scheduled function's IDs.
@@ -197,8 +213,9 @@ type checker struct {
 	placements [][]place   // snapshot ID -> original + copy locations
 	dupGroup   []bool      // snapshot IDs verified as duplication groups
 
-	sum []summary // snapshot ID -> dependence summary
-	idx depIndex
+	sum  []summary // snapshot ID -> dependence summary
+	idx  depIndex
+	deps []dep // scratch for checkPair
 
 	// Scratch for offPathLive, indexed by block.
 	liveIn, kill []bool
@@ -214,6 +231,15 @@ func (c *checker) violate(rule string, ins *ir.Instr, format string, args ...int
 		v.Instr = ins.String()
 	}
 	c.vs = append(c.vs, v)
+}
+
+// needAnalysis computes the flow analysis on first use. Scheduling
+// moves instructions but never blocks, so the scheduled function's
+// shape serves the snapshot too.
+func (c *checker) needAnalysis() {
+	if c.an == nil {
+		c.an = analyze(c.f)
+	}
 }
 
 func (c *checker) result() error {
@@ -273,9 +299,13 @@ func (c *checker) accounting() {
 			c.finalInstr[ins.ID] = ins
 		}
 	}
+	c.blockLocal = true
 	for _, id := range c.snap.ids {
-		if c.final[id] == absent {
+		switch fin := c.final[id]; {
+		case fin == absent:
 			c.violate("accounting", c.snap.instrs[id], "instruction lost by scheduling")
+		case fin.block != c.snap.home[id].block:
+			c.blockLocal = false
 		}
 	}
 	var extras []int // ascending
@@ -297,6 +327,8 @@ func (c *checker) accounting() {
 	}
 	var bySig map[string][]int
 	if len(extras) > 0 {
+		c.blockLocal = false
+		c.needAnalysis() // for matchScore
 		bySig = make(map[string][]int)
 		for _, id := range c.snap.ids {
 			s := c.snap.instrs[id].String()
@@ -677,17 +709,43 @@ func (c *checker) snapConsumer(src, cons int) bool {
 
 // depOrder re-derives every data dependence of the snapshot program and
 // checks that each one still executes in order at every placement pair.
-// Pairs are visited in the order of a sweep over all instruction pairs
-// (same-block pairs by block and position, then each forward-reachable
-// block pair), but only the candidates that can carry a dependence.
+// Only the candidates that can carry a dependence are visited. A legal
+// schedule passes in any visiting order, so they are first visited as
+// enumerated; once a violation shows, that attempt is discarded and the
+// candidates are visited again in the order of a sweep over all
+// instruction pairs (same-block pairs by block and position, then each
+// forward-reachable block pair), which fixes the order of the report.
 func (c *checker) depOrder() {
-	var buf []dep
-	for _, p := range c.candidates() {
-		a, b := c.idx.slotID[p.a()], c.idx.slotID[p.b()]
-		buf = pairDeps(&c.sum[a], &c.sum[b], buf[:0])
-		for _, d := range buf {
-			c.checkDep(d)
+	mark := len(c.vs)
+	// Generated mains list about 0.4 candidates per register mention
+	// in a block-local check and 1.8 otherwise.
+	size := len(c.idx.occ)
+	if !c.blockLocal {
+		size *= 2
+	}
+	cands := c.candidates(make([]candidate, 0, size))
+	for _, p := range cands {
+		c.checkPair(p)
+		if len(c.vs) > mark {
+			break
 		}
+	}
+	if len(c.vs) == mark {
+		return
+	}
+	c.vs = c.vs[:mark]
+	slices.SortFunc(cands, cmpCandidate)
+	for _, p := range slices.Compact(cands) {
+		c.checkPair(p)
+	}
+}
+
+// checkPair checks every dependence of one candidate pair.
+func (c *checker) checkPair(p candidate) {
+	a, b := c.idx.slotID[p.a()], c.idx.slotID[p.b()]
+	c.deps = pairDeps(&c.sum[a], &c.sum[b], c.deps[:0])
+	for _, d := range c.deps {
+		c.checkDep(d)
 	}
 }
 

@@ -184,3 +184,18 @@ func TestRejectsLostInstruction(t *testing.T) {
 	b.Instrs = append(b.Instrs[:1], b.Instrs[2:]...) // drop the A
 	wantViolation(t, snap, f, Rules{}, "accounting", "lost")
 }
+
+// TestRegisterOutsideFileIsAViolation: Check indexes registers by
+// number, so a function that skipped ir.(*Func).Validate and names a
+// register past ir.MaxRegs (or an absent call argument) gets a
+// violation, not a huge table or an index panic.
+func TestRegisterOutsideFileIsAViolation(t *testing.T) {
+	for _, r := range []ir.Reg{ir.GPR(1999999999), ir.NoReg} {
+		f := ir.NewFunc("f")
+		b := ir.NewBuilder(f)
+		b.Block("e")
+		b.Call(ir.NoReg, "print", r)
+		b.Ret(ir.NoReg)
+		wantViolation(t, Capture(f), f, Rules{}, "structure", "outside the register file")
+	}
+}

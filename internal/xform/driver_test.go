@@ -257,6 +257,39 @@ func TestRunVerifyError(t *testing.T) {
 	}
 }
 
+// TestRunCtxRejectsOutOfRangeRegisters: API-built IR naming a register
+// at or over ir.MaxRegs, or one that bypassed NoteReg, is an error from
+// RunCtx before any pass sizes a table by register number (renaming
+// asked for 8 GB on the first input below).
+func TestRunCtxRejectsOutOfRangeRegisters(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		build      func(b *ir.Builder)
+	}{
+		{"over the limit", "over the limit", func(b *ir.Builder) {
+			b.LI(ir.GPR(1999999999), 0)
+			b.Ret(ir.GPR(1999999999))
+		}},
+		{"not noted", "at or over NumRegs", func(b *ir.Builder) {
+			li := b.F.NewInstr(ir.OpLI)
+			li.Def = ir.GPR(5)
+			b.Cur.Instrs = append(b.Cur.Instrs, li)
+			b.Ret(ir.NoReg)
+		}},
+	} {
+		f := ir.NewFunc("main")
+		b := ir.NewBuilder(f)
+		b.Block("e")
+		tc.build(b)
+		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+		opts.Verify = true
+		_, err := RunCtx(context.Background(), f, opts, DefaultConfig())
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !namedOnce(err, "main") {
+			t.Errorf("%s: err = %v, want one naming main and %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestDriveEarliestErrorWins: over a materialized program, the error of
 // the earliest failing function in source order is returned, however
 // the workers interleave.
