@@ -46,7 +46,7 @@ func TestMinMaxEdges(t *testing.T) {
 
 func TestMinMaxDominators(t *testing.T) {
 	g, _ := minmaxGraph(t)
-	dom := Dominators(g, 0)
+	dom := dominators(g, 0)
 	// BL1 dominates every loop block; BL10 dominates none of them but
 	// itself; everything is dominated by the entry.
 	for b := bl(1); b <= bl(10); b++ {
@@ -132,7 +132,7 @@ func TestMinMaxPostDominators(t *testing.T) {
 	li := FindLoops(g)
 	loop := li.Root.Inner[0]
 	sg := g.Forward(loop.Blocks, loop.Header, li.IsBackEdge)
-	pdom := PostDominators(sg, RegionExits(nil, g, li, loop))
+	pdom := postDominators(sg, RegionExits(nil, g, li, loop))
 	// Within the loop's forward body, BL10 postdominates everything.
 	for b := bl(1); b <= bl(9); b++ {
 		if !pdom.PostDominates(bl(10), b) {
@@ -147,7 +147,7 @@ func TestMinMaxPostDominators(t *testing.T) {
 		t.Error("BL4 must not postdominate BL1")
 	}
 	// Equivalence pairs of the paper (§4.1): BL1~BL10, BL2~BL4, BL6~BL8.
-	dom := Dominators(g, 0)
+	dom := dominators(g, 0)
 	equiv := func(a, b int) bool { return dom.Dominates(a, b) && pdom.PostDominates(b, a) }
 	for _, pr := range [][2]int{{1, 10}, {2, 4}, {6, 8}} {
 		if !equiv(pr[0], pr[1]) {

@@ -106,13 +106,6 @@ func (t *DomTree) refill(n, root int, succs, preds [][]int) {
 	}
 }
 
-// Dominators computes the dominator tree of g from the entry node.
-func Dominators(g *Graph, entry int) *DomTree {
-	t := new(DomTree)
-	t.refill(g.N(), entry, g.Succs, g.Preds)
-	return t
-}
-
 // Dominates reports whether a dominates b (reflexively).
 func (t *DomTree) Dominates(a, b int) bool {
 	if t.Idom[b] < 0 {
@@ -146,18 +139,10 @@ type PostDomTree struct {
 	backing      []int
 }
 
-// PostDominators computes postdominators of the subgraph. exits lists the
-// member nodes considered to leave the region (they get an edge to the
-// virtual exit node). Every member with no subgraph successors is treated
-// as an exit automatically.
-func PostDominators(sg *Subgraph, exits []int) *PostDomTree {
-	t := new(PostDomTree)
-	t.Refill(sg, exits)
-	return t
-}
-
-// Refill recomputes t as PostDominators(sg, exits) does, reusing t's
-// storage.
+// Refill computes t as the postdominators of the subgraph, reusing t's
+// storage. exits lists the member nodes considered to leave the region
+// (they get an edge to the virtual exit node). Every member with no
+// subgraph successors is treated as an exit automatically.
 func (t *PostDomTree) Refill(sg *Subgraph, exits []int) {
 	n := sg.G.N()
 	vx := n

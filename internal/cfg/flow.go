@@ -20,3 +20,8 @@ func (fl *Flow) Refill(f *ir.Func) {
 	fl.G.Refill(f)
 	fl.Loops.Refill(&fl.G)
 }
+
+// Release drops fl's reference to the function it was filled for,
+// keeping its storage, so a pooled Flow does not keep a finished
+// function reachable. The next use must be a Refill.
+func (fl *Flow) Release() { fl.G.F = nil }

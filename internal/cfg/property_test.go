@@ -88,7 +88,7 @@ func TestDominatorsAgainstBruteForce(t *testing.T) {
 		n := 3 + r.Intn(10)
 		f := randomCFG(r, n)
 		g := Build(f)
-		dom := Dominators(g, 0)
+		dom := dominators(g, 0)
 		reach := g.Reachable(0)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
@@ -123,7 +123,7 @@ func TestDominatorAxioms(t *testing.T) {
 		n := 3 + r.Intn(12)
 		f := randomCFG(r, n)
 		g := Build(f)
-		dom := Dominators(g, 0)
+		dom := dominators(g, 0)
 		reach := g.Reachable(0)
 		for x := 0; x < n; x++ {
 			if !reach[x] {
@@ -236,7 +236,7 @@ func TestPostDominatorsOnForwardView(t *testing.T) {
 			}
 		}
 		sg := g.Forward(nodes, 0, li.IsBackEdge)
-		pdom := PostDominators(sg, nil)
+		pdom := postDominators(sg, nil)
 		// Brute force: b postdominates a iff removing b cuts every
 		// subgraph path from a to any exit (node with an edge to the
 		// virtual exit = no subgraph successors here).

@@ -39,26 +39,34 @@ func instrCount(f *ir.Func) int {
 }
 
 // BenchmarkRegionScheduleBigfunc schedules one ~1000-instruction main
-// at the speculative level on one worker, where region scheduling and
-// its §5.3 liveness upkeep dominate.
+// at the speculative level on one worker: /plain with a zero
+// xform.Config, where region scheduling and its §5.3 liveness upkeep
+// dominate, and /pipeline with xform.DefaultConfig, which adds the §6
+// unroll and rotate sweeps and the second scheduling pass.
 func BenchmarkRegionScheduleBigfunc(b *testing.B) {
 	src := bigMain(b)
 	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.Parallelism = 1
-	var instrs int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		prog, err := minic.Compile(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f := prog.Func("main")
-		instrs = instrCount(f)
-		b.StartTimer()
-		if _, err := xform.RunCtx(context.Background(), f, opts, xform.Config{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		cfgX xform.Config
+	}{{"plain", xform.Config{}}, {"pipeline", xform.DefaultConfig()}} {
+		b.Run(c.name, func(b *testing.B) {
+			var instrs int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prog, err := minic.Compile(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f := prog.Func("main")
+				instrs = instrCount(f)
+				b.StartTimer()
+				if _, err := xform.RunCtx(context.Background(), f, opts, c.cfgX); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
 }

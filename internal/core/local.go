@@ -22,6 +22,18 @@ type localScratch struct {
 	hv       pdg.HeightVals
 }
 
+// release drops the instructions the scratch holds, keeping its
+// capacity.
+func (ls *localScratch) release() {
+	for _, s := range [...][]localNode{ls.nodes, ls.ready} {
+		s = s[:cap(s)]
+		for k := range s {
+			s[k].instr = nil
+		}
+	}
+	clear(ls.newOrder[:cap(ls.newOrder)])
+}
+
 type localNode struct {
 	instr *ir.Instr
 	pos   int

@@ -49,9 +49,15 @@ type pipeline struct {
 	dupJoins []int
 
 	// Candidate arena: chunked so pointers stay stable while it grows.
+	// candHigh is the last chunk handed out since the last release.
 	candChunks [][]candidate
 	candChunk  int
 	candUsed   int
+	candHigh   int
+
+	// regionUsed reports that scheduleRegion ran since the last
+	// release, so the session scratch and the arena hold instructions.
+	regionUsed bool
 
 	// Per-block priority caches, invalidated by bumping stamp (which
 	// only ever increases, so stale entries from earlier regions or
@@ -71,8 +77,38 @@ var pipelinePool = sync.Pool{
 	New: func() any { return &pipeline{ddgb: pdg.NewBuilder()} },
 }
 
-func getPipeline() *pipeline   { return pipelinePool.Get().(*pipeline) }
-func putPipeline(pl *pipeline) { pipelinePool.Put(pl) }
+func getPipeline() *pipeline { return pipelinePool.Get().(*pipeline) }
+
+// putPipeline releases pl and returns it to the pool.
+func putPipeline(pl *pipeline) {
+	pl.release()
+	pipelinePool.Put(pl)
+}
+
+// release drops the pipeline's references into the function it last
+// worked on — its IR, flow graph and liveness baseline — keeping every
+// buffer's capacity, so a pooled pipeline does not keep a finished
+// function reachable until its next use. The local scheduler takes a
+// pipeline per block, so the region scratch is cleared only after
+// region work.
+func (pl *pipeline) release() {
+	pl.ddgb.Release()
+	pl.live.Release()
+	pl.lv, pl.dirty = nil, pl.dirty[:0]
+	if pl.regionUsed {
+		for _, s := range [...][]*candidate{pl.cands, pl.ready, pl.viable} {
+			clear(s[:cap(s)])
+		}
+		clear(pl.newOrder[:cap(pl.newOrder)])
+		for _, chunk := range pl.candChunks[:min(pl.candHigh+1, len(pl.candChunks))] {
+			for k := range chunk {
+				chunk[k].instr = nil
+			}
+		}
+		pl.candHigh, pl.regionUsed = 0, false
+	}
+	pl.local.release()
+}
 
 // grown returns s resized to n elements, all zero. The backing array is
 // reused when it is large enough.
@@ -112,6 +148,7 @@ func (pl *pipeline) newCand() *candidate {
 	}
 	c := &pl.candChunks[pl.candChunk][pl.candUsed]
 	pl.candUsed++
+	pl.candHigh = max(pl.candHigh, pl.candChunk)
 	return c
 }
 
@@ -155,6 +192,7 @@ func (pl *pipeline) liveness(f *ir.Func, g *cfg.Graph, scope []bool, base *dataf
 func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region,
 	opts *Options, st *Stats, scope []bool, base *dataflow.Liveness) error {
 
+	pl.regionUsed = true
 	donePDG := opts.Trace.TimePhase(PhasePDG)
 	p, err := pdg.BuildWith(pl.ddgb, f, g, li, r, opts.Machine)
 	donePDG()

@@ -16,16 +16,6 @@ type RegSet struct {
 	bits [ir.NumClasses][]uint64
 }
 
-// NewRegSet returns a set sized for the registers of f.
-func NewRegSet(f *ir.Func) *RegSet {
-	s := &RegSet{}
-	for c := 0; c < ir.NumClasses; c++ {
-		n := f.NumRegs(ir.RegClass(c))
-		s.bits[c] = make([]uint64, (n+63)/64)
-	}
-	return s
-}
-
 func (s *RegSet) ensure(r ir.Reg) {
 	w := int(r.Num)/64 + 1
 	for len(s.bits[r.Class]) < w {
@@ -181,9 +171,14 @@ type Analyzer struct {
 	inWork  []bool
 
 	// Update scratch: a dirty block's use and def rows before its
-	// rescan, and the registers whose use or def bit changed.
+	// rescan, the registers whose use or def bit changed, and the
+	// member blocks that reach a dirty block (in ComputeScoped, every
+	// member block, in reverse layout order).
 	old     []uint64
 	changed RegSet
+	reach   []int
+
+	visits int // worklist visits of solve, for tests
 }
 
 // Compute runs the analysis over the whole of f, reusing the analyzer's
@@ -240,6 +235,7 @@ func (a *Analyzer) ComputeScoped(f *ir.Func, g *cfg.Graph, member []bool, base *
 		a.lv.Out = make([]*RegSet, n)
 		a.inWork = make([]bool, n)
 		a.work = make([]int, 0, n)
+		a.reach = make([]int, 0, n)
 	}
 	lv := &a.lv
 	lv.In, lv.Out = lv.In[:n], lv.Out[:n]
@@ -253,12 +249,29 @@ func (a *Analyzer) ComputeScoped(f *ir.Func, g *cfg.Graph, member []bool, base *
 	}
 	a.widen()
 
+	blocks := a.reach[:0]
+	for i := n - 1; i >= 0; i-- {
+		if a.isMember(i) {
+			blocks = append(blocks, i)
+		}
+	}
+	a.reach = blocks
 	for c := 0; c < ir.NumClasses; c++ {
 		for w := 0; w < a.words[c]; w++ {
-			a.solve(c, w, ^uint64(0))
+			a.solve(c, w, ^uint64(0), blocks)
 		}
 	}
 	return lv
+}
+
+// Release drops the analyzer's references to the problem it last
+// solved (function, graph, scope and baseline), keeping its buffers, so
+// a pooled analyzer does not keep a finished function reachable. The
+// next call must be ComputeScoped.
+func (a *Analyzer) Release() {
+	a.f, a.g, a.member, a.base = nil, nil, nil, nil
+	clear(a.lv.In)
+	clear(a.lv.Out)
 }
 
 func (a *Analyzer) isMember(b int) bool { return a.member == nil || a.member[b] }
@@ -326,10 +339,13 @@ func (a *Analyzer) widen() {
 // A motion changes liveness only through the use and def sets of the
 // blocks it edits, and every register is an independent problem, so
 // Update rescans the dirty blocks and solves again only the registers
-// whose use or def bit changed, bit-parallel per word: at most
-// O(changed registers × (blocks + edges)) instead of a whole solve.
-// Duplicate and non-member entries in dirty are ignored; the blocks
-// themselves must not change.
+// whose use or def bit changed, bit-parallel per word, and only in the
+// member blocks that reach a dirty block: every other block reaches no
+// edit, so none of its successors changes and its sets already hold the
+// least fixed point. The cost is O(changed registers × (blocks + edges
+// that reach an edit)) instead of a whole solve. Duplicate and
+// non-member entries in dirty are ignored; the blocks themselves must
+// not change.
 func (a *Analyzer) Update(dirty []int) *Liveness {
 	perSet := 0
 	for c := 0; c < ir.NumClasses; c++ {
@@ -375,40 +391,73 @@ func (a *Analyzer) Update(dirty []int) *Liveness {
 	for _, i := range dirty {
 		seen[i] = false
 	}
+	blocks := a.reach[:0]
 	for c, row := range a.changed.bits {
 		for w, m := range row {
-			if m != 0 {
-				a.solve(c, w, m)
+			if m == 0 {
+				continue
 			}
+			if len(blocks) == 0 {
+				blocks = a.reaching(dirty)
+			}
+			a.solve(c, w, m, blocks)
 		}
 	}
 	return &a.lv
 }
 
-// solve computes bits m of word w of class c in every member's In and
-// Out from scratch, holding every other bit fixed (each bit is its own
-// problem). It clears them, then iterates to the least fixed point with
-// a worklist seeded in reverse layout order: a block is reprocessed
-// only when the live-in of one of its successors grew. Clearing first
-// is what keeps Update exact when a motion kills liveness: a grow-only
-// worklist would keep a register live around a loop back edge after its
-// last use left the loop.
-func (a *Analyzer) solve(c, w int, m uint64) {
-	lv, sets, g := &a.lv, a.sets, a.g
-	n := len(lv.In)
-	inWork, work := a.inWork[:n], a.work[:0]
-	for i := n - 1; i >= 0; i-- {
-		if a.isMember(i) {
-			lv.In[i].bits[c][w] &^= m
-			lv.Out[i].bits[c][w] &^= m
-			work = append(work, i)
-			inWork[i] = true
+// reaching collects into a.reach the member blocks from which a member
+// dirty block is reachable through member blocks, dirty blocks included:
+// the only blocks whose sets an edit of the dirty blocks can change.
+// The set is closed under member predecessors, which is what lets solve
+// seed it alone.
+func (a *Analyzer) reaching(dirty []int) []int {
+	mark, blocks := a.inWork, a.reach[:0] // inWork is all false between solves
+	for _, i := range dirty {
+		if a.isMember(i) && !mark[i] {
+			mark[i] = true
+			blocks = append(blocks, i)
 		}
+	}
+	for k := 0; k < len(blocks); k++ {
+		for _, p := range a.g.Preds[blocks[k]] {
+			if a.isMember(p) && !mark[p] {
+				mark[p] = true
+				blocks = append(blocks, p)
+			}
+		}
+	}
+	for _, i := range blocks {
+		mark[i] = false
+	}
+	a.reach = blocks
+	return blocks
+}
+
+// solve computes bits m of word w of class c in the In and Out of every
+// block of blocks from scratch, holding every other bit and every other
+// block fixed (each bit is its own problem). blocks must hold every
+// member predecessor of its members. solve clears the bits, then
+// iterates to the least fixed point with a worklist seeded with blocks
+// (the seeding order does not change the fixed point): a block is
+// reprocessed only when the live-in of one of its successors grew.
+// Clearing first is what keeps Update exact when a motion kills
+// liveness: a grow-only worklist would keep a register live around a
+// loop back edge after its last use left the loop.
+func (a *Analyzer) solve(c, w int, m uint64, blocks []int) {
+	lv, sets, g := &a.lv, a.sets, a.g
+	inWork, work := a.inWork, a.work[:0]
+	for _, i := range blocks {
+		lv.In[i].bits[c][w] &^= m
+		lv.Out[i].bits[c][w] &^= m
+		work = append(work, i)
+		inWork[i] = true
 	}
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[i] = false
+		a.visits++
 		var out uint64
 		for _, s := range g.Succs[i] {
 			if in := lv.In[s].bits[c]; w < len(in) { // a frozen base row may be narrower

@@ -11,7 +11,7 @@ import (
 func TestRegSetBasics(t *testing.T) {
 	f := ir.NewFunc("t")
 	f.NoteReg(ir.GPR(100))
-	s := NewRegSet(f)
+	s := newRegSet(f)
 	regs := []ir.Reg{ir.GPR(0), ir.GPR(63), ir.GPR(64), ir.GPR(100), ir.CR(3)}
 	for _, r := range regs {
 		s.Add(r)
@@ -103,4 +103,14 @@ func TestSpeculationLiveness(t *testing.T) {
 	if !lv.LiveOnExit(1, x) || !lv.LiveOnExit(2, x) {
 		t.Error("x must be live on exit from B2 and B3")
 	}
+}
+
+// newRegSet returns a set sized for the registers of f.
+func newRegSet(f *ir.Func) *RegSet {
+	s := &RegSet{}
+	for c := 0; c < ir.NumClasses; c++ {
+		n := f.NumRegs(ir.RegClass(c))
+		s.bits[c] = make([]uint64, (n+63)/64)
+	}
+	return s
 }

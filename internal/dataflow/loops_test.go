@@ -115,7 +115,7 @@ func TestLivenessThroughCall(t *testing.T) {
 func TestUnionAndClear(t *testing.T) {
 	f := ir.NewFunc("t")
 	f.NoteReg(ir.GPR(130))
-	a, b := NewRegSet(f), NewRegSet(f)
+	a, b := newRegSet(f), newRegSet(f)
 	a.Add(ir.GPR(1))
 	b.Add(ir.GPR(2))
 	b.Add(ir.GPR(130))

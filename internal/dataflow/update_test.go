@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gsched/internal/cfg"
@@ -179,4 +180,94 @@ func buildUseLoop() (*ir.Func, ir.Reg) {
 	b.Ret(i)
 	f.ReindexBlocks()
 	return f, k
+}
+
+// bigMain returns the main of the first generated program (in seed
+// order) with 900–1100 instructions, the bigfunc benchmark's band.
+func bigMain(tb testing.TB) *ir.Func {
+	tb.Helper()
+	for seed := int64(1); seed < 200; seed++ {
+		pg := progen.NewSized(seed, progen.Size{Stmts: 25, Depth: 3, Loops: true, Floats: true, Helper: true, Arrays: 3})
+		prog, err := minic.Compile(pg.Source)
+		if err != nil {
+			tb.Fatalf("seed %d: %v", seed, err)
+		}
+		if f := prog.Func(pg.Entry); f.NumInstrs() >= 900 && f.NumInstrs() <= 1100 {
+			return f
+		}
+	}
+	tb.Fatal("no generated main in 900–1100 instructions")
+	return nil
+}
+
+// TestUpdateSolvesOnlyWhereEditsReach pins Update's cost bound: an edit
+// confined to the entry block, which no block reaches, re-solves that
+// block alone, one worklist visit per changed bitset word, however many
+// blocks the function has.
+func TestUpdateSolvesOnlyWhereEditsReach(t *testing.T) {
+	f := bigMain(t)
+	g := cfg.Build(f)
+	if len(g.Preds[0]) != 0 {
+		t.Fatal("the entry block has predecessors")
+	}
+	var a Analyzer
+	a.Compute(f, g)
+	entry := f.Blocks[0]
+	if len(entry.Instrs) < 2 {
+		t.Fatal("the entry block has no instruction to move")
+	}
+	// Rotate the entry block's first instruction to just before its
+	// last: every use and def stays in the block, but which uses are
+	// upward-exposed can change.
+	for k := 0; k < len(entry.Instrs)-1; k++ {
+		i := entry.Instrs[0]
+		entry.Remove(i)
+		insertBefore(entry, i)
+		a.visits = 0
+		lv := a.Update([]int{0})
+		words := 0
+		for _, row := range a.changed.bits {
+			for _, m := range row {
+				if m != 0 {
+					words++
+				}
+			}
+		}
+		if a.visits != words {
+			t.Fatalf("move %d: %d worklist visits for %d changed words in a %d-block function, want one each",
+				k, a.visits, words, len(f.Blocks))
+		}
+		sameLiveness(t, "entry edit", lv, Compute(f, g))
+	}
+}
+
+// BenchmarkLivenessUpdate moves one instruction up each flow edge of a
+// bigfunc-shaped main and back, the shape of a speculative motion and
+// its undoing, with an Update after each move.
+func BenchmarkLivenessUpdate(b *testing.B) {
+	f := bigMain(b)
+	g := cfg.Build(f)
+	type edge struct{ from, to int }
+	var edges []edge
+	for p := range f.Blocks {
+		for _, s := range g.Succs[p] {
+			if blk := f.Blocks[s]; s != p && len(blk.Instrs) > 0 && blk.Instrs[0] != blk.Terminator() {
+				edges = append(edges, edge{p, s})
+			}
+		}
+	}
+	var a Analyzer
+	a.Compute(f, g)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e := edges[n%len(edges)]
+		src, dst := f.Blocks[e.to], f.Blocks[e.from]
+		i := src.Instrs[0]
+		src.Remove(i)
+		insertBefore(dst, i)
+		a.Update([]int{e.to, e.from})
+		dst.Remove(i)
+		src.Instrs = slices.Insert(src.Instrs, 0, i)
+		a.Update([]int{e.to, e.from})
+	}
 }

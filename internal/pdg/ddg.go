@@ -80,6 +80,10 @@ type Builder struct {
 	bis          []*blockIndex
 	byReg        map[uint64]int32 // packed reg -> index into current blockIndex
 	touches      []instrTouch
+	// edgeHigh is the most edges a build collected since the last
+	// Release: the prefix of pending and half the prefix of backing
+	// that may hold instruction pointers.
+	edgeHigh int
 
 	// BuildWith's per-region analyses.
 	pdg              PDG
@@ -103,6 +107,20 @@ type Builder struct {
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
 	return &Builder{byReg: make(map[uint64]int32)}
+}
+
+// Release drops the builder's references into the function it last
+// built for: the PDG's function, graph and region, the subgraph views'
+// graph, and the instructions on the dependence edges, keeping every
+// arena's capacity. A pooled builder then does not keep a finished
+// function reachable. The cost is that of the edges built since the
+// last Release.
+func (b *Builder) Release() {
+	b.pdg = PDG{}
+	b.forward.G, b.depView.G = nil, nil
+	clear(b.ddg.pending[:b.edgeHigh])
+	clear(b.backing[:2*b.edgeHigh])
+	b.edgeHigh = 0
 }
 
 // reset prepares the builder's graph for a fresh build covering numIDs
@@ -159,6 +177,7 @@ func (b *Builder) finalize(d *DDG) {
 		nsucc[d.pending[i].From.ID-d.base]++
 		npred[d.pending[i].To.ID-d.base]++
 	}
+	b.edgeHigh = max(b.edgeHigh, len(d.pending))
 	if cap(b.backing) < 2*len(d.pending) {
 		b.backing = make([]DepEdge, 2*len(d.pending))
 	}

@@ -77,7 +77,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 	if err := f.Validate(); err != nil {
 		return Stats{}, err // its errors already start with f.Name
 	}
-	st, err := run(ctx, f, opts, cfgX)
+	st, err := run(ctx, f, opts, cfgX, transformInnerLoops)
 	if err != nil {
 		return st, fmt.Errorf("%s: %w", f.Name, err)
 	}
@@ -85,8 +85,8 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 }
 
 // run is RunCtx without validation and without the function name on
-// its errors.
-func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
+// its errors, transforming loops with sweep.
+func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep loopSweep) (Stats, error) {
 	var st Stats
 	if opts.Machine == nil {
 		return st, errors.New("xform: Options.Machine is required")
@@ -98,7 +98,10 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats
 	// never change the block skeleton, so it is refilled only after a
 	// transform that does.
 	fl := flowPool.Get().(*cfg.Flow)
-	defer flowPool.Put(fl)
+	defer func() {
+		fl.Release()
+		flowPool.Put(fl)
+	}()
 	if opts.Rename || opts.Level > core.LevelNone {
 		fl.Refill(f)
 	}
@@ -146,7 +149,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats
 		}
 		if cfgX.Unroll {
 			done := opts.Trace.TimePhase(core.PhaseXform)
-			st.LoopsUnrolled = transformInnerLoops(f, fl, cfgX.UnrollMaxBlocks, UnrollOnce)
+			st.LoopsUnrolled = sweep(f, fl, cfgX.UnrollMaxBlocks, unrollOnce)
 			done()
 		}
 		snap := capture()
@@ -163,7 +166,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats
 		rotated := 0
 		if cfgX.Rotate {
 			done := opts.Trace.TimePhase(core.PhaseXform)
-			rotated = transformInnerLoops(f, fl, cfgX.RotateMaxBlocks, Rotate)
+			rotated = sweep(f, fl, cfgX.RotateMaxBlocks, rotate)
 			done()
 			st.LoopsRotated = rotated
 		}
@@ -382,14 +385,19 @@ func (t *task) run(ctx context.Context, opts core.Options, cfgX Config, print bo
 // used by the ablation experiments to separate the transformation's
 // contribution from the global scheduler's.
 func TransformOnly(f *ir.Func, cfgX Config) Stats {
+	return transformOnly(f, cfgX, transformInnerLoops)
+}
+
+// transformOnly is TransformOnly transforming loops with sweep.
+func transformOnly(f *ir.Func, cfgX Config, sweep loopSweep) Stats {
 	var st Stats
 	var fl cfg.Flow
 	fl.Refill(f)
 	if cfgX.Unroll {
-		st.LoopsUnrolled = transformInnerLoops(f, &fl, cfgX.UnrollMaxBlocks, UnrollOnce)
+		st.LoopsUnrolled = sweep(f, &fl, cfgX.UnrollMaxBlocks, unrollOnce)
 	}
 	if cfgX.Rotate {
-		st.LoopsRotated = transformInnerLoops(f, &fl, cfgX.RotateMaxBlocks, Rotate)
+		st.LoopsRotated = sweep(f, &fl, cfgX.RotateMaxBlocks, rotate)
 	}
 	return st
 }
@@ -408,45 +416,96 @@ func TransformOnlyProgram(p *ir.Program, cfgX Config) Stats {
 // largest function the worker has seen.
 var flowPool = sync.Pool{New: func() any { return new(cfg.Flow) }}
 
-// transformInnerLoops repeatedly finds an untouched inner loop of at most
-// maxBlocks blocks and applies xf to it. fl must be f's current flow
-// analysis, and is again on return: it is refilled after each successful
-// transformation. A refused loop leaves f untouched (the transforms
-// check eligibility before mutating), so the scan continues on the same
-// analysis. Returns the number of successful transformations.
-func transformInnerLoops(f *ir.Func, fl *cfg.Flow, maxBlocks int,
-	xf func(*ir.Func, *cfg.Graph, *cfg.LoopInfo, *cfg.Region) bool) int {
+// A loopTransform rewrites the inner loop l of f in place, inserting
+// every new block right after l's last block, and reports whether it
+// changed f; a refusal leaves f untouched. exposed reports that the
+// rewrite may have made a new loop eligible that a sweep's candidate
+// list does not hold (see rotate).
+type loopTransform func(f *ir.Func, l loop) (changed, exposed bool)
 
-	var done map[*ir.Block]bool // headers already tried
+// A loopSweep applies xf to the inner loops of at most maxBlocks blocks
+// of f, whose current flow analysis is fl, and returns the number it
+// changed; fl is current again on return.
+type loopSweep func(f *ir.Func, fl *cfg.Flow, maxBlocks int, xf loopTransform) int
+
+// transformInnerLoops applies xf once to every inner loop of at most
+// maxBlocks blocks, in region-tree walk order, and returns the number of
+// loops it changed. fl must be f's current flow analysis, and is again
+// on return.
+//
+// Inner loops are disjoint and a transform only inserts blocks right
+// after its own loop, so one walk lists the candidates: each is
+// transformed in turn, the block indices of the others shifted past the
+// blocks it inserted, and fl is refilled once at the end. The result is what refilling and walking again after every
+// transformed loop would give, down to labels and instruction IDs. The
+// one exception is a transform that exposes a new candidate: then fl is
+// refilled and the tree walked again at once, skipping every header
+// already tried, so the new loop is tried where a fresh walk puts it.
+func transformInnerLoops(f *ir.Func, fl *cfg.Flow, maxBlocks int, xf loopTransform) int {
+	var done map[*ir.Block]bool // headers tried before a walk again
+	var loops []loop
+	var backing []int
 	count := 0
-	li := &fl.Loops
 	for {
-		if li.Irreducible {
+		if fl.Loops.Irreducible {
 			return count
 		}
-		var target *cfg.Region
-		li.Root.Walk(func(r *cfg.Region) {
-			if target != nil || !r.IsLoop || !r.IsInner() {
-				return
+		loops, backing = loops[:0], backing[:0]
+		fl.Loops.Root.Walk(func(r *cfg.Region) {
+			if r.IsLoop && r.IsInner() && len(r.Blocks) <= maxBlocks && !done[f.Blocks[r.Header]] {
+				var l loop
+				l, backing = readLoop(backing, &fl.Loops, r)
+				loops = append(loops, l)
 			}
-			if len(r.Blocks) > maxBlocks {
-				return
-			}
-			if done[f.Blocks[r.Header]] {
-				return
-			}
-			target = r
 		})
-		if target == nil {
+		changed, again := false, false
+		for k, l := range loops {
+			n := len(f.Blocks)
+			ok, exposed := xf(f, l)
+			if !ok {
+				continue
+			}
+			count++
+			changed = true
+			if exposed {
+				if done == nil {
+					done = make(map[*ir.Block]bool)
+				}
+				for _, t := range loops[:k+1] {
+					done[f.Blocks[t.header]] = true
+				}
+				again = true
+				break
+			}
+			// Walk order need not be layout order, so every other
+			// candidate is renumbered, tried or not.
+			hi, grew := l.blocks[len(l.blocks)-1], len(f.Blocks)-n
+			for x := range loops {
+				if x != k {
+					loops[x].shift(hi, grew)
+				}
+			}
+		}
+		if changed {
+			fl.Refill(f)
+		}
+		if !again {
 			return count
 		}
-		if done == nil {
-			done = make(map[*ir.Block]bool)
-		}
-		done[f.Blocks[target.Header]] = true
-		if xf(f, &fl.G, li, target) {
-			count++
-			fl.Refill(f)
+	}
+}
+
+// shift renumbers l's blocks after grew blocks were inserted right after
+// block hi, which is not one of l's.
+func (l *loop) shift(hi, grew int) {
+	if l.header > hi {
+		l.header += grew
+	}
+	for _, rows := range [2][]int{l.blocks, l.backs} {
+		for x, b := range rows {
+			if b > hi {
+				rows[x] = b + grew
+			}
 		}
 	}
 }

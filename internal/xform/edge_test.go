@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"gsched/internal/cfg"
 	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
@@ -64,18 +63,7 @@ int f(int n) {
 	for _, n := range []int64{1, 2, 3, 8, 9} {
 		got := compileAndRun(t, src, "f", []int64{n}, func(p *ir.Program) {
 			f := p.Func("f")
-			g := cfg.Build(f)
-			li := cfg.FindLoops(g)
-			var loop *cfg.Region
-			li.Root.Walk(func(r *cfg.Region) {
-				if loop == nil && r.IsLoop && r.IsInner() {
-					loop = r
-				}
-			})
-			if loop == nil {
-				t.Fatal("no loop found")
-			}
-			if !UnrollOnce(f, g, li, loop) {
+			if ok, _ := unrollOnce(f, innerLoop(t, f)); !ok {
 				t.Fatal("unroll refused the do-while loop")
 			}
 		})
@@ -113,15 +101,7 @@ int f(int n) {
 	for _, n := range []int64{0, 1, 5, 12} {
 		got := compileAndRun(t, src, "f", []int64{n}, func(p *ir.Program) {
 			f := p.Func("f")
-			g := cfg.Build(f)
-			li := cfg.FindLoops(g)
-			var loop *cfg.Region
-			li.Root.Walk(func(r *cfg.Region) {
-				if loop == nil && r.IsLoop && r.IsInner() {
-					loop = r
-				}
-			})
-			if !UnrollOnce(f, g, li, loop) {
+			if ok, _ := unrollOnce(f, innerLoop(t, f)); !ok {
 				t.Fatal("unroll refused")
 			}
 		})

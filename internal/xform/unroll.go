@@ -8,6 +8,7 @@ package xform
 
 import (
 	"fmt"
+	"slices"
 
 	"gsched/internal/cfg"
 	"gsched/internal/ir"
@@ -37,54 +38,79 @@ func (lc *labelCounter) ensureLabel(b *ir.Block) string {
 	return b.Label
 }
 
-// UnrollOnce duplicates the body of the loop region r so the loop covers
-// two original iterations per trip (the paper unrolls inner loops of up
-// to 4 basic blocks once, §6). All exit tests are kept, so the
-// transformation is valid for any trip count. It returns false without
-// changing f when the loop shape is unsupported (non-contiguous layout,
-// fallthrough back edge, or a region that is not a loop).
-func UnrollOnce(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region) bool {
-	if !r.IsLoop {
-		return false
-	}
-	// The loop blocks must be contiguous in layout so the clone can be
-	// placed right after them with fallthroughs preserved.
-	lo, hi := r.Blocks[0], r.Blocks[len(r.Blocks)-1]
-	if hi-lo+1 != len(r.Blocks) {
-		return false
-	}
-	// Every back edge must be an explicit branch to the header.
-	header := f.Blocks[r.Header]
+// loop is an inner loop as the transforms need it, read off the region
+// tree once per sweep (see transformInnerLoops).
+type loop struct {
+	header int
+	blocks []int // ascending; includes header
+	backs  []int // the sources of back edges to header, ascending
+}
+
+// readLoop reads the loop region r off li. The loop's rows are appended
+// to backing, whose extension is returned: one sweep carves every
+// candidate from one array.
+func readLoop(backing []int, li *cfg.LoopInfo, r *cfg.Region) (loop, []int) {
+	start := len(backing)
+	backing = append(backing, r.Blocks...)
 	for _, u := range r.Blocks {
 		if li.IsBackEdge(u, r.Header) {
-			t := f.Blocks[u].Terminator()
-			if t == nil || !t.Op.IsBranch() || t.Target != header.Label {
-				return false
-			}
+			backing = append(backing, u)
+		}
+	}
+	mid, end := start+len(r.Blocks), len(backing)
+	return loop{header: r.Header, blocks: backing[start:mid:mid], backs: backing[mid:end:end]}, backing
+}
+
+// isBack reports whether u->l.header is a back edge.
+func (l *loop) isBack(u int) bool { return slices.Contains(l.backs, u) }
+
+// contiguous reports whether the loop's blocks are adjacent in layout,
+// and returns the first and last.
+func (l *loop) contiguous() (lo, hi int, ok bool) {
+	lo, hi = l.blocks[0], l.blocks[len(l.blocks)-1]
+	return lo, hi, hi-lo+1 == len(l.blocks)
+}
+
+// unrollOnce duplicates the body of loop l so the loop covers two
+// original iterations per trip (the paper unrolls inner loops of up to
+// 4 basic blocks once, §6). All exit tests are kept, so the
+// transformation is valid for any trip count. It reports false without
+// changing f when the loop shape is unsupported (non-contiguous layout
+// or a fallthrough back edge). Unrolling keeps the header, so it never
+// exposes another loop (the second result is always false); the new
+// blocks all go right after the loop's last block.
+func unrollOnce(f *ir.Func, l loop) (changed, exposed bool) {
+	// The loop blocks must be contiguous in layout so the clone can be
+	// placed right after them with fallthroughs preserved.
+	_, hi, ok := l.contiguous()
+	if !ok {
+		return false, false
+	}
+	// Every back edge must be an explicit branch to the header.
+	header := f.Blocks[l.header]
+	for _, u := range l.backs {
+		t := f.Blocks[u].Terminator()
+		if t == nil || !t.Op.IsBranch() || t.Target != header.Label {
+			return false, false
 		}
 	}
 	if header.Label == "" {
-		return false
+		return false, false
 	}
 	lc := &labelCounter{f: f}
 
-	// Make sure fallthrough exits of the last loop block survive the
-	// insertion of clones after it: if the last loop block can fall
-	// through (no terminator or a conditional branch), the block after
-	// the loop must be reachable by an explicit jump from the clone
-	// instead; the original keeps falling through to the clone? No —
-	// the clone of the last block sits right before the after-loop
-	// block, so its fallthrough lands correctly; it is the ORIGINAL
-	// last block whose fallthrough now hits the clone of the first
-	// block. Guard: the original last block must not fall through.
+	// The clone of the last block sits right before the after-loop
+	// block, so its fallthrough lands correctly; it is the original last
+	// block whose fallthrough would now hit the clone of the first
+	// block. So if the last loop block can fall through (no terminator
+	// or a conditional branch: a conditional back edge falls through to
+	// the exit, like Figure 2's BL10), its fallthrough must skip the
+	// clones: insert an explicit branch to the current fallthrough
+	// target.
 	last := f.Blocks[hi]
 	if t := last.Terminator(); t == nil || t.Op == ir.OpBC {
-		// It falls through out of the loop (a conditional back edge
-		// falls through to the exit, like Figure 2's BL10). After
-		// cloning, its fallthrough must skip the clones: insert an
-		// explicit branch to the current fallthrough target.
 		if hi+1 >= len(f.Blocks) {
-			return false
+			return false, false
 		}
 		after := f.Blocks[hi+1]
 		b := f.NewInstr(ir.OpB)
@@ -99,32 +125,24 @@ func UnrollOnce(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region) bool 
 
 	// Clone the loop blocks.
 	cloneLabel := make(map[string]string)
-	for _, bi := range r.Blocks {
+	for _, bi := range l.blocks {
 		b := f.Blocks[bi]
 		if b.Label != "" {
 			cloneLabel[b.Label] = lc.fresh(b.Label + ".u")
 		}
 	}
-	inLoop := make(map[int]bool)
-	for _, bi := range r.Blocks {
-		inLoop[bi] = true
-	}
-	var clones []*ir.Block
-	for _, bi := range r.Blocks {
+	clones := make([]*ir.Block, 0, len(l.blocks))
+	for _, bi := range l.blocks {
 		b := f.Blocks[bi]
 		nb := &ir.Block{Label: cloneLabel[b.Label]}
 		for _, i := range b.Instrs {
 			ci := f.CloneInstr(i)
 			if ci.Op.IsBranch() {
-				if nl, ok := cloneLabel[ci.Target]; ok {
-					// Intra-loop target: to the cloned copy — except
-					// the back edge, which returns to the original
-					// header (completing the two-iteration cycle).
-					if ci.Target == header.Label && li.IsBackEdge(bi, r.Header) {
-						// keep original header target
-					} else {
-						ci.Target = nl
-					}
+				// Intra-loop target: to the cloned copy — except the
+				// back edge, which returns to the original header
+				// (completing the two-iteration cycle).
+				if nl, ok := cloneLabel[ci.Target]; ok && !(ci.Target == header.Label && l.isBack(bi)) {
+					ci.Target = nl
 				}
 			}
 			nb.Instrs = append(nb.Instrs, ci)
@@ -132,14 +150,11 @@ func UnrollOnce(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region) bool 
 		clones = append(clones, nb)
 	}
 	// Original back edges now continue into the clone of the header.
-	for _, u := range r.Blocks {
-		if li.IsBackEdge(u, r.Header) {
-			t := f.Blocks[u].Terminator()
-			t.Target = cloneLabel[header.Label]
-		}
+	for _, u := range l.backs {
+		f.Blocks[u].Terminator().Target = cloneLabel[header.Label]
 	}
 	insertBlocks(f, hi+1, clones)
-	return true
+	return true, false
 }
 
 // insertBlocks splices blocks into f.Blocks at index at and reindexes.

@@ -73,10 +73,10 @@ func sumData(n int) (data []int64, want int64) {
 	return data, want
 }
 
-func innerLoop(t *testing.T, f *ir.Func) (*cfg.Graph, *cfg.LoopInfo, *cfg.Region) {
+// innerLoop returns the first inner loop of f in region-tree walk order.
+func innerLoop(t *testing.T, f *ir.Func) loop {
 	t.Helper()
-	g := cfg.Build(f)
-	li := cfg.FindLoops(g)
+	li := cfg.FindLoops(cfg.Build(f))
 	var target *cfg.Region
 	li.Root.Walk(func(r *cfg.Region) {
 		if target == nil && r.IsLoop && r.IsInner() {
@@ -86,16 +86,17 @@ func innerLoop(t *testing.T, f *ir.Func) (*cfg.Graph, *cfg.LoopInfo, *cfg.Region
 	if target == nil {
 		t.Fatal("no inner loop found")
 	}
-	return g, li, target
+	l, _ := readLoop(nil, li, target)
+	return l
 }
 
 func TestUnrollOncePreservesSemantics(t *testing.T) {
 	for _, n := range []int64{0, 1, 2, 3, 7, 10} {
 		p, f := sumProgram()
-		g, li, r := innerLoop(t, f)
+		l := innerLoop(t, f)
 		origBlocks := len(f.Blocks)
-		if !UnrollOnce(f, g, li, r) {
-			t.Fatal("UnrollOnce refused the sum loop")
+		if ok, _ := unrollOnce(f, l); !ok {
+			t.Fatal("unrollOnce refused the sum loop")
 		}
 		if err := f.Validate(); err != nil {
 			t.Fatalf("invalid after unroll: %v\n%s", err, f)
@@ -115,8 +116,8 @@ func TestUnrollOncePreservesSemantics(t *testing.T) {
 
 func TestUnrolledLoopIsStillALoop(t *testing.T) {
 	_, f := sumProgram()
-	g, li, r := innerLoop(t, f)
-	if !UnrollOnce(f, g, li, r) {
+	l := innerLoop(t, f)
+	if ok, _ := unrollOnce(f, l); !ok {
 		t.Fatal("unroll refused")
 	}
 	g2 := cfg.Build(f)
@@ -124,18 +125,18 @@ func TestUnrolledLoopIsStillALoop(t *testing.T) {
 	if li2.Irreducible {
 		t.Fatal("unrolled function is irreducible")
 	}
-	_, _, r2 := innerLoop(t, f)
-	if len(r2.Blocks) != 2*len(r.Blocks) {
-		t.Errorf("unrolled loop has %d blocks, want %d", len(r2.Blocks), 2*len(r.Blocks))
+	l2 := innerLoop(t, f)
+	if len(l2.blocks) != 2*len(l.blocks) {
+		t.Errorf("unrolled loop has %d blocks, want %d", len(l2.blocks), 2*len(l.blocks))
 	}
 }
 
 func TestRotatePreservesSemantics(t *testing.T) {
 	for _, n := range []int64{0, 1, 2, 5, 9} {
 		p, f := sumProgram()
-		g, li, r := innerLoop(t, f)
-		if !Rotate(f, g, li, r) {
-			t.Fatal("Rotate refused the sum loop")
+		l := innerLoop(t, f)
+		if ok, _ := rotate(f, l); !ok {
+			t.Fatal("rotate refused the sum loop")
 		}
 		if err := f.Validate(); err != nil {
 			t.Fatalf("invalid after rotate: %v\n%s", err, f)
@@ -153,9 +154,9 @@ func TestRotatePreservesSemantics(t *testing.T) {
 func TestRotateRefusesBottomTestLoop(t *testing.T) {
 	// The minmax loop's header has both successors inside the loop.
 	_, f := paperex.MinMax()
-	g, li, r := innerLoop(t, f)
-	if Rotate(f, g, li, r) {
-		t.Fatal("Rotate should refuse the minmax (bottom-test) loop")
+	l := innerLoop(t, f)
+	if ok, _ := rotate(f, l); ok {
+		t.Fatal("rotate should refuse the minmax (bottom-test) loop")
 	}
 }
 
