@@ -131,7 +131,7 @@ func BenchmarkWiderMachines(b *testing.B) {
 		machine.RS6K(), machine.Superscalar(2, 1), machine.Superscalar(4, 2),
 	} {
 		mach := mach
-		w := workload.EQNTOTT()
+		w := workload.ByName("eqntott")
 		b.Run(mach.Name, func(b *testing.B) {
 			prog, err := eval.CompileGlobal(w, mach, core.LevelSpeculative)
 			if err != nil {
@@ -161,7 +161,7 @@ func BenchmarkWiderMachines(b *testing.B) {
 // transformations alone (metric "simcycles" on eqntott).
 func BenchmarkAblation(b *testing.B) {
 	mach := machine.RS6K()
-	w := workload.EQNTOTT()
+	w := workload.ByName("eqntott")
 	configs := []struct {
 		name string
 		mod  func(*core.Options)
@@ -217,7 +217,7 @@ func BenchmarkAblation(b *testing.B) {
 // scheduled per second on the largest workload (relevant to Figure 7's
 // compile-time story).
 func BenchmarkSchedulerThroughput(b *testing.B) {
-	w := workload.LI()
+	w := workload.ByName("li")
 	mach := machine.RS6K()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -235,7 +235,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 // compilation runs outside the timer, so allocs/op here is what the
 // pooled pipeline actually costs per compile of the LI workload.
 func BenchmarkScheduleOnlyLI(b *testing.B) {
-	w := workload.LI()
+	w := workload.ByName("li")
 	mach := machine.RS6K()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -325,7 +325,7 @@ func sampleHeap() (stop func() uint64) {
 // micro-benchmarks below.
 func biggestRegion(b *testing.B) (*ir.Func, *cfg.Graph, *cfg.LoopInfo, *cfg.Region) {
 	b.Helper()
-	prog, err := workload.LI().Compile()
+	prog, err := workload.ByName("li").Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func BenchmarkBuildDDG(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pdg.BuildDDG(f, r.Blocks, reach, mach)
+		pdg.NewBuilder().BuildDDG(f, r.Blocks, reach, mach)
 	}
 }
 
@@ -376,7 +376,7 @@ func BenchmarkReachableFrom(b *testing.B) {
 // BenchmarkSimulatorThroughput measures simulated instructions per
 // second (metric "Minstr/s").
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	w := workload.GCC()
+	w := workload.ByName("gcc")
 	prog, err := eval.CompileBase(w, machine.RS6K())
 	if err != nil {
 		b.Fatal(err)

@@ -26,18 +26,22 @@ import (
 	"strings"
 
 	"gsched"
+	"gsched/internal/asm"
 	"gsched/internal/cfg"
+	"gsched/internal/core"
+	"gsched/internal/machine"
+	"gsched/internal/stream"
 )
 
 var (
 	level    = flag.String("level", "speculative", "scheduling level: none, useful, speculative, dup, optimal")
-	machineF = flag.String("machine", "rs6k", "machine model: rs6k, or NxM for N fixed and M branch units")
+	machineF = flag.String("machine", "rs6k", "machine model: rs6k, scalar, wide, or NxM for N fixed and M branch units")
 	pipeline = flag.Bool("pipeline", true, "run the full §6 pipeline (unroll/rotate) instead of plain scheduling")
 	printAsm = flag.Bool("print", false, "print the scheduled program as assembly")
 	run      = flag.String("run", "", "run this function after scheduling")
 	argsF    = flag.String("args", "", "comma-separated integer arguments for -run")
 	stats    = flag.Bool("stats", false, "print scheduling statistics")
-	lang     = flag.String("lang", "", "input language: c or asm (default: by file extension)")
+	lang     = flag.String("lang", "", "input language: c, or asm or s (default: by file extension)")
 	dot      = flag.String("dot", "", "emit the Graphviz CFG of this function to stdout")
 	trace    = flag.Int64("trace", 0, "with -run: print the issue trace of the first N instructions")
 	verifyF  = flag.Bool("verify", false, "check every schedule with the independent legality verifier; fail on violations")
@@ -103,21 +107,20 @@ func realMain(path string) error {
 	}
 	l := *lang
 	if l == "" {
+		l = "asm"
 		if strings.HasSuffix(path, ".c") {
 			l = "c"
-		} else {
-			l = "asm"
 		}
 	}
-	if l != "c" && l != "asm" {
-		return fmt.Errorf("unknown language %q", l)
-	}
-
-	mach, err := parseMachine(*machineF)
+	dialect, err := stream.DialectFor(l)
 	if err != nil {
 		return err
 	}
-	lv, err := parseLevel(*level)
+	mach, err := machine.ByName(*machineF)
+	if err != nil {
+		return err
+	}
+	lv, err := core.ParseLevel(*level)
 	if err != nil {
 		return err
 	}
@@ -179,13 +182,7 @@ func realMain(path string) error {
 		return nil
 	}
 
-	var prog *gsched.Program
-	switch l {
-	case "c":
-		prog, err = gsched.CompileC(string(src))
-	case "asm":
-		prog, err = gsched.ParseAsm(string(src))
-	}
+	prog, err := asm.ReadProgram(dialect, string(src))
 	if err != nil {
 		return err
 	}
@@ -261,35 +258,4 @@ func printStats(st gsched.PipelineStats) {
 		fmt.Printf("exact: %d blocks searched, %d improved, %d cycles saved\n",
 			st.ExactBlocks, st.ExactImproved, st.ExactCyclesSaved)
 	}
-}
-
-func parseLevel(s string) (gsched.Level, error) {
-	switch s {
-	case "none":
-		return gsched.LevelNone, nil
-	case "useful":
-		return gsched.LevelUseful, nil
-	case "speculative":
-		return gsched.LevelSpeculative, nil
-	case "dup":
-		return gsched.LevelDup, nil
-	case "optimal":
-		return gsched.LevelOptimal, nil
-	}
-	return 0, fmt.Errorf("unknown level %q", s)
-}
-
-func parseMachine(s string) (*gsched.Machine, error) {
-	if s == "rs6k" {
-		return gsched.RS6K(), nil
-	}
-	parts := strings.Split(s, "x")
-	if len(parts) == 2 {
-		nf, err1 := strconv.Atoi(parts[0])
-		nb, err2 := strconv.Atoi(parts[1])
-		if err1 == nil && err2 == nil && nf > 0 && nb > 0 {
-			return gsched.Superscalar(nf, nb), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown machine %q (want rs6k or NxM)", s)
 }

@@ -1,14 +1,19 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"gsched"
+	"gsched/internal/serve"
 )
 
 // TestMain runs the command's main instead of the tests when
@@ -48,34 +53,80 @@ func TestDuplicateFunctionExitsOne(t *testing.T) {
 	}
 }
 
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]gsched.Level{
-		"none":        gsched.LevelNone,
-		"useful":      gsched.LevelUseful,
-		"speculative": gsched.LevelSpeculative,
-	} {
-		got, err := parseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("parseLevel(%q) = %v, %v", s, got, err)
+// TestNameParity: the CLI and gschedd accept the same level, machine and
+// language names. The empty name is left out: it means each entry
+// point's own default.
+func TestNameParity(t *testing.T) {
+	const cSrc, asmSrc = "int main(int a) { return a + 1; }", "func main r1:\n\tAI r3=r1,1\n\tRET r3\n"
+	cases := []struct {
+		field, name string
+		ok          bool
+	}{
+		{"level", "none", true},
+		{"level", "useful", true},
+		{"level", "speculative", true},
+		{"level", "dup", true},
+		{"level", "optimal", true},
+		{"level", "bogus", false},
+		{"level", "Speculative", false},
+		{"level", "level?", false},
+		{"machine", "rs6k", true},
+		{"machine", "scalar", true},
+		{"machine", "wide", true},
+		{"machine", "4x2", true},
+		{"machine", "1x1", true},
+		{"machine", "RS6K", false},
+		{"machine", "ss4x2", false},
+		{"machine", "x", false},
+		{"machine", "0x1", false},
+		{"machine", "axb", false},
+		{"machine", "3", false},
+		{"machine", "2x2x2", false},
+		{"lang", "c", true},
+		{"lang", "asm", true},
+		{"lang", "s", true},
+		{"lang", "C", false},
+		{"lang", "go", false},
+	}
+	srv, err := serve.New(serve.Config{Workers: 1, CacheBytes: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dir := t.TempDir()
+	*run, *dot, *printAsm, *stats = "", "", false, false
+	defer func() { *level, *machineF, *lang = "speculative", "rs6k", "" }()
+	for _, tc := range cases {
+		src, req := cSrc, map[string]string{"lang": "c"}
+		*level, *machineF, *lang = "speculative", "rs6k", "c"
+		switch tc.field {
+		case "level":
+			*level, req["level"] = tc.name, tc.name
+		case "machine":
+			*machineF, req["machine"] = tc.name, tc.name
+		case "lang":
+			*lang, req["lang"] = tc.name, tc.name
+			if tc.name != "c" {
+				src = asmSrc
+			}
 		}
-	}
-	if _, err := parseLevel("bogus"); err == nil {
-		t.Error("bogus level accepted")
-	}
-}
+		path := filepath.Join(dir, "prog")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cliErr := realMain(path)
 
-func TestParseMachine(t *testing.T) {
-	m, err := parseMachine("rs6k")
-	if err != nil || m.NumUnits[0] != 1 {
-		t.Errorf("rs6k: %v, %v", m, err)
-	}
-	m, err = parseMachine("4x2")
-	if err != nil || m.NumUnits[0] != 4 {
-		t.Errorf("4x2: %v, %v", m, err)
-	}
-	for _, bad := range []string{"", "x", "0x1", "axb", "3"} {
-		if _, err := parseMachine(bad); err == nil {
-			t.Errorf("parseMachine(%q) accepted", bad)
+		req["source"] = src
+		body, _ := json.Marshal(req)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/schedule", strings.NewReader(string(body))))
+		served := rec.Code == http.StatusOK || rec.Code == http.StatusAccepted
+		if (cliErr == nil) != tc.ok || served != tc.ok {
+			t.Errorf("-%s %q: CLI error %v, gschedd %d %s; want accepted = %t",
+				tc.field, tc.name, cliErr, rec.Code, strings.TrimSpace(rec.Body.String()), tc.ok)
+		}
+		if !tc.ok && rec.Code != http.StatusBadRequest {
+			t.Errorf("-%s %q: gschedd answered %d, want 400", tc.field, tc.name, rec.Code)
 		}
 	}
 }

@@ -67,7 +67,8 @@ type Options = core.Options
 // Stats reports what the scheduler did.
 type Stats = core.Stats
 
-// PipelineConfig selects the §6 unroll/rotate pipeline settings.
+// PipelineConfig selects which stages of the §6 pipeline run: loop
+// unrolling, loop rotation and profile-driven superblock formation.
 type PipelineConfig = xform.Config
 
 // PipelineStats extends Stats with transformation counts.
@@ -179,14 +180,18 @@ type (
 	StreamResult = stream.Result
 )
 
-// ScheduleStream runs the streaming pipeline: parse lang ("c" or
-// "asm") source one function at a time, schedule functions
-// concurrently (cfg.Jobs workers), and write the scheduled assembly to
-// out (nil discards it) reassembled in source order. The bytes written
-// are identical to parse-everything → Schedule/SchedulePipeline →
-// PrintAsm at any Jobs setting, but peak memory stays proportional to
-// Jobs times the largest function instead of the whole program.
+// ScheduleStream runs the streaming pipeline: parse lang source ("c",
+// or "asm" or "s"; the empty name means "asm") one function at a time,
+// schedule functions concurrently (cfg.Jobs workers), and write the
+// scheduled assembly to out (nil discards it) reassembled in source
+// order. The bytes written are identical to parse-everything →
+// Schedule/SchedulePipeline → PrintAsm at any Jobs setting, but peak
+// memory stays proportional to Jobs times the largest function instead
+// of the whole program.
 func ScheduleStream(ctx context.Context, lang, src string, cfg StreamConfig, out io.Writer) (StreamResult, error) {
+	if lang == "" {
+		lang = "asm"
+	}
 	d, err := stream.DialectFor(lang)
 	if err != nil {
 		return StreamResult{}, err

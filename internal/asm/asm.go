@@ -24,13 +24,13 @@ import (
 	"gsched/internal/ir"
 )
 
-// ParseError reports a syntax error with its line number.
-type ParseError struct {
+// parseError reports a syntax error with its line number.
+type parseError struct {
 	Line int
 	Msg  string
 }
 
-func (e *ParseError) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
+func (e *parseError) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
 
 type parser struct {
 	prog    *ir.Program
@@ -42,29 +42,13 @@ type parser struct {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
+	return &parseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Parse reads a whole program from src. It drives the streaming Reader
+// Parse reads a whole program from src. It drives the streaming reader
 // (see dialect.go), so whole-program and per-function parsing share one
 // implementation, including the rejection of a function defined twice.
-func Parse(src string) (*ir.Program, error) {
-	r, err := NewReader(src)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		f, err := r.ParseFunc()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		r.Prog().AddFunc(f)
-	}
-	return r.Prog(), nil
-}
+func Parse(src string) (*ir.Program, error) { return ReadProgram(Native, src) }
 
 func (p *parser) parseData(line string) error {
 	rest := strings.TrimSpace(strings.TrimPrefix(line, "data "))
@@ -96,7 +80,7 @@ func (p *parser) parseData(line string) error {
 }
 
 // beginFunc starts a new function from its header line. The caller
-// (Reader.ParseFunc) owns finishing the previous function and deciding
+// (reader.ParseFunc) owns finishing the previous function and deciding
 // where the new one goes.
 func (p *parser) beginFunc(line string) error {
 	rest := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(line, "func ")), ":")

@@ -176,7 +176,7 @@ func TestRegisterLimit(t *testing.T) {
 		{"data a 4\nfunc main:\n\tL r0=a(r1048576,0)\n\tRET r0\n", 3},
 	} {
 		_, err := Parse(tc.src)
-		var pe *ParseError
+		var pe *parseError
 		if !errors.As(err, &pe) || pe.Line != tc.line || !strings.Contains(pe.Msg, "over the limit") {
 			t.Errorf("%q: error %v, want line %d: ... over the limit", tc.src, err, tc.line)
 		}
@@ -193,9 +193,9 @@ func TestRegisterLimit(t *testing.T) {
 
 func TestParseLineNumbers(t *testing.T) {
 	_, err := Parse("data g 4\n\nfunc f:\n\tLI r0=1\n\tBOOM\n")
-	pe, ok := err.(*ParseError)
+	pe, ok := err.(*parseError)
 	if !ok {
-		t.Fatalf("want *ParseError, got %T (%v)", err, err)
+		t.Fatalf("want *parseError, got %T (%v)", err, err)
 	}
 	if pe.Line != 5 {
 		t.Errorf("error line = %d, want 5", pe.Line)
@@ -208,11 +208,11 @@ func TestParseLineNumbers(t *testing.T) {
 func TestDuplicateFunctionRejected(t *testing.T) {
 	src := "func f:\n\tRET r0\n; g calls f\nfunc g:\n\tRET r0\nfunc f r1:\n\tRET r1\n"
 	_, perr := Parse(src)
-	_, rerr := NewReader(src)
-	for name, err := range map[string]error{"Parse": perr, "NewReader": rerr} {
-		var pe *ParseError
+	_, rerr := newReader(src)
+	for name, err := range map[string]error{"Parse": perr, "newReader": rerr} {
+		var pe *parseError
 		if !errors.As(err, &pe) {
-			t.Fatalf("%s: want *ParseError, got %T (%v)", name, err, err)
+			t.Fatalf("%s: want *parseError, got %T (%v)", name, err, err)
 		}
 		if pe.Line != 6 || pe.Msg != `function "f" redeclared` {
 			t.Errorf("%s: error %q, want line 6: function \"f\" redeclared", name, pe)

@@ -3,29 +3,21 @@ package asm
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"gsched/internal/ir"
 )
 
-// Canonical renders p in a normal form suitable for content-addressed
-// cache keys: two programs are rendered identically iff they are
-// ir.EqualPrograms-equal. Compared to Print it therefore drops
-// everything that carries no program meaning — instruction comments
-// (free-form annotations), instruction IDs (never printed anyway; they
-// are renumbered by the parser), and unlabeled empty blocks (pure
-// fallthrough artifacts that no branch can target and that emit no
-// code). Globals and functions keep their program order, which is
-// significant (it determines layout and lookup order).
-func Canonical(p *ir.Program) string {
-	var sb strings.Builder
-	CanonicalTo(&sb, p)
-	return sb.String()
-}
-
-// CanonicalTo streams the canonical form into w, so hashing callers can
-// feed a digest directly without materializing the text. Write errors
-// are ignored: the intended sinks (hashes, buffers) cannot fail.
+// CanonicalTo streams p into w in a normal form suitable for
+// content-addressed cache keys: two programs are rendered identically
+// iff they are ir.EqualPrograms-equal. Compared to Print it therefore
+// drops everything that carries no program meaning — instruction
+// comments (free-form annotations), instruction IDs (never printed
+// anyway; they are renumbered by the parser), and unlabeled empty
+// blocks (pure fallthrough artifacts that no branch can target and that
+// emit no code). Globals and functions keep their program order, which
+// is significant (it determines layout and lookup order). Hashing
+// callers feed a digest directly without materializing the text. Write
+// errors are ignored: the intended sinks (hashes, buffers) cannot fail.
 func CanonicalTo(w io.Writer, p *ir.Program) {
 	var buf []byte
 	for _, s := range p.Syms {

@@ -7,6 +7,13 @@ import (
 	"gsched/internal/ir"
 )
 
+// canonical is CanonicalTo into a string.
+func canonical(p *ir.Program) string {
+	var sb strings.Builder
+	CanonicalTo(&sb, p)
+	return sb.String()
+}
+
 // Two textually different sources that are ir.EqualPrograms-equal must
 // canonicalize identically: comments differ, instruction IDs are
 // assigned in different orders, and one version carries an unlabeled
@@ -39,7 +46,7 @@ func f r1:
 	if !ir.EqualPrograms(a, b) {
 		t.Fatal("test setup: programs should be EqualPrograms-equal")
 	}
-	ca, cb := Canonical(a), Canonical(b)
+	ca, cb := canonical(a), canonical(b)
 	if ca != cb {
 		t.Errorf("canonical forms differ:\n--- a ---\n%s--- b ---\n%s", ca, cb)
 	}
@@ -59,7 +66,7 @@ func TestCanonicalPreservesDifferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Canonical(a) == Canonical(b) {
+	if canonical(a) == canonical(b) {
 		t.Error("programs with different immediates canonicalize identically")
 	}
 }
@@ -71,12 +78,12 @@ func TestCanonicalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := Canonical(p)
+	c1 := canonical(p)
 	p2, err := Parse(c1)
 	if err != nil {
 		t.Fatalf("canonical form does not re-parse: %v\n%s", err, c1)
 	}
-	if c2 := Canonical(p2); c1 != c2 {
+	if c2 := canonical(p2); c1 != c2 {
 		t.Errorf("canonical form is not a fixed point:\n--- first ---\n%s--- second ---\n%s", c1, c2)
 	}
 }

@@ -44,10 +44,29 @@ type Dialect interface {
 
 type nativeDialect struct{}
 
-func (nativeDialect) Open(src string) (FuncReader, error) { return NewReader(src) }
+func (nativeDialect) Open(src string) (FuncReader, error) { return newReader(src) }
 
 // Native is the assembly Dialect implemented by this package.
 var Native Dialect = nativeDialect{}
+
+// ReadProgram opens src in dialect d and reads every function into the
+// reader's program, which it returns.
+func ReadProgram(d Dialect, src string) (*ir.Program, error) {
+	r, err := d.Open(src)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		f, err := r.ParseFunc()
+		if err == io.EOF {
+			return r.Prog(), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		r.Prog().AddFunc(f)
+	}
+}
 
 // ProgramReader returns a FuncReader over an already-parsed program:
 // Prog is p itself, functions included, and ParseFunc yields p.Funcs
@@ -69,8 +88,8 @@ func (r *programReader) ParseFunc() (*ir.Func, error) {
 	return r.p.Funcs[r.next-1], nil
 }
 
-// Reader is the native-assembly FuncReader.
-type Reader struct {
+// reader is the native-assembly FuncReader.
+type reader struct {
 	p          parser
 	sc         lineScanner
 	header     string // pending unconsumed "func ..." line
@@ -79,12 +98,12 @@ type Reader struct {
 	names      map[string]struct{} // every function name in the unit
 }
 
-// NewReader opens src for streaming. The prescan parses data
+// newReader opens src for streaming. The prescan parses data
 // directives (populating Prog().Syms in source order), records the
 // function name set used for per-function call-target validation, and
 // rejects a second definition of a function name.
-func NewReader(src string) (*Reader, error) {
-	r := &Reader{
+func newReader(src string) (*reader, error) {
+	r := &reader{
 		p:     parser{prog: ir.NewProgram()},
 		sc:    lineScanner{src: src},
 		names: make(map[string]struct{}),
@@ -96,9 +115,9 @@ func NewReader(src string) (*Reader, error) {
 }
 
 // Prog returns the program skeleton (symbols only; see FuncReader).
-func (r *Reader) Prog() *ir.Program { return r.p.prog }
+func (r *reader) Prog() *ir.Program { return r.p.prog }
 
-func (r *Reader) prescan(src string) error {
+func (r *reader) prescan(src string) error {
 	sc := lineScanner{src: src}
 	for {
 		raw, ok := sc.next()
@@ -129,7 +148,7 @@ func (r *Reader) prescan(src string) error {
 }
 
 // ParseFunc implements FuncReader.
-func (r *Reader) ParseFunc() (*ir.Func, error) {
+func (r *reader) ParseFunc() (*ir.Func, error) {
 	p := &r.p
 	for !r.haveHeader {
 		raw, ok := r.sc.next()
@@ -195,7 +214,7 @@ func (r *Reader) ParseFunc() (*ir.Func, error) {
 // validate applies the same checks Program.Validate would: structural
 // invariants plus call-target resolution against the unit's function
 // name set and the simulator builtins.
-func (r *Reader) validate(f *ir.Func) error {
+func (r *reader) validate(f *ir.Func) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("asm: %w", err)
 	}

@@ -1,10 +1,11 @@
-package asm
+package asm_test
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
+	"gsched/internal/asm"
 	"gsched/internal/minic"
 	"gsched/internal/progen"
 )
@@ -26,7 +27,7 @@ func FuzzParseAsm(f *testing.F) {
 		if err != nil {
 			f.Fatalf("seed %d: %v", seed, err)
 		}
-		f.Add(Print(prog))
+		f.Add(asm.Print(prog))
 	}
 	// A Huge-corpus prefix truncated mid-function: the streaming reader
 	// must handle a unit that ends without a terminator or closing
@@ -51,16 +52,16 @@ func FuzzParseAsm(f *testing.F) {
 		f.Add(sb.String())
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := Parse(src)
+		prog, err := asm.Parse(src)
 		if err != nil {
 			return // rejecting the input is fine; panicking is not
 		}
-		text := Print(prog)
-		prog2, err := Parse(text)
+		text := asm.Print(prog)
+		prog2, err := asm.Parse(text)
 		if err != nil {
 			t.Fatalf("accepted program does not reparse: %v\nprinted:\n%s", err, text)
 		}
-		if text2 := Print(prog2); text2 != text {
+		if text2 := asm.Print(prog2); text2 != text {
 			t.Fatalf("print not a fixpoint:\nfirst:\n%s\nsecond:\n%s", text, text2)
 		}
 	})

@@ -23,7 +23,7 @@ import (
 
 // Measured 2026-08 on the Huge(5, 10000) corpus: ~2.5 allocs/instr
 // for both entry points — Parse is now a thin loop over the streaming
-// Reader, so they share the per-instruction cost (the ir.Instr node
+// reader, so they share the per-instruction cost (the ir.Instr node
 // plus amortized block/function growth; line splitting reuses
 // per-parser scratch).
 const (
@@ -46,7 +46,7 @@ func TestParseAllocBudget(t *testing.T) {
 	}
 
 	got = testing.AllocsPerRun(3, func() {
-		r, err := asm.NewReader(hp.Source)
+		r, err := asm.Native.Open(hp.Source)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -252,3 +252,17 @@ int f(int a) {
 		t.Error("local pass should run")
 	}
 }
+
+func TestParseLevel(t *testing.T) {
+	for l := core.LevelNone; l <= core.LevelOptimal; l++ {
+		got, err := core.ParseLevel(l.String())
+		if err != nil || got != l {
+			t.Errorf("ParseLevel(%q) = %v, %v", l.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "level?"} {
+		if _, err := core.ParseLevel(bad); err == nil {
+			t.Errorf("ParseLevel(%q) accepted", bad)
+		}
+	}
+}

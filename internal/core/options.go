@@ -12,6 +12,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 
 	"gsched/internal/machine"
@@ -51,20 +52,30 @@ const (
 	LevelOptimal
 )
 
+// levelNames are the user-facing level names, indexed by Level.
+var levelNames = [...]string{
+	LevelNone:        "none",
+	LevelUseful:      "useful",
+	LevelSpeculative: "speculative",
+	LevelDup:         "dup",
+	LevelOptimal:     "optimal",
+}
+
 func (l Level) String() string {
-	switch l {
-	case LevelNone:
-		return "none"
-	case LevelUseful:
-		return "useful"
-	case LevelSpeculative:
-		return "speculative"
-	case LevelDup:
-		return "dup"
-	case LevelOptimal:
-		return "optimal"
+	if l < 0 || int(l) >= len(levelNames) {
+		return "level?"
 	}
-	return "level?"
+	return levelNames[l]
+}
+
+// ParseLevel returns the level whose String is name.
+func ParseLevel(name string) (Level, error) {
+	for l, n := range levelNames {
+		if n == name {
+			return Level(l), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown level %q (want none, useful, speculative, dup or optimal)", name)
 }
 
 // Options configures the scheduler. The zero value is not useful; start

@@ -193,7 +193,7 @@ func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r
 	opts *Options, st *Stats, scope []bool, base *dataflow.Liveness) error {
 
 	pl.regionUsed = true
-	donePDG := opts.Trace.TimePhase(PhasePDG)
+	donePDG := opts.Trace.TimePhase(phasePDG)
 	p, err := pdg.BuildWith(pl.ddgb, f, g, li, r, opts.Machine)
 	donePDG()
 	if err != nil {
@@ -223,7 +223,7 @@ func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r
 		scope:     scope,
 		liveBase:  base,
 	}
-	doneRun := opts.Trace.TimePhase(PhaseRegion)
+	doneRun := opts.Trace.TimePhase(phaseRegion)
 	err = rs.run()
 	doneRun()
 	if err != nil {

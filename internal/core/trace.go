@@ -12,10 +12,10 @@ type Phase int
 const (
 	// PhaseRename is register renaming (§4.2).
 	PhaseRename Phase = iota
-	// PhasePDG is program dependence graph construction (§4).
-	PhasePDG
-	// PhaseRegion is the global region scheduler proper (§5).
-	PhaseRegion
+	// phasePDG is program dependence graph construction (§4).
+	phasePDG
+	// phaseRegion is the global region scheduler proper (§5).
+	phaseRegion
 	// PhaseLocal is the basic block post-pass (§5.1).
 	PhaseLocal
 	// PhaseVerify is the independent legality verifier.
@@ -34,9 +34,9 @@ func (p Phase) String() string {
 	switch p {
 	case PhaseRename:
 		return "rename"
-	case PhasePDG:
+	case phasePDG:
 		return "pdg"
-	case PhaseRegion:
+	case phaseRegion:
 		return "region"
 	case PhaseLocal:
 		return "local"

@@ -124,7 +124,7 @@ func (e *Engine) defaults() {
 // Mismatches, not errors.
 func (e *Engine) Run() (*Report, error) {
 	e.defaults()
-	cells := Lattice(Machines(e.Seed, e.RandomMachines))
+	cells := lattice(latticeMachines(e.Seed, e.RandomMachines))
 	if e.PolicyOnly {
 		var pc []Cell
 		for _, c := range cells {

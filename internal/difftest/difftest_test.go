@@ -92,11 +92,11 @@ func TestDiffLattice(t *testing.T) {
 // 2 seeded-random scheduling-policy cells (distinct policy seeds per
 // machine, one plain and one rename+4-worker).
 func TestLatticeShape(t *testing.T) {
-	ms := Machines(7, 3)
+	ms := latticeMachines(7, 3)
 	if len(ms) != 7 {
 		t.Fatalf("Machines(7, 3) = %d machines, want 7", len(ms))
 	}
-	cells := Lattice(ms)
+	cells := lattice(ms)
 	if len(cells) != 14*len(ms) {
 		t.Fatalf("lattice has %d cells, want %d", len(cells), 14*len(ms))
 	}

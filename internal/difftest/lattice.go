@@ -95,10 +95,10 @@ func (c Cell) Options() core.Options {
 	return o
 }
 
-// Machines returns the machine sweep: the RS6K preset of §2.1, a wider
+// latticeMachines returns the machine sweep: the RS6K preset of §2.1, a wider
 // superscalar, the degenerate 1-wide and infinitely-wide corners, and
 // `randoms` seeded-random machines.
-func Machines(seed int64, randoms int) []*machine.Desc {
+func latticeMachines(seed int64, randoms int) []*machine.Desc {
 	ms := []*machine.Desc{
 		machine.RS6K(),
 		machine.Superscalar(4, 2),
@@ -111,7 +111,7 @@ func Machines(seed int64, randoms int) []*machine.Desc {
 	return ms
 }
 
-// Lattice enumerates the full configuration lattice over the given
+// lattice enumerates the full configuration lattice over the given
 // machines: {useful, speculative} × {rename off, on} × {1 worker, 4
 // workers}, with Definition-6 duplication enabled at the speculative
 // level (matching the fuzz harness configuration), plus the
@@ -121,7 +121,7 @@ func Machines(seed int64, randoms int) []*machine.Desc {
 // carries two seeded-random scheduling-policy cells (distinct seeds per
 // machine), so the scriptable priority/gate path sweeps through all
 // four oracles on every machine shape.
-func Lattice(machines []*machine.Desc) []Cell {
+func lattice(machines []*machine.Desc) []Cell {
 	var cells []Cell
 	for mi, m := range machines {
 		for _, lv := range []core.Level{core.LevelUseful, core.LevelSpeculative} {

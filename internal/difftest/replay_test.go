@@ -25,7 +25,7 @@ func TestReproCorpusReplays(t *testing.T) {
 	}
 	e := &Engine{}
 	e.defaults()
-	cells := Lattice(Machines(1, 0))
+	cells := lattice(latticeMachines(1, 0))
 	for _, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {
 			src, err := os.ReadFile(file)

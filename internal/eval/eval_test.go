@@ -115,7 +115,7 @@ func TestFigure3And4Renderings(t *testing.T) {
 // workloads unless -short is off.
 func evalWorkloads(t *testing.T) []*workload.Workload {
 	if testing.Short() {
-		return []*workload.Workload{workload.EQNTOTT()}
+		return []*workload.Workload{workload.ByName("eqntott")}
 	}
 	return workload.All()
 }
@@ -172,7 +172,7 @@ func TestAblationRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation is slow")
 	}
-	tab, err := Ablation([]*workload.Workload{workload.EQNTOTT(), workload.GCC()})
+	tab, err := Ablation([]*workload.Workload{workload.ByName("eqntott"), workload.ByName("gcc")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestWiderMachinesMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wider machines is slow")
 	}
-	tab, err := WiderMachines([]*workload.Workload{workload.EQNTOTT()})
+	tab, err := WiderMachines([]*workload.Workload{workload.ByName("eqntott")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestScheduleOrderPenaltyPositive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("order experiment is slow")
 	}
-	tab, err := ScheduleOrder([]*workload.Workload{workload.EQNTOTT()})
+	tab, err := ScheduleOrder([]*workload.Workload{workload.ByName("eqntott")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestRegionCapsMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("caps experiment is slow")
 	}
-	tab, err := RegionCaps([]*workload.Workload{workload.LI()})
+	tab, err := RegionCaps([]*workload.Workload{workload.ByName("li")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,9 @@ import (
 	"gsched/internal/xform"
 )
 
-// MinMaxInput builds the array driving the Figure 2 loop through the
+// minMaxInput builds the array driving the Figure 2 loop through the
 // chosen number of min/max updates per iteration (0, 1 or 2).
-func MinMaxInput(updates, iters int) []int64 {
+func minMaxInput(updates, iters int) []int64 {
 	var a []int64
 	switch updates {
 	case 0:
@@ -60,7 +60,7 @@ func MinMaxCycles(level core.Level) ([3]int64, *ir.Func, error) {
 		if err != nil {
 			return out, nil, err
 		}
-		a := MinMaxInput(updates, 40)
+		a := minMaxInput(updates, 40)
 		lo, _ := paperex.LoopBlocks()
 		res, err := m.Run("minmax", []int64{int64(len(a))}, map[string][]int64{"a": a},
 			sim.Options{Machine: machine.RS6K(), ForgivingLoads: true,
@@ -149,7 +149,7 @@ func CounterRegister() (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			a := MinMaxInput(1, 40)
+			a := minMaxInput(1, 40)
 			// The preheader shifts the loop header by one block when
 			// the counter is enabled.
 			lo, _ := paperex.LoopBlocks()

@@ -25,9 +25,9 @@ import (
 	"gsched/internal/schedmodel"
 )
 
-// HardMaxBlock is the largest block the searcher can represent (the
+// hardMaxBlock is the largest block the searcher can represent (the
 // scheduled set is a 64-bit mask).
-const HardMaxBlock = 64
+const hardMaxBlock = 64
 
 // Limits gates and budgets one block's search.
 type Limits struct {
@@ -45,8 +45,8 @@ func (l *Limits) defaults() {
 	if l.MaxBlock <= 0 {
 		l.MaxBlock = 20
 	}
-	if l.MaxBlock > HardMaxBlock {
-		l.MaxBlock = HardMaxBlock
+	if l.MaxBlock > hardMaxBlock {
+		l.MaxBlock = hardMaxBlock
 	}
 	if l.MaxNodes <= 0 {
 		l.MaxNodes = 200_000

@@ -12,7 +12,7 @@ func EqualPrograms(a, b *Program) bool {
 		return false
 	}
 	for i := range a.Funcs {
-		if !EqualFuncs(a.Funcs[i], b.Funcs[i]) {
+		if !equalFuncs(a.Funcs[i], b.Funcs[i]) {
 			return false
 		}
 	}
@@ -30,13 +30,13 @@ func EqualPrograms(a, b *Program) bool {
 	return true
 }
 
-// EqualFuncs reports structural equality of two functions: name,
+// equalFuncs reports structural equality of two functions: name,
 // parameters, frame size, and block-for-block equal bodies (labels and
 // instruction sequences). Unlabeled empty blocks are skipped: no branch
 // can target them and they emit no code, so they are pure fallthrough
 // artifacts (scheduling can leave them behind; the assembly printer
 // drops them).
-func EqualFuncs(a, b *Func) bool {
+func equalFuncs(a, b *Func) bool {
 	if a.Name != b.Name || a.FrameWords != b.FrameWords ||
 		len(a.Params) != len(b.Params) {
 		return false
@@ -56,7 +56,7 @@ func EqualFuncs(a, b *Func) bool {
 			return false
 		}
 		for k := range x.Instrs {
-			if !EqualInstrs(x.Instrs[k], y.Instrs[k]) {
+			if !equalInstrs(x.Instrs[k], y.Instrs[k]) {
 				return false
 			}
 		}
@@ -77,9 +77,9 @@ func realBlocks(f *Func) []*Block {
 	return out
 }
 
-// EqualInstrs reports whether two instructions are the same operation on
+// equalInstrs reports whether two instructions are the same operation on
 // the same operands, ignoring ID and Comment.
-func EqualInstrs(a, b *Instr) bool {
+func equalInstrs(a, b *Instr) bool {
 	if a.Op != b.Op || a.Def != b.Def || a.Def2 != b.Def2 ||
 		a.A != b.A || a.B != b.B || a.Imm != b.Imm ||
 		a.Target != b.Target || a.CRBit != b.CRBit || a.OnTrue != b.OnTrue {

@@ -83,7 +83,7 @@ func TestOpPredicates(t *testing.T) {
 
 func TestOpNamesUnique(t *testing.T) {
 	seen := make(map[string]Op)
-	for op := OpNop; op < NumOps; op++ {
+	for op := OpNop; op < numOps; op++ {
 		s := op.String()
 		if s == "" || strings.HasPrefix(s, "op(") {
 			t.Errorf("op %d has no name", op)
@@ -372,7 +372,7 @@ func TestSuccsSemantics(t *testing.T) {
 func TestUsesDefsNeverInvalid(t *testing.T) {
 	f := NewFunc("q")
 	prop := func(op uint8, defValid, aValid, bValid bool) bool {
-		i := f.NewInstr(Op(op % uint8(NumOps)))
+		i := f.NewInstr(Op(op % uint8(numOps)))
 		if defValid {
 			i.Def = GPR(1)
 		}

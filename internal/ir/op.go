@@ -90,11 +90,11 @@ const (
 	// OpRet returns from the function; A optionally carries the result.
 	OpRet
 
-	// NumOps is the number of opcodes.
-	NumOps
+	// numOps is the number of opcodes.
+	numOps
 )
 
-var opNames = [NumOps]string{
+var opNames = [numOps]string{
 	OpNop:    "NOP",
 	OpLI:     "LI",
 	OpLR:     "LR",
@@ -142,7 +142,7 @@ var opNames = [NumOps]string{
 }
 
 func (op Op) String() string {
-	if op < NumOps {
+	if op < numOps {
 		return opNames[op]
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))

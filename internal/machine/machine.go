@@ -9,6 +9,8 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"gsched/internal/ir"
 )
@@ -168,6 +170,27 @@ func Wide() *Desc {
 		d.NumUnits[t] = 64
 	}
 	return mustValidate(d)
+}
+
+// ByName returns the machine a user-facing name selects: "rs6k",
+// "scalar", "wide", or "NxM" for Superscalar(N, M).
+func ByName(name string) (*Desc, error) {
+	switch name {
+	case "rs6k":
+		return RS6K(), nil
+	case "scalar":
+		return Scalar(), nil
+	case "wide":
+		return Wide(), nil
+	}
+	if nf, nb, ok := strings.Cut(name, "x"); ok {
+		f, err1 := strconv.Atoi(nf)
+		b, err2 := strconv.Atoi(nb)
+		if err1 == nil && err2 == nil && f > 0 && b > 0 {
+			return Superscalar(f, b), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown machine %q (want rs6k, scalar, wide or NxM)", name)
 }
 
 // Random returns a seeded-random but always valid machine description:

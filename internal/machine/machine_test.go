@@ -244,3 +244,17 @@ func TestRandomRedrawsUnissuableMixes(t *testing.T) {
 		t.Error("no accepted machine in [0,64) touches a 1-unit boundary; the re-draw looks like it clamps")
 	}
 }
+
+func TestParseMachine(t *testing.T) {
+	for name, fixed := range map[string]int{"rs6k": 1, "scalar": 1, "wide": 64, "4x2": 4} {
+		m, err := ByName(name)
+		if err != nil || m.NumUnits[Fixed] != fixed {
+			t.Errorf("ByName(%q) = %v, %v; want %d fixed point units", name, m, err, fixed)
+		}
+	}
+	for _, bad := range []string{"", "x", "0x1", "axb", "3", "2x2x2"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}

@@ -3,175 +3,175 @@ package minic
 // The AST mirrors the accepted C subset. Position fields reference the
 // first token of the node for error reporting.
 
-// GlobalDecl declares a global scalar (Size == 0) or array (Size > 0),
+// globalDecl declares a global scalar (Size == 0) or array (Size > 0),
 // optionally initialised.
-type GlobalDecl struct {
+type globalDecl struct {
 	Name string
 	Size int64   // 0 for scalar; >0 for array length in elements
 	Init []int64 // scalar: one value; array: leading elements
 	Line int
 }
 
-// FuncDecl declares a function. Void functions have Void == true.
-type FuncDecl struct {
+// funcDecl declares a function. Void functions have Void == true.
+type funcDecl struct {
 	Name   string
 	Params []string
 	Void   bool
-	Body   *BlockStmt
+	Body   *blockStmt
 	Line   int
 }
 
-// Stmt is a statement node.
-type Stmt interface{ stmt() }
+// statement is a statement node.
+type statement interface{ stmt() }
 
-// BlockStmt is { stmts... }.
-type BlockStmt struct {
-	Stmts []Stmt
+// blockStmt is { stmts... }.
+type blockStmt struct {
+	Stmts []statement
 }
 
-// DeclStmt declares a local: int name = init; or float name = init;
+// declStmt declares a local: int name = init; or float name = init;
 // (init may be nil).
-type DeclStmt struct {
+type declStmt struct {
 	Name  string
 	Float bool
-	Init  Expr
+	Init  expression
 	Line  int
 }
 
-// AssignStmt stores into a variable or array element. Op is Assign,
-// PlusAssign or MinusAssign.
-type AssignStmt struct {
-	Target *LValue
-	Op     Kind
-	Value  Expr
+// assignStmt stores into a variable or array element. Op is tokAssign,
+// tokPlusAssign or tokMinusAssign.
+type assignStmt struct {
+	Target *lvalue
+	Op     tokKind
+	Value  expression
 	Line   int
 }
 
-// IncDecStmt is x++ / x-- / a[i]++ / a[i]--.
-type IncDecStmt struct {
-	Target *LValue
+// incDecStmt is x++ / x-- / a[i]++ / a[i]--.
+type incDecStmt struct {
+	Target *lvalue
 	Dec    bool
 	Line   int
 }
 
-// LValue is an assignable location: a named variable, or array[index].
-type LValue struct {
+// lvalue is an assignable location: a named variable, or array[index].
+type lvalue struct {
 	Name  string
-	Index Expr // nil for scalars
+	Index expression // nil for scalars
 	Line  int
 }
 
-// IfStmt is if (cond) then [else els].
-type IfStmt struct {
-	Cond Expr
-	Then Stmt
-	Else Stmt // may be nil
+// ifStmt is if (cond) then [else els].
+type ifStmt struct {
+	Cond expression
+	Then statement
+	Else statement // may be nil
 }
 
-// WhileStmt is while (cond) body.
-type WhileStmt struct {
-	Cond Expr
-	Body Stmt
+// whileStmt is while (cond) body.
+type whileStmt struct {
+	Cond expression
+	Body statement
 }
 
-// DoWhileStmt is do body while (cond);.
-type DoWhileStmt struct {
-	Body Stmt
-	Cond Expr
+// doWhileStmt is do body while (cond);.
+type doWhileStmt struct {
+	Body statement
+	Cond expression
 }
 
-// ForStmt is for (init; cond; post) body; any clause may be nil.
-type ForStmt struct {
-	Init Stmt // DeclStmt, AssignStmt or IncDecStmt
-	Cond Expr
-	Post Stmt
-	Body Stmt
+// forStmt is for (init; cond; post) body; any clause may be nil.
+type forStmt struct {
+	Init statement // declStmt, assignStmt or incDecStmt
+	Cond expression
+	Post statement
+	Body statement
 }
 
-// ReturnStmt returns Value (nil for void returns).
-type ReturnStmt struct {
-	Value Expr
+// returnStmt returns Value (nil for void returns).
+type returnStmt struct {
+	Value expression
 	Line  int
 }
 
-// BreakStmt / ContinueStmt control the innermost loop.
-type BreakStmt struct{ Line int }
+// breakStmt / continueStmt control the innermost loop.
+type breakStmt struct{ Line int }
 
-// ContinueStmt continues the innermost loop.
-type ContinueStmt struct{ Line int }
+// continueStmt continues the innermost loop.
+type continueStmt struct{ Line int }
 
-// ExprStmt evaluates an expression for its side effects (calls).
-type ExprStmt struct {
-	X Expr
+// exprStmt evaluates an expression for its side effects (calls).
+type exprStmt struct {
+	X expression
 }
 
-func (*BlockStmt) stmt()    {}
-func (*DeclStmt) stmt()     {}
-func (*AssignStmt) stmt()   {}
-func (*IncDecStmt) stmt()   {}
-func (*IfStmt) stmt()       {}
-func (*WhileStmt) stmt()    {}
-func (*DoWhileStmt) stmt()  {}
-func (*ForStmt) stmt()      {}
-func (*ReturnStmt) stmt()   {}
-func (*BreakStmt) stmt()    {}
-func (*ContinueStmt) stmt() {}
-func (*ExprStmt) stmt()     {}
+func (*blockStmt) stmt()    {}
+func (*declStmt) stmt()     {}
+func (*assignStmt) stmt()   {}
+func (*incDecStmt) stmt()   {}
+func (*ifStmt) stmt()       {}
+func (*whileStmt) stmt()    {}
+func (*doWhileStmt) stmt()  {}
+func (*forStmt) stmt()      {}
+func (*returnStmt) stmt()   {}
+func (*breakStmt) stmt()    {}
+func (*continueStmt) stmt() {}
+func (*exprStmt) stmt()     {}
 
-// Expr is an expression node.
-type Expr interface{ expr() }
+// expression is an expression node.
+type expression interface{ expr() }
 
-// NumExpr is an integer literal.
-type NumExpr struct {
+// numExpr is an integer literal.
+type numExpr struct {
 	Value int64
 	Line  int
 }
 
-// FNumExpr is a float literal.
-type FNumExpr struct {
+// fnumExpr is a float literal.
+type fnumExpr struct {
 	Value float64
 	Line  int
 }
 
-// VarExpr reads a scalar variable (local, parameter, or global).
-type VarExpr struct {
+// varExpr reads a scalar variable (local, parameter, or global).
+type varExpr struct {
 	Name string
 	Line int
 }
 
-// IndexExpr reads an array element.
-type IndexExpr struct {
+// indexExpr reads an array element.
+type indexExpr struct {
 	Name  string
-	Index Expr
+	Index expression
 	Line  int
 }
 
-// UnaryExpr applies Minus, Not or Tilde.
-type UnaryExpr struct {
-	Op   Kind
-	X    Expr
+// unaryExpr applies tokMinus, tokNot or tokTilde.
+type unaryExpr struct {
+	Op   tokKind
+	X    expression
 	Line int
 }
 
-// BinExpr applies a binary operator, including comparisons and the
-// short-circuit AndAnd / OrOr.
-type BinExpr struct {
-	Op   Kind
-	X, Y Expr
+// binExpr applies a binary operator, including comparisons and the
+// short-circuit tokAndAnd / tokOrOr.
+type binExpr struct {
+	Op   tokKind
+	X, Y expression
 	Line int
 }
 
-// CallExpr calls a function.
-type CallExpr struct {
+// callExpr calls a function.
+type callExpr struct {
 	Name string
-	Args []Expr
+	Args []expression
 	Line int
 }
 
-func (*NumExpr) expr()   {}
-func (*FNumExpr) expr()  {}
-func (*VarExpr) expr()   {}
-func (*IndexExpr) expr() {}
-func (*UnaryExpr) expr() {}
-func (*BinExpr) expr()   {}
-func (*CallExpr) expr()  {}
+func (*numExpr) expr()   {}
+func (*fnumExpr) expr()  {}
+func (*varExpr) expr()   {}
+func (*indexExpr) expr() {}
+func (*unaryExpr) expr() {}
+func (*binExpr) expr()   {}
+func (*callExpr) expr()  {}

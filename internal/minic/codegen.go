@@ -2,42 +2,26 @@ package minic
 
 import (
 	"fmt"
-	"io"
 	"math"
 
+	"gsched/internal/asm"
 	"gsched/internal/ir"
 )
 
 // Compile parses and compiles a mini-C source file into an ir program.
-// It drives the streaming Reader (see stream.go), so the whole-program
-// and per-function paths share one implementation.
-func Compile(src string) (*ir.Program, error) {
-	r, err := Open(src)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		f, err := r.ParseFunc()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		r.Prog().AddFunc(f)
-	}
-	return r.Prog(), nil
-}
+// It reads every function of Dialect (see stream.go), so the
+// whole-program and per-function paths share one implementation.
+func Compile(src string) (*ir.Program, error) { return asm.ReadProgram(Dialect, src) }
 
 // newGen builds the whole-unit symbol tables every function's lowering
 // needs (globals for addressing, function signatures for call arity and
 // void checks — calls may reference functions declared later), and
 // registers the global data symbols on the output program.
-func newGen(globals []*GlobalDecl, funcs []*FuncDecl) (*gen, error) {
+func newGen(globals []*globalDecl, funcs []*funcDecl) (*gen, error) {
 	g := &gen{
 		out:     ir.NewProgram(),
-		globals: make(map[string]*GlobalDecl),
-		funcs:   make(map[string]*FuncDecl),
+		globals: make(map[string]*globalDecl),
+		funcs:   make(map[string]*funcDecl),
 	}
 	for _, gd := range globals {
 		if g.globals[gd.Name] != nil {
@@ -70,10 +54,10 @@ type loopCtx struct {
 
 type gen struct {
 	out     *ir.Program
-	globals map[string]*GlobalDecl
-	funcs   map[string]*FuncDecl
+	globals map[string]*globalDecl
+	funcs   map[string]*funcDecl
 
-	fn     *FuncDecl
+	fn     *funcDecl
 	f      *ir.Func
 	b      *ir.Builder
 	scopes []map[string]ir.Reg
@@ -178,10 +162,10 @@ func (g *gen) lookup(name string) (ir.Reg, bool) {
 
 // genFunc lowers one function; the caller decides where the result
 // goes (Generate appends it to the output program, the streaming
-// Reader hands it to its consumer). Label numbering (g.labelN)
+// reader hands it to its consumer). Label numbering (g.labelN)
 // continues across calls, so lowering functions one at a time yields
 // the same bytes as lowering them all.
-func (g *gen) genFunc(fn *FuncDecl) (*ir.Func, error) {
+func (g *gen) genFunc(fn *funcDecl) (*ir.Func, error) {
 	g.fn = fn
 	g.f = ir.NewFunc(fn.Name)
 	g.b = ir.NewBuilder(g.f)
@@ -228,7 +212,7 @@ func (g *gen) genFunc(fn *FuncDecl) (*ir.Func, error) {
 	return g.f, nil
 }
 
-func (g *gen) genBlockStmt(b *BlockStmt) error {
+func (g *gen) genBlockStmt(b *blockStmt) error {
 	g.pushScope()
 	defer g.popScope()
 	for _, s := range b.Stmts {
@@ -239,12 +223,12 @@ func (g *gen) genBlockStmt(b *BlockStmt) error {
 	return nil
 }
 
-func (g *gen) genStmt(s Stmt) error {
+func (g *gen) genStmt(s statement) error {
 	switch s := s.(type) {
-	case *BlockStmt:
+	case *blockStmt:
 		return g.genBlockStmt(s)
 
-	case *DeclStmt:
+	case *declStmt:
 		class := ir.ClassGPR
 		if s.Float {
 			class = ir.ClassFPR
@@ -266,12 +250,12 @@ func (g *gen) genStmt(s Stmt) error {
 		}
 		return nil
 
-	case *AssignStmt:
+	case *assignStmt:
 		val, err := g.genExpr(s.Value)
 		if err != nil {
 			return err
 		}
-		if s.Op != Assign {
+		if s.Op != tokAssign {
 			old, err := g.loadLValue(s.Target)
 			if err != nil {
 				return err
@@ -279,7 +263,7 @@ func (g *gen) genStmt(s Stmt) error {
 			if isF(old) || isF(val) {
 				t := g.f.NewReg(ir.ClassFPR)
 				op := ir.OpFAdd
-				if s.Op == MinusAssign {
+				if s.Op == tokMinusAssign {
 					op = ir.OpFSub
 				}
 				a, b := g.toFloat(old), g.toFloat(val)
@@ -288,7 +272,7 @@ func (g *gen) genStmt(s Stmt) error {
 			} else {
 				t := g.f.NewReg(ir.ClassGPR)
 				op := ir.OpAdd
-				if s.Op == MinusAssign {
+				if s.Op == tokMinusAssign {
 					op = ir.OpSub
 				}
 				g.cur().Op2(op, t, old, val)
@@ -297,7 +281,7 @@ func (g *gen) genStmt(s Stmt) error {
 		}
 		return g.storeLValue(s.Target, val)
 
-	case *IncDecStmt:
+	case *incDecStmt:
 		old, err := g.loadLValue(s.Target)
 		if err != nil {
 			return err
@@ -316,7 +300,7 @@ func (g *gen) genStmt(s Stmt) error {
 		g.cur().AI(t, old, d)
 		return g.storeLValue(s.Target, t)
 
-	case *IfStmt:
+	case *ifStmt:
 		elseLbl := g.fresh("else")
 		endLbl := g.fresh("endif")
 		target := endLbl
@@ -339,7 +323,7 @@ func (g *gen) genStmt(s Stmt) error {
 		g.block(endLbl)
 		return nil
 
-	case *WhileStmt:
+	case *whileStmt:
 		head := g.fresh("while")
 		exit := g.fresh("wend")
 		g.block(head)
@@ -356,7 +340,7 @@ func (g *gen) genStmt(s Stmt) error {
 		g.block(exit)
 		return nil
 
-	case *DoWhileStmt:
+	case *doWhileStmt:
 		head := g.fresh("do")
 		cond := g.fresh("docond")
 		exit := g.fresh("dend")
@@ -374,7 +358,7 @@ func (g *gen) genStmt(s Stmt) error {
 		g.block(exit)
 		return nil
 
-	case *ForStmt:
+	case *forStmt:
 		if s.Init != nil {
 			// The init clause may declare a variable scoped to the loop.
 			g.pushScope()
@@ -408,7 +392,7 @@ func (g *gen) genStmt(s Stmt) error {
 		g.block(exit)
 		return nil
 
-	case *ReturnStmt:
+	case *returnStmt:
 		if g.fn.Void {
 			if s.Value != nil {
 				return errAt(s.Line, 1, "void function %q returns a value", g.fn.Name)
@@ -428,22 +412,22 @@ func (g *gen) genStmt(s Stmt) error {
 		g.b.Cur = nil
 		return nil
 
-	case *BreakStmt:
+	case *breakStmt:
 		if len(g.loops) == 0 {
 			return errAt(s.Line, 1, "break outside a loop")
 		}
 		g.jumpTo(g.loops[len(g.loops)-1].breakLbl)
 		return nil
 
-	case *ContinueStmt:
+	case *continueStmt:
 		if len(g.loops) == 0 {
 			return errAt(s.Line, 1, "continue outside a loop")
 		}
 		g.jumpTo(g.loops[len(g.loops)-1].continueLbl)
 		return nil
 
-	case *ExprStmt:
-		if call, ok := s.X.(*CallExpr); ok {
+	case *exprStmt:
+		if call, ok := s.X.(*callExpr); ok {
 			_, err := g.genCall(call, false)
 			return err
 		}
@@ -474,13 +458,13 @@ func (g *gen) move(dst, val ir.Reg) {
 }
 
 // loadLValue reads the current value of an lvalue.
-func (g *gen) loadLValue(lv *LValue) (ir.Reg, error) {
+func (g *gen) loadLValue(lv *lvalue) (ir.Reg, error) {
 	return g.genExprVar(lv.Name, lv.Index, lv.Line)
 }
 
 // storeLValue writes val into the lvalue. Memory holds ints only, so
 // float values are truncated on the way into globals and arrays.
-func (g *gen) storeLValue(lv *LValue, val ir.Reg) error {
+func (g *gen) storeLValue(lv *lvalue, val ir.Reg) error {
 	if lv.Index == nil {
 		if r, ok := g.lookup(lv.Name); ok {
 			g.move(r, val)
@@ -515,10 +499,10 @@ func (g *gen) storeLValue(lv *LValue, val ir.Reg) error {
 }
 
 // genIndexAddr computes a byte offset register for an element index.
-func (g *gen) genIndexAddr(idx Expr) (ir.Reg, error) {
+func (g *gen) genIndexAddr(idx expression) (ir.Reg, error) {
 	// Constant indices become plain displacements off a zero register
 	// only if we had one; scaling a constant at compile time is simpler.
-	if n, ok := idx.(*NumExpr); ok {
+	if n, ok := idx.(*numExpr); ok {
 		r := g.f.NewReg(ir.ClassGPR)
 		g.cur().LI(r, n.Value*ir.WordSize)
 		return r, nil
@@ -532,7 +516,7 @@ func (g *gen) genIndexAddr(idx Expr) (ir.Reg, error) {
 	return r, nil
 }
 
-func (g *gen) genExprVar(name string, index Expr, line int) (ir.Reg, error) {
+func (g *gen) genExprVar(name string, index expression, line int) (ir.Reg, error) {
 	if index == nil {
 		if r, ok := g.lookup(name); ok {
 			return r, nil
@@ -561,61 +545,61 @@ func (g *gen) genExprVar(name string, index Expr, line int) (ir.Reg, error) {
 	return r, nil
 }
 
-var binOps = map[Kind]ir.Op{
-	Plus: ir.OpAdd, Minus: ir.OpSub, Star: ir.OpMul, Slash: ir.OpDiv,
-	Percent: ir.OpRem, Amp: ir.OpAnd, Pipe: ir.OpOr, Caret: ir.OpXor,
-	Shl: ir.OpShl, Shr: ir.OpShr,
+var binOps = map[tokKind]ir.Op{
+	tokPlus: ir.OpAdd, tokMinus: ir.OpSub, tokStar: ir.OpMul, tokSlash: ir.OpDiv,
+	tokPercent: ir.OpRem, tokAmp: ir.OpAnd, tokPipe: ir.OpOr, tokCaret: ir.OpXor,
+	tokShl: ir.OpShl, tokShr: ir.OpShr,
 }
 
-func isCompare(k Kind) bool {
+func isCompare(k tokKind) bool {
 	switch k {
-	case Lt, Le, Gt, Ge, EqEq, NotEq:
+	case tokLt, tokLe, tokGt, tokGe, tokEqEq, tokNotEq:
 		return true
 	}
 	return false
 }
 
-func isLogical(k Kind) bool { return k == AndAnd || k == OrOr }
+func isLogical(k tokKind) bool { return k == tokAndAnd || k == tokOrOr }
 
-func (g *gen) genExpr(e Expr) (ir.Reg, error) {
+func (g *gen) genExpr(e expression) (ir.Reg, error) {
 	switch e := e.(type) {
-	case *NumExpr:
+	case *numExpr:
 		r := g.f.NewReg(ir.ClassGPR)
 		g.cur().LI(r, e.Value)
 		return r, nil
 
-	case *FNumExpr:
+	case *fnumExpr:
 		return g.floatNum(e.Value), nil
 
-	case *VarExpr:
+	case *varExpr:
 		return g.genExprVar(e.Name, nil, e.Line)
 
-	case *IndexExpr:
+	case *indexExpr:
 		return g.genExprVar(e.Name, e.Index, e.Line)
 
-	case *UnaryExpr:
-		if e.Op == Not {
+	case *unaryExpr:
+		if e.Op == tokNot {
 			return g.genBool(e)
 		}
 		x, err := g.genExpr(e.X)
 		if err != nil {
 			return ir.NoReg, err
 		}
-		if e.Op == Minus && isF(x) {
+		if e.Op == tokMinus && isF(x) {
 			r := g.f.NewReg(ir.ClassFPR)
 			g.cur().Emit(ir.OpFNeg, func(i *ir.Instr) { i.Def = r; i.A = x })
 			return r, nil
 		}
 		x = g.toInt(x)
 		r := g.f.NewReg(ir.ClassGPR)
-		if e.Op == Minus {
+		if e.Op == tokMinus {
 			g.cur().Emit(ir.OpNeg, func(i *ir.Instr) { i.Def = r; i.A = x })
 		} else {
 			g.cur().Emit(ir.OpNot, func(i *ir.Instr) { i.Def = r; i.A = x })
 		}
 		return r, nil
 
-	case *BinExpr:
+	case *binExpr:
 		if isCompare(e.Op) || isLogical(e.Op) {
 			return g.genBool(e)
 		}
@@ -629,7 +613,7 @@ func (g *gen) genExpr(e Expr) (ir.Reg, error) {
 		}
 		// Constant right operands use the immediate forms, matching
 		// the paper's AI-style code.
-		if n, isNum := e.Y.(*NumExpr); isNum && !isF(x) {
+		if n, isNum := e.Y.(*numExpr); isNum && !isF(x) {
 			if iop, okI := immOp(op); okI {
 				r := g.f.NewReg(ir.ClassGPR)
 				imm := n.Value
@@ -658,7 +642,7 @@ func (g *gen) genExpr(e Expr) (ir.Reg, error) {
 		g.cur().Op2(op, r, x, y)
 		return r, nil
 
-	case *CallExpr:
+	case *callExpr:
 		return g.genCall(e, true)
 	}
 	return ir.NoReg, fmt.Errorf("minic: internal: unknown expression %T", e)
@@ -702,7 +686,7 @@ func immOp(op ir.Op) (ir.Op, bool) {
 	return op, false
 }
 
-func (g *gen) genCall(e *CallExpr, wantValue bool) (ir.Reg, error) {
+func (g *gen) genCall(e *callExpr, wantValue bool) (ir.Reg, error) {
 	var args []ir.Reg
 	for _, a := range e.Args {
 		r, err := g.genExpr(a)
@@ -749,7 +733,7 @@ func (g *gen) genCall(e *CallExpr, wantValue bool) (ir.Reg, error) {
 }
 
 // genBool materialises a boolean expression as 0 or 1.
-func (g *gen) genBool(e Expr) (ir.Reg, error) {
+func (g *gen) genBool(e expression) (ir.Reg, error) {
 	r := g.f.NewReg(ir.ClassGPR)
 	end := g.fresh("bend")
 	g.cur().LI(r, 1)
@@ -763,16 +747,16 @@ func (g *gen) genBool(e Expr) (ir.Reg, error) {
 
 // genCondJump emits code that evaluates cond and branches to lbl when the
 // condition equals want; otherwise control falls through.
-func (g *gen) genCondJump(cond Expr, lbl string, want bool) error {
+func (g *gen) genCondJump(cond expression, lbl string, want bool) error {
 	switch e := cond.(type) {
-	case *BinExpr:
+	case *binExpr:
 		if isCompare(e.Op) {
 			x, err := g.genExpr(e.X)
 			if err != nil {
 				return err
 			}
 			cr := g.f.NewReg(ir.ClassCR)
-			if n, isNum := e.Y.(*NumExpr); isNum && !isF(x) {
+			if n, isNum := e.Y.(*numExpr); isNum && !isF(x) {
 				g.cur().CmpI(cr, x, n.Value)
 			} else {
 				y, err := g.genExpr(e.Y)
@@ -792,7 +776,7 @@ func (g *gen) genCondJump(cond Expr, lbl string, want bool) error {
 			return nil
 		}
 		switch e.Op {
-		case AndAnd:
+		case tokAndAnd:
 			if want {
 				// Jump to lbl when both are true.
 				skip := g.fresh("and")
@@ -810,7 +794,7 @@ func (g *gen) genCondJump(cond Expr, lbl string, want bool) error {
 				return err
 			}
 			return g.genCondJump(e.Y, lbl, false)
-		case OrOr:
+		case tokOrOr:
 			if want {
 				if err := g.genCondJump(e.X, lbl, true); err != nil {
 					return err
@@ -827,8 +811,8 @@ func (g *gen) genCondJump(cond Expr, lbl string, want bool) error {
 			g.block(skip)
 			return nil
 		}
-	case *UnaryExpr:
-		if e.Op == Not {
+	case *unaryExpr:
+		if e.Op == tokNot {
 			return g.genCondJump(e.X, lbl, !want)
 		}
 	}
@@ -854,23 +838,23 @@ func (g *gen) genCondJump(cond Expr, lbl string, want bool) error {
 
 // emitCmpBranch branches to lbl when (x OP y) == want, given the compare
 // result in cr.
-func (g *gen) emitCmpBranch(op Kind, cr ir.Reg, lbl string, want bool) {
+func (g *gen) emitCmpBranch(op tokKind, cr ir.Reg, lbl string, want bool) {
 	// For each operator: the bit to test and whether the operator is
 	// true when the bit is set.
 	var bit ir.CRBit
 	var onSet bool
 	switch op {
-	case Lt:
+	case tokLt:
 		bit, onSet = ir.BitLT, true
-	case Ge:
+	case tokGe:
 		bit, onSet = ir.BitLT, false
-	case Gt:
+	case tokGt:
 		bit, onSet = ir.BitGT, true
-	case Le:
+	case tokLe:
 		bit, onSet = ir.BitGT, false
-	case EqEq:
+	case tokEqEq:
 		bit, onSet = ir.BitEQ, true
-	case NotEq:
+	case tokNotEq:
 		bit, onSet = ir.BitEQ, false
 	}
 	g.emitBranch(lbl, cr, bit, onSet == want)

@@ -2,69 +2,69 @@ package minic
 
 import "strconv"
 
-var keywords = map[string]Kind{
-	"int": KwInt, "float": KwFloat, "void": KwVoid, "if": KwIf, "else": KwElse,
-	"while": KwWhile, "for": KwFor, "do": KwDo, "return": KwReturn,
-	"break": KwBreak, "continue": KwContinue,
+var keywords = map[string]tokKind{
+	"int": kwInt, "float": kwFloat, "void": kwVoid, "if": kwIf, "else": kwElse,
+	"while": kwWhile, "for": kwFor, "do": kwDo, "return": kwReturn,
+	"break": kwBreak, "continue": kwContinue,
 }
 
 // oneKind maps each one-character operator or punctuator to its kind;
-// every other byte maps to EOF.
-var oneKind = [256]Kind{
-	'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
-	'[': LBracket, ']': RBracket, ';': Semi, ',': Comma,
-	'=': Assign, '+': Plus, '-': Minus, '*': Star, '/': Slash,
-	'%': Percent, '&': Amp, '|': Pipe, '^': Caret,
-	'<': Lt, '>': Gt, '!': Not, '~': Tilde,
+// every other byte maps to tokEOF.
+var oneKind = [256]tokKind{
+	'(': tokLParen, ')': tokRParen, '{': tokLBrace, '}': tokRBrace,
+	'[': tokLBracket, ']': tokRBracket, ';': tokSemi, ',': tokComma,
+	'=': tokAssign, '+': tokPlus, '-': tokMinus, '*': tokStar, '/': tokSlash,
+	'%': tokPercent, '&': tokAmp, '|': tokPipe, '^': tokCaret,
+	'<': tokLt, '>': tokGt, '!': tokNot, '~': tokTilde,
 }
 
-// pairKind returns the kind of the two-character operator c0 c1, or EOF
+// pairKind returns the kind of the two-character operator c0 c1, or tokEOF
 // if the pair is not one.
-func pairKind(c0, c1 byte) Kind {
+func pairKind(c0, c1 byte) tokKind {
 	switch c1 {
 	case '=':
 		switch c0 {
 		case '<':
-			return Le
+			return tokLe
 		case '>':
-			return Ge
+			return tokGe
 		case '=':
-			return EqEq
+			return tokEqEq
 		case '!':
-			return NotEq
+			return tokNotEq
 		case '+':
-			return PlusAssign
+			return tokPlusAssign
 		case '-':
-			return MinusAssign
+			return tokMinusAssign
 		}
 	case c0:
 		switch c0 {
 		case '<':
-			return Shl
+			return tokShl
 		case '>':
-			return Shr
+			return tokShr
 		case '&':
-			return AndAnd
+			return tokAndAnd
 		case '|':
-			return OrOr
+			return tokOrOr
 		case '+':
-			return PlusPlus
+			return tokPlusPlus
 		case '-':
-			return MinusMinus
+			return tokMinusMinus
 		}
 	}
-	return EOF
+	return tokEOF
 }
 
-// Lex tokenises src, returning all tokens including a final EOF.
-func Lex(src string) ([]Token, error) {
+// lex tokenises src, returning all tokens including a final tokEOF.
+func lex(src string) ([]token, error) {
 	// The workload and generated sources average three to four bytes
 	// per token, so this presize rarely grows and never doubles.
-	toks := make([]Token, 0, len(src)/3+16)
+	toks := make([]token, 0, len(src)/3+16)
 	line, col := 1, 1
 	i := 0
-	emit := func(k Kind, text string, num int64, c int) {
-		toks = append(toks, Token{Kind: k, Text: text, Num: num, Line: line, Col: c})
+	emit := func(k tokKind, text string, num int64, c int) {
+		toks = append(toks, token{Kind: k, Text: text, Num: num, Line: line, Col: c})
 	}
 	for i < len(src) {
 		c := src[i]
@@ -111,7 +111,7 @@ func Lex(src string) ([]Token, error) {
 			if k, ok := keywords[word]; ok {
 				emit(k, word, 0, startCol)
 			} else {
-				emit(IDENT, word, 0, startCol)
+				emit(tokIdent, word, 0, startCol)
 			}
 			continue
 		case isDigit(c):
@@ -132,27 +132,27 @@ func Lex(src string) ([]Token, error) {
 				if err != nil {
 					return nil, errAt(line, startCol, "bad float %q", src[start:i])
 				}
-				toks = append(toks, Token{Kind: FNUMBER, Text: src[start:i], FNum: v, Line: line, Col: startCol})
+				toks = append(toks, token{Kind: tokFNumber, Text: src[start:i], FNum: v, Line: line, Col: startCol})
 				continue
 			}
 			n, err := strconv.ParseInt(src[start:i], 10, 64)
 			if err != nil {
 				return nil, errAt(line, startCol, "bad number %q", src[start:i])
 			}
-			emit(NUMBER, src[start:i], n, startCol)
+			emit(tokNumber, src[start:i], n, startCol)
 			continue
 		}
 
 		startCol := col
 		if i+1 < len(src) {
-			if k := pairKind(c, src[i+1]); k != EOF {
+			if k := pairKind(c, src[i+1]); k != tokEOF {
 				emit(k, src[i:i+2], 0, startCol)
 				i += 2
 				col += 2
 				continue
 			}
 		}
-		if k := oneKind[c]; k != EOF {
+		if k := oneKind[c]; k != tokEOF {
 			emit(k, src[i:i+1], 0, startCol)
 			i++
 			col++
@@ -160,7 +160,7 @@ func Lex(src string) ([]Token, error) {
 		}
 		return nil, errAt(line, col, "unexpected character %q", string(c))
 	}
-	emit(EOF, "", 0, col)
+	emit(tokEOF, "", 0, col)
 	return toks, nil
 }
 

@@ -290,11 +290,11 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestLexerPositions(t *testing.T) {
-	toks, err := Lex("int f\n  (x)")
+	toks, err := lex("int f\n  (x)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// tokens: int@1:1 f@1:5 (@2:3 x@2:4 )@2:5 EOF
+	// tokens: int@1:1 f@1:5 (@2:3 x@2:4 )@2:5 tokEOF
 	if toks[0].Line != 1 || toks[0].Col != 1 {
 		t.Errorf("int at %d:%d", toks[0].Line, toks[0].Col)
 	}

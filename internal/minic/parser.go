@@ -5,22 +5,22 @@ package minic
 //	||  &&  |  ^  &  == !=  < <= > >=  << >>  + -  * / %  unary  primary
 
 type parserState struct {
-	toks []Token
+	toks []token
 	pos  int
 }
 
-func (p *parserState) cur() Token     { return p.toks[p.pos] }
-func (p *parserState) at(k Kind) bool { return p.cur().Kind == k }
+func (p *parserState) cur() token        { return p.toks[p.pos] }
+func (p *parserState) at(k tokKind) bool { return p.cur().Kind == k }
 
-func (p *parserState) next() Token {
+func (p *parserState) next() token {
 	t := p.toks[p.pos]
-	if t.Kind != EOF {
+	if t.Kind != tokEOF {
 		p.pos++
 	}
 	return t
 }
 
-func (p *parserState) expect(k Kind) (Token, error) {
+func (p *parserState) expect(k tokKind) (token, error) {
 	t := p.cur()
 	if t.Kind != k {
 		return t, errAt(t.Line, t.Col, "expected %s, found %s", k, t)
@@ -28,11 +28,11 @@ func (p *parserState) expect(k Kind) (Token, error) {
 	return p.next(), nil
 }
 
-func (p *parserState) parseGlobalRest(name string, line int) (*GlobalDecl, error) {
-	g := &GlobalDecl{Name: name, Line: line}
-	if p.at(LBracket) {
+func (p *parserState) parseGlobalRest(name string, line int) (*globalDecl, error) {
+	g := &globalDecl{Name: name, Line: line}
+	if p.at(tokLBracket) {
 		p.next()
-		n, err := p.expect(NUMBER)
+		n, err := p.expect(tokNumber)
 		if err != nil {
 			return nil, err
 		}
@@ -40,29 +40,29 @@ func (p *parserState) parseGlobalRest(name string, line int) (*GlobalDecl, error
 			return nil, errAt(n.Line, n.Col, "array size must be positive")
 		}
 		g.Size = n.Num
-		if _, err := p.expect(RBracket); err != nil {
+		if _, err := p.expect(tokRBracket); err != nil {
 			return nil, err
 		}
 	}
-	if p.at(Assign) {
+	if p.at(tokAssign) {
 		p.next()
 		if g.Size > 0 {
-			if _, err := p.expect(LBrace); err != nil {
+			if _, err := p.expect(tokLBrace); err != nil {
 				return nil, err
 			}
-			for !p.at(RBrace) {
+			for !p.at(tokRBrace) {
 				v, err := p.parseSignedNumber()
 				if err != nil {
 					return nil, err
 				}
 				g.Init = append(g.Init, v)
-				if p.at(Comma) {
+				if p.at(tokComma) {
 					p.next()
 					continue
 				}
 				break
 			}
-			if _, err := p.expect(RBrace); err != nil {
+			if _, err := p.expect(tokRBrace); err != nil {
 				return nil, err
 			}
 			if int64(len(g.Init)) > g.Size {
@@ -76,17 +76,17 @@ func (p *parserState) parseGlobalRest(name string, line int) (*GlobalDecl, error
 			g.Init = []int64{v}
 		}
 	}
-	_, err := p.expect(Semi)
+	_, err := p.expect(tokSemi)
 	return g, err
 }
 
 func (p *parserState) parseSignedNumber() (int64, error) {
 	neg := false
-	if p.at(Minus) {
+	if p.at(tokMinus) {
 		p.next()
 		neg = true
 	}
-	n, err := p.expect(NUMBER)
+	n, err := p.expect(tokNumber)
 	if err != nil {
 		return 0, err
 	}
@@ -98,29 +98,29 @@ func (p *parserState) parseSignedNumber() (int64, error) {
 
 // parseFuncSig parses the parameter list "(...)" into fn, stopping
 // before the body so the streaming scan can skip it.
-func (p *parserState) parseFuncSig(fn *FuncDecl) error {
-	if _, err := p.expect(LParen); err != nil {
+func (p *parserState) parseFuncSig(fn *funcDecl) error {
+	if _, err := p.expect(tokLParen); err != nil {
 		return err
 	}
-	if p.at(KwVoid) && p.toks[p.pos+1].Kind == RParen {
+	if p.at(kwVoid) && p.toks[p.pos+1].Kind == tokRParen {
 		p.next()
 	}
-	for !p.at(RParen) {
-		if _, err := p.expect(KwInt); err != nil {
+	for !p.at(tokRParen) {
+		if _, err := p.expect(kwInt); err != nil {
 			return err
 		}
-		id, err := p.expect(IDENT)
+		id, err := p.expect(tokIdent)
 		if err != nil {
 			return err
 		}
 		fn.Params = append(fn.Params, id.Text)
-		if p.at(Comma) {
+		if p.at(tokComma) {
 			p.next()
 			continue
 		}
 		break
 	}
-	_, err := p.expect(RParen)
+	_, err := p.expect(tokRParen)
 	return err
 }
 
@@ -128,31 +128,31 @@ func (p *parserState) parseFuncSig(fn *FuncDecl) error {
 // returning the token index of its opening brace.
 func (p *parserState) skipBlock() (int, error) {
 	start := p.pos
-	if _, err := p.expect(LBrace); err != nil {
+	if _, err := p.expect(tokLBrace); err != nil {
 		return 0, err
 	}
 	depth := 1
 	for depth > 0 {
 		t := p.next()
 		switch t.Kind {
-		case LBrace:
+		case tokLBrace:
 			depth++
-		case RBrace:
+		case tokRBrace:
 			depth--
-		case EOF:
+		case tokEOF:
 			return 0, errAt(t.Line, t.Col, "unexpected end of file inside block")
 		}
 	}
 	return start, nil
 }
 
-func (p *parserState) parseBlock() (*BlockStmt, error) {
-	if _, err := p.expect(LBrace); err != nil {
+func (p *parserState) parseBlock() (*blockStmt, error) {
+	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
-	b := &BlockStmt{}
-	for !p.at(RBrace) {
-		if p.at(EOF) {
+	b := &blockStmt{}
+	for !p.at(tokRBrace) {
+		if p.at(tokEOF) {
 			t := p.cur()
 			return nil, errAt(t.Line, t.Col, "unexpected end of file inside block")
 		}
@@ -166,19 +166,19 @@ func (p *parserState) parseBlock() (*BlockStmt, error) {
 	return b, nil
 }
 
-func (p *parserState) parseStmt() (Stmt, error) {
+func (p *parserState) parseStmt() (statement, error) {
 	t := p.cur()
 	switch t.Kind {
-	case LBrace:
+	case tokLBrace:
 		return p.parseBlock()
-	case KwInt, KwFloat:
+	case kwInt, kwFloat:
 		p.next()
-		id, err := p.expect(IDENT)
+		id, err := p.expect(tokIdent)
 		if err != nil {
 			return nil, err
 		}
-		d := &DeclStmt{Name: id.Text, Float: t.Kind == KwFloat, Line: id.Line}
-		if p.at(Assign) {
+		d := &declStmt{Name: id.Text, Float: t.Kind == kwFloat, Line: id.Line}
+		if p.at(tokAssign) {
 			p.next()
 			e, err := p.parseExpr()
 			if err != nil {
@@ -186,26 +186,26 @@ func (p *parserState) parseStmt() (Stmt, error) {
 			}
 			d.Init = e
 		}
-		_, err = p.expect(Semi)
+		_, err = p.expect(tokSemi)
 		return d, err
-	case KwIf:
+	case kwIf:
 		p.next()
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		then, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		s := &IfStmt{Cond: cond, Then: then}
-		if p.at(KwElse) {
+		s := &ifStmt{Cond: cond, Then: then}
+		if p.at(kwElse) {
 			p.next()
 			els, err := p.parseStmt()
 			if err != nil {
@@ -214,111 +214,111 @@ func (p *parserState) parseStmt() (Stmt, error) {
 			s.Else = els
 		}
 		return s, nil
-	case KwWhile:
+	case kwWhile:
 		p.next()
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		return &WhileStmt{Cond: cond, Body: body}, nil
-	case KwDo:
+		return &whileStmt{Cond: cond, Body: body}, nil
+	case kwDo:
 		p.next()
 		body, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(KwWhile); err != nil {
+		if _, err := p.expect(kwWhile); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		_, err = p.expect(Semi)
-		return &DoWhileStmt{Body: body, Cond: cond}, err
-	case KwFor:
+		_, err = p.expect(tokSemi)
+		return &doWhileStmt{Body: body, Cond: cond}, err
+	case kwFor:
 		return p.parseFor()
-	case KwReturn:
+	case kwReturn:
 		p.next()
-		s := &ReturnStmt{Line: t.Line}
-		if !p.at(Semi) {
+		s := &returnStmt{Line: t.Line}
+		if !p.at(tokSemi) {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			s.Value = e
 		}
-		_, err := p.expect(Semi)
+		_, err := p.expect(tokSemi)
 		return s, err
-	case KwBreak:
+	case kwBreak:
 		p.next()
-		_, err := p.expect(Semi)
-		return &BreakStmt{Line: t.Line}, err
-	case KwContinue:
+		_, err := p.expect(tokSemi)
+		return &breakStmt{Line: t.Line}, err
+	case kwContinue:
 		p.next()
-		_, err := p.expect(Semi)
-		return &ContinueStmt{Line: t.Line}, err
-	case Semi:
+		_, err := p.expect(tokSemi)
+		return &continueStmt{Line: t.Line}, err
+	case tokSemi:
 		p.next()
-		return &BlockStmt{}, nil
+		return &blockStmt{}, nil
 	default:
 		s, err := p.parseSimpleStmt()
 		if err != nil {
 			return nil, err
 		}
-		_, err = p.expect(Semi)
+		_, err = p.expect(tokSemi)
 		return s, err
 	}
 }
 
 // parseSimpleStmt parses assignment, ++/--, or an expression statement,
 // without the trailing semicolon (shared by for-clauses).
-func (p *parserState) parseSimpleStmt() (Stmt, error) {
+func (p *parserState) parseSimpleStmt() (statement, error) {
 	t := p.cur()
-	if t.Kind == IDENT {
+	if t.Kind == tokIdent {
 		// Lookahead decides between lvalue statements and expressions.
 		save := p.pos
 		p.next()
-		var idx Expr
-		if p.at(LBracket) {
+		var idx expression
+		if p.at(tokLBracket) {
 			p.next()
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			idx = e
-			if _, err := p.expect(RBracket); err != nil {
+			if _, err := p.expect(tokRBracket); err != nil {
 				return nil, err
 			}
 		}
-		lv := &LValue{Name: t.Text, Index: idx, Line: t.Line}
+		lv := &lvalue{Name: t.Text, Index: idx, Line: t.Line}
 		switch p.cur().Kind {
-		case Assign, PlusAssign, MinusAssign:
+		case tokAssign, tokPlusAssign, tokMinusAssign:
 			op := p.next().Kind
 			v, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			return &AssignStmt{Target: lv, Op: op, Value: v, Line: t.Line}, nil
-		case PlusPlus, MinusMinus:
-			dec := p.next().Kind == MinusMinus
-			return &IncDecStmt{Target: lv, Dec: dec, Line: t.Line}, nil
+			return &assignStmt{Target: lv, Op: op, Value: v, Line: t.Line}, nil
+		case tokPlusPlus, tokMinusMinus:
+			dec := p.next().Kind == tokMinusMinus
+			return &incDecStmt{Target: lv, Dec: dec, Line: t.Line}, nil
 		}
 		p.pos = save
 	}
@@ -326,25 +326,25 @@ func (p *parserState) parseSimpleStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ExprStmt{X: e}, nil
+	return &exprStmt{X: e}, nil
 }
 
-func (p *parserState) parseFor() (Stmt, error) {
+func (p *parserState) parseFor() (statement, error) {
 	p.next() // for
-	if _, err := p.expect(LParen); err != nil {
+	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	s := &ForStmt{}
-	if !p.at(Semi) {
-		if p.at(KwInt) || p.at(KwFloat) {
-			isFloat := p.at(KwFloat)
+	s := &forStmt{}
+	if !p.at(tokSemi) {
+		if p.at(kwInt) || p.at(kwFloat) {
+			isFloat := p.at(kwFloat)
 			p.next()
-			id, err := p.expect(IDENT)
+			id, err := p.expect(tokIdent)
 			if err != nil {
 				return nil, err
 			}
-			d := &DeclStmt{Name: id.Text, Float: isFloat, Line: id.Line}
-			if p.at(Assign) {
+			d := &declStmt{Name: id.Text, Float: isFloat, Line: id.Line}
+			if p.at(tokAssign) {
 				p.next()
 				e, err := p.parseExpr()
 				if err != nil {
@@ -361,27 +361,27 @@ func (p *parserState) parseFor() (Stmt, error) {
 			s.Init = st
 		}
 	}
-	if _, err := p.expect(Semi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
-	if !p.at(Semi) {
+	if !p.at(tokSemi) {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		s.Cond = e
 	}
-	if _, err := p.expect(Semi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
-	if !p.at(RParen) {
+	if !p.at(tokRParen) {
 		st, err := p.parseSimpleStmt()
 		if err != nil {
 			return nil, err
 		}
 		s.Post = st
 	}
-	if _, err := p.expect(RParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStmt()
@@ -393,22 +393,22 @@ func (p *parserState) parseFor() (Stmt, error) {
 }
 
 // Binary precedence levels, loosest first.
-var precLevels = [][]Kind{
-	{OrOr},
-	{AndAnd},
-	{Pipe},
-	{Caret},
-	{Amp},
-	{EqEq, NotEq},
-	{Lt, Le, Gt, Ge},
-	{Shl, Shr},
-	{Plus, Minus},
-	{Star, Slash, Percent},
+var precLevels = [][]tokKind{
+	{tokOrOr},
+	{tokAndAnd},
+	{tokPipe},
+	{tokCaret},
+	{tokAmp},
+	{tokEqEq, tokNotEq},
+	{tokLt, tokLe, tokGt, tokGe},
+	{tokShl, tokShr},
+	{tokPlus, tokMinus},
+	{tokStar, tokSlash, tokPercent},
 }
 
-func (p *parserState) parseExpr() (Expr, error) { return p.parseBin(0) }
+func (p *parserState) parseExpr() (expression, error) { return p.parseBin(0) }
 
-func (p *parserState) parseBin(level int) (Expr, error) {
+func (p *parserState) parseBin(level int) (expression, error) {
 	if level == len(precLevels) {
 		return p.parseUnary()
 	}
@@ -433,73 +433,73 @@ func (p *parserState) parseBin(level int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinExpr{Op: t.Kind, X: x, Y: y, Line: t.Line}
+		x = &binExpr{Op: t.Kind, X: x, Y: y, Line: t.Line}
 	}
 }
 
-func (p *parserState) parseUnary() (Expr, error) {
+func (p *parserState) parseUnary() (expression, error) {
 	t := p.cur()
 	switch t.Kind {
-	case Minus, Not, Tilde:
+	case tokMinus, tokNot, tokTilde:
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: t.Kind, X: x, Line: t.Line}, nil
+		return &unaryExpr{Op: t.Kind, X: x, Line: t.Line}, nil
 	}
 	return p.parsePrimary()
 }
 
-func (p *parserState) parsePrimary() (Expr, error) {
+func (p *parserState) parsePrimary() (expression, error) {
 	t := p.cur()
 	switch t.Kind {
-	case NUMBER:
+	case tokNumber:
 		p.next()
-		return &NumExpr{Value: t.Num, Line: t.Line}, nil
-	case FNUMBER:
+		return &numExpr{Value: t.Num, Line: t.Line}, nil
+	case tokFNumber:
 		p.next()
-		return &FNumExpr{Value: t.FNum, Line: t.Line}, nil
-	case LParen:
+		return &fnumExpr{Value: t.FNum, Line: t.Line}, nil
+	case tokLParen:
 		p.next()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		_, err = p.expect(RParen)
+		_, err = p.expect(tokRParen)
 		return e, err
-	case IDENT:
+	case tokIdent:
 		p.next()
 		switch p.cur().Kind {
-		case LParen:
+		case tokLParen:
 			p.next()
-			call := &CallExpr{Name: t.Text, Line: t.Line}
-			for !p.at(RParen) {
+			call := &callExpr{Name: t.Text, Line: t.Line}
+			for !p.at(tokRParen) {
 				a, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
 				call.Args = append(call.Args, a)
-				if p.at(Comma) {
+				if p.at(tokComma) {
 					p.next()
 					continue
 				}
 				break
 			}
-			_, err := p.expect(RParen)
+			_, err := p.expect(tokRParen)
 			return call, err
-		case LBracket:
+		case tokLBracket:
 			p.next()
 			idx, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RBracket); err != nil {
+			if _, err := p.expect(tokRBracket); err != nil {
 				return nil, err
 			}
-			return &IndexExpr{Name: t.Text, Index: idx, Line: t.Line}, nil
+			return &indexExpr{Name: t.Text, Index: idx, Line: t.Line}, nil
 		}
-		return &VarExpr{Name: t.Text, Line: t.Line}, nil
+		return &varExpr{Name: t.Text, Line: t.Line}, nil
 	}
 	return nil, errAt(t.Line, t.Col, "expected expression, found %s", t)
 }

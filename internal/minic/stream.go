@@ -1,9 +1,7 @@
 package minic
 
-// Streaming front-end: mini-C's counterpart to asm's FuncReader. The
-// Reader satisfies the asm.FuncReader interface structurally
-// (internal/stream adapts it into an asm.Dialect; importing asm here
-// would cycle through asm's tests). The whole unit is lexed once
+// Streaming front-end: mini-C's counterpart to asm's FuncReader,
+// exported as the asm.Dialect Dialect. The whole unit is lexed once
 // (tokens are a flat array of zero-copy substrings), but ASTs are
 // built and lowered one function at a time, so per-function
 // allocations dominate and the AST of each function is dropped as
@@ -19,51 +17,65 @@ import (
 	"fmt"
 	"io"
 
+	"gsched/internal/asm"
 	"gsched/internal/ir"
 )
+
+// Dialect is mini-C as a streaming asm.Dialect.
+var Dialect asm.Dialect = dialect{}
+
+type dialect struct{}
+
+func (dialect) Open(src string) (asm.FuncReader, error) {
+	r, err := open(src)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
 
 // funcUnit is a scanned-but-not-parsed function: its signature plus
 // the token index of its body's opening brace.
 type funcUnit struct {
-	decl *FuncDecl // Body is nil until ParseFunc reaches it
+	decl *funcDecl // Body is nil until ParseFunc reaches it
 	body int
 }
 
-// Reader streams the functions of one mini-C compilation unit.
-type Reader struct {
+// reader streams the functions of one mini-C compilation unit.
+type reader struct {
 	g     *gen
-	toks  []Token
+	toks  []token
 	units []funcUnit
 	next  int
 }
 
-// Open lexes and scans src. Global declarations are parsed completely
+// open lexes and scans src. Global declarations are parsed completely
 // (Prog().Syms is fully populated on return); function bodies are
 // located but not parsed.
-func Open(src string) (*Reader, error) {
-	toks, err := Lex(src)
+func open(src string) (*reader, error) {
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parserState{toks: toks}
-	var globals []*GlobalDecl
+	var globals []*globalDecl
 	var units []funcUnit
-	for !p.at(EOF) {
+	for !p.at(tokEOF) {
 		t := p.cur()
-		isVoid := t.Kind == KwVoid
-		if t.Kind == KwFloat {
+		isVoid := t.Kind == kwVoid
+		if t.Kind == kwFloat {
 			return nil, errAt(t.Line, t.Col, "float is only allowed for locals")
 		}
-		if t.Kind != KwInt && t.Kind != KwVoid {
+		if t.Kind != kwInt && t.Kind != kwVoid {
 			return nil, errAt(t.Line, t.Col, "expected 'int' or 'void' declaration, found %s", t)
 		}
 		p.next()
-		name, err := p.expect(IDENT)
+		name, err := p.expect(tokIdent)
 		if err != nil {
 			return nil, err
 		}
-		if p.at(LParen) {
-			fn := &FuncDecl{Name: name.Text, Void: isVoid, Line: name.Line}
+		if p.at(tokLParen) {
+			fn := &funcDecl{Name: name.Text, Void: isVoid, Line: name.Line}
 			if err := p.parseFuncSig(fn); err != nil {
 				return nil, err
 			}
@@ -83,7 +95,7 @@ func Open(src string) (*Reader, error) {
 		}
 		globals = append(globals, g)
 	}
-	decls := make([]*FuncDecl, len(units))
+	decls := make([]*funcDecl, len(units))
 	for i := range units {
 		decls[i] = units[i].decl
 	}
@@ -91,18 +103,18 @@ func Open(src string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{g: g, toks: toks, units: units}, nil
+	return &reader{g: g, toks: toks, units: units}, nil
 }
 
 // Prog returns the program skeleton: data symbols are fully populated
 // by Open; functions are not appended — each ParseFunc result belongs
 // to the caller.
-func (r *Reader) Prog() *ir.Program { return r.g.out }
+func (r *reader) Prog() *ir.Program { return r.g.out }
 
 // ParseFunc parses the next function's body, lowers it to ir, and
 // drops the AST. Results are validated like Generate's whole-program
 // check: structure plus call targets against the unit's signatures.
-func (r *Reader) ParseFunc() (*ir.Func, error) {
+func (r *reader) ParseFunc() (*ir.Func, error) {
 	if r.next >= len(r.units) {
 		return nil, io.EOF
 	}
@@ -125,7 +137,7 @@ func (r *Reader) ParseFunc() (*ir.Func, error) {
 	return f, nil
 }
 
-func (r *Reader) validate(f *ir.Func) error {
+func (r *reader) validate(f *ir.Func) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}

@@ -13,117 +13,117 @@ package minic
 
 import "fmt"
 
-// Kind classifies tokens.
-type Kind uint8
+// tokKind classifies tokens.
+type tokKind uint8
 
 const (
-	EOF Kind = iota
-	IDENT
-	NUMBER
-	FNUMBER
+	tokEOF tokKind = iota
+	tokIdent
+	tokNumber
+	tokFNumber
 
 	// Keywords.
-	KwInt
-	KwFloat
-	KwVoid
-	KwIf
-	KwElse
-	KwWhile
-	KwFor
-	KwDo
-	KwReturn
-	KwBreak
-	KwContinue
+	kwInt
+	kwFloat
+	kwVoid
+	kwIf
+	kwElse
+	kwWhile
+	kwFor
+	kwDo
+	kwReturn
+	kwBreak
+	kwContinue
 
 	// Punctuation and operators.
-	LParen
-	RParen
-	LBrace
-	RBrace
-	LBracket
-	RBracket
-	Semi
-	Comma
-	Assign // =
-	Plus
-	Minus
-	Star
-	Slash
-	Percent
-	Amp
-	Pipe
-	Caret
-	Shl // <<
-	Shr // >>
-	Lt
-	Gt
-	Le
-	Ge
-	EqEq
-	NotEq
-	AndAnd
-	OrOr
-	Not // !
-	Tilde
-	PlusPlus
-	MinusMinus
-	PlusAssign  // +=
-	MinusAssign // -=
+	tokLParen
+	tokRParen
+	tokLBrace
+	tokRBrace
+	tokLBracket
+	tokRBracket
+	tokSemi
+	tokComma
+	tokAssign // =
+	tokPlus
+	tokMinus
+	tokStar
+	tokSlash
+	tokPercent
+	tokAmp
+	tokPipe
+	tokCaret
+	tokShl // <<
+	tokShr // >>
+	tokLt
+	tokGt
+	tokLe
+	tokGe
+	tokEqEq
+	tokNotEq
+	tokAndAnd
+	tokOrOr
+	tokNot // !
+	tokTilde
+	tokPlusPlus
+	tokMinusMinus
+	tokPlusAssign  // +=
+	tokMinusAssign // -=
 )
 
-var kindNames = map[Kind]string{
-	EOF: "end of file", IDENT: "identifier", NUMBER: "number",
-	FNUMBER: "float number",
-	KwInt:   "'int'", KwFloat: "'float'", KwVoid: "'void'", KwIf: "'if'", KwElse: "'else'",
-	KwWhile: "'while'", KwFor: "'for'", KwDo: "'do'", KwReturn: "'return'",
-	KwBreak: "'break'", KwContinue: "'continue'",
-	LParen: "'('", RParen: "')'", LBrace: "'{'", RBrace: "'}'",
-	LBracket: "'['", RBracket: "']'", Semi: "';'", Comma: "','",
-	Assign: "'='", Plus: "'+'", Minus: "'-'", Star: "'*'", Slash: "'/'",
-	Percent: "'%'", Amp: "'&'", Pipe: "'|'", Caret: "'^'",
-	Shl: "'<<'", Shr: "'>>'", Lt: "'<'", Gt: "'>'", Le: "'<='", Ge: "'>='",
-	EqEq: "'=='", NotEq: "'!='", AndAnd: "'&&'", OrOr: "'||'",
-	Not: "'!'", Tilde: "'~'", PlusPlus: "'++'", MinusMinus: "'--'",
-	PlusAssign: "'+='", MinusAssign: "'-='",
+var kindNames = map[tokKind]string{
+	tokEOF: "end of file", tokIdent: "identifier", tokNumber: "number",
+	tokFNumber: "float number",
+	kwInt:      "'int'", kwFloat: "'float'", kwVoid: "'void'", kwIf: "'if'", kwElse: "'else'",
+	kwWhile: "'while'", kwFor: "'for'", kwDo: "'do'", kwReturn: "'return'",
+	kwBreak: "'break'", kwContinue: "'continue'",
+	tokLParen: "'('", tokRParen: "')'", tokLBrace: "'{'", tokRBrace: "'}'",
+	tokLBracket: "'['", tokRBracket: "']'", tokSemi: "';'", tokComma: "','",
+	tokAssign: "'='", tokPlus: "'+'", tokMinus: "'-'", tokStar: "'*'", tokSlash: "'/'",
+	tokPercent: "'%'", tokAmp: "'&'", tokPipe: "'|'", tokCaret: "'^'",
+	tokShl: "'<<'", tokShr: "'>>'", tokLt: "'<'", tokGt: "'>'", tokLe: "'<='", tokGe: "'>='",
+	tokEqEq: "'=='", tokNotEq: "'!='", tokAndAnd: "'&&'", tokOrOr: "'||'",
+	tokNot: "'!'", tokTilde: "'~'", tokPlusPlus: "'++'", tokMinusMinus: "'--'",
+	tokPlusAssign: "'+='", tokMinusAssign: "'-='",
 }
 
-func (k Kind) String() string {
+func (k tokKind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
 	}
 	return fmt.Sprintf("token(%d)", uint8(k))
 }
 
-// Token is one lexical token with its source position.
-type Token struct {
-	Kind Kind
+// token is one lexical token with its source position.
+type token struct {
+	Kind tokKind
 	Text string
-	Num  int64   // value of NUMBER tokens
-	FNum float64 // value of FNUMBER tokens
+	Num  int64   // value of tokNumber tokens
+	FNum float64 // value of tokFNumber tokens
 	Line int
 	Col  int
 }
 
-func (t Token) String() string {
+func (t token) String() string {
 	switch t.Kind {
-	case IDENT:
+	case tokIdent:
 		return fmt.Sprintf("identifier %q", t.Text)
-	case NUMBER:
+	case tokNumber:
 		return fmt.Sprintf("number %d", t.Num)
-	case FNUMBER:
+	case tokFNumber:
 		return fmt.Sprintf("number %g", t.FNum)
 	}
 	return t.Kind.String()
 }
 
-// Error is a compile error with position information.
-type Error struct {
+// compileError is a compile error with position information.
+type compileError struct {
 	Line, Col int
 	Msg       string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("minic: %d:%d: %s", e.Line, e.Col, e.Msg) }
+func (e *compileError) Error() string { return fmt.Sprintf("minic: %d:%d: %s", e.Line, e.Col, e.Msg) }
 
 func errAt(line, col int, format string, args ...any) error {
-	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+	return &compileError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }

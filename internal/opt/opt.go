@@ -23,12 +23,12 @@ type Stats struct {
 	Passes           int
 }
 
-// Func optimizes one function to a fixed point (bounded). The flow
+// optimizeFunc optimizes one function to a fixed point (bounded). The flow
 // graph is built once and rebuilt only after removeUnreachable drops a
 // block: copy propagation and constant folding rewrite operands, and
 // dead-code elimination never removes a terminator, so neither changes
 // an edge. One liveness analyzer serves every pass.
-func Func(f *ir.Func) Stats {
+func optimizeFunc(f *ir.Func) Stats {
 	var st Stats
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
@@ -63,7 +63,7 @@ func Func(f *ir.Func) Stats {
 	return st
 }
 
-// scratch is the state opt.Func reuses across blocks and passes, and
+// scratch is the state optimizeFunc reuses across blocks and passes, and
 // across functions through scratchPool: each call owns one for its
 // duration.
 type scratch struct {
@@ -105,7 +105,7 @@ func removeUnreachable(f *ir.Func, g *cfg.Graph) int {
 func Program(p *ir.Program) Stats {
 	var st Stats
 	for _, f := range p.Funcs {
-		s := Func(f)
+		s := optimizeFunc(f)
 		st.CopiesPropagated += s.CopiesPropagated
 		st.ConstsFolded += s.ConstsFolded
 		st.InstrsRemoved += s.InstrsRemoved

@@ -19,11 +19,8 @@ var (
 	RegA   = ir.GPR(31)
 	CR7    = ir.CR(7)
 	CR6    = ir.CR(6)
-	CR4    = ir.CR(4)
+	cr4    = ir.CR(4)
 )
-
-// MinMaxLoopBlocks is the number of basic blocks in the Figure 2 loop.
-const MinMaxLoopBlocks = 10
 
 // MinMax builds a runnable minmax(n) function whose loop is exactly the
 // ten-block pseudo-code of Figure 2 (instructions I1–I20). The function
@@ -48,8 +45,8 @@ func MinMax() (*ir.Program, *ir.Func) {
 	b.LI(RegA, 0).Comment = "r31 = byte offset of a[0]"
 	b.Load(RegMin, "a", RegA, 0).Comment = "min = a[0]"
 	b.LR(RegMax, RegMin).Comment = "max = min"
-	b.Cmp(CR4, RegI, RegN).Comment = "i < n"
-	b.BF("CL.14", CR4, ir.BitLT).Comment = "skip loop if i >= n"
+	b.Cmp(cr4, RegI, RegN).Comment = "i < n"
+	b.BF("CL.14", cr4, ir.BitLT).Comment = "skip loop if i >= n"
 
 	// BL1 (CL.0): I1..I4.
 	b.Block("CL.0")
@@ -98,8 +95,8 @@ func MinMax() (*ir.Program, *ir.Func) {
 	// BL10 (CL.9): I18, I19, I20.
 	b.Block("CL.9")
 	b.AI(RegI, RegI, 2).Comment = "i = i + 2" // I18
-	b.Cmp(CR4, RegI, RegN).Comment = "i < n"  // I19
-	b.BT("CL.0", CR4, ir.BitLT)               // I20
+	b.Cmp(cr4, RegI, RegN).Comment = "i < n"  // I19
+	b.BT("CL.0", cr4, ir.BitLT)               // I20
 
 	// Epilogue.
 	b.Block("CL.14")

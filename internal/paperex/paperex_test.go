@@ -13,8 +13,9 @@ func TestMinMaxShapeMatchesFigure2(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	lo, hi := LoopBlocks()
-	if hi-lo != MinMaxLoopBlocks {
-		t.Fatalf("loop spans %d blocks, want %d", hi-lo, MinMaxLoopBlocks)
+	// Figure 2's loop is the ten basic blocks BL1..BL10.
+	if hi-lo != 10 {
+		t.Fatalf("loop spans %d blocks, want 10", hi-lo)
 	}
 	// The paper's twenty loop instructions I1..I20.
 	n := 0

@@ -12,26 +12,26 @@ import (
 type DepKind uint8
 
 const (
-	// Flow is a true dependence: a register defined by From is used by To.
-	Flow DepKind = iota
-	// Anti orders a use before a redefinition.
-	Anti
-	// Output orders two definitions of the same register.
-	Output
-	// MemOrder orders two memory-touching instructions that are not
+	// depFlow is a true dependence: a register defined by From is used by To.
+	depFlow DepKind = iota
+	// depAnti orders a use before a redefinition.
+	depAnti
+	// depOutput orders two definitions of the same register.
+	depOutput
+	// depMem orders two memory-touching instructions that are not
 	// proven to address different locations (memory disambiguation).
-	MemOrder
+	depMem
 )
 
 func (k DepKind) String() string {
 	switch k {
-	case Flow:
+	case depFlow:
 		return "flow"
-	case Anti:
+	case depAnti:
 		return "anti"
-	case Output:
+	case depOutput:
 		return "output"
-	case MemOrder:
+	case depMem:
 		return "mem"
 	}
 	return fmt.Sprintf("dep(%d)", uint8(k))
@@ -225,13 +225,13 @@ func (d *DDG) PredsOf(id int) []DepEdge {
 	return d.Preds[idx]
 }
 
-// MayAlias implements the paper's memory disambiguation: two memory
+// mayAlias implements the paper's memory disambiguation: two memory
 // references conflict unless proven to address different locations. We
 // prove difference when both references name distinct known symbols, or
 // when frame-local slots (constant offsets, no base) differ. Calls
 // conflict with all global memory but never with frame slots — spill
 // code stays freely schedulable around calls.
-func MayAlias(a, b *ir.Instr) bool {
+func mayAlias(a, b *ir.Instr) bool {
 	if a.Op == ir.OpCall || b.Op == ir.OpCall {
 		// Frame slots are private to the function; a callee cannot
 		// touch them.
@@ -346,18 +346,18 @@ func (bi *blockIndex) sortRegs() {
 func strongestKind(aDef, aUse, bDef, bUse bool) (DepKind, bool) {
 	switch {
 	case aDef && bUse:
-		return Flow, true
+		return depFlow, true
 	case aUse && bDef:
-		return Anti, true
+		return depAnti, true
 	case aDef && bDef:
-		return Output, true
+		return depOutput, true
 	}
 	return 0, false
 }
 
 func (d *DDG) emit(a, b *ir.Instr, kind DepKind, r ir.Reg, mach *machine.Desc) {
 	e := DepEdge{From: a, To: b, Kind: kind, Reg: r}
-	if kind == Flow {
+	if kind == depFlow {
 		e.Delay = mach.Delay(a, b, r)
 	}
 	d.add(e)
@@ -435,7 +435,7 @@ func (b *Builder) indexBlock(bi *blockIndex, blk *ir.Block, mach *machine.Desc, 
 				} else {
 					// A pure read depends only on earlier writers.
 					for _, ea := range rt.defEntries {
-						d.emit(ea.i, ins, Flow, t.r, mach)
+						d.emit(ea.i, ins, depFlow, t.r, mach)
 					}
 				}
 			}
@@ -451,8 +451,8 @@ func (b *Builder) indexBlock(bi *blockIndex, blk *ir.Block, mach *machine.Desc, 
 					if m.Op.IsLoad() && ins.Op.IsLoad() {
 						continue // load-load pairs never conflict
 					}
-					if MayAlias(m, ins) {
-						d.add(DepEdge{From: m, To: ins, Kind: MemOrder, Reg: ir.NoReg})
+					if mayAlias(m, ins) {
+						d.add(DepEdge{From: m, To: ins, Kind: depMem, Reg: ir.NoReg})
 					}
 				}
 			}
@@ -490,7 +490,7 @@ func interBlockEdges(a, b *blockIndex, mach *machine.Desc, d *DDG) {
 				}
 			} else {
 				for _, eb := range rb.defEntries {
-					d.emit(ea.i, eb.i, Anti, r, mach)
+					d.emit(ea.i, eb.i, depAnti, r, mach)
 				}
 			}
 		}
@@ -500,8 +500,8 @@ func interBlockEdges(a, b *blockIndex, mach *machine.Desc, d *DDG) {
 			if x.Op.IsLoad() && y.Op.IsLoad() {
 				continue
 			}
-			if MayAlias(x, y) {
-				d.add(DepEdge{From: x, To: y, Kind: MemOrder, Reg: ir.NoReg})
+			if mayAlias(x, y) {
+				d.add(DepEdge{From: x, To: y, Kind: depMem, Reg: ir.NoReg})
 			}
 		}
 	}
@@ -514,14 +514,8 @@ func interBlockEdges(a, b *blockIndex, mach *machine.Desc, d *DDG) {
 // indexed by register rather than all-pairs: each block is walked once to
 // build per-register def/use tables and the memory reference chain, and
 // only instructions touching a common register (or memory) are paired,
-// so the work is proportional to the edges produced.
-func BuildDDG(f *ir.Func, blocks []int, reach *cfg.Reach, mach *machine.Desc) *DDG {
-	return NewBuilder().BuildDDG(f, blocks, reach, mach)
-}
-
-// BuildDDG is the arena-backed form of the package-level BuildDDG: the
-// returned graph aliases the builder's buffers and is valid until the
-// next build on b.
+// so the work is proportional to the edges produced. The returned graph
+// aliases the builder's buffers and is valid until the next build on b.
 func (b *Builder) BuildDDG(f *ir.Func, blocks []int, reach *cfg.Reach, mach *machine.Desc) *DDG {
 	n := 0
 	for _, bi := range blocks {
@@ -547,13 +541,8 @@ func (b *Builder) BuildDDG(f *ir.Func, blocks []int, reach *cfg.Reach, mach *mac
 }
 
 // BuildBlockDDG computes the intra-block dependence graph of a single
-// block, used by the basic block scheduler.
-func BuildBlockDDG(blk *ir.Block, mach *machine.Desc) *DDG {
-	return NewBuilder().BuildBlockDDG(blk, mach)
-}
-
-// BuildBlockDDG is the arena-backed form of the package-level
-// BuildBlockDDG.
+// block, used by the basic block scheduler. The returned graph aliases
+// the builder's buffers and is valid until the next build on b.
 func (b *Builder) BuildBlockDDG(blk *ir.Block, mach *machine.Desc) *DDG {
 	lo, hi := instrIDRange(blk)
 	d := b.reset(lo, hi-lo+1, 4*len(blk.Instrs))
@@ -601,22 +590,16 @@ func (h *HeightVals) D(id int) int { return h.d[id-h.base] }
 // ID.
 func (h *HeightVals) CP(id int) int { return h.cp[id-h.base] }
 
-// Heights computes the paper's two priority functions over the
-// instructions of one block, considering only dependence successors
-// within the same block (§5.2):
+// HeightsInto computes the paper's two priority functions over the
+// instructions of one block into h, considering only dependence
+// successors within the same block (§5.2):
 //
 //	D(I)  = max over successors J of D(J) + d(I,J)            (delay heuristic)
 //	CP(I) = max over successors J of CP(J) + d(I,J), + E(I)   (critical path)
-func Heights(blk *ir.Block, ddg *DDG, mach *machine.Desc) HeightVals {
-	var h HeightVals
-	HeightsInto(&h, blk, ddg, mach)
-	return h
-}
-
-// HeightsInto is Heights computing into h, reusing its arrays when they
-// are large enough. The scheduler keeps one HeightVals per block in its
-// per-worker scratch, so steady-state height computation allocates
-// nothing.
+//
+// It reuses h's arrays when they are large enough. The scheduler keeps
+// one HeightVals per block in its per-worker scratch, so steady-state
+// height computation allocates nothing.
 func HeightsInto(h *HeightVals, blk *ir.Block, ddg *DDG, mach *machine.Desc) {
 	lo, hi := instrIDRange(blk)
 	n := hi - lo + 1

@@ -10,7 +10,7 @@ import (
 
 func TestDepKindStrings(t *testing.T) {
 	for k, want := range map[DepKind]string{
-		Flow: "flow", Anti: "anti", Output: "output", MemOrder: "mem",
+		depFlow: "flow", depAnti: "anti", depOutput: "output", depMem: "mem",
 	} {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", k, k, want)
@@ -60,19 +60,19 @@ func TestFrameAliasing(t *testing.T) {
 	gld := mkSym(ir.OpLoad)
 	gst := mkSym(ir.OpStore)
 
-	if MayAlias(s0, s4) {
+	if mayAlias(s0, s4) {
 		t.Error("distinct frame slots must not alias")
 	}
-	if !MayAlias(s0, l0) {
+	if !mayAlias(s0, l0) {
 		t.Error("same frame slot must alias")
 	}
-	if MayAlias(s0, gld) || MayAlias(s0, gst) {
+	if mayAlias(s0, gld) || mayAlias(s0, gst) {
 		t.Error("frame slots never alias global memory")
 	}
-	if MayAlias(s0, call) {
+	if mayAlias(s0, call) {
 		t.Error("calls cannot touch the caller's frame slots")
 	}
-	if !MayAlias(gst, call) {
+	if !mayAlias(gst, call) {
 		t.Error("calls alias global stores")
 	}
 }
@@ -87,8 +87,9 @@ func TestHeightsWithMultiCycleOps(t *testing.T) {
 	b.Ret(z)
 	f.ReindexBlocks()
 	mach := machine.RS6K()
-	ddg := BuildBlockDDG(blk, mach)
-	h := Heights(blk, ddg, mach)
+	ddg := NewBuilder().BuildBlockDDG(blk, mach)
+	var h HeightVals
+	HeightsInto(&h, blk, ddg, mach)
 	// CP(mul) >= MulTime + CP(add): the multi-cycle execution time
 	// enters the critical path.
 	if h.CP(mul.ID) < mach.MulTime+h.CP(add.ID) {

@@ -132,23 +132,23 @@ func TestBL1DataDependences(t *testing.T) {
 		}
 		return nil
 	}
-	if e := find(i1, i2, Anti); e == nil || e.Reg != paperex.RegA {
+	if e := find(i1, i2, depAnti); e == nil || e.Reg != paperex.RegA {
 		t.Errorf("missing anti (I1,I2) on r31: %+v", e)
 	}
 	// I1 is itself a load, so its flow edge to I3 carries the delayed
 	// load delay as well (the paper elides the edge as transitive for
 	// compile time; we keep it).
-	if e := find(i1, i3, Flow); e == nil || e.Delay != 1 {
+	if e := find(i1, i3, depFlow); e == nil || e.Delay != 1 {
 		t.Errorf("flow (I1,I3) should exist with delay 1: %+v", e)
 	}
-	if e := find(i2, i3, Flow); e == nil || e.Delay != 1 {
+	if e := find(i2, i3, depFlow); e == nil || e.Delay != 1 {
 		t.Errorf("flow (I2,I3) should carry the delayed-load delay 1: %+v", e)
 	}
-	if e := find(i3, i4, Flow); e == nil || e.Delay != 3 {
+	if e := find(i3, i4, depFlow); e == nil || e.Delay != 3 {
 		t.Errorf("flow (I3,I4) should carry the compare-branch delay 3: %+v", e)
 	}
 	// No load-load memory edge between I1 and I2.
-	if e := find(i1, i2, MemOrder); e != nil {
+	if e := find(i1, i2, depMem); e != nil {
 		t.Error("loads must not conflict with loads")
 	}
 }
@@ -165,7 +165,7 @@ func TestInterBlockDependences(t *testing.T) {
 	i12 := f.Blocks[6].Instrs[0]
 	var foundAnti, crossEdge bool
 	for _, e := range p.DDG.Succs[i5.ID] {
-		if e.To == i7 && e.Kind == Anti && e.Reg == paperex.RegMax {
+		if e.To == i7 && e.Kind == depAnti && e.Reg == paperex.RegMax {
 			foundAnti = true
 		}
 	}
@@ -190,7 +190,8 @@ func TestHeights(t *testing.T) {
 	p, f := minmaxPDG(t)
 	bl1 := f.Blocks[1]
 	ddg := p.DDG
-	h := Heights(bl1, ddg, machine.RS6K())
+	var h HeightVals
+	HeightsInto(&h, bl1, ddg, machine.RS6K())
 	i1, i2, i3, i4 := bl1.Instrs[0], bl1.Instrs[1], bl1.Instrs[2], bl1.Instrs[3]
 	if h.D(i4.ID) != 0 || h.CP(i4.ID) != 1 {
 		t.Errorf("I4: D=%d CP=%d, want 0,1", h.D(i4.ID), h.CP(i4.ID))
@@ -224,16 +225,16 @@ func TestMayAlias(t *testing.T) {
 	call := f.NewInstr(ir.OpCall)
 	call.Target = "print"
 
-	if MayAlias(la, sb) {
+	if mayAlias(la, sb) {
 		t.Error("distinct symbols must not alias")
 	}
-	if !MayAlias(la, sa) {
+	if !mayAlias(la, sa) {
 		t.Error("same symbol must alias")
 	}
-	if !MayAlias(la, su) {
+	if !mayAlias(la, su) {
 		t.Error("unknown symbol must alias")
 	}
-	if !MayAlias(sb, call) {
+	if !mayAlias(sb, call) {
 		t.Error("calls alias everything")
 	}
 }

@@ -123,16 +123,6 @@ var featureIndex = func() map[string]int {
 	return m
 }()
 
-// Names lists every accepted feature spelling (canonical names and
-// aliases), for documentation and error messages.
-func Names() []string {
-	out := make([]string, 0, len(featureIndex))
-	for n := range featureIndex {
-		out = append(out, n)
-	}
-	return out
-}
-
 // evalFn evaluates one compiled expression. Pair expressions read both
 // vectors; unary expressions read only x (y is then a zero vector).
 type evalFn func(x, y *Features) float64
@@ -204,9 +194,6 @@ func (p *Policy) Compare(x, y *Features, xpos, ypos int) int {
 const DefaultSource = "priority = tiers(y.class - x.class, " +
 	"select(x.spec && abs(x.prob - y.prob) > 0.25, x.prob - y.prob, 0), " +
 	"x.d - y.d, x.cp - y.cp, y.pos - x.pos)"
-
-// Default returns the compiled DefaultSource policy.
-func Default() *Policy { return MustParse(DefaultSource) }
 
 // maxSource bounds accepted program size; beyond it the content hash
 // would dominate any conceivable expression.

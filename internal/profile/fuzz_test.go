@@ -12,14 +12,14 @@ import (
 //
 //	go test -fuzz=FuzzProfile ./internal/profile
 func FuzzProfile(f *testing.F) {
-	f.Add(Header + "\n")
-	f.Add(Header + "\nmain 3 10 2\nmain 9 0 7\n")
-	f.Add(Header + "\n# comment\n\ndispatch 14 9223372036854775807 0\n")
-	f.Add(Header + "\nf 1 2 3\nf 1 4 5\n") // repeated key accumulates
+	f.Add(header + "\n")
+	f.Add(header + "\nmain 3 10 2\nmain 9 0 7\n")
+	f.Add(header + "\n# comment\n\ndispatch 14 9223372036854775807 0\n")
+	f.Add(header + "\nf 1 2 3\nf 1 4 5\n") // repeated key accumulates
 	f.Add("gsched-profile v2\nf 1 2 3\n")  // wrong version
-	f.Add(Header + "\nf -1 2 3\n")
-	f.Add(Header + "\nf 1 -2 3\nf")
-	f.Add(strings.Repeat(Header+"\n", 3))
+	f.Add(header + "\nf -1 2 3\n")
+	f.Add(header + "\nf 1 -2 3\nf")
+	f.Add(strings.Repeat(header+"\n", 3))
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Parse(src)
 		if err != nil {

@@ -97,8 +97,8 @@ func (p *Profile) Merge(other *Profile) {
 	}
 }
 
-// Header is the first line of the canonical text form.
-const Header = "gsched-profile v1"
+// header is the first line of the canonical text form.
+const header = "gsched-profile v1"
 
 // sortedKeys returns the branch keys in canonical order.
 func (p *Profile) sortedKeys() []Key {
@@ -119,7 +119,7 @@ func (p *Profile) sortedKeys() []Key {
 // extended slice. Equal profiles produce equal bytes, so the form is
 // safe to hash into content-addressed cache keys.
 func (p *Profile) AppendCanonical(b []byte) []byte {
-	b = append(b, Header...)
+	b = append(b, header...)
 	b = append(b, '\n')
 	if p == nil {
 		return b
@@ -150,8 +150,8 @@ func (p *Profile) Canonical() string {
 // overflow.
 func Parse(src string) (*Profile, error) {
 	lines := strings.Split(src, "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != Header {
-		return nil, fmt.Errorf("profile: missing %q header", Header)
+	if len(lines) == 0 || strings.TrimSpace(lines[0]) != header {
+		return nil, fmt.Errorf("profile: missing %q header", header)
 	}
 	p := New()
 	for ln, line := range lines[1:] {

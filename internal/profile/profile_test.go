@@ -46,7 +46,7 @@ func TestCanonicalParseRoundTrip(t *testing.T) {
 	p.Record("a", 1, false)
 
 	text := p.Canonical()
-	if !strings.HasPrefix(text, Header+"\n") {
+	if !strings.HasPrefix(text, header+"\n") {
 		t.Fatalf("canonical form missing header:\n%s", text)
 	}
 	q, err := Parse(text)
@@ -78,14 +78,14 @@ func TestParseRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",                                        // no header
 		"gsched-profile v2\n",                     // wrong version
-		Header + "\nf 1 2\n",                      // short line
-		Header + "\nf 1 2 3 4\n",                  // long line
-		Header + "\nf x 2 3\n",                    // bad id
-		Header + "\nf -1 2 3\n",                   // negative id
-		Header + "\nf 1 -2 3\n",                   // negative taken
-		Header + "\nf 1 2 -3\n",                   // negative not-taken
-		Header + "\nf 1 99999999999999999999 0\n", // overflow int64
-		Header + "\nf 1 9223372036854775807 0\nf 1 1 0\n", // accumulate overflow
+		header + "\nf 1 2\n",                      // short line
+		header + "\nf 1 2 3 4\n",                  // long line
+		header + "\nf x 2 3\n",                    // bad id
+		header + "\nf -1 2 3\n",                   // negative id
+		header + "\nf 1 -2 3\n",                   // negative taken
+		header + "\nf 1 2 -3\n",                   // negative not-taken
+		header + "\nf 1 99999999999999999999 0\n", // overflow int64
+		header + "\nf 1 9223372036854775807 0\nf 1 1 0\n", // accumulate overflow
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -95,7 +95,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 }
 
 func TestParseAcceptsCommentsAndAccumulates(t *testing.T) {
-	p, err := Parse(Header + "\n# comment\n\nf 1 2 3\nf 1 1 1\n")
+	p, err := Parse(header + "\n# comment\n\nf 1 2 3\nf 1 1 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}

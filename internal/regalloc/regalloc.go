@@ -52,11 +52,11 @@ type Stats struct {
 	UsedCRs  int
 }
 
-// Func allocates registers for one function in place. Condition
+// allocateFunc allocates registers for one function in place. Condition
 // registers cannot be spilled (the machine has no CR loads); if the CR
 // pressure exceeds the limit an error is returned — in practice renaming
 // never produces more than a handful of simultaneously-live CRs.
-func Func(f *ir.Func, lim Limits) (Stats, error) {
+func allocateFunc(f *ir.Func, lim Limits) (Stats, error) {
 	var st Stats
 	noSpill := make(map[ir.Reg]bool) // reload/store temps: spilling them cannot help
 	for round := 0; ; round++ {
@@ -83,7 +83,7 @@ func Func(f *ir.Func, lim Limits) (Stats, error) {
 func Program(p *ir.Program, lim Limits) (Stats, error) {
 	var st Stats
 	for _, f := range p.Funcs {
-		s, err := Func(f, lim)
+		s, err := allocateFunc(f, lim)
 		if err != nil {
 			return st, err
 		}

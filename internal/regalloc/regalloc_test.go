@@ -42,7 +42,7 @@ func checkBounds(t *testing.T, f *ir.Func, lim Limits) {
 
 func TestAllocateMinMax(t *testing.T) {
 	prog, f := paperex.MinMax()
-	st, err := Func(f, RS6K())
+	st, err := allocateFunc(f, RS6K())
 	if err != nil {
 		t.Fatalf("Func: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestAllocationAfterScheduling(t *testing.T) {
 	if _, err := xform.RunCtx(context.Background(), f, core.Defaults(machine.RS6K(), core.LevelSpeculative), xform.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Func(f, RS6K())
+	st, err := allocateFunc(f, RS6K())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ int f(int a, int b) {
 	}
 	lim := Limits{GPRs: 4, CRs: 8}
 	f := prog.Func("f")
-	st, err := Func(f, lim)
+	st, err := allocateFunc(f, lim)
 	if err != nil {
 		t.Fatalf("Func: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestCopyCoalescingOpportunity(t *testing.T) {
 	b.LR(r2, r1)
 	b.Ret(r2)
 	f.ReindexBlocks()
-	if _, err := Func(f, Limits{GPRs: 1, CRs: 1}); err != nil {
+	if _, err := allocateFunc(f, Limits{GPRs: 1, CRs: 1}); err != nil {
 		t.Fatalf("copy chain should fit one register: %v\n%s", err, f)
 	}
 	checkBounds(t, f, Limits{GPRs: 1, CRs: 1})

@@ -62,7 +62,7 @@ func checkBlockDrift(t *testing.T, seed int64, pass int, fn string, bi int, b *i
 
 	model := closure(schedmodel.DepMatrix(ref))
 
-	ddg := pdg.BuildBlockDDG(b, mach)
+	ddg := pdg.NewBuilder().BuildBlockDDG(b, mach)
 	pos := make(map[int]int, n)
 	for k, i := range ref {
 		pos[i.ID] = k

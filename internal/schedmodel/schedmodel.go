@@ -42,15 +42,15 @@ func Depends(a, b *ir.Instr) bool {
 		}
 	}
 	if a.Op.TouchesMemory() && b.Op.TouchesMemory() &&
-		!(a.Op.IsLoad() && b.Op.IsLoad()) && MayAlias(a, b) {
+		!(a.Op.IsLoad() && b.Op.IsLoad()) && mayAlias(a, b) {
 		return true
 	}
 	return false
 }
 
-// MayAlias conservatively decides whether two memory-touching
+// mayAlias conservatively decides whether two memory-touching
 // instructions can access a common location.
-func MayAlias(a, b *ir.Instr) bool {
+func mayAlias(a, b *ir.Instr) bool {
 	if a.Op == ir.OpCall || b.Op == ir.OpCall {
 		other := a
 		if a.Op == ir.OpCall {

@@ -34,7 +34,7 @@ func TestBatchMatchesSingleRequests(t *testing.T) {
 		t.Fatalf("single request 1: status %d: %s", resp1.StatusCode, single1)
 	}
 
-	batch := BatchRequest{Units: []Request{
+	batch := batchRequest{Units: []Request{
 		{Source: testSrc},     // duplicate of the pre-served request: hit
 		{Source: testSrc2},    // fresh: miss
 		{Source: "int main("}, // malformed: per-unit 400
@@ -47,7 +47,7 @@ func TestBatchMatchesSingleRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
 	}
-	var br BatchResponse
+	var br batchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestBatchOptimalUnitMatchesSingleRequest(t *testing.T) {
 	waitJob(t, ts, ar.Job.ID)
 	single, singleBody := post(t, ts, &req)
 
-	resp, body, err := rawPost(ts.URL+"/schedule/batch", mustJSON(t, &BatchRequest{Units: []Request{req}}))
+	resp, body, err := rawPost(ts.URL+"/schedule/batch", mustJSON(t, &batchRequest{Units: []Request{req}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br BatchResponse
+	var br batchResponse
 	if err := json.Unmarshal(body, &br); err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != 1 {
 		t.Fatalf("batch: status %d, err %v: %s", resp.StatusCode, err, body)
 	}
@@ -138,7 +138,7 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 		t.Errorf("empty batch: status %d (%s), want 400", resp.StatusCode, body)
 	}
 
-	over := BatchRequest{Units: make([]Request, maxBatchUnits+1)}
+	over := batchRequest{Units: make([]Request, maxBatchUnits+1)}
 	for i := range over.Units {
 		over.Units[i].Source = testSrc
 	}

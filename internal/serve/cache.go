@@ -10,12 +10,12 @@ import (
 	"sync/atomic"
 )
 
-// Key is a content address: the SHA-256 of the canonicalized request
+// cacheKey is a content address: the SHA-256 of the canonicalized request
 // (program × machine × options). Two requests whose inputs are
 // semantically equal — same ir.EqualPrograms-canonical program, same
-// machine parameters, same scheduling options — produce the same Key
+// machine parameters, same scheduling options — produce the same cacheKey
 // even if their textual sources differ.
-type Key [32]byte
+type cacheKey [32]byte
 
 // entryOverhead approximates the fixed per-entry bookkeeping bytes
 // beyond key and body: the cacheEntry header, the list.Element, and the
@@ -26,10 +26,10 @@ const entryOverhead = 128
 
 // entryCost is what one cached body charges against the byte cap.
 func entryCost(body []byte) int64 {
-	return int64(len(body)) + int64(len(Key{})) + entryOverhead
+	return int64(len(body)) + int64(len(cacheKey{})) + entryOverhead
 }
 
-// Cache is a bounded, LRU-evicting, content-addressed store of finished
+// memCache is a bounded, LRU-evicting, content-addressed store of finished
 // response bodies. All methods are safe for concurrent use. Eviction is
 // by total accounted bytes — body plus key plus fixed per-entry
 // overhead — not entry count: scheduling results vary from a few
@@ -40,12 +40,12 @@ func entryCost(body []byte) int64 {
 // text and shrinks several-fold) but charged at their uncompressed
 // size, so the cap, the eviction order and the accounted bytes are
 // those of the plain bodies; resident counts what is actually held.
-type Cache struct {
+type memCache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
 	resident int64 // compressed bytes held
-	entries  map[Key]*list.Element
+	entries  map[cacheKey]*list.Element
 	lru      *list.List // front = most recently used
 
 	hits      atomic.Int64
@@ -54,7 +54,7 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key  Key
+	key  cacheKey
 	size int    // uncompressed body length
 	cost int64  // entryCost of the uncompressed body
 	data []byte // the body, flate-compressed
@@ -109,19 +109,19 @@ func (e *cacheEntry) decompress() []byte {
 	return out
 }
 
-// NewCache returns a cache bounded to maxBytes of accounted entry
+// newMemCache returns a cache bounded to maxBytes of accounted entry
 // bytes. maxBytes <= 0 means unbounded.
-func NewCache(maxBytes int64) *Cache {
-	return &Cache{
+func newMemCache(maxBytes int64) *memCache {
+	return &memCache{
 		maxBytes: maxBytes,
-		entries:  make(map[Key]*list.Element),
+		entries:  make(map[cacheKey]*list.Element),
 		lru:      list.New(),
 	}
 }
 
 // Get returns the stored body for key, updating the hit/miss counters
 // and the LRU order. The returned slice is a fresh copy the caller owns.
-func (c *Cache) Get(key Key) ([]byte, bool) {
+func (c *memCache) Get(key cacheKey) ([]byte, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
@@ -140,7 +140,7 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 // for callers that already counted a miss for this request (the
 // single-flight leader re-checks after acquiring a worker slot, in case
 // an earlier flight stored the entry meanwhile).
-func (c *Cache) Peek(key Key) ([]byte, bool) {
+func (c *memCache) Peek(key cacheKey) ([]byte, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	c.mu.Unlock()
@@ -155,7 +155,7 @@ func (c *Cache) Peek(key Key) ([]byte, bool) {
 // is not stored. Storing an existing key refreshes its position but
 // keeps the first body: results are deterministic in the key, so both
 // bodies are identical by construction.
-func (c *Cache) Put(key Key, body []byte) {
+func (c *memCache) Put(key cacheKey, body []byte) {
 	cost := entryCost(body)
 	if c.maxBytes > 0 && cost > c.maxBytes {
 		return
@@ -184,8 +184,8 @@ func (c *Cache) Put(key Key, body []byte) {
 	}
 }
 
-// CacheStats is a point-in-time snapshot of the cache counters.
-type CacheStats struct {
+// cacheStats is a point-in-time snapshot of the cache counters.
+type cacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
@@ -197,11 +197,11 @@ type CacheStats struct {
 // Stats snapshots the counters and current size. Bytes is the
 // accounted size (uncompressed bodies plus keys plus per-entry
 // overhead); Resident is the compressed body bytes actually held.
-func (c *Cache) Stats() CacheStats {
+func (c *memCache) Stats() cacheStats {
 	c.mu.Lock()
 	bytes, resident, entries := c.bytes, c.resident, len(c.entries)
 	c.mu.Unlock()
-	return CacheStats{
+	return cacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
@@ -217,7 +217,7 @@ func (c *Cache) Stats() CacheStats {
 const memoCap = 1 << 16
 
 // keyMemo maps the SHA-256 of a raw /schedule request body to the
-// content Key that body resolved to, so a repeated body reaches the
+// content cacheKey that body resolved to, so a repeated body reaches the
 // store without decoding, compiling, canonicalizing or hashing the
 // program again. resolve is a pure function of the body and the
 // server's fixed Config, so the memoized key is exactly the one the
@@ -227,15 +227,15 @@ const memoCap = 1 << 16
 // field order) only takes the full path once more.
 type keyMemo struct {
 	mu   sync.Mutex
-	keys map[[sha256.Size]byte]Key
+	keys map[[sha256.Size]byte]cacheKey
 	hits atomic.Int64
 }
 
 func newKeyMemo() *keyMemo {
-	return &keyMemo{keys: make(map[[sha256.Size]byte]Key)}
+	return &keyMemo{keys: make(map[[sha256.Size]byte]cacheKey)}
 }
 
-func (m *keyMemo) get(body [sha256.Size]byte) (Key, bool) {
+func (m *keyMemo) get(body [sha256.Size]byte) (cacheKey, bool) {
 	m.mu.Lock()
 	key, ok := m.keys[body]
 	m.mu.Unlock()
@@ -245,10 +245,10 @@ func (m *keyMemo) get(body [sha256.Size]byte) (Key, bool) {
 	return key, ok
 }
 
-func (m *keyMemo) put(body [sha256.Size]byte, key Key) {
+func (m *keyMemo) put(body [sha256.Size]byte, key cacheKey) {
 	m.mu.Lock()
 	if len(m.keys) >= memoCap {
-		m.keys = make(map[[sha256.Size]byte]Key)
+		m.keys = make(map[[sha256.Size]byte]cacheKey)
 	}
 	m.keys[body] = key
 	m.mu.Unlock()
@@ -268,16 +268,16 @@ type flight struct {
 // retained past the flight — the cache is the durable store.
 type flightGroup struct {
 	mu      sync.Mutex
-	flights map[Key]*flight
+	flights map[cacheKey]*flight
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{flights: make(map[Key]*flight)}
+	return &flightGroup{flights: make(map[cacheKey]*flight)}
 }
 
 // join returns the flight for key and whether the caller is its leader.
 // The leader MUST call leave with the result when done, even on error.
-func (g *flightGroup) join(key Key) (*flight, bool) {
+func (g *flightGroup) join(key cacheKey) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if fl, ok := g.flights[key]; ok {
@@ -291,14 +291,14 @@ func (g *flightGroup) join(key Key) (*flight, bool) {
 // current returns the in-progress flight for key, or nil. The peer
 // protocol's read path uses it to park a peer on a computation this
 // node already started instead of telling it to duplicate the work.
-func (g *flightGroup) current(key Key) *flight {
+func (g *flightGroup) current(key cacheKey) *flight {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.flights[key]
 }
 
 // leave publishes the leader's result and wakes the followers.
-func (g *flightGroup) leave(key Key, fl *flight, body []byte, err error) {
+func (g *flightGroup) leave(key cacheKey, fl *flight, body []byte, err error) {
 	g.mu.Lock()
 	delete(g.flights, key)
 	g.mu.Unlock()

@@ -128,8 +128,8 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	if cost := entryCost(body); cost != 208 {
 		t.Fatalf("entryCost(48-byte body) = %d, want 208", cost)
 	}
-	c := NewCache(cap)
-	var keys [10]Key
+	c := newMemCache(cap)
+	var keys [10]cacheKey
 	for i := range keys {
 		keys[i][0] = byte(i)
 		c.Put(keys[i], body)
@@ -155,8 +155,8 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	// A body whose accounted cost alone exceeds the cap is refused, and
 	// refusing it neither evicts nor changes the accounted size.
 	before := c.Stats()
-	c.Put(Key{0xff}, bytes.Repeat([]byte{'y'}, cap))
-	if _, ok := c.Peek(Key{0xff}); ok {
+	c.Put(cacheKey{0xff}, bytes.Repeat([]byte{'y'}, cap))
+	if _, ok := c.Peek(cacheKey{0xff}); ok {
 		t.Error("oversized body was cached")
 	}
 	if after := c.Stats(); after.Bytes != before.Bytes || after.Evictions != before.Evictions {
@@ -172,11 +172,11 @@ func TestCacheCompressedRoundTrip(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i*i>>7) ^ byte(i)
 	}
-	c := NewCache(0)
+	c := newMemCache(0)
 	for i, body := range [][]byte{{}, {'x'}, big} {
-		key := Key{byte(i)}
+		key := cacheKey{byte(i)}
 		c.Put(key, body)
-		for _, lookup := range []func(Key) ([]byte, bool){c.Get, c.Peek} {
+		for _, lookup := range []func(cacheKey) ([]byte, bool){c.Get, c.Peek} {
 			got, ok := lookup(key)
 			if !ok || !bytes.Equal(got, body) {
 				t.Fatalf("%d-byte body: got %d bytes, ok=%t", len(body), len(got), ok)

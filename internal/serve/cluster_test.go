@@ -35,7 +35,7 @@ func startTestCluster(t *testing.T, n int, cfg Config, dirs []string) *Cluster {
 // sourceOwnedBy searches progen seeds for a program whose content key
 // the given node owns, so routing tests are deterministic instead of
 // probabilistic.
-func sourceOwnedBy(t *testing.T, peer *PeerStore, owner string, seedBase int64) (string, Key) {
+func sourceOwnedBy(t *testing.T, peer *peerStore, owner string, seedBase int64) (string, cacheKey) {
 	t.Helper()
 	for seed := seedBase; seed < seedBase+1000; seed++ {
 		src := progen.New(seed).Source
@@ -48,7 +48,7 @@ func sourceOwnedBy(t *testing.T, peer *PeerStore, owner string, seedBase int64) 
 		}
 	}
 	t.Fatalf("no program owned by %s in 1000 seeds", owner)
-	return "", Key{}
+	return "", cacheKey{}
 }
 
 // TestClusterByteIdenticalToSingleNode is the core consistency claim:
@@ -87,7 +87,7 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clustered.CheckCounters(SumMetrics(scrapes...)); err != nil {
+	if err := clustered.CheckCounters(sumMetrics(scrapes...)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -282,4 +282,18 @@ func TestClusterKillRestartWarmStart(t *testing.T) {
 	if after.DiskHeaders == 0 {
 		t.Fatalf("post-restart run saw no disk hits: %+v", after)
 	}
+}
+
+// sumMetrics adds per-series values across several scrapes: the
+// cluster-wide view. Counter identities that hold per node (each
+// request is counted exactly once, on exactly one node) survive the
+// sum, so CheckCounters accepts the aggregate.
+func sumMetrics(ms ...map[string]float64) map[string]float64 {
+	out := make(map[string]float64)
+	for _, m := range ms {
+		for k, v := range m {
+			out[k] += v
+		}
+	}
+	return out
 }

@@ -39,15 +39,15 @@ const (
 	tempPattern = ".tmp-*"
 )
 
-// DiskStore is the persistent tier: size-capped, LRU-evicting (by
+// diskStore is the persistent tier: size-capped, LRU-evicting (by
 // in-memory access order, seeded from file mtimes at startup),
 // content-addressed files. All methods are safe for concurrent use.
-type DiskStore struct {
+type diskStore struct {
 	dir      string
 	maxBytes int64
 
 	mu      sync.Mutex
-	entries map[Key]*list.Element
+	entries map[cacheKey]*list.Element
 	lru     *list.List // front = most recently used
 	bytes   int64
 
@@ -62,24 +62,24 @@ type DiskStore struct {
 }
 
 type diskEntry struct {
-	key  Key
+	key  cacheKey
 	size int64 // full file size (frame + body)
 }
 
-// NewDiskStore opens (creating if needed) the store rooted at dir,
+// newDiskStore opens (creating if needed) the store rooted at dir,
 // bounded to maxBytes of file bytes (<=0 means unbounded), and runs
 // the recovery scan: temp files are deleted, every entry's frame is
 // verified, corrupt entries are deleted, and the survivors seed the
 // LRU in mtime order. The scan reads every file once — the price of
 // the guarantee that nothing corrupt is ever served.
-func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
+func newDiskStore(dir string, maxBytes int64) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache dir: %w", err)
 	}
-	d := &DiskStore{
+	d := &diskStore{
 		dir:      dir,
 		maxBytes: maxBytes,
-		entries:  make(map[Key]*list.Element),
+		entries:  make(map[cacheKey]*list.Element),
 		lru:      list.New(),
 	}
 	if err := d.scan(); err != nil {
@@ -89,10 +89,8 @@ func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 	return d, nil
 }
 
-func (d *DiskStore) Tier() string { return "disk" }
-
 // path returns dir/ab/<64 hex chars>.e for the key.
-func (d *DiskStore) path(key Key) string {
+func (d *diskStore) path(key cacheKey) string {
 	hexKey := hex.EncodeToString(key[:])
 	return filepath.Join(d.dir, hexKey[:2], hexKey+entrySuffix)
 }
@@ -133,7 +131,7 @@ func unframe(raw []byte) ([]byte, error) {
 // scan recovers the index from the directory tree: sweep temp files,
 // verify every entry, delete the corrupt, seed the LRU oldest-first
 // from mtimes.
-func (d *DiskStore) scan() error {
+func (d *diskStore) scan() error {
 	type found struct {
 		e     diskEntry
 		mtime int64
@@ -163,7 +161,7 @@ func (d *DiskStore) scan() error {
 			}
 			keyHex, isEntry := trimSuffix(name, entrySuffix)
 			keyBytes, err := hex.DecodeString(keyHex)
-			if !isEntry || err != nil || len(keyBytes) != len(Key{}) {
+			if !isEntry || err != nil || len(keyBytes) != len(cacheKey{}) {
 				os.Remove(p) // not ours; a cache dir holds only entries
 				d.dropped++
 				continue
@@ -183,7 +181,7 @@ func (d *DiskStore) scan() error {
 				d.scanErr = err
 				continue
 			}
-			var key Key
+			var key cacheKey
 			copy(key[:], keyBytes)
 			valid = append(valid, found{
 				e:     diskEntry{key: key, size: int64(len(raw))},
@@ -211,17 +209,17 @@ func trimSuffix(s, suffix string) (string, bool) {
 // Get returns the body for key, counting a hit or miss and refreshing
 // the LRU position. A corrupt or unreadable file is deleted and
 // reported as a miss.
-func (d *DiskStore) Get(ctx context.Context, key Key) ([]byte, bool) {
+func (d *diskStore) Get(ctx context.Context, key cacheKey) ([]byte, bool) {
 	body, ok := d.read(key, true)
 	return body, ok
 }
 
 // Peek is Get without hit/miss counters or LRU movement.
-func (d *DiskStore) Peek(ctx context.Context, key Key) ([]byte, bool) {
+func (d *diskStore) Peek(ctx context.Context, key cacheKey) ([]byte, bool) {
 	return d.read(key, false)
 }
 
-func (d *DiskStore) read(key Key, counted bool) ([]byte, bool) {
+func (d *diskStore) read(key cacheKey, counted bool) ([]byte, bool) {
 	d.mu.Lock()
 	el, ok := d.entries[key]
 	if ok && counted {
@@ -262,7 +260,7 @@ func (d *DiskStore) read(key Key, counted bool) ([]byte, bool) {
 
 // drop removes key from the index (the file is the caller's problem)
 // and counts an error.
-func (d *DiskStore) drop(key Key, _ error) {
+func (d *diskStore) drop(key cacheKey, _ error) {
 	d.errors.Add(1)
 	d.mu.Lock()
 	if el, ok := d.entries[key]; ok {
@@ -277,7 +275,7 @@ func (d *DiskStore) drop(key Key, _ error) {
 // atomic rename → index insert → evict over cap. Storing an existing
 // key is a no-op (bodies are deterministic in the key). A body larger
 // than the whole cap is declined.
-func (d *DiskStore) Put(ctx context.Context, key Key, body []byte) {
+func (d *diskStore) Put(ctx context.Context, key cacheKey, body []byte) {
 	raw := frame(body)
 	if d.maxBytes > 0 && int64(len(raw)) > d.maxBytes {
 		return
@@ -325,7 +323,7 @@ func (d *DiskStore) Put(ctx context.Context, key Key, body []byte) {
 
 // evictOver deletes least-recently-used entries until the byte cap
 // holds.
-func (d *DiskStore) evictOver() {
+func (d *diskStore) evictOver() {
 	if d.maxBytes <= 0 {
 		return
 	}
@@ -352,11 +350,11 @@ func (d *DiskStore) evictOver() {
 
 // Stats snapshots the tier counters. Bytes counts file bytes (frame
 // included), the honest disk footprint.
-func (d *DiskStore) Stats() StoreStats {
+func (d *diskStore) Stats() tierStats {
 	d.mu.Lock()
 	bytes, entries := d.bytes, len(d.entries)
 	d.mu.Unlock()
-	return StoreStats{
+	return tierStats{
 		Tier:      "disk",
 		Hits:      d.hits.Load(),
 		Misses:    d.misses.Load(),
@@ -370,10 +368,10 @@ func (d *DiskStore) Stats() StoreStats {
 
 // Recovered reports the startup scan's outcome: entries restored and
 // corrupt/stray files deleted.
-func (d *DiskStore) Recovered() (valid, dropped int) {
+func (d *diskStore) Recovered() (valid, dropped int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.scanned, d.dropped
 }
 
-func (d *DiskStore) Close() error { return nil }
+func (d *diskStore) Close() error { return nil }

@@ -70,9 +70,9 @@ func FuzzRequest(f *testing.F) {
 		first := serveRaw(s, path, body)
 		checkAnswer(t, path, first.Code, first.Body.Bytes())
 		if batch && first.Code == http.StatusOK {
-			var br BatchResponse
+			var br batchResponse
 			if err := json.Unmarshal(first.Body.Bytes(), &br); err != nil {
-				t.Fatalf("batch answer is not a BatchResponse: %v: %s", err, first.Body)
+				t.Fatalf("batch answer is not a batchResponse: %v: %s", err, first.Body)
 			}
 			for _, u := range br.Results {
 				checkAnswer(t, "batch unit", u.Status, u.Body)
@@ -93,7 +93,7 @@ func FuzzRequest(f *testing.F) {
 func setsTimeout(batch bool, body []byte) bool {
 	var units []Request
 	if batch {
-		var br BatchRequest
+		var br batchRequest
 		if json.Unmarshal(body, &br) != nil {
 			return false
 		}
@@ -119,7 +119,7 @@ func checkAnswer(t *testing.T, what string, code int, body []byte) {
 	switch {
 	case code >= 200 && code < 300:
 	case code >= 400 && code < 500:
-		var e ErrorResponse
+		var e errorResponse
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Fatalf("%s: %d without a JSON error: %s", what, code, body)
 		}

@@ -13,7 +13,7 @@ import (
 // server answers immediately and enqueues the exact run as a job on its
 // own bounded queue with its own workers — the synchronous pool stays
 // isolated from search time. Jobs are identified by the request's
-// content-addressed Key, which buys deduplication (resubmitting an
+// content-addressed cacheKey, which buys deduplication (resubmitting an
 // identical request joins the existing job) and a forever-cache (a
 // finished job's bytes are kept for every future poll): these results
 // are expensive and deterministic in the key, so they are never
@@ -28,11 +28,11 @@ const (
 )
 
 // String renders the key as the job id used by the HTTP API.
-func (k Key) String() string { return hex.EncodeToString(k[:]) }
+func (k cacheKey) String() string { return hex.EncodeToString(k[:]) }
 
-// parseJobID inverts Key.String.
-func parseJobID(id string) (Key, error) {
-	var k Key
+// parseJobID inverts cacheKey.String.
+func parseJobID(id string) (cacheKey, error) {
+	var k cacheKey
 	b, err := hex.DecodeString(id)
 	if err != nil || len(b) != len(k) {
 		return k, fmt.Errorf("job id must be %d hex characters", 2*len(k))
@@ -41,12 +41,12 @@ func parseJobID(id string) (Key, error) {
 	return k, nil
 }
 
-// ExactStats is a point-in-time snapshot of the job-layer counters.
+// exactStats is a point-in-time snapshot of the job-layer counters.
 // Every submission lands in exactly one of Queued, Running, Completed
 // or Failed, so Submitted == Completed + Failed + Queued + Running at
 // every instant; Deduped and Rejected count turned-away POSTs and are
 // outside that balance.
-type ExactStats struct {
+type exactStats struct {
 	Submitted int64 // jobs accepted onto the queue (including retries of failed jobs)
 	Deduped   int64 // submissions that joined an existing queued/running/done job
 	Rejected  int64 // submissions refused: queue full or manager closed
@@ -64,7 +64,7 @@ type ExactStats struct {
 
 // exactJob is one job's record; guarded by the manager's mutex.
 type exactJob struct {
-	key    Key
+	key    cacheKey
 	spec   *job // the resolved request the exact run replays
 	state  string
 	body   []byte // jobDone: the response bytes, kept forever
@@ -88,13 +88,13 @@ type jobManager struct {
 	// lookup consults the store stack without request-path accounting;
 	// persist stores a finished result everywhere. Either may be nil
 	// (manager without a store).
-	lookup  func(key Key) ([]byte, bool)
-	persist func(key Key, body []byte)
+	lookup  func(key cacheKey) ([]byte, bool)
+	persist func(key cacheKey, body []byte)
 
 	mu     sync.Mutex
-	jobs   map[Key]*exactJob
+	jobs   map[cacheKey]*exactJob
 	closed bool
-	stats  ExactStats
+	stats  exactStats
 }
 
 func newJobManager(workers, depth int, timeout time.Duration,
@@ -105,7 +105,7 @@ func newJobManager(workers, depth int, timeout time.Duration,
 		stop:    make(chan struct{}),
 		timeout: timeout,
 		run:     run,
-		jobs:    make(map[Key]*exactJob),
+		jobs:    make(map[cacheKey]*exactJob),
 	}
 	m.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -122,7 +122,7 @@ func newJobManager(workers, depth int, timeout time.Duration,
 // proven result already sits in the store stack (an earlier process,
 // another node) is recorded done immediately — warm keys run zero
 // searches.
-func (m *jobManager) submit(key Key, spec *job) (state string, ok bool) {
+func (m *jobManager) submit(key cacheKey, spec *job) (state string, ok bool) {
 	m.mu.Lock()
 	if m.closed {
 		m.stats.Rejected++
@@ -185,7 +185,7 @@ func (m *jobManager) submit(key Key, spec *job) (state string, ok bool) {
 // An id this process has never seen may still name a finished job —
 // one completed before a restart or on another node — so an unknown
 // key falls back to the store stack before answering "no such job".
-func (m *jobManager) get(key Key) (state string, body []byte, errMsg string, ok bool) {
+func (m *jobManager) get(key cacheKey) (state string, body []byte, errMsg string, ok bool) {
 	m.mu.Lock()
 	ej := m.jobs[key]
 	m.mu.Unlock()
@@ -212,7 +212,7 @@ func (m *jobManager) get(key Key) (state string, body []byte, errMsg string, ok 
 }
 
 // snapshot samples the counters for the metrics endpoint.
-func (m *jobManager) snapshot() ExactStats {
+func (m *jobManager) snapshot() exactStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats

@@ -17,7 +17,7 @@ import (
 )
 
 // getJob polls GET /jobs/{id} once.
-func getJob(t *testing.T, ts *httptest.Server, id string) (*http.Response, *JobResponse, []byte) {
+func getJob(t *testing.T, ts *httptest.Server, id string) (*http.Response, *jobResponse, []byte) {
 	t.Helper()
 	resp, err := httpClient.Get(ts.URL + "/jobs/" + id)
 	if err != nil {
@@ -28,7 +28,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string) (*http.Response, *JobR
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jr JobResponse
+	var jr jobResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(body, &jr); err != nil {
 			t.Fatalf("jobs body: %v: %s", err, body)
@@ -38,7 +38,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string) (*http.Response, *JobR
 }
 
 // waitJob polls until the job reaches a terminal state.
-func waitJob(t *testing.T, ts *httptest.Server, id string) *JobResponse {
+func waitJob(t *testing.T, ts *httptest.Server, id string) *jobResponse {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -57,13 +57,13 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) *JobResponse {
 }
 
 // postAsync POSTs a level=optimal request and decodes the 202 body.
-func postAsync(t *testing.T, ts *httptest.Server, req *Request) (*http.Response, *AsyncResponse) {
+func postAsync(t *testing.T, ts *httptest.Server, req *Request) (*http.Response, *asyncResponse) {
 	t.Helper()
 	resp, body := post(t, ts, req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("optimal POST: status %d: %s", resp.StatusCode, body)
 	}
-	var ar AsyncResponse
+	var ar asyncResponse
 	if err := json.Unmarshal(body, &ar); err != nil {
 		t.Fatalf("async body: %v: %s", err, body)
 	}
@@ -316,7 +316,7 @@ func TestSoakExactMetricsReconcile(t *testing.T) {
 				switch resp.StatusCode {
 				case http.StatusAccepted:
 					accepted++
-					var ar AsyncResponse
+					var ar asyncResponse
 					if err := json.Unmarshal(body, &ar); err != nil {
 						t.Errorf("async body: %v", err)
 					} else {

@@ -276,11 +276,11 @@ func Scrape(url string) (map[string]float64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("metrics: status %d", resp.StatusCode)
 	}
-	return ParseMetrics(resp.Body)
+	return parseMetrics(resp.Body)
 }
 
-// ParseMetrics parses Prometheus text exposition into series -> value.
-func ParseMetrics(r io.Reader) (map[string]float64, error) {
+// parseMetrics parses Prometheus text exposition into series -> value.
+func parseMetrics(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -302,22 +302,8 @@ func ParseMetrics(r io.Reader) (map[string]float64, error) {
 	return out, sc.Err()
 }
 
-// SumMetrics adds per-series values across several scrapes: the
-// cluster-wide view. Counter identities that hold per node (each
-// request is counted exactly once, on exactly one node) survive the
-// sum, so CheckCounters accepts the aggregate.
-func SumMetrics(ms ...map[string]float64) map[string]float64 {
-	out := make(map[string]float64)
-	for _, m := range ms {
-		for k, v := range m {
-			out[k] += v
-		}
-	}
-	return out
-}
-
 // CheckCounters validates the scraped metrics of a freshly booted
-// server (or the SumMetrics aggregate of a freshly booted cluster)
+// server (or the per-series sum over a freshly booted cluster)
 // against this run's tallies:
 //
 //   - every request that reached the store (200, 504, 500, 422) is

@@ -181,7 +181,7 @@ func TestMemoLedgerAfterEviction(t *testing.T) {
 			if got := s.memo.hits.Load(); got != 5 {
 				t.Errorf("memo hits = %d, want 5", got)
 			}
-			if ev := s.CacheStats().Evictions; ev < 2 {
+			if ev := memoryStats(s).Evictions; ev < 2 {
 				t.Errorf("evictions = %d: the cap did not force memo-hit-then-evicted", ev)
 			}
 			m, err := Scrape(ts.URL + "/metrics")
@@ -239,7 +239,7 @@ func TestMemoConcurrent(t *testing.T) {
 	if s.memo.hits.Load() == 0 {
 		t.Error("no request went through the memo")
 	}
-	if s.CacheStats().Evictions == 0 {
+	if memoryStats(s).Evictions == 0 {
 		t.Error("the cap evicted nothing")
 	}
 }

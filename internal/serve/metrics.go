@@ -21,7 +21,7 @@ var latencyBuckets = [...]float64{
 const numBuckets = len(latencyBuckets) + 1
 
 // histogram is a fixed-bucket latency histogram. It is guarded by the
-// owning Metrics mutex.
+// owning metricsRegistry mutex.
 type histogram struct {
 	counts [numBuckets]int64 // last bucket = +Inf
 	sum    float64
@@ -35,10 +35,10 @@ func (h *histogram) observe(seconds float64) {
 	h.total++
 }
 
-// Metrics accumulates the serving counters and renders them in the
+// metricsRegistry accumulates the serving counters and renders them in the
 // Prometheus text exposition format. All methods are safe for
 // concurrent use.
-type Metrics struct {
+type metricsRegistry struct {
 	mu        sync.Mutex
 	requests  map[string]map[int]int64 // endpoint -> status code -> count
 	latencies map[string]*histogram    // endpoint -> latency histogram
@@ -51,13 +51,13 @@ type Metrics struct {
 	scheduleRuns func() int64
 	sfWaits      func() int64
 
-	cache *Cache
+	cache *memCache
 	trace *core.Trace
 
 	// stores samples every store tier's counters; replications and
 	// computes sample the stack-level counters. All nil for servers
 	// without a store.
-	stores       func() []StoreStats
+	stores       func() []tierStats
 	replications func() int64
 	computes     func() int64
 	// memoHits samples the key memo's hits (nil without a store).
@@ -65,13 +65,13 @@ type Metrics struct {
 
 	// exact samples the exact tier's async job-manager counters; nil
 	// for servers without a job manager.
-	exact func() ExactStats
+	exact func() exactStats
 }
 
-// NewMetrics returns an empty registry. cache and trace may be nil;
+// newMetrics returns an empty registry. cache and trace may be nil;
 // the sampling funcs may be nil for servers without a pool.
-func NewMetrics(cache *Cache, trace *core.Trace, queueDepth, inflight, scheduleRuns, sfWaits func() int64) *Metrics {
-	return &Metrics{
+func newMetrics(cache *memCache, trace *core.Trace, queueDepth, inflight, scheduleRuns, sfWaits func() int64) *metricsRegistry {
+	return &metricsRegistry{
 		requests:     make(map[string]map[int]int64),
 		latencies:    make(map[string]*histogram),
 		cache:        cache,
@@ -84,7 +84,7 @@ func NewMetrics(cache *Cache, trace *core.Trace, queueDepth, inflight, scheduleR
 }
 
 // ObserveRequest records one finished request against an endpoint.
-func (m *Metrics) ObserveRequest(endpoint string, code int, d time.Duration) {
+func (m *metricsRegistry) ObserveRequest(endpoint string, code int, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	byCode := m.requests[endpoint]
@@ -103,7 +103,7 @@ func (m *Metrics) ObserveRequest(endpoint string, code int, d time.Duration) {
 
 // WriteTo renders every metric in Prometheus text format. Series are
 // sorted, so the output is deterministic for a given state.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
+func (m *metricsRegistry) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	m.mu.Lock()
 	endpoints := make([]string, 0, len(m.requests))
@@ -163,26 +163,26 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 
 	if m.stores != nil {
 		tiers := m.stores()
-		writeTier := func(name, help, typ string, v func(StoreStats) int64) {
+		writeTier := func(name, help, typ string, v func(tierStats) int64) {
 			fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 			for _, t := range tiers {
 				fmt.Fprintf(cw, "%s{tier=%q} %d\n", name, t.Tier, v(t))
 			}
 		}
 		writeTier("gschedd_store_hits_total", "Store lookups served by this tier.", "counter",
-			func(t StoreStats) int64 { return t.Hits })
+			func(t tierStats) int64 { return t.Hits })
 		writeTier("gschedd_store_misses_total", "Store lookups this tier could not serve.", "counter",
-			func(t StoreStats) int64 { return t.Misses })
+			func(t tierStats) int64 { return t.Misses })
 		writeTier("gschedd_store_puts_total", "Bodies stored into this tier.", "counter",
-			func(t StoreStats) int64 { return t.Puts })
+			func(t tierStats) int64 { return t.Puts })
 		writeTier("gschedd_store_evictions_total", "Entries evicted from this tier.", "counter",
-			func(t StoreStats) int64 { return t.Evictions })
+			func(t tierStats) int64 { return t.Evictions })
 		writeTier("gschedd_store_errors_total", "Tier failures: IO errors, corrupt entries deleted, failed peer calls.", "counter",
-			func(t StoreStats) int64 { return t.Errors })
+			func(t tierStats) int64 { return t.Errors })
 		writeTier("gschedd_store_bytes", "Bytes held by this tier.", "gauge",
-			func(t StoreStats) int64 { return t.Bytes })
+			func(t tierStats) int64 { return t.Bytes })
 		writeTier("gschedd_store_entries", "Entries held by this tier (open claims for the peer tier).", "gauge",
-			func(t StoreStats) int64 { return int64(t.Entries) })
+			func(t tierStats) int64 { return int64(t.Entries) })
 		for _, t := range tiers {
 			if t.Tier != "peer" {
 				continue

@@ -78,7 +78,7 @@ func newRing(nodes []string) *hashRing {
 }
 
 // owner returns the node owning key.
-func (r *hashRing) owner(key Key) string {
+func (r *hashRing) owner(key cacheKey) string {
 	h := binary.BigEndian.Uint64(key[:8])
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
 	if i == len(r.points) {
@@ -110,9 +110,9 @@ const backfillSlots = 8
 // maxPeerBody caps bodies accepted over the internal protocol.
 const maxPeerBody = 64 << 20
 
-// PeerStore is the peer tier and the server side of the internal
+// peerStore is the peer tier and the server side of the internal
 // protocol's claim state. All methods are safe for concurrent use.
-type PeerStore struct {
+type peerStore struct {
 	self     string
 	ring     *hashRing
 	client   *http.Client
@@ -120,7 +120,7 @@ type PeerStore struct {
 	claimTTL time.Duration
 
 	cmu    sync.Mutex
-	claims map[Key]*claim
+	claims map[cacheKey]*claim
 
 	slots  chan struct{}
 	wg     sync.WaitGroup
@@ -135,10 +135,10 @@ type PeerStore struct {
 	errors   atomic.Int64
 }
 
-// NewPeerStore builds the tier for a node self among peers. timeout
+// newPeerStore builds the tier for a node self among peers. timeout
 // bounds one owner conversation; claimTTL bounds how long a granted
 // claim blocks followers (normally the compute budget).
-func NewPeerStore(self string, peers []string, timeout, claimTTL time.Duration) (*PeerStore, error) {
+func newPeerStore(self string, peers []string, timeout, claimTTL time.Duration) (*peerStore, error) {
 	self = normalizeNode(self)
 	if self == "" {
 		return nil, errors.New("peer mode needs the node's own advertised URL (-self)")
@@ -157,21 +157,19 @@ func NewPeerStore(self string, peers []string, timeout, claimTTL time.Duration) 
 		return nil, errors.New("peer mode needs at least one peer URL distinct from -self")
 	}
 	sort.Strings(nodes) // ring identity independent of flag order
-	return &PeerStore{
+	return &peerStore{
 		self:     self,
 		ring:     newRing(nodes),
 		client:   &http.Client{},
 		timeout:  timeout,
 		claimTTL: claimTTL,
-		claims:   make(map[Key]*claim),
+		claims:   make(map[cacheKey]*claim),
 		slots:    make(chan struct{}, backfillSlots),
 	}, nil
 }
 
-func (p *PeerStore) Tier() string { return "peer" }
-
 // Owner reports the node owning key and whether that is this node.
-func (p *PeerStore) Owner(key Key) (node string, self bool) {
+func (p *peerStore) Owner(key cacheKey) (node string, self bool) {
 	node = p.ring.owner(key)
 	return node, node == p.self
 }
@@ -179,7 +177,7 @@ func (p *PeerStore) Owner(key Key) (node string, self bool) {
 // Get asks the owner for key (request path: counts a hit or a miss).
 // A self-owned key is an immediate miss — this node is the authority,
 // there is nobody better to ask.
-func (p *PeerStore) Get(ctx context.Context, key Key) ([]byte, bool) {
+func (p *peerStore) Get(ctx context.Context, key cacheKey) ([]byte, bool) {
 	body, ok := p.fetch(ctx, key)
 	if ok {
 		p.hits.Add(1)
@@ -191,11 +189,11 @@ func (p *PeerStore) Get(ctx context.Context, key Key) ([]byte, bool) {
 
 // Peek is Get without the request-path hit/miss accounting (fetch and
 // timeout counters still advance): job-layer lookups.
-func (p *PeerStore) Peek(ctx context.Context, key Key) ([]byte, bool) {
+func (p *peerStore) Peek(ctx context.Context, key cacheKey) ([]byte, bool) {
 	return p.fetch(ctx, key)
 }
 
-func (p *PeerStore) fetch(ctx context.Context, key Key) ([]byte, bool) {
+func (p *peerStore) fetch(ctx context.Context, key cacheKey) ([]byte, bool) {
 	owner, self := p.Owner(key)
 	if self || p.closed.Load() {
 		return nil, false
@@ -235,7 +233,7 @@ func (p *PeerStore) fetch(ctx context.Context, key Key) ([]byte, bool) {
 // Put completes the tier's share of a store: when this node owns key,
 // wake any peers blocked on its claim; otherwise push the body to the
 // owner asynchronously so the next asker anywhere finds it there.
-func (p *PeerStore) Put(ctx context.Context, key Key, body []byte) {
+func (p *peerStore) Put(ctx context.Context, key cacheKey, body []byte) {
 	_, self := p.Owner(key)
 	if self {
 		p.finishClaim(key)
@@ -258,7 +256,7 @@ func (p *PeerStore) Put(ctx context.Context, key Key, body []byte) {
 	}()
 }
 
-func (p *PeerStore) pushToOwner(key Key, body []byte) {
+func (p *peerStore) pushToOwner(key cacheKey, body []byte) {
 	owner, _ := p.Owner(key)
 	ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
 	defer cancel()
@@ -286,7 +284,7 @@ func (p *PeerStore) pushToOwner(key Key, body []byte) {
 // tryClaim grants holder the right to compute key when no live claim
 // exists (or holder already has it); otherwise it returns the
 // standing claim for the caller to wait on.
-func (p *PeerStore) tryClaim(key Key, holder string, now time.Time) (granted bool, standing *claim) {
+func (p *peerStore) tryClaim(key cacheKey, holder string, now time.Time) (granted bool, standing *claim) {
 	p.cmu.Lock()
 	defer p.cmu.Unlock()
 	if c, ok := p.claims[key]; ok && now.Before(c.deadline) {
@@ -303,7 +301,7 @@ func (p *PeerStore) tryClaim(key Key, holder string, now time.Time) (granted boo
 
 // finishClaim wakes everyone blocked on key's claim. Called on every
 // local store of key (a backfill PUT or the owner's own compute).
-func (p *PeerStore) finishClaim(key Key) {
+func (p *peerStore) finishClaim(key cacheKey) {
 	p.cmu.Lock()
 	if c, ok := p.claims[key]; ok {
 		delete(p.claims, key)
@@ -313,13 +311,13 @@ func (p *PeerStore) finishClaim(key Key) {
 }
 
 // ServedToPeer counts one internal-protocol read answered with bytes.
-func (p *PeerStore) ServedToPeer() { p.served.Add(1) }
+func (p *peerStore) ServedToPeer() { p.served.Add(1) }
 
-func (p *PeerStore) Stats() StoreStats {
+func (p *peerStore) Stats() tierStats {
 	p.cmu.Lock()
 	claims := len(p.claims)
 	p.cmu.Unlock()
-	return StoreStats{
+	return tierStats{
 		Tier:     "peer",
 		Hits:     p.hits.Load(),
 		Misses:   p.misses.Load(),
@@ -334,7 +332,7 @@ func (p *PeerStore) Stats() StoreStats {
 
 // Close stops new fetches and backfills and waits out in-flight
 // backfill pushes.
-func (p *PeerStore) Close() error {
+func (p *peerStore) Close() error {
 	p.closed.Store(true)
 	p.wg.Wait()
 	return nil

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"time"
 
@@ -14,15 +13,15 @@ import (
 	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
-	"gsched/internal/minic"
 	"gsched/internal/policy"
 	"gsched/internal/profile"
+	"gsched/internal/stream"
 	"gsched/internal/xform"
 )
 
 // Request is the JSON body of POST /schedule.
 type Request struct {
-	// Lang is "c" (mini-C, the default) or "asm".
+	// Lang is "c" (mini-C, the default), or "asm" or "s" (assembly).
 	Lang string `json:"lang,omitempty"`
 	// Source is the program text.
 	Source string `json:"source"`
@@ -111,22 +110,22 @@ type SimResponse struct {
 	Printed []int64 `json:"printed,omitempty"`
 }
 
-// ErrorResponse is the JSON body of every non-2xx reply.
-type ErrorResponse struct {
+// errorResponse is the JSON body of every non-2xx reply.
+type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// AsyncResponse is the 202 body of POST /schedule with level=optimal.
+// asyncResponse is the 202 body of POST /schedule with level=optimal.
 // Heuristic holds, byte for byte, the Response the same request would
 // have produced at level=speculative (both go through the same serving
 // pipeline and cache entry); Job names the queued exact run.
-type AsyncResponse struct {
+type asyncResponse struct {
 	Heuristic json.RawMessage `json:"heuristic"`
-	Job       JobInfo         `json:"job"`
+	Job       jobInfo         `json:"job"`
 }
 
-// JobInfo identifies one async exact job.
-type JobInfo struct {
+// jobInfo identifies one async exact job.
+type jobInfo struct {
 	// ID is the job's content-addressed identity (the hex response
 	// cache key). Identical requests share one ID and one job.
 	ID string `json:"id"`
@@ -136,8 +135,8 @@ type JobInfo struct {
 	Poll string `json:"poll"`
 }
 
-// JobResponse is the body of GET /jobs/{id}.
-type JobResponse struct {
+// jobResponse is the body of GET /jobs/{id}.
+type jobResponse struct {
 	ID     string `json:"id"`
 	Status string `json:"status"`
 	// Result carries the finished Response (same shape as a synchronous
@@ -149,28 +148,28 @@ type JobResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// BatchRequest is the JSON body of POST /schedule/batch: several
+// batchRequest is the JSON body of POST /schedule/batch: several
 // independent scheduling units submitted at once. Units share the
 // worker pool, the response cache and the single-flight machinery, so
 // a batch of identical units costs one pipeline run.
-type BatchRequest struct {
+type batchRequest struct {
 	Units []Request `json:"units"`
 }
 
-// BatchResult is the outcome of one batch unit. Body is byte-identical
+// batchResult is the outcome of one batch unit. Body is byte-identical
 // to what POST /schedule would have returned for the same unit (both
 // paths share the serving pipeline), with the unit's HTTP status and
 // cache disposition lifted into fields.
-type BatchResult struct {
+type batchResult struct {
 	Status int             `json:"status"`
 	Cache  string          `json:"cache,omitempty"`
 	Body   json.RawMessage `json:"body"`
 }
 
-// BatchResponse is the JSON body of a /schedule/batch reply; Results
+// batchResponse is the JSON body of a /schedule/batch reply; Results
 // aligns index-for-index with the request's Units.
-type BatchResponse struct {
-	Results []BatchResult `json:"results"`
+type batchResponse struct {
+	Results []batchResult `json:"results"`
 }
 
 // job is a fully resolved request: parsed program, machine, options.
@@ -180,7 +179,7 @@ type job struct {
 	opts     core.Options
 	pipeline bool
 	simulate *SimRequest
-	key      Key
+	key      cacheKey
 	canon    []byte        // canonical input assembly, rendered once at resolve
 	timeout  time.Duration // 0 = server default
 	panicd   bool          // debug-panic requested and allowed
@@ -211,20 +210,15 @@ func resolve(req *Request, allowPanic bool) (*job, error) {
 	if lang == "" {
 		lang = "c"
 	}
-	// Both entry points drive the streaming per-function readers under
-	// the hood (parse allocations stay proportional to the largest
-	// function); the program is materialized because canonicalization,
-	// caching and simulation all need the whole unit.
-	var err error
-	switch lang {
-	case "c":
-		j.prog, err = minic.Compile(req.Source)
-	case "asm":
-		j.prog, err = asm.Parse(req.Source)
-	default:
-		return nil, badf("unknown lang %q (want c or asm)", lang)
-	}
+	d, err := stream.DialectFor(lang)
 	if err != nil {
+		return nil, badf("%v", err)
+	}
+	// The dialect's streaming reader parses one function at a time
+	// (parse allocations stay proportional to the largest function);
+	// the program is materialized because canonicalization, caching and
+	// simulation all need the whole unit.
+	if j.prog, err = asm.ReadProgram(d, req.Source); err != nil {
 		return nil, badf("parse: %v", err)
 	}
 
@@ -233,9 +227,11 @@ func resolve(req *Request, allowPanic bool) (*job, error) {
 		return nil, err
 	}
 
-	lv, err := parseLevelName(req.Level)
-	if err != nil {
-		return nil, err
+	lv := core.LevelSpeculative
+	if req.Level != "" {
+		if lv, err = core.ParseLevel(req.Level); err != nil {
+			return nil, badf("%v", err)
+		}
 	}
 
 	j.opts = core.Defaults(j.mach, lv)
@@ -290,26 +286,6 @@ func resolve(req *Request, allowPanic bool) (*job, error) {
 	return j, nil
 }
 
-// parseLevelName maps the wire-format level name (empty = speculative)
-// onto core.Level.
-func parseLevelName(level string) (core.Level, error) {
-	switch level {
-	case "":
-		return core.LevelSpeculative, nil
-	case "none":
-		return core.LevelNone, nil
-	case "useful":
-		return core.LevelUseful, nil
-	case "speculative":
-		return core.LevelSpeculative, nil
-	case "dup":
-		return core.LevelDup, nil
-	case "optimal":
-		return core.LevelOptimal, nil
-	}
-	return 0, badf("unknown level %q (want none, useful, speculative, dup or optimal)", level)
-}
-
 func setIf[T any](dst *T, src *T) {
 	if src != nil {
 		*dst = *src
@@ -324,7 +300,14 @@ func resolveMachine(raw json.RawMessage) (*machine.Desc, error) {
 	}
 	var name string
 	if err := json.Unmarshal(raw, &name); err == nil {
-		return machineByName(name)
+		if name == "" {
+			return machine.RS6K(), nil
+		}
+		d, err := machine.ByName(name)
+		if err != nil {
+			return nil, badf("%v", err)
+		}
+		return d, nil
 	}
 	var d machine.Desc
 	if err := json.Unmarshal(raw, &d); err != nil {
@@ -339,25 +322,6 @@ func resolveMachine(raw json.RawMessage) (*machine.Desc, error) {
 	return &d, nil
 }
 
-func machineByName(name string) (*machine.Desc, error) {
-	switch name {
-	case "", "rs6k":
-		return machine.RS6K(), nil
-	case "scalar":
-		return machine.Scalar(), nil
-	case "wide":
-		return machine.Wide(), nil
-	}
-	if nf, nb, ok := strings.Cut(name, "x"); ok {
-		f, err1 := strconv.Atoi(nf)
-		b, err2 := strconv.Atoi(nb)
-		if err1 == nil && err2 == nil && f > 0 && b > 0 {
-			return machine.Superscalar(f, b), nil
-		}
-	}
-	return nil, badf("unknown machine %q (want rs6k, scalar, wide, NxM, or a machine object)", name)
-}
-
 // contentKey hashes everything that can change the response body:
 // the canonical program, the canonical machine, the semantic scheduling
 // options, the canonical edge profile (which gates speculation and
@@ -369,7 +333,7 @@ func machineByName(name string) (*machine.Desc, error) {
 // the panic reproducer needs it too. Parallelism is deliberately
 // excluded (schedules are pinned identical at every setting); the
 // Verify flag is included because it changes which requests fail.
-func contentKey(j *job) Key {
+func contentKey(j *job) cacheKey {
 	h := sha256.New()
 	h.Write(j.canon)
 	h.Write([]byte{0})
@@ -387,7 +351,7 @@ func contentKey(j *job) Key {
 	if j.simulate != nil {
 		fmt.Fprintf(h, "\x00sim=%s%v", j.simulate.Entry, j.simulate.Args)
 	}
-	var k Key
+	var k cacheKey
 	h.Sum(k[:0])
 	return k
 }

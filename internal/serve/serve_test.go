@@ -221,9 +221,9 @@ func TestMalformedInputAnswers400(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 	}
-	var e ErrorResponse
+	var e errorResponse
 	if err := json.Unmarshal(body, &e); err != nil {
-		t.Fatalf("400 body is not an ErrorResponse: %s", body)
+		t.Fatalf("400 body is not an errorResponse: %s", body)
 	}
 	if !strings.Contains(e.Error, "parse") {
 		t.Errorf("400 diagnostic %q does not mention the parse failure", e.Error)
@@ -236,7 +236,7 @@ func TestMalformedInputAnswers400(t *testing.T) {
 		{Source: "int f() { return 0; }\nint f() { return 1; }"},
 	} {
 		resp, body := post(t, ts, req)
-		var e ErrorResponse
+		var e errorResponse
 		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s duplicate: status %d, body %s; want 400", req.Lang, resp.StatusCode, body)
 		}
@@ -253,7 +253,7 @@ func TestMalformedInputAnswers400(t *testing.T) {
 		"func main:\n\tLI r1999999999=0\n\tRET r1999999999\n",
 	} {
 		resp, body := post(t, ts, &Request{Lang: "asm", Source: src, Simulate: &SimRequest{Entry: "main"}})
-		var e ErrorResponse
+		var e errorResponse
 		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%q: status %d, body %s; want 400", src, resp.StatusCode, body)
 		}
@@ -412,7 +412,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	m, err := ParseMetrics(resp.Body)
+	m, err := parseMetrics(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,8 +490,8 @@ func TestNoTuneEndpoint(t *testing.T) {
 
 // LRU eviction must keep the byte cap and count evictions.
 func TestCacheEviction(t *testing.T) {
-	c := NewCache(1024)
-	var k1, k2, k3 Key
+	c := newMemCache(1024)
+	var k1, k2, k3 cacheKey
 	k1[0], k2[0], k3[0] = 1, 2, 3
 	big := make([]byte, 600)
 	c.Put(k1, big)

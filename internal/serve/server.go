@@ -137,11 +137,11 @@ func (c *Config) defaults() {
 // under http.Server.Shutdown (in-flight schedules finish).
 type Server struct {
 	cfg     Config
-	store   *Tiered  // nil when caching is disabled
+	store   *tiered  // nil when caching is disabled
 	memo    *keyMemo // /schedule body → content key; nil without a store
 	flights *flightGroup
 	trace   *core.Trace
-	metrics *Metrics
+	metrics *metricsRegistry
 	mux     *http.ServeMux
 	jobs    *jobManager // async exact-tier (level=optimal) jobs
 
@@ -169,12 +169,12 @@ func New(cfg Config) (*Server, error) {
 		sem:     make(chan struct{}, cfg.Workers),
 	}
 	if cfg.CacheBytes > 0 {
-		mem := NewCache(cfg.CacheBytes)
-		var disk *DiskStore
-		var peer *PeerStore
+		mem := newMemCache(cfg.CacheBytes)
+		var disk *diskStore
+		var peer *peerStore
 		var err error
 		if cfg.CacheDir != "" {
-			if disk, err = NewDiskStore(cfg.CacheDir, cfg.DiskCacheBytes); err != nil {
+			if disk, err = newDiskStore(cfg.CacheDir, cfg.DiskCacheBytes); err != nil {
 				return nil, err
 			}
 		}
@@ -182,18 +182,18 @@ func New(cfg Config) (*Server, error) {
 			// A claim blocks followers for at most the compute budget;
 			// past it the claimer is presumed dead and the key is up
 			// for grabs again.
-			if peer, err = NewPeerStore(cfg.Self, cfg.Peers, cfg.PeerTimeout, cfg.Timeout); err != nil {
+			if peer, err = newPeerStore(cfg.Self, cfg.Peers, cfg.PeerTimeout, cfg.Timeout); err != nil {
 				return nil, err
 			}
 		}
-		s.store = NewTiered(mem, disk, peer, cfg.ReplicateAfter)
+		s.store = newTiered(mem, disk, peer, cfg.ReplicateAfter)
 		s.memo = newKeyMemo()
 	}
-	var mem *Cache
+	var mem *memCache
 	if s.store != nil {
 		mem = s.store.Memory()
 	}
-	s.metrics = NewMetrics(mem, s.trace,
+	s.metrics = newMetrics(mem, s.trace,
 		func() int64 { return max(0, s.queued.Load()-s.inflight.Load()) },
 		func() int64 { return s.inflight.Load() },
 		func() int64 { return s.runs.Load() },
@@ -209,12 +209,12 @@ func New(cfg Config) (*Server, error) {
 		// Exact results flow through the same stack: proven-optimal
 		// schedules persist across restarts (disk) and nodes (owner
 		// backfill), and a warm key never re-runs the search.
-		s.jobs.lookup = func(key Key) ([]byte, bool) {
+		s.jobs.lookup = func(key cacheKey) ([]byte, bool) {
 			ctx, cancel := context.WithTimeout(context.Background(), cfg.PeerTimeout)
 			defer cancel()
 			return s.store.PeekThrough(ctx, key)
 		}
-		s.jobs.persist = func(key Key, body []byte) {
+		s.jobs.persist = func(key cacheKey, body []byte) {
 			s.store.Put(context.Background(), key, body)
 		}
 	}
@@ -248,21 +248,6 @@ func (s *Server) Close() {
 	if s.store != nil {
 		s.store.Close()
 	}
-}
-
-// Metrics exposes the registry (for embedding servers).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Trace exposes the shared phase-timing trace.
-func (s *Server) Trace() *core.Trace { return s.trace }
-
-// CacheStats snapshots the memory tier's counters (zero when caching
-// is disabled).
-func (s *Server) CacheStats() CacheStats {
-	if s.store == nil {
-		return CacheStats{}
-	}
-	return s.store.Memory().Stats()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -369,9 +354,9 @@ func (s *Server) executeOptimal(parent context.Context, j *job) (code int, cache
 			errorBody("exact job queue full"), "exact queue full"
 	}
 	id := j.key.String()
-	resp, err := json.Marshal(&AsyncResponse{
+	resp, err := json.Marshal(&asyncResponse{
 		Heuristic: heur,
-		Job:       JobInfo{ID: id, Status: status, Poll: "/jobs/" + id},
+		Job:       jobInfo{ID: id, Status: status, Poll: "/jobs/" + id},
 	})
 	if err != nil {
 		return http.StatusInternalServerError, "", errorBody("marshal: " + err.Error()), err.Error()
@@ -401,7 +386,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, r, start, http.StatusNotFound, "", errorBody("unknown job"), "unknown job")
 		return
 	}
-	resp := &JobResponse{ID: id, Status: state}
+	resp := &jobResponse{ID: id, Status: state}
 	switch state {
 	case jobDone:
 		resp.Result = result
@@ -572,7 +557,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, r, start, http.StatusBadRequest, "", errorBody("read: "+err.Error()), err.Error())
 		return
 	}
-	var req BatchRequest
+	var req batchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		s.finish(w, r, start, http.StatusBadRequest, "", errorBody("json: "+err.Error()), err.Error())
 		return
@@ -587,7 +572,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results := make([]BatchResult, len(req.Units))
+	results := make([]batchResult, len(req.Units))
 	gate := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
 	for i := range req.Units {
@@ -598,16 +583,16 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 			defer func() { <-gate }()
 			j, err := resolve(&req.Units[i], s.cfg.AllowDebugPanic)
 			if err != nil {
-				results[i] = BatchResult{Status: http.StatusBadRequest, Body: errorBody(err.Error())}
+				results[i] = batchResult{Status: http.StatusBadRequest, Body: errorBody(err.Error())}
 				return
 			}
 			code, cacheState, unitBody, _ := s.dispatch(r.Context(), j)
-			results[i] = BatchResult{Status: code, Cache: cacheState, Body: unitBody}
+			results[i] = batchResult{Status: code, Cache: cacheState, Body: unitBody}
 		}(i)
 	}
 	wg.Wait()
 
-	resp, err := json.Marshal(&BatchResponse{Results: results})
+	resp, err := json.Marshal(&batchResponse{Results: results})
 	if err != nil {
 		s.finish(w, r, start, http.StatusInternalServerError, "",
 			errorBody("marshal: "+err.Error()), err.Error())
@@ -659,7 +644,7 @@ func (s *Server) handleInternalCache(w http.ResponseWriter, r *http.Request) {
 // means the bytes are normally there now); it is bounded so a
 // pathological claim churn degrades to "peer computes too" rather
 // than a hung handler.
-func (s *Server) internalCacheGet(w http.ResponseWriter, r *http.Request, key Key) int {
+func (s *Server) internalCacheGet(w http.ResponseWriter, r *http.Request, key cacheKey) int {
 	ctx := r.Context()
 	peer := s.store.peer
 	claiming := peer != nil && r.URL.Query().Get("claim") == "1"
@@ -713,7 +698,7 @@ func (s *Server) internalCacheGet(w http.ResponseWriter, r *http.Request, key Ke
 // internalCachePut accepts a peer's computed body: store locally,
 // wake claim waiters. Bodies are deterministic functions of the key,
 // so a racing duplicate stores identical bytes.
-func (s *Server) internalCachePut(w http.ResponseWriter, r *http.Request, key Key) int {
+func (s *Server) internalCachePut(w http.ResponseWriter, r *http.Request, key cacheKey) int {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxPeerBody+1))
 	if err != nil || int64(len(body)) > maxPeerBody {
 		http.Error(w, "unreadable or oversized body", http.StatusBadRequest)
@@ -866,6 +851,6 @@ func endpointLabel(path string) string {
 }
 
 func errorBody(msg string) []byte {
-	b, _ := json.Marshal(&ErrorResponse{Error: msg})
+	b, _ := json.Marshal(&errorResponse{Error: msg})
 	return b
 }

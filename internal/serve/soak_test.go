@@ -72,7 +72,7 @@ func TestSoakConcurrentDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 
-	st, _ := func() (CacheStats, int) { return tsStats(ts) }()
+	st, _ := func() (cacheStats, int) { return tsStats(ts) }()
 	if st.Hits == 0 {
 		t.Error("soak saw no cache hits")
 	}
@@ -85,12 +85,12 @@ func TestSoakConcurrentDeterministic(t *testing.T) {
 }
 
 // tsStats scrapes the cache counters from the test server's /metrics.
-func tsStats(ts *httptest.Server) (CacheStats, int) {
+func tsStats(ts *httptest.Server) (cacheStats, int) {
 	m, err := Scrape(ts.URL + "/metrics")
 	if err != nil {
-		return CacheStats{}, 0
+		return cacheStats{}, 0
 	}
-	return CacheStats{
+	return cacheStats{
 		Hits:      int64(m["gschedd_cache_hits_total"]),
 		Misses:    int64(m["gschedd_cache_misses_total"]),
 		Evictions: int64(m["gschedd_cache_evictions_total"]),

@@ -19,33 +19,13 @@ import (
 //	disk   — content-addressed files, survive restarts (diskstore.go)
 //	peer   — consistent-hash owner fetch over HTTP (peer.go)
 //
-// Tiered composes them: Get walks down until a tier hits, promoting
+// tiered composes them: Get walks down until a tier hits, promoting
 // bodies upward (disk→memory always; peer→local once a key proves
 // hot); Put writes memory + disk and backfills the owning peer.
 
-// Store is one tier of the response store stack. Implementations are
-// safe for concurrent use. Get counts hits/misses (request-path
-// lookups); Peek is the counter-free variant for second-chance checks,
-// job-layer lookups and peer serving.
-type Store interface {
-	// Tier names the tier in metrics ("memory", "disk", "peer").
-	Tier() string
-	// Get returns the body for key, counting a hit or a miss.
-	Get(ctx context.Context, key Key) ([]byte, bool)
-	// Peek is Get without hit/miss accounting or LRU movement.
-	Peek(ctx context.Context, key Key) ([]byte, bool)
-	// Put stores body under key. Tiers may decline (size caps).
-	Put(ctx context.Context, key Key, body []byte)
-	// Stats snapshots the tier's counters.
-	Stats() StoreStats
-	// Close releases tier resources (flushes nothing: every tier is
-	// crash-safe by construction or purely in-memory).
-	Close() error
-}
-
-// StoreStats is a point-in-time snapshot of one tier's counters. The
+// tierStats is a point-in-time snapshot of one tier's counters. The
 // peer-traffic fields stay zero for local tiers.
-type StoreStats struct {
+type tierStats struct {
 	Tier      string
 	Hits      int64
 	Misses    int64
@@ -65,45 +45,18 @@ type StoreStats struct {
 	Served   int64 // internal-protocol reads answered for peers
 }
 
-// memStore adapts the in-memory Cache to the Store interface. The
-// Cache keeps its historical method set (tests and metrics use it
-// directly); this wrapper only bridges signatures.
-type memStore struct{ c *Cache }
-
-func (m memStore) Tier() string { return "memory" }
-
-func (m memStore) Get(_ context.Context, key Key) ([]byte, bool) { return m.c.Get(key) }
-
-func (m memStore) Peek(_ context.Context, key Key) ([]byte, bool) { return m.c.Peek(key) }
-
-func (m memStore) Put(_ context.Context, key Key, body []byte) { m.c.Put(key, body) }
-
-func (m memStore) Stats() StoreStats {
-	cs := m.c.Stats()
-	return StoreStats{
-		Tier:      "memory",
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Evictions: cs.Evictions,
-		Bytes:     cs.Bytes,
-		Entries:   cs.Entries,
-	}
-}
-
-func (m memStore) Close() error { return nil }
-
 // heatCap bounds the replication heat map; past it the map resets
 // rather than growing without bound (losing heat only delays
 // replication by one fetch, it never serves wrong bytes).
 const heatCap = 1 << 16
 
-// Tiered is the stacked response store: memory, then disk, then peers.
+// tiered is the stacked response store: memory, then disk, then peers.
 // disk and peer may be nil (single-node, RAM-only deployments). All
 // methods are safe for concurrent use.
-type Tiered struct {
-	mem  *Cache
-	disk *DiskStore
-	peer *PeerStore
+type tiered struct {
+	mem  *memCache
+	disk *diskStore
+	peer *peerStore
 
 	// replicateAfter is the hot-key threshold: a key fetched from its
 	// owning peer this many times is copied into the local tiers, so
@@ -112,26 +65,26 @@ type Tiered struct {
 	replicateAfter int
 
 	mu   sync.Mutex
-	heat map[Key]int
+	heat map[cacheKey]int
 
 	replications atomic.Int64
 	computes     atomic.Int64 // lookups that missed every tier
 }
 
-// NewTiered stacks the given tiers. mem is required; disk and peer may
+// newTiered stacks the given tiers. mem is required; disk and peer may
 // be nil.
-func NewTiered(mem *Cache, disk *DiskStore, peer *PeerStore, replicateAfter int) *Tiered {
-	return &Tiered{
+func newTiered(mem *memCache, disk *diskStore, peer *peerStore, replicateAfter int) *tiered {
+	return &tiered{
 		mem:            mem,
 		disk:           disk,
 		peer:           peer,
 		replicateAfter: replicateAfter,
-		heat:           make(map[Key]int),
+		heat:           make(map[cacheKey]int),
 	}
 }
 
 // Memory exposes the memory tier's cache (metrics compatibility).
-func (t *Tiered) Memory() *Cache { return t.mem }
+func (t *tiered) Memory() *memCache { return t.mem }
 
 // Get walks the stack for key. It returns the body, the name of the
 // tier that served it ("hit" for memory, "disk", "peer") or "" on a
@@ -142,7 +95,7 @@ func (t *Tiered) Memory() *Cache { return t.mem }
 //	memory hits + disk hits + peer hits + computes == lookups
 //
 // an exact identity, checked by the soak's CheckCounters.
-func (t *Tiered) Get(ctx context.Context, key Key) (body []byte, tier string, ok bool) {
+func (t *tiered) Get(ctx context.Context, key cacheKey) (body []byte, tier string, ok bool) {
 	if body, ok := t.mem.Get(key); ok {
 		return body, "hit", true
 	}
@@ -165,10 +118,10 @@ func (t *Tiered) Get(ctx context.Context, key Key) (body []byte, tier string, ok
 
 // replicate copies a peer-fetched body into the local tiers once the
 // key has proven hot (replicateAfter owner fetches).
-func (t *Tiered) replicate(key Key, body []byte) {
+func (t *tiered) replicate(key cacheKey, body []byte) {
 	t.mu.Lock()
 	if len(t.heat) >= heatCap {
-		t.heat = make(map[Key]int)
+		t.heat = make(map[cacheKey]int)
 	}
 	t.heat[key]++
 	hot := t.heat[key] >= t.replicateAfter
@@ -187,12 +140,12 @@ func (t *Tiered) replicate(key Key, body []byte) {
 // single-flight leader re-checks after acquiring a worker slot; a body
 // stored meanwhile is always in the memory tier (every store path
 // writes it first).
-func (t *Tiered) Peek(key Key) ([]byte, bool) { return t.mem.Peek(key) }
+func (t *tiered) Peek(key cacheKey) ([]byte, bool) { return t.mem.Peek(key) }
 
 // PeekLocal consults the local tiers (memory, disk) without counters:
 // the peer-protocol read path, which must never recurse into the peer
 // tier.
-func (t *Tiered) PeekLocal(ctx context.Context, key Key) ([]byte, bool) {
+func (t *tiered) PeekLocal(ctx context.Context, key cacheKey) ([]byte, bool) {
 	if body, ok := t.mem.Peek(key); ok {
 		return body, true
 	}
@@ -208,7 +161,7 @@ func (t *Tiered) PeekLocal(ctx context.Context, key Key) ([]byte, bool) {
 // PeekThrough consults every tier without request-path hit/miss
 // accounting (peer fetches still count as fetches): the job layer's
 // warm lookup, which must not skew the request reconciliation.
-func (t *Tiered) PeekThrough(ctx context.Context, key Key) ([]byte, bool) {
+func (t *tiered) PeekThrough(ctx context.Context, key cacheKey) ([]byte, bool) {
 	if body, ok := t.PeekLocal(ctx, key); ok {
 		return body, true
 	}
@@ -225,7 +178,7 @@ func (t *Tiered) PeekThrough(ctx context.Context, key Key) ([]byte, bool) {
 // memory and disk tiers, then the peer tier (which backfills the
 // owning node when that is somebody else, and wakes any peers waiting
 // on our claim when it is us).
-func (t *Tiered) Put(ctx context.Context, key Key, body []byte) {
+func (t *tiered) Put(ctx context.Context, key cacheKey, body []byte) {
 	t.PutLocal(ctx, key, body)
 	if t.peer != nil {
 		t.peer.Put(ctx, key, body)
@@ -234,7 +187,7 @@ func (t *Tiered) Put(ctx context.Context, key Key, body []byte) {
 
 // PutLocal stores body in the local tiers only — the peer-protocol
 // write path (a backfill must not re-backfill) and replication.
-func (t *Tiered) PutLocal(ctx context.Context, key Key, body []byte) {
+func (t *tiered) PutLocal(ctx context.Context, key cacheKey, body []byte) {
 	t.mem.Put(key, body)
 	if t.disk != nil {
 		t.disk.Put(ctx, key, body)
@@ -242,8 +195,16 @@ func (t *Tiered) PutLocal(ctx context.Context, key Key, body []byte) {
 }
 
 // Stats snapshots every present tier, cheapest first.
-func (t *Tiered) Stats() []StoreStats {
-	out := []StoreStats{memStore{t.mem}.Stats()}
+func (t *tiered) Stats() []tierStats {
+	cs := t.mem.Stats()
+	out := []tierStats{{
+		Tier:      "memory",
+		Hits:      cs.Hits,
+		Misses:    cs.Misses,
+		Evictions: cs.Evictions,
+		Bytes:     cs.Bytes,
+		Entries:   cs.Entries,
+	}}
 	if t.disk != nil {
 		out = append(out, t.disk.Stats())
 	}
@@ -255,15 +216,15 @@ func (t *Tiered) Stats() []StoreStats {
 
 // Replications reports hot keys copied from their owner into the
 // local tiers.
-func (t *Tiered) Replications() int64 { return t.replications.Load() }
+func (t *tiered) Replications() int64 { return t.replications.Load() }
 
 // Computes reports lookups that missed every tier and fell through to
 // the scheduler (single-flight may still collapse several into one
 // pipeline run).
-func (t *Tiered) Computes() int64 { return t.computes.Load() }
+func (t *tiered) Computes() int64 { return t.computes.Load() }
 
 // Close releases the tiers (disk index, peer backfill workers).
-func (t *Tiered) Close() error {
+func (t *tiered) Close() error {
 	var err error
 	if t.disk != nil {
 		err = t.disk.Close()

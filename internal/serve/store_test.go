@@ -14,13 +14,13 @@ import (
 	"gsched/internal/progen"
 )
 
-func testKey(i int) Key {
+func testKey(i int) cacheKey {
 	return sha256.Sum256(fmt.Appendf(nil, "test-key-%d", i))
 }
 
-func mustDisk(t *testing.T, dir string, maxBytes int64) *DiskStore {
+func mustDisk(t *testing.T, dir string, maxBytes int64) *diskStore {
 	t.Helper()
-	d, err := NewDiskStore(dir, maxBytes)
+	d, err := newDiskStore(dir, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDiskStoreRecoveryScanDropsCorrupt(t *testing.T) {
 	}
 	d1.Close()
 
-	corrupt := func(key Key, mutate func([]byte) []byte) string {
+	corrupt := func(key cacheKey, mutate func([]byte) []byte) string {
 		p := d1.path(key)
 		raw, err := os.ReadFile(p)
 		if err != nil {
@@ -252,7 +252,7 @@ func TestServerDiskWarmRestart(t *testing.T) {
 		t.Fatalf("restarted server ran %d pipelines, want 0 (all disk hits)", runs)
 	}
 	stats := storeStats(s2)
-	var disk *StoreStats
+	var disk *tierStats
 	for i := range stats {
 		if stats[i].Tier == "disk" {
 			disk = &stats[i]
@@ -263,9 +263,18 @@ func TestServerDiskWarmRestart(t *testing.T) {
 	}
 }
 
+// memoryStats snapshots the memory tier's counters (zero when caching
+// is disabled); /metrics exports the same counters.
+func memoryStats(s *Server) cacheStats {
+	if s.store == nil {
+		return cacheStats{}
+	}
+	return s.store.Memory().Stats()
+}
+
 // storeStats snapshots every store tier of s (nil when caching is
 // disabled); /metrics exports the same counters.
-func storeStats(s *Server) []StoreStats {
+func storeStats(s *Server) []tierStats {
 	if s.store == nil {
 		return nil
 	}

@@ -24,11 +24,11 @@ import (
 	"gsched/internal/profile"
 )
 
-// ErrLimit is returned when execution exceeds Options.MaxInstrs.
-var ErrLimit = errors.New("sim: instruction limit exceeded")
+// errLimit is returned when execution exceeds Options.MaxInstrs.
+var errLimit = errors.New("sim: instruction limit exceeded")
 
-// ErrAbort is returned when the program calls the abort builtin.
-var ErrAbort = errors.New("sim: program aborted")
+// errAbort is returned when the program calls the abort builtin.
+var errAbort = errors.New("sim: program aborted")
 
 // Options configures a run.
 type Options struct {
@@ -412,7 +412,7 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 		pc++
 		st.res.Instrs++
 		if st.res.Instrs > st.opts.MaxInstrs {
-			return 0, fmt.Errorf("%w (%d)", ErrLimit, st.opts.MaxInstrs)
+			return 0, fmt.Errorf("%w (%d)", errLimit, st.opts.MaxInstrs)
 		}
 		skipCmpDelay := false
 		if i.Op == ir.OpBC && st.opts.Machine != nil && st.opts.Machine.TakenOnlyBranchDelay {
@@ -654,7 +654,7 @@ func (st *runState) dispatch(call *ir.Instr, args []int64, start int64) (int64, 
 		st.res.Printed = append(st.res.Printed, args...)
 		return 0, nil
 	case "abort":
-		return 0, ErrAbort
+		return 0, errAbort
 	}
 	callee := st.m.prog.Func(call.Target)
 	if callee == nil {

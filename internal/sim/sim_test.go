@@ -113,7 +113,7 @@ func TestInstructionLimit(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	_, err = m.Run("spin", nil, nil, Options{MaxInstrs: 1000})
-	if !errors.Is(err, ErrLimit) {
+	if !errors.Is(err, errLimit) {
 		t.Fatalf("err = %v, want ErrLimit", err)
 	}
 }

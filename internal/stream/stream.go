@@ -39,28 +39,17 @@ type Config struct {
 // Result aggregates what flowed through the pipeline.
 type Result = xform.Result
 
-type cDialect struct{}
-
-func (cDialect) Open(src string) (asm.FuncReader, error) {
-	r, err := minic.Open(src)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// CDialect is mini-C as a streaming asm.Dialect.
-var CDialect asm.Dialect = cDialect{}
-
-// DialectFor maps a language name ("asm"/"s", "c") to its Dialect.
+// DialectFor maps a language name ("c" for mini-C, "asm" or "s" for
+// assembly) to its Dialect. Each entry point picks its own language for
+// the empty name.
 func DialectFor(lang string) (asm.Dialect, error) {
 	switch lang {
-	case "asm", "s", "":
+	case "asm", "s":
 		return asm.Native, nil
 	case "c":
-		return CDialect, nil
+		return minic.Dialect, nil
 	}
-	return nil, fmt.Errorf("stream: unknown language %q", lang)
+	return nil, fmt.Errorf("unknown language %q (want c, asm or s)", lang)
 }
 
 // Schedule streams src through parse → schedule → verify → print on

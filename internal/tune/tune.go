@@ -20,25 +20,25 @@ import (
 	"gsched/internal/workload"
 )
 
-// Mode names for Config.Mode.
+// Mode names for searchConfig.Mode.
 const (
-	ModePolicy  = "policy"  // search policy weight vectors on a fixed machine
-	ModeMachine = "machine" // search machine descriptors under the built-in order
-	ModeBoth    = "both"    // alternate: even iterations mutate the policy, odd the machine
+	modePolicy  = "policy"  // search policy weight vectors on a fixed machine
+	modeMachine = "machine" // search machine descriptors under the built-in order
+	modeBoth    = "both"    // alternate: even iterations mutate the policy, odd the machine
 )
 
-// Config parameterizes one tuning run. The zero value searches policy
+// searchConfig parameterizes one tuning run. The zero value searches policy
 // space on the RS6K at the speculative level over the four workload
 // proxies.
-type Config struct {
+type searchConfig struct {
 	// Seed anchors every random choice (default 1; 0 means 1 so the
-	// zero Config is deterministic rather than time-dependent).
+	// zero searchConfig is deterministic rather than time-dependent).
 	Seed int64
 	// Iters is the number of candidate evaluations (default 24). Each
 	// candidate compiles and simulates every workload, so the run costs
 	// Iters+1 full pipeline sweeps.
 	Iters int
-	// Mode is ModePolicy (default), ModeMachine or ModeBoth.
+	// Mode is modePolicy (default), modeMachine or modeBoth.
 	Mode string
 	// Machine is the baseline descriptor: the fixed machine in policy
 	// mode, the hill-climb start in machine mode (default RS6K).
@@ -49,18 +49,18 @@ type Config struct {
 	Workloads []*workload.Workload
 }
 
-// Score is one workload's baseline-vs-best cycle counts.
-type Score struct {
+// workloadScore is one workload's baseline-vs-best cycle counts.
+type workloadScore struct {
 	Workload string `json:"workload"`
 	Baseline int64  `json:"baseline_cycles"`
 	Best     int64  `json:"best_cycles"`
 }
 
-// Result is the outcome of a tuning run: the best (policy, machine)
+// searchResult is the outcome of a tuning run: the best (policy, machine)
 // pair found and how it compares to the baseline (built-in §5.2 order
-// on Config.Machine). BestCycles <= BaselineCycles always — the search
+// on searchConfig.Machine). BestCycles <= BaselineCycles always — the search
 // starts from the baseline and only adopts improvements.
-type Result struct {
+type searchResult struct {
 	Mode string `json:"mode"`
 	// Policy is the winning policy in canonical form; empty means the
 	// built-in order was never beaten (or machine mode never searched
@@ -73,11 +73,11 @@ type Result struct {
 	ImprovedPct    float64 `json:"improved_pct"`
 	// Evaluated counts candidate evaluations, including rejected and
 	// compile-failed candidates.
-	Evaluated int     `json:"evaluated"`
-	Workloads []Score `json:"workloads"`
+	Evaluated int             `json:"evaluated"`
+	Workloads []workloadScore `json:"workloads"`
 }
 
-func (c *Config) defaults() error {
+func (c *searchConfig) defaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -85,10 +85,10 @@ func (c *Config) defaults() error {
 		c.Iters = 24
 	}
 	if c.Mode == "" {
-		c.Mode = ModePolicy
+		c.Mode = modePolicy
 	}
 	switch c.Mode {
-	case ModePolicy, ModeMachine, ModeBoth:
+	case modePolicy, modeMachine, modeBoth:
 	default:
 		return fmt.Errorf("tune: unknown mode %q (want policy, machine or both)", c.Mode)
 	}
@@ -180,11 +180,11 @@ func mutateWeights(r *rand.Rand, base []float64) []float64 {
 	return w
 }
 
-// Run executes the search: score the baseline (built-in §5.2 order on
-// Config.Machine), then Iters seeded mutations, adopting any candidate
+// search executes the search: score the baseline (built-in §5.2 order on
+// searchConfig.Machine), then Iters seeded mutations, adopting any candidate
 // with a strictly lower cycle total. The context bounds the whole run;
 // cancellation returns ctx.Err().
-func Run(ctx context.Context, cfg Config) (*Result, error) {
+func search(ctx context.Context, cfg searchConfig) (*searchResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -234,7 +234,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		candPol, candMach, candWeights := bestPol, bestMach, weights
-		tunePolicy := cfg.Mode == ModePolicy || (cfg.Mode == ModeBoth && i%2 == 0)
+		tunePolicy := cfg.Mode == modePolicy || (cfg.Mode == modeBoth && i%2 == 0)
 		if tunePolicy {
 			candWeights = mutateWeights(r, weights)
 			p, err := policy.Weighted(candWeights)
@@ -262,7 +262,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	res := &Result{
+	res := &searchResult{
 		Mode:           cfg.Mode,
 		Machine:        bestMach,
 		BaselineCycles: baseTotal,
@@ -274,7 +274,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.Policy = bestPol.Canonical()
 	}
 	for i, w := range cfg.Workloads {
-		res.Workloads = append(res.Workloads, Score{Workload: w.Name, Baseline: basePer[i], Best: bestPer[i]})
+		res.Workloads = append(res.Workloads, workloadScore{Workload: w.Name, Baseline: basePer[i], Best: bestPer[i]})
 	}
 	return res, nil
 }
@@ -293,7 +293,7 @@ func Table(ctx context.Context, ws []*workload.Workload, iters int) (*eval.Table
 		},
 	}
 	for _, w := range ws {
-		res, err := Run(ctx, Config{Seed: 1, Iters: iters, Mode: ModeBoth, Workloads: []*workload.Workload{w}})
+		res, err := search(ctx, searchConfig{Seed: 1, Iters: iters, Mode: modeBoth, Workloads: []*workload.Workload{w}})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}

@@ -34,9 +34,9 @@ int main(int n) {
 	}
 }
 
-func run(t *testing.T, cfg Config) *Result {
+func run(t *testing.T, cfg searchConfig) *searchResult {
 	t.Helper()
-	res, err := Run(context.Background(), cfg)
+	res, err := search(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func run(t *testing.T, cfg Config) *Result {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := Config{Seed: 5, Iters: 6, Mode: ModeBoth, Workloads: []*workload.Workload{tiny()}}
+	cfg := searchConfig{Seed: 5, Iters: 6, Mode: modeBoth, Workloads: []*workload.Workload{tiny()}}
 	a, _ := json.Marshal(run(t, cfg))
 	b, _ := json.Marshal(run(t, cfg))
 	if string(a) != string(b) {
@@ -53,7 +53,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunPolicyMode(t *testing.T) {
-	res := run(t, Config{Seed: 3, Iters: 8, Mode: ModePolicy, Workloads: []*workload.Workload{tiny()}})
+	res := run(t, searchConfig{Seed: 3, Iters: 8, Mode: modePolicy, Workloads: []*workload.Workload{tiny()}})
 	if res.Evaluated != 8 {
 		t.Errorf("Evaluated = %d, want 8", res.Evaluated)
 	}
@@ -75,7 +75,7 @@ func TestRunPolicyMode(t *testing.T) {
 }
 
 func TestRunMachineMode(t *testing.T) {
-	res := run(t, Config{Seed: 9, Iters: 8, Mode: ModeMachine, Workloads: []*workload.Workload{tiny()}})
+	res := run(t, searchConfig{Seed: 9, Iters: 8, Mode: modeMachine, Workloads: []*workload.Workload{tiny()}})
 	if res.Policy != "" {
 		t.Errorf("machine mode produced a policy: %q", res.Policy)
 	}
@@ -88,7 +88,7 @@ func TestRunMachineMode(t *testing.T) {
 }
 
 func TestBadMode(t *testing.T) {
-	if _, err := Run(context.Background(), Config{Mode: "banana"}); err == nil {
+	if _, err := search(context.Background(), searchConfig{Mode: "banana"}); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
@@ -96,7 +96,7 @@ func TestBadMode(t *testing.T) {
 func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, Config{Workloads: []*workload.Workload{tiny()}}); err == nil {
+	if _, err := search(ctx, searchConfig{Workloads: []*workload.Workload{tiny()}}); err == nil {
 		t.Error("cancelled run returned no error")
 	}
 }
@@ -112,7 +112,7 @@ func TestWeightedPolicySpace(t *testing.T) {
 	// The mutated machine stays inside the validated space.
 	r := machine.RS6K()
 	for seed := int64(0); seed < 8; seed++ {
-		cfg := Config{Seed: seed + 100, Iters: 2, Mode: ModeMachine,
+		cfg := searchConfig{Seed: seed + 100, Iters: 2, Mode: modeMachine,
 			Machine: r, Workloads: []*workload.Workload{tiny()}}
 		res := run(t, cfg)
 		if err := res.Machine.Validate(); err != nil {
@@ -121,14 +121,14 @@ func TestWeightedPolicySpace(t *testing.T) {
 	}
 }
 
-// TestTableRowsAreRuns pins Table's row for a workload to the search
-// Run makes with the same seed, mode and iterations.
+// TestTableRowsAreRuns pins Table's row for a workload to what search
+// returns with the same seed, mode and iterations.
 func TestTableRowsAreRuns(t *testing.T) {
 	tb, err := Table(context.Background(), []*workload.Workload{tiny()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := run(t, Config{Seed: 1, Iters: 4, Mode: ModeBoth, Workloads: []*workload.Workload{tiny()}})
+	res := run(t, searchConfig{Seed: 1, Iters: 4, Mode: modeBoth, Workloads: []*workload.Workload{tiny()}})
 	want := []string{"tiny", fmt.Sprint(res.BaselineCycles), fmt.Sprint(res.BestCycles), fmt.Sprintf("%.1f%%", res.ImprovedPct)}
 	if len(tb.Rows) != 1 || !slices.Equal(tb.Rows[0], want) {
 		t.Errorf("rows %q, want [%q]", tb.Rows, want)

@@ -47,9 +47,9 @@ type Rules struct {
 	AllowDuplication bool
 }
 
-// Violation describes one broken legality rule with enough context to
+// violation describes one broken legality rule with enough context to
 // debug it: the rule, the instruction, and the blocks/edge involved.
-type Violation struct {
+type violation struct {
 	Func  string
 	Rule  string
 	ID    int    // instruction ID, -1 when not instruction-specific
@@ -57,19 +57,19 @@ type Violation struct {
 	Msg   string
 }
 
-func (v Violation) String() string {
+func (v violation) String() string {
 	if v.ID >= 0 {
 		return fmt.Sprintf("%s: [%s] id %d %q: %s", v.Func, v.Rule, v.ID, v.Instr, v.Msg)
 	}
 	return fmt.Sprintf("%s: [%s] %s", v.Func, v.Rule, v.Msg)
 }
 
-// Error aggregates every violation found in one function.
-type Error struct {
-	Violations []Violation
+// checkError aggregates every violation found in one function.
+type checkError struct {
+	Violations []violation
 }
 
-func (e *Error) Error() string {
+func (e *checkError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "verify: %d violation(s)", len(e.Violations))
 	for i, v := range e.Violations {
@@ -161,7 +161,7 @@ func (s *Snapshot) instr(id int) *ir.Instr {
 
 // Check validates the scheduled function f against its pre-schedule
 // snapshot under the given rules. It returns nil for a legal schedule
-// and an *Error listing every violation otherwise.
+// and a *checkError listing every violation otherwise.
 //
 // With B blocks, N instructions, D dependent instruction pairs (sharing
 // a register written by one of them, or a store or call and a memory
@@ -221,11 +221,11 @@ type checker struct {
 	liveIn, kill []bool
 	work         []int32
 
-	vs []Violation
+	vs []violation
 }
 
 func (c *checker) violate(rule string, ins *ir.Instr, format string, args ...interface{}) {
-	v := Violation{Func: c.snap.FuncName, Rule: rule, ID: -1, Msg: fmt.Sprintf(format, args...)}
+	v := violation{Func: c.snap.FuncName, Rule: rule, ID: -1, Msg: fmt.Sprintf(format, args...)}
 	if ins != nil {
 		v.ID = ins.ID
 		v.Instr = ins.String()
@@ -246,7 +246,7 @@ func (c *checker) result() error {
 	if len(c.vs) == 0 {
 		return nil
 	}
-	return &Error{Violations: c.vs}
+	return &checkError{Violations: c.vs}
 }
 
 // structure checks that the block skeleton is untouched: scheduling may

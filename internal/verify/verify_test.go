@@ -42,7 +42,7 @@ func wantViolation(t *testing.T, snap *Snapshot, f *ir.Func, rules Rules, rule, 
 	if err == nil {
 		t.Fatalf("illegal schedule accepted (want [%s] %q)", rule, msg)
 	}
-	verr, ok := err.(*Error)
+	verr, ok := err.(*checkError)
 	if !ok {
 		t.Fatalf("unexpected error type %T: %v", err, err)
 	}

@@ -54,9 +54,9 @@ int eqntott(int nt, int nw) {
 }
 `
 
-// EQNTOTT returns the truth-table proxy: 160 terms of 6 words of packed
+// eqntott returns the truth-table proxy: 160 terms of 6 words of packed
 // two-bit values, with deliberate duplicates so equal-compare paths run.
-func EQNTOTT() *Workload {
+func eqntott() *Workload {
 	const (
 		terms = 160
 		words = 6

@@ -68,9 +68,9 @@ int espresso(int nc, int cw) {
 }
 `
 
-// ESPRESSO returns the logic-minimisation proxy: 72 cubes of 4 words,
+// espresso returns the logic-minimisation proxy: 72 cubes of 4 words,
 // seeded so some cubes contain others.
-func ESPRESSO() *Workload {
+func espresso() *Workload {
 	const (
 		cubesN = 72
 		words  = 4

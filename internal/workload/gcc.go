@@ -54,9 +54,9 @@ int scan(int n) {
 }
 `
 
-// GCC returns the compiler proxy: an 8192-token stream with realistic
+// gcc returns the compiler proxy: an 8192-token stream with realistic
 // class frequencies (idents > operators > literals > punctuation).
-func GCC() *Workload {
+func gcc() *Workload {
 	const n = 8192
 	rng := newLCG(0x6cc1990)
 	src := make([]int64, n)

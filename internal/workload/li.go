@@ -135,8 +135,8 @@ func liProgram(n int64) []int64 {
 	return b
 }
 
-// LI returns the Lisp-interpreter proxy.
-func LI() *Workload {
+// li returns the Lisp-interpreter proxy.
+func li() *Workload {
 	code := liProgram(2500)
 	return &Workload{
 		Name:   "li",

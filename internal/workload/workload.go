@@ -45,7 +45,7 @@ func (w *Workload) Compile() (*ir.Program, error) {
 
 // All returns the four proxies in the paper's order.
 func All() []*Workload {
-	return []*Workload{LI(), EQNTOTT(), ESPRESSO(), GCC()}
+	return []*Workload{li(), eqntott(), espresso(), gcc()}
 }
 
 // ByName returns the named workload or nil.

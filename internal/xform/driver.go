@@ -15,32 +15,31 @@ import (
 	"gsched/internal/verify"
 )
 
-// Config selects which parts of the §6 pipeline run.
+// Config selects which stages of the §6 pipeline run.
 type Config struct {
-	// Unroll inner loops of at most UnrollMaxBlocks blocks once before
+	// Unroll inner loops of at most maxLoopBlocks blocks once before
 	// the first scheduling pass.
-	Unroll          bool
-	UnrollMaxBlocks int
-	// Rotate inner loops of at most RotateMaxBlocks blocks after the
+	Unroll bool
+	// Rotate inner loops of at most maxLoopBlocks blocks after the
 	// first pass and schedule them again.
-	Rotate          bool
-	RotateMaxBlocks int
+	Rotate bool
 	// Superblock enables profile-driven tail duplication before the
 	// first scheduling pass. It only fires when the scheduling options
 	// both allow duplication (Options.Duplicate, i.e. level=dup) and
-	// carry an edge profile; the thresholds are DefaultSuperblock's.
+	// carry an edge profile; see formSuperblocks for the thresholds.
 	Superblock bool
 }
+
+// maxLoopBlocks is the largest inner loop, in basic blocks, that the
+// pipeline unrolls or rotates: the paper's prototype transforms inner
+// loops of up to four basic blocks.
+const maxLoopBlocks = 4
 
 // DefaultConfig mirrors the paper's prototype: unroll and rotate inner
 // loops with up to 4 basic blocks, plus superblock formation when a
 // profile is available at level=dup.
 func DefaultConfig() Config {
-	return Config{
-		Unroll: true, UnrollMaxBlocks: 4,
-		Rotate: true, RotateMaxBlocks: 4,
-		Superblock: true,
-	}
+	return Config{Unroll: true, Rotate: true, Superblock: true}
 }
 
 // Stats extends the scheduler's statistics with transformation counts.
@@ -141,7 +140,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 	if opts.Level > core.LevelNone {
 		if cfgX.Superblock && opts.Duplicate && opts.Profile != nil {
 			done := opts.Trace.TimePhase(core.PhaseXform)
-			st.TailDuplicated = FormSuperblocks(f, opts.Profile, DefaultSuperblock())
+			st.TailDuplicated = formSuperblocks(f, opts.Profile)
 			if st.TailDuplicated > 0 {
 				fl.Refill(f)
 			}
@@ -149,7 +148,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 		}
 		if cfgX.Unroll {
 			done := opts.Trace.TimePhase(core.PhaseXform)
-			st.LoopsUnrolled = sweep(f, fl, cfgX.UnrollMaxBlocks, unrollOnce)
+			st.LoopsUnrolled = sweep(f, fl, unrollOnce)
 			done()
 		}
 		snap := capture()
@@ -166,7 +165,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 		rotated := 0
 		if cfgX.Rotate {
 			done := opts.Trace.TimePhase(core.PhaseXform)
-			rotated = sweep(f, fl, cfgX.RotateMaxBlocks, rotate)
+			rotated = sweep(f, fl, rotate)
 			done()
 			st.LoopsRotated = rotated
 		}
@@ -378,35 +377,32 @@ func (t *task) run(ctx context.Context, opts core.Options, cfgX Config, print bo
 	}
 }
 
-// TransformOnly applies unrolling and rotation without any global
-// scheduling. It approximates the code replication techniques [GR90] that
-// the paper's BASE compiler already contained ("a set of code replication
-// techniques that solve certain loop-closing delay problems"), and is
-// used by the ablation experiments to separate the transformation's
-// contribution from the global scheduler's.
-func TransformOnly(f *ir.Func, cfgX Config) Stats {
-	return transformOnly(f, cfgX, transformInnerLoops)
+// TransformOnlyProgram applies unrolling and rotation to every function
+// of p without any global scheduling. It approximates the code
+// replication techniques [GR90] that the paper's BASE compiler already
+// contained ("a set of code replication techniques that solve certain
+// loop-closing delay problems"), and is used by the ablation
+// experiments to separate the transformation's contribution from the
+// global scheduler's.
+func TransformOnlyProgram(p *ir.Program, cfgX Config) Stats {
+	var st Stats
+	for _, f := range p.Funcs {
+		st.Add(transformOnly(f, cfgX, transformInnerLoops))
+	}
+	return st
 }
 
-// transformOnly is TransformOnly transforming loops with sweep.
+// transformOnly is TransformOnlyProgram on one function, transforming
+// loops with sweep.
 func transformOnly(f *ir.Func, cfgX Config, sweep loopSweep) Stats {
 	var st Stats
 	var fl cfg.Flow
 	fl.Refill(f)
 	if cfgX.Unroll {
-		st.LoopsUnrolled = sweep(f, &fl, cfgX.UnrollMaxBlocks, unrollOnce)
+		st.LoopsUnrolled = sweep(f, &fl, unrollOnce)
 	}
 	if cfgX.Rotate {
-		st.LoopsRotated = sweep(f, &fl, cfgX.RotateMaxBlocks, rotate)
-	}
-	return st
-}
-
-// TransformOnlyProgram applies TransformOnly to every function.
-func TransformOnlyProgram(p *ir.Program, cfgX Config) Stats {
-	var st Stats
-	for _, f := range p.Funcs {
-		st.Add(TransformOnly(f, cfgX))
+		st.LoopsRotated = sweep(f, &fl, rotate)
 	}
 	return st
 }
@@ -423,13 +419,13 @@ var flowPool = sync.Pool{New: func() any { return new(cfg.Flow) }}
 // list does not hold (see rotate).
 type loopTransform func(f *ir.Func, l loop) (changed, exposed bool)
 
-// A loopSweep applies xf to the inner loops of at most maxBlocks blocks
-// of f, whose current flow analysis is fl, and returns the number it
-// changed; fl is current again on return.
-type loopSweep func(f *ir.Func, fl *cfg.Flow, maxBlocks int, xf loopTransform) int
+// A loopSweep applies xf to the inner loops of at most maxLoopBlocks
+// blocks of f, whose current flow analysis is fl, and returns the number
+// it changed; fl is current again on return.
+type loopSweep func(f *ir.Func, fl *cfg.Flow, xf loopTransform) int
 
 // transformInnerLoops applies xf once to every inner loop of at most
-// maxBlocks blocks, in region-tree walk order, and returns the number of
+// maxLoopBlocks blocks, in region-tree walk order, and returns the number of
 // loops it changed. fl must be f's current flow analysis, and is again
 // on return.
 //
@@ -441,7 +437,7 @@ type loopSweep func(f *ir.Func, fl *cfg.Flow, maxBlocks int, xf loopTransform) i
 // one exception is a transform that exposes a new candidate: then fl is
 // refilled and the tree walked again at once, skipping every header
 // already tried, so the new loop is tried where a fresh walk puts it.
-func transformInnerLoops(f *ir.Func, fl *cfg.Flow, maxBlocks int, xf loopTransform) int {
+func transformInnerLoops(f *ir.Func, fl *cfg.Flow, xf loopTransform) int {
 	var done map[*ir.Block]bool // headers tried before a walk again
 	var loops []loop
 	var backing []int
@@ -452,7 +448,7 @@ func transformInnerLoops(f *ir.Func, fl *cfg.Flow, maxBlocks int, xf loopTransfo
 		}
 		loops, backing = loops[:0], backing[:0]
 		fl.Loops.Root.Walk(func(r *cfg.Region) {
-			if r.IsLoop && r.IsInner() && len(r.Blocks) <= maxBlocks && !done[f.Blocks[r.Header]] {
+			if r.IsLoop && r.IsInner() && len(r.Blocks) <= maxLoopBlocks && !done[f.Blocks[r.Header]] {
 				var l loop
 				l, backing = readLoop(backing, &fl.Loops, r)
 				loops = append(loops, l)

@@ -42,7 +42,7 @@ var drivePasses = []struct {
 	cfg  Config
 }{
 	{"plain", Config{}},
-	{"pipeline", Config{Unroll: true, UnrollMaxBlocks: 4, Rotate: true, RotateMaxBlocks: 4}},
+	{"pipeline", Config{Unroll: true, Rotate: true}},
 }
 
 // waitGoroutines fails t unless the goroutine count returns to base.
@@ -132,7 +132,7 @@ func TestDriveEarlyExits(t *testing.T) {
 	cancel()
 	source := func(src string) func() asm.FuncReader {
 		return func() asm.FuncReader {
-			r, err := asm.NewReader(src)
+			r, err := asm.Native.Open(src)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -182,9 +182,8 @@ int f(int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgX := DefaultConfig()
-	cfgX.UnrollMaxBlocks = 2 // the diamond body exceeds this
-	st := TransformOnlyProgram(prog, cfgX)
+	// The nested diamonds give the loop more than maxLoopBlocks blocks.
+	st := TransformOnlyProgram(prog, DefaultConfig())
 	if st.LoopsUnrolled != 0 {
 		t.Errorf("loop above the cap was unrolled: %+v", st)
 	}

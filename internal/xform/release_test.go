@@ -20,7 +20,7 @@ import (
 func TestPoolsReleaseScheduledFunc(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
-		p, err := workload.LI().Compile()
+		p, err := workload.ByName("li").Compile()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,42 +6,31 @@ import (
 	"gsched/internal/profile"
 )
 
-// SuperblockConfig gates profile-driven superblock formation: hot join
-// blocks are tail-duplicated so the frequent trace loses its side
-// entrances and the scheduler's useful (0-branch) motion applies along
-// it. This is the classic trace-straightening companion to the paper's
-// Definition-6 duplication: Def-6 moves one instruction into all
-// predecessors of a join; tail duplication instead copies the join
-// itself onto the hot path, which turns the hot predecessor and the
-// copy into equivalent blocks (Definition 4) and leaves the cold paths
-// untouched.
-type SuperblockConfig struct {
-	// MinProb is the edge probability below which an arm is not
-	// considered hot (a biased branch must send at least this fraction
-	// of executions down the arm).
-	MinProb float64
-	// MinCount is the minimum number of recorded executions of the
-	// branch; colder branches carry too little signal to gamble code
-	// growth on.
-	MinCount int64
-	// MaxBlock is the largest join block (instruction count) that may
-	// be duplicated.
-	MaxBlock int
-	// MaxGrowth caps the per-function instruction growth; 0 means
-	// max(16, NumInstrs/4).
-	MaxGrowth int
-}
+// Superblock formation tail-duplicates hot join blocks so the frequent
+// trace loses its side entrances and the scheduler's useful (0-branch)
+// motion applies along it. This is the classic trace-straightening
+// companion to the paper's Definition-6 duplication: Def-6 moves one
+// instruction into all predecessors of a join; tail duplication instead
+// copies the join itself onto the hot path, which turns the hot
+// predecessor and the copy into equivalent blocks (Definition 4) and
+// leaves the cold paths untouched. The gates:
+const (
+	// superblockMinProb is the edge probability below which an arm is
+	// not considered hot (a biased branch must send at least this
+	// fraction of executions down the arm).
+	superblockMinProb = 0.8
+	// superblockMinCount is the minimum number of recorded executions
+	// of the branch; colder branches carry too little signal to gamble
+	// code growth on.
+	superblockMinCount = 8
+	// superblockMaxBlock is the largest join block (instruction count)
+	// that may be duplicated.
+	superblockMaxBlock = 16
+)
 
-// DefaultSuperblock returns the thresholds the §6 pipeline uses at
-// level=dup: duplicate joins of up to 16 instructions along edges taken
-// at least 80% of the time and observed at least 8 times, growing each
-// function by at most a quarter.
-func DefaultSuperblock() SuperblockConfig {
-	return SuperblockConfig{MinProb: 0.8, MinCount: 8, MaxBlock: 16}
-}
-
-// FormSuperblocks tail-duplicates hot join blocks of f according to the
-// edge profile and returns the number of blocks duplicated. Legality is
+// formSuperblocks tail-duplicates hot join blocks of f according to the
+// edge profile and returns the number of blocks duplicated, growing f
+// by at most max(16, NumInstrs/4) instructions. Legality is
 // structural: each duplicated block keeps its instructions and its
 // successor edges, so every execution path still runs the join exactly
 // once (through the original or the copy). Formation is skipped for
@@ -49,31 +38,16 @@ func DefaultSuperblock() SuperblockConfig {
 // reducible region structure §6 schedules — and stops at the growth
 // cap. The transformation is deterministic: blocks are scanned in
 // layout order and the analyses are rebuilt after every duplication.
-func FormSuperblocks(f *ir.Func, prof *profile.Profile, scfg SuperblockConfig) int {
+func formSuperblocks(f *ir.Func, prof *profile.Profile) int {
 	if prof == nil || prof.Len() == 0 || len(f.Blocks) < 2 {
 		return 0
 	}
-	if scfg.MinProb <= 0 || scfg.MinProb > 1 {
-		scfg.MinProb = 0.8
-	}
-	if scfg.MinCount <= 0 {
-		scfg.MinCount = 8
-	}
-	if scfg.MaxBlock <= 0 {
-		scfg.MaxBlock = 16
-	}
-	budget := scfg.MaxGrowth
-	if budget <= 0 {
-		budget = f.NumInstrs() / 4
-		if budget < 16 {
-			budget = 16
-		}
-	}
+	budget := max(16, f.NumInstrs()/4)
 	formed := 0
 	var fl cfg.Flow
 	for budget > 0 {
 		fl.Refill(f)
-		if !tailDuplicateOne(f, &fl, prof, scfg, &budget) {
+		if !tailDuplicateOne(f, &fl, prof, &budget) {
 			break
 		}
 		formed++
@@ -85,7 +59,7 @@ func FormSuperblocks(f *ir.Func, prof *profile.Profile, scfg SuperblockConfig) i
 // block that passes every gate, duplicates the join onto that edge, and
 // reports whether anything changed. One duplication per call keeps the
 // flow analyses honest: the caller re-enters with fl refilled.
-func tailDuplicateOne(f *ir.Func, fl *cfg.Flow, prof *profile.Profile, scfg SuperblockConfig, budget *int) bool {
+func tailDuplicateOne(f *ir.Func, fl *cfg.Flow, prof *profile.Profile, budget *int) bool {
 	g, li := &fl.G, &fl.Loops
 	if li.Irreducible {
 		return false
@@ -110,7 +84,7 @@ func tailDuplicateOne(f *ir.Func, fl *cfg.Flow, prof *profile.Profile, scfg Supe
 			continue
 		}
 		c := prof.Branch(f.Name, t.ID)
-		if c.Total() < scfg.MinCount {
+		if c.Total() < superblockMinCount {
 			continue
 		}
 		p := c.TakenProb()
@@ -119,13 +93,13 @@ func tailDuplicateOne(f *ir.Func, fl *cfg.Flow, prof *profile.Profile, scfg Supe
 		var b int
 		var viaTarget bool
 		switch {
-		case p >= scfg.MinProb:
+		case p >= superblockMinProb:
 			tgt, ok := byLabel[t.Target]
 			if !ok {
 				continue
 			}
 			b, viaTarget = tgt, true
-		case 1-p >= scfg.MinProb:
+		case 1-p >= superblockMinProb:
 			if u+1 >= len(f.Blocks) {
 				continue
 			}
@@ -140,7 +114,7 @@ func tailDuplicateOne(f *ir.Func, fl *cfg.Flow, prof *profile.Profile, scfg Supe
 			continue // keep the region structure reducible
 		}
 		jb := f.Blocks[b]
-		if len(jb.Instrs) > scfg.MaxBlock || len(jb.Instrs) > *budget {
+		if len(jb.Instrs) > superblockMaxBlock || len(jb.Instrs) > *budget {
 			continue
 		}
 		duplicateJoin(f, u, b, viaTarget)

@@ -68,9 +68,9 @@ func TestFormSuperblocksDuplicatesHotJoin(t *testing.T) {
 
 	f := prog.Func("f")
 	before := len(f.Blocks)
-	formed := FormSuperblocks(f, prof, DefaultSuperblock())
+	formed := formSuperblocks(f, prof)
 	if formed < 1 {
-		t.Fatalf("FormSuperblocks = %d, want >= 1 on the biased if\n%s", formed, f)
+		t.Fatalf("formSuperblocks = %d, want >= 1 on the biased if\n%s", formed, f)
 	}
 	if len(f.Blocks) <= before {
 		t.Fatalf("no blocks added: %d -> %d", before, len(f.Blocks))
@@ -98,14 +98,14 @@ func TestFormSuperblocksGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := prog.Func("f")
-	if n := FormSuperblocks(f, nil, DefaultSuperblock()); n != 0 {
+	if n := formSuperblocks(f, nil); n != 0 {
 		t.Errorf("nil profile: formed %d", n)
 	}
-	if n := FormSuperblocks(f, profile.New(), DefaultSuperblock()); n != 0 {
+	if n := formSuperblocks(f, profile.New()); n != 0 {
 		t.Errorf("empty profile: formed %d", n)
 	}
 
-	// A balanced branch (roughly 50/50) never clears MinProb.
+	// A balanced branch (roughly 50/50) never clears superblockMinProb.
 	balanced := `
 int acc = 0;
 int f(int n) {
@@ -123,17 +123,17 @@ int f(int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := FormSuperblocks(prog2.Func("f"), prof, DefaultSuperblock()); n != 0 {
+	if n := formSuperblocks(prog2.Func("f"), prof); n != 0 {
 		t.Errorf("balanced branch: formed %d, want 0", n)
 	}
 
-	// A branch executed fewer than MinCount times carries no signal.
+	// A branch executed fewer than superblockMinCount times carries no signal.
 	prof2 := trainProfile(t, hotIfSrc, "f", []int64{3})
 	prog3, err := minic.Compile(hotIfSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := FormSuperblocks(prog3.Func("f"), prof2, DefaultSuperblock()); n != 0 {
+	if n := formSuperblocks(prog3.Func("f"), prof2); n != 0 {
 		t.Errorf("cold branch: formed %d, want 0", n)
 	}
 }
@@ -181,17 +181,9 @@ func TestFormSuperblocksSkipsLoopHeaders(t *testing.T) {
 	for k := 0; k < 100; k++ {
 		prof.Record("g", t1.ID, false)
 	}
-	if nfo := FormSuperblocksCountOnly(f, prof); nfo != 0 {
+	if nfo := formSuperblocks(f, prof); nfo != 0 {
 		t.Errorf("loop header duplicated %d times, want 0\n%s", nfo, f)
 	}
-}
-
-// FormSuperblocksCountOnly is a test shim running the former with
-// default thresholds but MinCount 1.
-func FormSuperblocksCountOnly(f *ir.Func, prof *profile.Profile) int {
-	scfg := DefaultSuperblock()
-	scfg.MinCount = 1
-	return FormSuperblocks(f, prof, scfg)
 }
 
 // TestLevelDupPipelineWithProfile runs the full §6 pipeline at
@@ -253,7 +245,7 @@ func TestFormSuperblocksDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		FormSuperblocks(prog.Func("f"), prof, DefaultSuperblock())
+		formSuperblocks(prog.Func("f"), prof)
 		return asm.Print(prog)
 	}
 	if a, b := render(), render(); a != b {

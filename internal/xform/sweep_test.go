@@ -18,17 +18,17 @@ import (
 )
 
 // refillSweep is the reference loop sweep: walk the region tree for the
-// first inner loop of at most maxBlocks blocks whose header has not been
+// first inner loop of at most maxLoopBlocks blocks whose header has not been
 // tried, transform it, refill fl after every change, and walk again.
 // transformInnerLoops must give exactly its output with one refill per
 // sweep.
-func refillSweep(f *ir.Func, fl *cfg.Flow, maxBlocks int, xf loopTransform) int {
+func refillSweep(f *ir.Func, fl *cfg.Flow, xf loopTransform) int {
 	done := map[*ir.Block]bool{}
 	count := 0
 	for !fl.Loops.Irreducible {
 		var target *cfg.Region
 		fl.Loops.Root.Walk(func(r *cfg.Region) {
-			if target == nil && r.IsLoop && r.IsInner() && len(r.Blocks) <= maxBlocks && !done[f.Blocks[r.Header]] {
+			if target == nil && r.IsLoop && r.IsInner() && len(r.Blocks) <= maxLoopBlocks && !done[f.Blocks[r.Header]] {
 				target = r
 			}
 		})
@@ -128,7 +128,7 @@ func sweepCorpus(t *testing.T) []sweepProgram {
 // Stats of the reference sweep that refills after every transformed
 // loop, through the whole pass at the speculative level and at the dup
 // level (whose tail duplication reshapes the loops before the sweeps)
-// on two machines, and through TransformOnly, with and without
+// on two machines, and through transformOnly, with and without
 // unrolling.
 func TestSweepMatchesPerLoopRefill(t *testing.T) {
 	for _, sp := range sweepCorpus(t) {
@@ -180,10 +180,10 @@ func sweepMatches(t *testing.T, sp sweepProgram) {
 	both("TransformOnly", func(f *ir.Func, sweep loopSweep) Stats {
 		return transformOnly(f, DefaultConfig(), sweep)
 	})
-	// Unrolling doubles a loop past RotateMaxBlocks, so rotation alone
+	// Unrolling doubles a loop past maxLoopBlocks, so rotation alone
 	// is what reaches the loops a rotation exposes.
 	both("TransformOnly, rotation alone", func(f *ir.Func, sweep loopSweep) Stats {
-		return transformOnly(f, Config{Rotate: true, RotateMaxBlocks: 4}, sweep)
+		return transformOnly(f, Config{Rotate: true}, sweep)
 	})
 }
 
@@ -203,7 +203,7 @@ func TestSweepWalksAgainForExposedLoop(t *testing.T) {
 			inner++
 		}
 	})
-	rotated := transformInnerLoops(f, &fl, 4, rotate)
+	rotated := transformInnerLoops(f, &fl, rotate)
 	if rotated <= inner {
 		t.Fatalf("rotated %d loops of %d inner loops: no exposed loop was rotated", rotated, inner)
 	}
@@ -211,7 +211,7 @@ func TestSweepWalksAgainForExposedLoop(t *testing.T) {
 	rf := ref.Func(sp.entry)
 	var rfl cfg.Flow
 	rfl.Refill(rf)
-	if want := refillSweep(rf, &rfl, 4, rotate); rotated != want || f.String() != rf.String() {
+	if want := refillSweep(rf, &rfl, rotate); rotated != want || f.String() != rf.String() {
 		t.Fatalf("the sweep rotated %d loops, the reference %d:\n%s\nwant\n%s", rotated, want, f, rf)
 	}
 	var fresh cfg.Flow

@@ -24,7 +24,7 @@ func TestDefaultPolicyMatchesBuiltin(t *testing.T) {
 	const seeds = 12
 	machines := []*machine.Desc{machine.RS6K(), machine.Superscalar(4, 2)}
 	levels := []core.Level{core.LevelUseful, core.LevelSpeculative, core.LevelDup}
-	pol := policy.Default()
+	pol := policy.MustParse(policy.DefaultSource)
 	for seed := int64(0); seed < seeds; seed++ {
 		p := progen.New(seed)
 		// Train a profile once per program so level=dup runs its
