@@ -13,6 +13,14 @@
 //
 // Lines are instructions, labels ("name:"), function headers
 // ("func name [params...]:"), or data directives. ';' starts a comment.
+//
+// An instruction's syntax is its opcode's entry in ir.Forms, the single
+// statement of it: the mnemonic, then comma-separated operands left and
+// right of '='. The parser looks the mnemonic up and reads one token per
+// operand slot; ir.(*Instr).AppendString prints by the same entry, and
+// ir.(*Func).CheckInstr, which Validate also calls, checks each parsed
+// instruction's operand classes. A missing, extra or wrong-class operand
+// is an error with its line number.
 package asm
 
 import (
@@ -179,23 +187,6 @@ func parseBit(tok string) (ir.CRBit, error) {
 	return 0, fmt.Errorf("bad condition bit %q (want lt/gt/eq)", tok)
 }
 
-var op2ByName = map[string]ir.Op{
-	"A": ir.OpAdd, "S": ir.OpSub, "MUL": ir.OpMul, "DIV": ir.OpDiv,
-	"REM": ir.OpRem, "AND": ir.OpAnd, "OR": ir.OpOr, "XOR": ir.OpXor,
-	"SL": ir.OpShl, "SR": ir.OpShr,
-	"FA": ir.OpFAdd, "FS": ir.OpFSub, "FM": ir.OpFMul, "FD": ir.OpFDiv,
-}
-
-var unaryByName = map[string]ir.Op{
-	"NEG": ir.OpNeg, "NOT": ir.OpNot, "LR": ir.OpLR,
-	"FNEG": ir.OpFNeg, "FMR": ir.OpFMove, "FCVT": ir.OpFCvt, "FTRUNC": ir.OpFTrunc,
-}
-
-var opIByName = map[string]ir.Op{
-	"AI": ir.OpAddI, "MULI": ir.OpMulI, "ANDI": ir.OpAndI, "ORI": ir.OpOrI,
-	"XORI": ir.OpXorI, "SLI": ir.OpShlI, "SRI": ir.OpShrI,
-}
-
 func (p *parser) block() *ir.Block {
 	if p.b == nil {
 		p.b = p.f.NewBlock("")
@@ -248,329 +239,113 @@ func (p *parser) emit(i *ir.Instr) {
 	}
 }
 
+// formByMnemonic indexes ir.Forms by mnemonic.
+var formByMnemonic = func() map[string]*ir.Form {
+	forms := ir.Forms()
+	m := make(map[string]*ir.Form, len(forms))
+	for k := range forms {
+		m[forms[k].Mnemonic] = &forms[k]
+	}
+	return m
+}()
+
+// parseInstr reads one instruction by its mnemonic's form, then checks
+// it with the same ir.Func.CheckInstr that Validate calls, so a wrong
+// operand class is reported with its line number.
 func (p *parser) parseInstr(line string) error {
-	mn := line
-	rest := ""
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		mn, rest = line[:i], strings.TrimSpace(line[i+1:])
+	mn, rest := line, ""
+	if k := strings.IndexAny(line, " \t"); k >= 0 {
+		mn, rest = line[:k], strings.TrimSpace(line[k+1:])
 	}
-	i := p.f.NewInstr(ir.OpNop)
-
-	// eq splits "lhs=rhs" forms.
-	eq := func() (string, string, bool) {
-		k := strings.IndexByte(rest, '=')
-		if k < 0 {
-			return "", "", false
-		}
-		return strings.TrimSpace(rest[:k]), strings.TrimSpace(rest[k+1:]), true
-	}
-	comma := p.splitTop
-
-	switch {
-	case mn == "NOP":
-		i.Op = ir.OpNop
-
-	case mn == "LI":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("LI wants rD=imm")
-		}
-		r, err := parseReg(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		imm, err := strconv.ParseInt(rhs, 10, 64)
-		if err != nil {
-			return p.errf("bad immediate %q", rhs)
-		}
-		i.Op, i.Def, i.Imm = ir.OpLI, r, imm
-
-	case unaryByName[mn] != 0:
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("%s wants rD=rA", mn)
-		}
-		d, err := parseReg(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		a, err := parseReg(rhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.Def, i.A = unaryByName[mn], d, a
-
-	case op2ByName[mn] != 0 || mn == "A":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("%s wants rD=rA,rB", mn)
-		}
-		parts := comma(rhs)
-		if len(parts) != 2 {
-			return p.errf("%s wants two sources", mn)
-		}
-		d, err := parseReg(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		a, err := parseReg(parts[0])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		b, err := parseReg(parts[1])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.Def, i.A, i.B = op2ByName[mn], d, a, b
-
-	case opIByName[mn] != 0:
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("%s wants rD=rA,imm", mn)
-		}
-		parts := comma(rhs)
-		if len(parts) != 2 {
-			return p.errf("%s wants source and immediate", mn)
-		}
-		d, err := parseReg(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		a, err := parseReg(parts[0])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		imm, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return p.errf("bad immediate %q", parts[1])
-		}
-		i.Op, i.Def, i.A, i.Imm = opIByName[mn], d, a, imm
-
-	case mn == "FC":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("FC wants crD=fA,fB")
-		}
-		parts := comma(rhs)
-		if len(parts) != 2 {
-			return p.errf("FC wants two operands")
-		}
-		d, err := parseReg(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		a, err := parseReg(parts[0])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		bb, err := parseReg(parts[1])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.Def, i.A, i.B = ir.OpFCmp, d, a, bb
-
-	case mn == "LF":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("LF wants fD=mem")
-		}
-		d, err := parseReg(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		m, err := parseMem(rhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.Def, i.Mem = ir.OpFLoad, d, m
-
-	case mn == "STF":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("STF wants mem=fA")
-		}
-		a, err := parseReg(rhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		m, err := parseMem(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.A, i.Mem = ir.OpFStore, a, m
-
-	case mn == "C" || mn == "CI":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("%s wants crD=rA,<rB|imm>", mn)
-		}
-		parts := comma(rhs)
-		if len(parts) != 2 {
-			return p.errf("%s wants two operands", mn)
-		}
-		d, err := parseReg(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		a, err := parseReg(parts[0])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Def, i.A = d, a
-		if mn == "C" {
-			b, err := parseReg(parts[1])
-			if err != nil {
-				return p.errf("%v", err)
-			}
-			i.Op, i.B = ir.OpCmp, b
-		} else {
-			imm, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				return p.errf("bad immediate %q", parts[1])
-			}
-			i.Op, i.Imm = ir.OpCmpI, imm
-		}
-
-	case mn == "L":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("L wants rD=mem")
-		}
-		d, err := parseReg(lhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		m, err := parseMem(rhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.Def, i.Mem = ir.OpLoad, d, m
-
-	case mn == "LU":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("LU wants rD,rB'=mem")
-		}
-		parts := comma(lhs)
-		if len(parts) != 2 {
-			return p.errf("LU wants two destinations")
-		}
-		d, err := parseReg(parts[0])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		d2, err := parseReg(parts[1])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		m, err := parseMem(rhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.Def, i.Def2, i.Mem = ir.OpLoadU, d, d2, m
-
-	case mn == "ST" || mn == "STU":
-		lhs, rhs, ok := eq()
-		if !ok {
-			return p.errf("%s wants mem=rA", mn)
-		}
-		a, err := parseReg(rhs)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		memTok := lhs
-		if mn == "STU" {
-			parts := comma(lhs)
-			if len(parts) != 2 {
-				return p.errf("STU wants mem,rB'")
-			}
-			memTok = parts[0]
-			d2, err := parseReg(parts[1])
-			if err != nil {
-				return p.errf("%v", err)
-			}
-			i.Def2 = d2
-		}
-		m, err := parseMem(memTok)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		if mn == "ST" {
-			i.Op = ir.OpStore
-		} else {
-			i.Op = ir.OpStoreU
-		}
-		i.A, i.Mem = a, m
-
-	case mn == "B":
-		if rest == "" {
-			return p.errf("B wants a target")
-		}
-		i.Op, i.Target = ir.OpB, rest
-
-	case mn == "BT" || mn == "BF":
-		parts := comma(rest)
-		if len(parts) != 3 {
-			return p.errf("%s wants target,cr,bit", mn)
-		}
-		cr, err := parseReg(parts[1])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		bit, err := parseBit(parts[2])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.Target, i.A, i.CRBit, i.OnTrue = ir.OpBC, parts[0], cr, bit, mn == "BT"
-
-	case mn == "BCT":
-		parts := comma(rest)
-		if len(parts) != 2 {
-			return p.errf("BCT wants target,counter")
-		}
-		ctr, err := parseReg(parts[1])
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		i.Op, i.Target, i.A, i.Def = ir.OpBCT, parts[0], ctr, ctr
-
-	case mn == "CALL":
-		body := rest
-		if lhs, rhs, ok := eq(); ok {
-			d, err := parseReg(lhs)
-			if err != nil {
-				return p.errf("%v", err)
-			}
-			i.Def = d
-			body = rhs
-		}
-		parts := comma(body)
-		if parts[0] == "" {
-			return p.errf("CALL wants a target")
-		}
-		i.Op, i.Target = ir.OpCall, parts[0]
-		for _, tok := range parts[1:] {
-			r, err := parseReg(tok)
-			if err != nil {
-				return p.errf("%v", err)
-			}
-			i.CallArgs = append(i.CallArgs, r)
-		}
-
-	case mn == "RET":
-		i.Op = ir.OpRet
-		if rest != "" {
-			r, err := parseReg(rest)
-			if err != nil {
-				return p.errf("%v", err)
-			}
-			i.A = r
-		}
-
-	default:
+	fm := formByMnemonic[mn]
+	if fm == nil {
 		return p.errf("unknown mnemonic %q", mn)
 	}
+	i := p.f.NewInstr(fm.Op)
+	i.OnTrue = fm.OnTrue
+	lhs, rhs, hasEq := "", rest, false
+	if len(fm.Left) > 0 {
+		l, r, ok := strings.Cut(rest, "=")
+		switch {
+		case ok:
+			lhs, rhs, hasEq = l, r, true
+		case !fm.Left[0].Optional:
+			return p.errf("%s: missing '='", mn)
+		}
+	}
+	if err := p.operands(i, fm, fm.Left, lhs, hasEq); err != nil {
+		return err
+	}
+	if err := p.operands(i, fm, fm.Right, rhs, rhs != ""); err != nil {
+		return err
+	}
+	if fm.DefIsA {
+		i.Def = i.A
+	}
+	if err := p.f.CheckInstr(i); err != nil {
+		return p.errf("%s: %v", i, err)
+	}
 	p.emit(i)
+	return nil
+}
+
+// operands reads text, the comma-separated operands of list, into i.
+// When written is false the text is absent and holds no operand; a
+// written empty text, as left of the '=' in "CALL =f", is one empty
+// operand.
+func (p *parser) operands(i *ir.Instr, fm *ir.Form, list []ir.Operand, text string, written bool) error {
+	var toks []string
+	if written {
+		toks = p.splitTop(text)
+	}
+	k := 0
+	for _, o := range list {
+		switch {
+		case o.Slot == ir.SlotArgs:
+			for ; k < len(toks); k++ {
+				if err := p.operand(i, o.Slot, toks[k]); err != nil {
+					return err
+				}
+			}
+		case k < len(toks):
+			if err := p.operand(i, o.Slot, toks[k]); err != nil {
+				return err
+			}
+			k++
+		case !o.Optional:
+			return p.errf("%s: missing %s", fm.Mnemonic, o.Role)
+		}
+	}
+	if k < len(toks) {
+		return p.errf("%s: extra operand %q", fm.Mnemonic, toks[k])
+	}
+	return nil
+}
+
+// operand reads one operand token into i's slot s.
+func (p *parser) operand(i *ir.Instr, s ir.Slot, tok string) error {
+	var err error
+	switch s {
+	case ir.SlotDef, ir.SlotDef2, ir.SlotA, ir.SlotB:
+		*i.RegField(s), err = parseReg(tok)
+	case ir.SlotArgs:
+		var r ir.Reg
+		r, err = parseReg(tok)
+		i.CallArgs = append(i.CallArgs, r)
+	case ir.SlotImm:
+		if i.Imm, err = strconv.ParseInt(tok, 10, 64); err != nil {
+			return p.errf("bad immediate %q", tok)
+		}
+	case ir.SlotMem:
+		i.Mem, err = parseMem(tok)
+	case ir.SlotTarget:
+		i.Target = tok
+	case ir.SlotBit:
+		i.CRBit, err = parseBit(tok)
+	}
+	if err != nil {
+		return p.errf("%v", err)
+	}
 	return nil
 }
 

@@ -3,6 +3,8 @@ package asm
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -66,72 +68,90 @@ func TestRoundTripMinMax(t *testing.T) {
 	}
 }
 
+// TestRoundTripAllOpcodes writes one instruction of every form in
+// ir.Forms, in the syntax ir.Form documents, and one more with its
+// optional operands left out where it has any. Parse must read each
+// back to its form's opcode, and Print must give the text back
+// byte for byte.
 func TestRoundTripAllOpcodes(t *testing.T) {
-	src := `data mem 16
-func every r1 r2:
-	NOP
-	LI r3=-42
-	LR r4=r3
-	A r5=r1,r2
-	S r5=r5,r1
-	MUL r5=r5,r2
-	DIV r5=r5,r2
-	REM r6=r5,r2
-	AND r6=r6,r1
-	OR r6=r6,r2
-	XOR r6=r6,r1
-	SL r6=r6,r1
-	SR r6=r6,r1
-	AI r6=r6,7
-	MULI r6=r6,3
-	ANDI r6=r6,255
-	ORI r6=r6,1
-	XORI r6=r6,15
-	SLI r6=r6,2
-	SRI r6=r6,1
-	NEG r7=r6
-	NOT r7=r7
-	C cr0=r1,r2
-	CI cr1=r1,5
-	L r8=mem(r3,4)
-	LU r8,r3=mem(r3,4)
-	ST mem(r3,8)=r8
-	STU mem(r3,4),r3=r8
-	FCVT f0=r1
-	FCVT f1=r2
-	FA f2=f0,f1
-	FS f2=f2,f0
-	FM f2=f2,f1
-	FD f2=f2,f1
-	FNEG f3=f2
-	FMR f4=f3
-	FC cr2=f3,f4
-	STF mem(r3,8)=f4
-	LF f5=mem(r3,8)
-	FTRUNC r10=f5
-	BF skip,cr0,lt
-unlabeled:
-	B skip
-skip:
-	CALL print,r8
-	CALL r9=helper,r8,r7
-	RET r9
-func helper r1 r2:
-	BT done,cr0,eq
-done:
-	RET r1
-`
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
+	var src strings.Builder
+	src.WriteString("data mem 16\nfunc helper r1:\n\tRET r1\nfunc every r1 r2:\n")
+	var wrote []ir.Form // the form of each instruction of every, in order
+	for _, fm := range ir.Forms() {
+		writeForm(&src, fm, false, len(wrote))
+		wrote = append(wrote, fm)
+		if slices.ContainsFunc(slices.Concat(fm.Left, fm.Right), func(o ir.Operand) bool {
+			return o.Optional || o.Slot == ir.SlotArgs
+		}) {
+			writeForm(&src, fm, true, len(wrote))
+			wrote = append(wrote, fm)
+		}
 	}
-	out := Print(p)
-	p2, err := Parse(out)
+	p, err := Parse(src.String())
 	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, out)
+		t.Fatalf("Parse: %v\n%s", err, src.String())
 	}
-	if Print(p2) != out {
-		t.Errorf("round trip unstable:\n%s\nvs\n%s", out, Print(p2))
+	var got []*ir.Instr
+	p.Func("every").Instrs(func(_ *ir.Block, i *ir.Instr) { got = append(got, i) })
+	if len(got) != len(wrote) {
+		t.Fatalf("parsed %d instructions, wrote %d", len(got), len(wrote))
+	}
+	for k, i := range got {
+		if i.Op != wrote[k].Op || i.OnTrue != wrote[k].OnTrue {
+			t.Errorf("%s parsed as op %s, OnTrue %v", i, i.Op, i.OnTrue)
+		}
+	}
+	if out := Print(p); out != src.String() {
+		t.Errorf("printed text differs from the source:\n%s\nvs\n%s", out, src.String())
+	}
+}
+
+// writeForm writes an instruction of form fm, the n-th of its
+// function, to b: registers of each operand's class, and a label
+// after it for a branch to target. With omit, the optional operands
+// and the call arguments are left out.
+func writeForm(b *strings.Builder, fm ir.Form, omit bool, n int) {
+	b.WriteString("\t" + fm.Mnemonic)
+	sep := " "
+	write := func(list []ir.Operand) {
+		for k, o := range list {
+			var toks []string
+			switch o.Slot {
+			case ir.SlotImm:
+				toks = []string{strconv.Itoa(-n)}
+			case ir.SlotMem:
+				toks = []string{"mem(r3,8)"}
+			case ir.SlotTarget:
+				toks = []string{fmt.Sprintf("L%d", n)}
+				if fm.Op == ir.OpCall {
+					toks = []string{"helper"}
+				}
+			case ir.SlotBit:
+				toks = []string{ir.CRBit(n % 3).String()}
+			case ir.SlotArgs:
+				if !omit {
+					toks = []string{"r1", "r2"}
+				}
+			default:
+				if !o.Optional || !omit {
+					r := ir.Reg{Class: o.Class, Num: int32(n%5 + k)}
+					toks = []string{r.String()}
+				}
+			}
+			for _, tok := range toks {
+				b.WriteString(sep + tok)
+				sep = ","
+			}
+		}
+	}
+	write(fm.Left)
+	if sep == "," {
+		sep = "="
+	}
+	write(fm.Right)
+	b.WriteString("\n")
+	if fm.Op.IsBranch() {
+		fmt.Fprintf(b, "L%d:\n", n)
 	}
 }
 
@@ -147,6 +167,12 @@ func TestParseErrors(t *testing.T) {
 		{"bad bit", "func f:\n\tC cr0=r1,r2\n\tBT x,cr0,zz\nx:\n\tRET", "condition bit"},
 		{"label outside func", "lbl:\n", "outside a function"},
 		{"undefined call", "func f:\n\tCALL missing\n\tRET", "undefined function"},
+		{"operands after NOP", "func f:\n\tNOP r1, r2\n\tRET", `line 2: NOP: extra operand "r1"`},
+		{"operand after immediate", "func f:\n\tLI r1=5,6\n\tRET", `line 2: LI: extra operand "6"`},
+		{"missing source", "func f:\n\tA r1=r2\n\tRET", "line 2: A: missing second source"},
+		{"missing '='", "func f:\n\tLI r1\n\tRET", "line 2: LI: missing '='"},
+		{"wrong-class destination", "func f:\n\tLI cr0=5\n\tRET", "line 2: LI cr0=5: destination cr0 has class cr, want gpr"},
+		{"wrong-class branch condition", "func f:\n\tBT x,r1,lt\nx:\n\tRET", "line 2: BT x,r1,lt: condition source r1 has class gpr, want cr"},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.src)

@@ -20,8 +20,12 @@ func (m *Mem) String() string {
 	return string(m.appendTo(a[:0]))
 }
 
-// appendTo appends m's rendering to b and returns it.
+// appendTo appends m's rendering to b and returns it; a nil m, an
+// absent operand, renders like an absent register.
 func (m *Mem) appendTo(b []byte) []byte {
+	if m == nil {
+		return append(b, "<none>"...)
+	}
 	if m.Frame {
 		b = append(b, "frame("...)
 	} else {
@@ -47,7 +51,7 @@ type Instr struct {
 	Def2 Reg // secondary destination (updated base of LU/STU); NoReg if none
 	A, B Reg // register sources; NoReg if unused
 
-	Imm    int64  // immediate operand of HasImm ops
+	Imm    int64  // immediate operand, where the form has one
 	Mem    *Mem   // memory operand of loads and stores
 	Target string // branch target label, or callee name for OpCall
 
@@ -127,143 +131,4 @@ func (i *Instr) Clone(id int) *Instr {
 func (i *Instr) String() string {
 	var a [64]byte
 	return string(i.AppendString(a[:0]))
-}
-
-// AppendString appends String's rendering to b and returns it, so
-// printers and hashers on the hot serving path can reuse one buffer
-// across instructions instead of allocating per instruction.
-func (i *Instr) AppendString(b []byte) []byte {
-	switch i.Op {
-	case OpNop:
-		b = append(b, "NOP"...)
-	case OpLI:
-		b = append(b, "LI "...)
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, i.Imm, 10)
-	case OpLR:
-		b = append(b, "LR "...)
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpFAdd, OpFSub, OpFMul, OpFDiv:
-		b = append(b, i.Op.String()...)
-		b = append(b, ' ')
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-		b = append(b, ',')
-		b = appendReg(b, i.B)
-	case OpAddI, OpMulI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI:
-		b = append(b, i.Op.String()...)
-		b = append(b, ' ')
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, i.Imm, 10)
-	case OpNeg, OpNot, OpFNeg, OpFMove, OpFCvt, OpFTrunc:
-		b = append(b, i.Op.String()...)
-		b = append(b, ' ')
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-	case OpCmp:
-		b = append(b, "C "...)
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-		b = append(b, ',')
-		b = appendReg(b, i.B)
-	case OpCmpI:
-		b = append(b, "CI "...)
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, i.Imm, 10)
-	case OpLoad:
-		b = append(b, "L "...)
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = i.Mem.appendTo(b)
-	case OpLoadU:
-		b = append(b, "LU "...)
-		b = appendReg(b, i.Def)
-		b = append(b, ',')
-		b = appendReg(b, i.Def2)
-		b = append(b, '=')
-		b = i.Mem.appendTo(b)
-	case OpStore:
-		b = append(b, "ST "...)
-		b = i.Mem.appendTo(b)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-	case OpStoreU:
-		b = append(b, "STU "...)
-		b = i.Mem.appendTo(b)
-		b = append(b, ',')
-		b = appendReg(b, i.Def2)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-	case OpB:
-		b = append(b, "B "...)
-		b = append(b, i.Target...)
-	case OpBC:
-		if i.OnTrue {
-			b = append(b, "BT "...)
-		} else {
-			b = append(b, "BF "...)
-		}
-		b = append(b, i.Target...)
-		b = append(b, ',')
-		b = appendReg(b, i.A)
-		b = append(b, ',')
-		b = append(b, i.CRBit.String()...)
-	case OpBCT:
-		b = append(b, "BCT "...)
-		b = append(b, i.Target...)
-		b = append(b, ',')
-		b = appendReg(b, i.A)
-	case OpFCmp:
-		b = append(b, "FC "...)
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-		b = append(b, ',')
-		b = appendReg(b, i.B)
-	case OpFLoad:
-		b = append(b, "LF "...)
-		b = appendReg(b, i.Def)
-		b = append(b, '=')
-		b = i.Mem.appendTo(b)
-	case OpFStore:
-		b = append(b, "STF "...)
-		b = i.Mem.appendTo(b)
-		b = append(b, '=')
-		b = appendReg(b, i.A)
-	case OpCall:
-		b = append(b, "CALL "...)
-		if i.Def.Valid() {
-			b = appendReg(b, i.Def)
-			b = append(b, '=')
-		}
-		b = append(b, i.Target...)
-		for _, a := range i.CallArgs {
-			b = append(b, ',')
-			b = appendReg(b, a)
-		}
-	case OpRet:
-		if i.A.Valid() {
-			b = append(b, "RET "...)
-			b = appendReg(b, i.A)
-		} else {
-			b = append(b, "RET"...)
-		}
-	default:
-		b = append(b, i.Op.String()...)
-		b = append(b, " ?"...)
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -301,6 +303,36 @@ func TestValidateCatchesBrokenFunctions(t *testing.T) {
 			b.Ret(NoReg)
 		}},
 	}
+	// For each register operand of each form, a register of the wrong
+	// class is rejected, naming the operand's role.
+	for _, fm := range forms {
+		for k, o := range slices.Concat(fm.Left, fm.Right) {
+			if o.Slot != SlotArgs && new(Instr).RegField(o.Slot) == nil {
+				continue
+			}
+			cases = append(cases, struct {
+				name string
+				want string
+				fn   func(*Builder)
+			}{fmt.Sprintf("%s operand %d class", fm.Mnemonic, k), o.Role, func(b *Builder) {
+				b.Block("e")
+				b.Emit(fm.Op, func(i *Instr) {
+					fillForm(i, &fm)
+					wrong := (o.Class + 1) % NumClasses
+					if o.Slot == SlotArgs {
+						i.CallArgs[0].Class = wrong
+					} else {
+						i.RegField(o.Slot).Class = wrong
+					}
+					if fm.DefIsA {
+						i.Def = i.A
+					}
+				})
+				b.Block("x")
+				b.Ret(NoReg)
+			}})
+		}
+	}
 	for _, c := range cases {
 		err := mk(c.fn)
 		if err == nil {
@@ -310,6 +342,71 @@ func TestValidateCatchesBrokenFunctions(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// fillForm gives i a valid operand for every slot of fm: registers of
+// the operand's class, a memory operand with a base, the target "x"
+// and one call argument.
+func fillForm(i *Instr, fm *Form) {
+	i.OnTrue = fm.OnTrue
+	for k, o := range slices.Concat(fm.Left, fm.Right) {
+		r := Reg{Class: o.Class, Num: int32(k)}
+		switch o.Slot {
+		case SlotImm:
+			i.Imm = 1
+		case SlotMem:
+			i.Mem = &Mem{Sym: "a", Base: GPR(9)}
+		case SlotTarget:
+			i.Target = "x"
+		case SlotBit:
+			i.CRBit = BitEQ
+		case SlotArgs:
+			i.CallArgs = []Reg{r}
+		default:
+			*i.RegField(o.Slot) = r
+		}
+	}
+	if fm.DefIsA {
+		i.Def = i.A
+	}
+}
+
+// TestFormsCoverEveryOpcode: every opcode below numOps is written
+// through exactly one form (OpBC through two, BF and BT by OnTrue),
+// every mnemonic is distinct, and each form's valid instruction
+// passes CheckInstr.
+func TestFormsCoverEveryOpcode(t *testing.T) {
+	n := make(map[Op]int)
+	mnemonics := make(map[string]bool)
+	for k := range forms {
+		fm := &forms[k]
+		n[fm.Op]++
+		if mnemonics[fm.Mnemonic] {
+			t.Errorf("mnemonic %s used twice", fm.Mnemonic)
+		}
+		mnemonics[fm.Mnemonic] = true
+		i := &Instr{Op: fm.Op, Def: NoReg, Def2: NoReg, A: NoReg, B: NoReg}
+		fillForm(i, fm)
+		if i.form() != fm {
+			t.Errorf("%s: an instruction of this form prints with %s", fm.Mnemonic, i.form().Mnemonic)
+		}
+		f := NewFunc("t")
+		if err := f.CheckInstr(i); err != nil {
+			t.Errorf("%s: %v", i, err)
+		}
+	}
+	for op := Op(0); op < numOps; op++ {
+		want := 1
+		if op == OpBC {
+			want = 2
+		}
+		if n[op] != want {
+			t.Errorf("%s has %d forms, want %d", op, n[op], want)
+		}
+	}
+	if (&Instr{Op: numOps}).form() != nil {
+		t.Error("an opcode past numOps has a form")
 	}
 }
 

@@ -94,56 +94,12 @@ const (
 	numOps
 )
 
-var opNames = [numOps]string{
-	OpNop:    "NOP",
-	OpLI:     "LI",
-	OpLR:     "LR",
-	OpAdd:    "A",
-	OpSub:    "S",
-	OpMul:    "MUL",
-	OpDiv:    "DIV",
-	OpRem:    "REM",
-	OpAnd:    "AND",
-	OpOr:     "OR",
-	OpXor:    "XOR",
-	OpShl:    "SL",
-	OpShr:    "SR",
-	OpAddI:   "AI",
-	OpMulI:   "MULI",
-	OpAndI:   "ANDI",
-	OpOrI:    "ORI",
-	OpXorI:   "XORI",
-	OpShlI:   "SLI",
-	OpShrI:   "SRI",
-	OpNeg:    "NEG",
-	OpNot:    "NOT",
-	OpCmp:    "C",
-	OpCmpI:   "CI",
-	OpLoad:   "L",
-	OpLoadU:  "LU",
-	OpStore:  "ST",
-	OpStoreU: "STU",
-	OpB:      "B",
-	OpBC:     "BC",
-	OpBCT:    "BCT",
-	OpCall:   "CALL",
-	OpRet:    "RET",
-	OpFAdd:   "FA",
-	OpFSub:   "FS",
-	OpFMul:   "FM",
-	OpFDiv:   "FD",
-	OpFNeg:   "FNEG",
-	OpFMove:  "FMR",
-	OpFCmp:   "FC",
-	OpFLoad:  "LF",
-	OpFStore: "STF",
-	OpFCvt:   "FCVT",
-	OpFTrunc: "FTRUNC",
-}
-
 func (op Op) String() string {
-	if op < numOps {
-		return opNames[op]
+	switch {
+	case op == OpBC:
+		return "BC" // written BT or BF, by its OnTrue
+	case op < numOps:
+		return formOf[op][0].Mnemonic
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
@@ -179,15 +135,6 @@ func (op Op) TouchesMemory() bool { return op.IsLoad() || op.IsStore() || op == 
 
 // IsCompare reports whether op writes a condition register.
 func (op Op) IsCompare() bool { return op == OpCmp || op == OpCmpI || op == OpFCmp }
-
-// HasImm reports whether op carries an immediate operand.
-func (op Op) HasImm() bool {
-	switch op {
-	case OpLI, OpAddI, OpMulI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI, OpCmpI:
-		return true
-	}
-	return false
-}
 
 // NeverMoves reports whether the global scheduler must keep instructions
 // with this opcode inside their home basic block. Per §5.1 of the paper,

@@ -12,8 +12,7 @@ import (
 //   - terminators appear only as the last instruction of a block,
 //   - the last block does not fall through past the end of the function,
 //   - instruction IDs are unique,
-//   - operand register classes match the opcode (compares define CRs,
-//     conditional branches test CRs, everything else works on GPRs),
+//   - each instruction's operands match its form (CheckInstr),
 //   - every register is numbered below MaxRegs and below NumRegs of
 //     its class (registers placed without Builder or NoteReg are not).
 //
@@ -69,12 +68,19 @@ func (f *Func) Validate() error {
 			if i.Op.IsTerminator() && k != len(b.Instrs)-1 {
 				return fmt.Errorf("%s: block %s: terminator %s not last", f.Name, b, i)
 			}
-			c := checker{f, b, i}
-			if err := c.instr(labels); err != nil {
-				return err
+			if err := f.CheckInstr(i); err != nil {
+				return badInstr(f, b, i, "%v", err)
 			}
-			if err := c.regs(); err != nil {
-				return err
+			if i.Op.IsBranch() {
+				if _, ok := slices.BinarySearch(labels, i.Target); !ok {
+					return badInstr(f, b, i, "unresolved branch target %q", i.Target)
+				}
+				if i.Op != OpB && b.Index == len(f.Blocks)-1 {
+					return badInstr(f, b, i, "conditional branch in the last block falls through past the end")
+				}
+			}
+			if msg := f.regsOutOfRange(i); msg != "" {
+				return badInstr(f, b, i, "%s", msg)
 			}
 		}
 	}
@@ -101,46 +107,30 @@ func duplicateLabel(fn string, blocks []*Block) error {
 	return nil
 }
 
-// checker validates one instruction i of block b of f.
-type checker struct {
-	f *Func
-	b *Block
-	i *Instr
+// badInstr reports a violation of instruction i of block b of f.
+func badInstr(f *Func, b *Block, i *Instr, format string, args ...any) error {
+	return fmt.Errorf("%s: block %s: %s: %s", f.Name, b, i, fmt.Sprintf(format, args...))
 }
 
-func (c checker) bad(format string, args ...any) error {
-	return fmt.Errorf("%s: block %s: %s: %s", c.f.Name, c.b, c.i, fmt.Sprintf(format, args...))
-}
-
-func (c checker) want(r Reg, cl RegClass, what string) error {
-	if !r.Valid() {
-		return c.bad("missing %s", what)
-	}
-	if r.Class != cl {
-		return c.bad("%s %s has class %s, want %s", what, r, r.Class, cl)
-	}
-	return nil
-}
-
-// regs checks that every register of the instruction is in range.
-func (c checker) regs() error {
-	i := c.i
+// regsOutOfRange describes the first register of i that is out of
+// range (see outOfRange), or returns "".
+func (f *Func) regsOutOfRange(i *Instr) string {
 	for _, r := range [...]Reg{i.Def, i.Def2, i.A, i.B} {
-		if msg := c.f.outOfRange(r); msg != "" {
-			return c.bad("%s", msg)
+		if msg := f.outOfRange(r); msg != "" {
+			return msg
 		}
 	}
 	if i.Mem != nil {
-		if msg := c.f.outOfRange(i.Mem.Base); msg != "" {
-			return c.bad("%s", msg)
+		if msg := f.outOfRange(i.Mem.Base); msg != "" {
+			return msg
 		}
 	}
 	for _, r := range i.CallArgs {
-		if msg := c.f.outOfRange(r); msg != "" {
-			return c.bad("%s", msg)
+		if msg := f.outOfRange(r); msg != "" {
+			return msg
 		}
 	}
-	return nil
+	return ""
 }
 
 // outOfRange describes why r, when present, is not numbered below
@@ -158,184 +148,6 @@ func (f *Func) outOfRange(r Reg) string {
 			r, r.Class, f.NumRegs(r.Class))
 	}
 	return ""
-}
-
-// want2 checks a destination and one source.
-func (c checker) want2(def RegClass, src RegClass, srcWhat string) error {
-	if err := c.want(c.i.Def, def, "destination"); err != nil {
-		return err
-	}
-	return c.want(c.i.A, src, srcWhat)
-}
-
-func (c checker) mem() error {
-	m := c.i.Mem
-	if !m.Frame {
-		return nil
-	}
-	if m.Sym != "" || m.Base.Valid() {
-		return c.bad("frame reference must use a constant offset only")
-	}
-	if m.Off < 0 || m.Off+WordSize > c.f.FrameWords*WordSize {
-		return c.bad("frame offset %d outside frame of %d words", m.Off, c.f.FrameWords)
-	}
-	return nil
-}
-
-// target checks that the branch target is one of the sorted labels.
-func (c checker) target(labels []string) error {
-	if _, ok := slices.BinarySearch(labels, c.i.Target); !ok {
-		return c.bad("unresolved branch target %q", c.i.Target)
-	}
-	return nil
-}
-
-func (c checker) instr(labels []string) error {
-	f, b, i := c.f, c.b, c.i
-	switch i.Op {
-	case OpNop:
-	case OpLI:
-		return c.want(i.Def, ClassGPR, "destination")
-	case OpLR, OpNeg, OpNot:
-		return c.want2(ClassGPR, ClassGPR, "source")
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr:
-		if err := c.want2(ClassGPR, ClassGPR, "first source"); err != nil {
-			return err
-		}
-		return c.want(i.B, ClassGPR, "second source")
-	case OpAddI, OpMulI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI:
-		return c.want2(ClassGPR, ClassGPR, "source")
-	case OpCmp:
-		if err := c.want(i.Def, ClassCR, "condition destination"); err != nil {
-			return err
-		}
-		if err := c.want(i.A, ClassGPR, "first source"); err != nil {
-			return err
-		}
-		return c.want(i.B, ClassGPR, "second source")
-	case OpCmpI:
-		if err := c.want(i.Def, ClassCR, "condition destination"); err != nil {
-			return err
-		}
-		return c.want(i.A, ClassGPR, "source")
-	case OpLoad, OpLoadU:
-		if i.Mem == nil {
-			return c.bad("load without memory operand")
-		}
-		if err := c.mem(); err != nil {
-			return err
-		}
-		if err := c.want(i.Def, ClassGPR, "destination"); err != nil {
-			return err
-		}
-		if i.Op == OpLoadU {
-			if err := c.want(i.Def2, ClassGPR, "updated base"); err != nil {
-				return err
-			}
-			if !i.Mem.Base.Valid() {
-				return c.bad("load-with-update needs a base register")
-			}
-		}
-		return nil
-	case OpStore, OpStoreU:
-		if i.Mem == nil {
-			return c.bad("store without memory operand")
-		}
-		if err := c.mem(); err != nil {
-			return err
-		}
-		if err := c.want(i.A, ClassGPR, "stored value"); err != nil {
-			return err
-		}
-		if i.Op == OpStoreU {
-			if err := c.want(i.Def2, ClassGPR, "updated base"); err != nil {
-				return err
-			}
-			if !i.Mem.Base.Valid() {
-				return c.bad("store-with-update needs a base register")
-			}
-		}
-		return nil
-	case OpFAdd, OpFSub, OpFMul, OpFDiv:
-		if err := c.want2(ClassFPR, ClassFPR, "first source"); err != nil {
-			return err
-		}
-		return c.want(i.B, ClassFPR, "second source")
-	case OpFNeg, OpFMove:
-		return c.want2(ClassFPR, ClassFPR, "source")
-	case OpFCmp:
-		if err := c.want(i.Def, ClassCR, "condition destination"); err != nil {
-			return err
-		}
-		if err := c.want(i.A, ClassFPR, "first source"); err != nil {
-			return err
-		}
-		return c.want(i.B, ClassFPR, "second source")
-	case OpFCvt:
-		return c.want2(ClassFPR, ClassGPR, "source")
-	case OpFTrunc:
-		return c.want2(ClassGPR, ClassFPR, "source")
-	case OpFLoad:
-		if i.Mem == nil {
-			return c.bad("load without memory operand")
-		}
-		if err := c.mem(); err != nil {
-			return err
-		}
-		return c.want(i.Def, ClassFPR, "destination")
-	case OpFStore:
-		if i.Mem == nil {
-			return c.bad("store without memory operand")
-		}
-		if err := c.mem(); err != nil {
-			return err
-		}
-		return c.want(i.A, ClassFPR, "stored value")
-	case OpB:
-		return c.target(labels)
-	case OpBC:
-		if err := c.target(labels); err != nil {
-			return err
-		}
-		if err := c.want(i.A, ClassCR, "condition source"); err != nil {
-			return err
-		}
-		if b.Index == len(f.Blocks)-1 {
-			return c.bad("conditional branch in the last block falls through past the end")
-		}
-	case OpBCT:
-		if err := c.target(labels); err != nil {
-			return err
-		}
-		if err := c.want(i.A, ClassGPR, "counter"); err != nil {
-			return err
-		}
-		if i.Def != i.A {
-			return c.bad("counter branch must decrement its own counter (Def == A)")
-		}
-		if b.Index == len(f.Blocks)-1 {
-			return c.bad("counter branch in the last block falls through past the end")
-		}
-	case OpCall:
-		if i.Target == "" {
-			return c.bad("call without target")
-		}
-		for k, a := range i.CallArgs {
-			if !a.Valid() || a.Class != ClassGPR {
-				return c.want(a, ClassGPR, fmt.Sprintf("argument %d", k))
-			}
-		}
-		if i.Def.Valid() && i.Def.Class != ClassGPR {
-			return c.bad("call result %s is not a GPR", i.Def)
-		}
-	case OpRet:
-		if i.A.Valid() && i.A.Class != ClassGPR {
-			return c.bad("return value %s is not a GPR", i.A)
-		}
-	default:
-		return c.bad("unknown opcode")
-	}
-	return nil
 }
 
 // Validate checks every function in the program and that call targets

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,16 @@ import (
 	"gsched/internal/machine"
 	"gsched/internal/profile"
 )
+
+// hasImm reports whether op's form takes an immediate operand.
+func hasImm(op ir.Op) bool {
+	for _, fm := range ir.Forms() {
+		if fm.Op == op {
+			return slices.ContainsFunc(fm.Right, func(o ir.Operand) bool { return o.Slot == ir.SlotImm })
+		}
+	}
+	return false
+}
 
 // evalOp runs a single ALU-ish instruction with the given inputs.
 func evalOp(t *testing.T, op ir.Op, a, b, imm int64) int64 {
@@ -23,7 +34,7 @@ func evalOp(t *testing.T, op ir.Op, a, b, imm int64) int64 {
 		i.Def = d
 		i.Imm = imm
 		switch {
-		case op.HasImm() && op != ir.OpLI:
+		case hasImm(op) && op != ir.OpLI:
 			i.A = ra
 		case op == ir.OpLI:
 		case op == ir.OpNeg || op == ir.OpNot || op == ir.OpLR:
