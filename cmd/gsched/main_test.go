@@ -169,3 +169,41 @@ func TestRealMainRejectsBadInput(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestRealMainProfileAndPolicyInput: -profile and -policy input that
+// cannot be read or parsed is an error naming what is wrong, and
+// -policy default selects the built-in order.
+func TestRealMainProfileAndPolicyInput(t *testing.T) {
+	dir := t.TempDir()
+	prog := filepath.Join(dir, "prog.c")
+	badProf := filepath.Join(dir, "bad.prof")
+	for path, src := range map[string]string{
+		prog:    "int main(int a) { if (a > 0) { return a; } return 0; }",
+		badProf: "gsched-profile v2\n",
+	} {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	*level, *machineF, *lang, *run, *dot, *printAsm, *stats = "speculative", "rs6k", "", "", "", false, false
+	defer func() { *profIn, *policyF = "", "" }()
+	for _, tc := range []struct {
+		name, profile, policy string
+		want                  string // in the error; "" for none
+	}{
+		{"missing profile", filepath.Join(dir, "missing.prof"), "", "missing.prof"},
+		{"malformed profile", badProf, "", "bad.prof"},
+		{"malformed policy", "", "priority = (((", "policy"},
+		{"missing policy file", "", "@" + filepath.Join(dir, "missing.pol"), "missing.pol"},
+		{"default policy", "", "default", ""},
+	} {
+		*profIn, *policyF = tc.profile, tc.policy
+		err := realMain(prog)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}

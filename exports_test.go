@@ -17,6 +17,10 @@ import (
 // figure2Reg is the allowlist reason shared by paperex's register names.
 const figure2Reg = "a register of the paper's Figure 2; the dataflow, pdg, rename, core and xform tests name it to check facts about the example"
 
+// opcode is the allowlist reason shared by the opcodes whose meaning
+// only ir.Forms states.
+const opcode = "an opcode of the instruction set; outside ir it is reached through its ir.Forms entry: asm reads it by mnemonic, the simulator, the folder and mini-C by its semantics"
+
 // exportAllowlist names the exported identifiers of internal/ packages
 // ("pkg.Name") that only tests outside their package use, each with the
 // reason it stays exported and its users. The same-package types an
@@ -28,6 +32,11 @@ var exportAllowlist = map[string]string{
 	"eval.MinMaxCycles":        "the Figure 2 cycle counts BenchmarkMinMax reports (bench_test.go)",
 	"ir.EqualPrograms":         "the program equality asm's canonical-form and round-trip tests assert",
 	"ir.FPR":                   "builds float registers in the float tests of sim, opt and core",
+	"ir.OpAndI":                opcode,
+	"ir.OpCmpI":                opcode,
+	"ir.OpMulI":                opcode,
+	"ir.OpOrI":                 opcode,
+	"ir.OpXorI":                opcode,
 	"paperex.CR6":              figure2Reg,
 	"paperex.CR7":              figure2Reg,
 	"paperex.RegA":             figure2Reg,

@@ -82,8 +82,20 @@ func (p *parser) parseData(line string) error {
 	if int64(len(init)) > words {
 		return p.errf("%d initialisers exceed size %d", len(init), words)
 	}
+	if err := p.checkName("data", fields[0]); err != nil {
+		return err
+	}
 	s := p.prog.AddSym(fields[0], words)
 	s.Init = init
+	return nil
+}
+
+// checkName rejects a data or label name that no operand can name:
+// operands are split at ',' and '=', and '(' opens a memory operand.
+func (p *parser) checkName(what, name string) error {
+	if strings.ContainsAny(name, ",=(") {
+		return p.errf("bad %s name %q (no ',', '=' or '(')", what, name)
+	}
 	return nil
 }
 

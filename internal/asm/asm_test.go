@@ -217,6 +217,29 @@ func TestRegisterLimit(t *testing.T) {
 	}
 }
 
+// TestNamesOperandsCanName: a data or label name holding ',', '=' or
+// '(' is an error on the line that declares it, since no operand could
+// name it.
+func TestNamesOperandsCanName(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		line int
+	}{
+		{"data a,b 4\nfunc f:\n\tRET r0\n", 1},
+		{"data x 1\ndata a=b 4\nfunc f:\n\tRET r0\n", 2},
+		{"data a(b 4\nfunc f:\n\tRET r0\n", 1},
+		{"func f:\n\tNOP\na,b:\n\tRET r0\n", 3},
+		{"func f:\na=b:\n\tRET r0\n", 2},
+		{"func f:\n\tNOP\n\tNOP\na(b:\n\tRET r0\n", 4},
+	} {
+		_, err := Parse(tc.src)
+		var pe *parseError
+		if !errors.As(err, &pe) || pe.Line != tc.line {
+			t.Errorf("%q: error %v, want one at line %d", tc.src, err, tc.line)
+		}
+	}
+}
+
 func TestParseLineNumbers(t *testing.T) {
 	_, err := Parse("data g 4\n\nfunc f:\n\tLI r0=1\n\tBOOM\n")
 	pe, ok := err.(*parseError)

@@ -192,7 +192,11 @@ func (r *reader) ParseFunc() (*ir.Func, error) {
 		case strings.HasPrefix(line, "func "):
 			r.header, r.headerLine, r.haveHeader = line, r.sc.line, true
 		case strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " \t"):
-			p.b = p.f.NewBlock(strings.TrimSuffix(line, ":"))
+			label := strings.TrimSuffix(line, ":")
+			if err := p.checkName("label", label); err != nil {
+				return nil, err
+			}
+			p.b = p.f.NewBlock(label)
 		default:
 			if err := p.parseInstr(line); err != nil {
 				return nil, err

@@ -573,7 +573,7 @@ func (rs *regionScheduler) scheduleBlock(a int) error {
 			if done[c.instr.ID] {
 				continue
 			}
-			t := rs.opts.Machine.Unit(c.instr.Op)
+			t := c.instr.Op.Unit()
 			if unitsUsed[t] >= rs.opts.Machine.NumUnits[t] {
 				continue
 			}

@@ -176,7 +176,7 @@ func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Pol
 		var unitsUsed [8]int
 		idle++
 		for _, n := range ready {
-			t := mach.Unit(n.instr.Op)
+			t := n.instr.Op.Unit()
 			if unitsUsed[t] >= mach.NumUnits[t] {
 				continue
 			}

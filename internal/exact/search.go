@@ -18,12 +18,12 @@ type searcher struct {
 	n    int
 
 	// Immutable precomputation.
-	predMask []uint64           // direct dependence predecessors of i
-	cp       []int              // critical-path lower bound: finish >= issue_i + cp[i]
-	unit     []machine.UnitType // functional unit type of i
-	exec     []int              // execution time of i
-	prio     []int              // child visit order: cp desc, then input position
-	defMask  map[ir.Reg]uint64  // instructions defining each register
+	predMask []uint64          // direct dependence predecessors of i
+	cp       []int             // critical-path lower bound: finish >= issue_i + cp[i]
+	unit     []ir.Unit         // functional unit type of i
+	exec     []int             // execution time of i
+	prio     []int             // child visit order: cp desc, then input position
+	defMask  map[ir.Reg]uint64 // instructions defining each register
 
 	// Mutable replay state (the schedmodel.Makespan machine, maintained
 	// incrementally with undo on backtrack).
@@ -31,9 +31,9 @@ type searcher struct {
 	order                []int
 	avail                map[ir.Reg]int
 	prod                 map[ir.Reg]*ir.Instr
-	lastCycle, lastCount [machine.NumUnitTypes]int
+	lastCycle, lastCount [ir.NumUnitTypes]int
 	prev, finish         int
-	remaining            [machine.NumUnitTypes]int
+	remaining            [ir.NumUnitTypes]int
 
 	// Search outcome.
 	best      int
@@ -58,7 +58,7 @@ const maxSigsPerMask = 6
 // masks yield comparable vectors).
 type stateSig struct {
 	prev, finish int32
-	eff          [machine.NumUnitTypes]int32
+	eff          [ir.NumUnitTypes]int32
 	avail        []int32
 }
 
@@ -111,11 +111,11 @@ func newSearcher(instrs []*ir.Instr, mach *machine.Desc, lim Limits) *searcher {
 		}
 	}
 
-	s.unit = make([]machine.UnitType, n)
+	s.unit = make([]ir.Unit, n)
 	s.exec = make([]int, n)
 	var dbuf [2]ir.Reg
 	for i, ins := range instrs {
-		s.unit[i] = mach.Unit(ins.Op)
+		s.unit[i] = ins.Op.Unit()
 		s.exec[i] = mach.Exec(ins.Op)
 		s.remaining[s.unit[i]]++
 		for _, r := range ins.Defs(dbuf[:0]) {
@@ -310,7 +310,7 @@ func (s *searcher) lowerBound() int {
 	// Resource bound: m_t remaining type-t instructions issue at most
 	// n_t per cycle starting no earlier than prev, whose slots may be
 	// partly consumed already.
-	for t := 0; t < machine.NumUnitTypes; t++ {
+	for t := 0; t < ir.NumUnitTypes; t++ {
 		m := s.remaining[t]
 		if m == 0 {
 			continue
@@ -344,7 +344,7 @@ func (s *searcher) lowerBound() int {
 // ordering, so two signatures of the same mask compare element-wise.
 func (s *searcher) signature() stateSig {
 	sig := stateSig{prev: int32(s.prev), finish: int32(s.finish)}
-	for t := 0; t < machine.NumUnitTypes; t++ {
+	for t := 0; t < ir.NumUnitTypes; t++ {
 		if s.lastCycle[t] == s.prev {
 			sig.eff[t] = int32(s.lastCount[t])
 		}

@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -40,9 +41,9 @@ type Operand struct {
 // when no Left operand is written, the '=' is dropped as well:
 // "LU r0,r31=a(r31,8)", "ST a(r31,4)=r12", "BF CL.4,cr7,gt", "RET".
 //
-// The forms table is the single statement of the syntax:
-// Instr.AppendString prints by it, the asm parser reads by it, and
-// Func.CheckInstr checks each operand's presence and class by it.
+// The forms table is the single statement of each opcode's syntax and
+// meaning: Instr.AppendString prints by it, the asm parser reads by it,
+// and Func.CheckInstr checks each operand's presence and class by it.
 type Form struct {
 	Op       Op
 	OnTrue   bool // the BT form of OpBC, rather than BF
@@ -55,6 +56,71 @@ type Form struct {
 	// NeedsBase marks LU and STU: their memory operand must have the
 	// base register they update.
 	NeedsBase bool
+
+	// The rest states what the opcode does, once for every form of it
+	// (Op.Form): the simulator, the constant folder, mini-C's code
+	// generator and the machine model read it here.
+
+	// Unit is the functional unit type that executes the opcode, and
+	// Exec its execution time class.
+	Unit Unit
+	Exec ExecClass
+	// Eval computes a pure integer operation, Def = Eval(A, B): b is
+	// register B's value in a form with one (RegB), otherwise Imm; a
+	// unary operation ignores b. Nil for every other opcode. Traps
+	// marks DIV and REM, which fault on a zero b: Eval must not be
+	// called with one.
+	Eval  func(a, b int64) int64
+	Traps bool
+	// RegB marks a form with a register B operand; it is set from
+	// Right when the table is built.
+	RegB bool
+	// ImmOp is the register-immediate counterpart of an operation on
+	// registers A and B, or OpNop when it has none; NegImm marks S,
+	// whose counterpart AI adds the negated immediate. See ImmForm.
+	ImmOp  Op
+	NegImm bool
+	// FloatOp is the floating point counterpart of an integer
+	// operation, or OpNop when it has none.
+	FloatOp Op
+	// Commutes marks an integer operation whose operands may swap.
+	Commutes bool
+}
+
+// ImmForm returns the register-immediate instruction that computes
+// fm's operation with the constant b as its second operand: its opcode
+// and immediate, and whether fm has one.
+func (fm *Form) ImmForm(b int64) (Op, int64, bool) {
+	if fm.NegImm {
+		b = -b
+	}
+	return fm.ImmOp, b, fm.ImmOp != OpNop
+}
+
+// The integer evaluations. A register-register form and its immediate
+// counterpart share one, so they cannot disagree.
+func add(a, b int64) int64 { return a + b }
+func sub(a, b int64) int64 { return a - b }
+func mul(a, b int64) int64 { return a * b }
+func div(a, b int64) int64 { return a / b }
+func rem(a, b int64) int64 { return a % b }
+func and(a, b int64) int64 { return a & b }
+func or(a, b int64) int64  { return a | b }
+func xor(a, b int64) int64 { return a ^ b }
+func shl(a, b int64) int64 { return a << uint(b&63) }
+func shr(a, b int64) int64 { return a >> uint(b&63) }
+func neg(a, _ int64) int64 { return -a }
+func not(a, _ int64) int64 { return ^a }
+
+// compare sets the one condition register bit that relates a to b.
+func compare(a, b int64) int64 {
+	switch {
+	case a < b:
+		return 1 << BitLT
+	case a > b:
+		return 1 << BitGT
+	}
+	return 1 << BitEQ
 }
 
 // Operands and operand lists several forms share.
@@ -85,66 +151,78 @@ var forms = [...]Form{
 	{Op: OpNop, Mnemonic: "NOP"},
 	{Op: OpLI, Mnemonic: "LI", Left: gprD, Right: []Operand{immOp}},
 	{Op: OpLR, Mnemonic: "LR", Left: gprD, Right: gprA},
-	{Op: OpAdd, Mnemonic: "A", Left: gprD, Right: gprAB},
-	{Op: OpSub, Mnemonic: "S", Left: gprD, Right: gprAB},
-	{Op: OpMul, Mnemonic: "MUL", Left: gprD, Right: gprAB},
-	{Op: OpDiv, Mnemonic: "DIV", Left: gprD, Right: gprAB},
-	{Op: OpRem, Mnemonic: "REM", Left: gprD, Right: gprAB},
-	{Op: OpAnd, Mnemonic: "AND", Left: gprD, Right: gprAB},
-	{Op: OpOr, Mnemonic: "OR", Left: gprD, Right: gprAB},
-	{Op: OpXor, Mnemonic: "XOR", Left: gprD, Right: gprAB},
-	{Op: OpShl, Mnemonic: "SL", Left: gprD, Right: gprAB},
-	{Op: OpShr, Mnemonic: "SR", Left: gprD, Right: gprAB},
-	{Op: OpAddI, Mnemonic: "AI", Left: gprD, Right: gprAImm},
-	{Op: OpMulI, Mnemonic: "MULI", Left: gprD, Right: gprAImm},
-	{Op: OpAndI, Mnemonic: "ANDI", Left: gprD, Right: gprAImm},
-	{Op: OpOrI, Mnemonic: "ORI", Left: gprD, Right: gprAImm},
-	{Op: OpXorI, Mnemonic: "XORI", Left: gprD, Right: gprAImm},
-	{Op: OpShlI, Mnemonic: "SLI", Left: gprD, Right: gprAImm},
-	{Op: OpShrI, Mnemonic: "SRI", Left: gprD, Right: gprAImm},
-	{Op: OpNeg, Mnemonic: "NEG", Left: gprD, Right: gprA},
-	{Op: OpNot, Mnemonic: "NOT", Left: gprD, Right: gprA},
-	{Op: OpCmp, Mnemonic: "C", Left: crD, Right: gprAB},
-	{Op: OpCmpI, Mnemonic: "CI", Left: crD, Right: gprAImm},
+	{Op: OpAdd, Mnemonic: "A", Left: gprD, Right: gprAB, Eval: add, ImmOp: OpAddI, FloatOp: OpFAdd, Commutes: true},
+	{Op: OpSub, Mnemonic: "S", Left: gprD, Right: gprAB, Eval: sub, ImmOp: OpAddI, NegImm: true, FloatOp: OpFSub},
+	{Op: OpMul, Mnemonic: "MUL", Left: gprD, Right: gprAB, Exec: ExecMul, Eval: mul, ImmOp: OpMulI, FloatOp: OpFMul, Commutes: true},
+	{Op: OpDiv, Mnemonic: "DIV", Left: gprD, Right: gprAB, Exec: ExecDiv, Eval: div, Traps: true, FloatOp: OpFDiv},
+	{Op: OpRem, Mnemonic: "REM", Left: gprD, Right: gprAB, Exec: ExecDiv, Eval: rem, Traps: true},
+	{Op: OpAnd, Mnemonic: "AND", Left: gprD, Right: gprAB, Eval: and, ImmOp: OpAndI, Commutes: true},
+	{Op: OpOr, Mnemonic: "OR", Left: gprD, Right: gprAB, Eval: or, ImmOp: OpOrI, Commutes: true},
+	{Op: OpXor, Mnemonic: "XOR", Left: gprD, Right: gprAB, Eval: xor, ImmOp: OpXorI, Commutes: true},
+	{Op: OpShl, Mnemonic: "SL", Left: gprD, Right: gprAB, Eval: shl, ImmOp: OpShlI},
+	{Op: OpShr, Mnemonic: "SR", Left: gprD, Right: gprAB, Eval: shr, ImmOp: OpShrI},
+	{Op: OpAddI, Mnemonic: "AI", Left: gprD, Right: gprAImm, Eval: add},
+	{Op: OpMulI, Mnemonic: "MULI", Left: gprD, Right: gprAImm, Exec: ExecMul, Eval: mul},
+	{Op: OpAndI, Mnemonic: "ANDI", Left: gprD, Right: gprAImm, Eval: and},
+	{Op: OpOrI, Mnemonic: "ORI", Left: gprD, Right: gprAImm, Eval: or},
+	{Op: OpXorI, Mnemonic: "XORI", Left: gprD, Right: gprAImm, Eval: xor},
+	{Op: OpShlI, Mnemonic: "SLI", Left: gprD, Right: gprAImm, Eval: shl},
+	{Op: OpShrI, Mnemonic: "SRI", Left: gprD, Right: gprAImm, Eval: shr},
+	{Op: OpNeg, Mnemonic: "NEG", Left: gprD, Right: gprA, Eval: neg},
+	{Op: OpNot, Mnemonic: "NOT", Left: gprD, Right: gprA, Eval: not},
+	{Op: OpCmp, Mnemonic: "C", Left: crD, Right: gprAB, Eval: compare, ImmOp: OpCmpI},
+	{Op: OpCmpI, Mnemonic: "CI", Left: crD, Right: gprAImm, Eval: compare},
 	{Op: OpLoad, Mnemonic: "L", Left: gprD, Right: memOnly},
 	{Op: OpLoadU, Mnemonic: "LU", Left: []Operand{dstGPR, updBase}, Right: memOnly, NeedsBase: true},
 	{Op: OpStore, Mnemonic: "ST", Left: memOnly, Right: gprValue},
 	{Op: OpStoreU, Mnemonic: "STU", Left: []Operand{memOp, updBase}, Right: gprValue, NeedsBase: true},
-	{Op: OpB, Mnemonic: "B", Right: []Operand{targetOp}},
-	{Op: OpBC, Mnemonic: "BF", Right: condBC},
-	{Op: OpBC, OnTrue: true, Mnemonic: "BT", Right: condBC},
-	{Op: OpFAdd, Mnemonic: "FA", Left: fprD, Right: fprAB},
-	{Op: OpFSub, Mnemonic: "FS", Left: fprD, Right: fprAB},
-	{Op: OpFMul, Mnemonic: "FM", Left: fprD, Right: fprAB},
-	{Op: OpFDiv, Mnemonic: "FD", Left: fprD, Right: fprAB},
-	{Op: OpFNeg, Mnemonic: "FNEG", Left: fprD, Right: fprA},
-	{Op: OpFMove, Mnemonic: "FMR", Left: fprD, Right: fprA},
-	{Op: OpFCmp, Mnemonic: "FC", Left: crD, Right: fprAB},
-	{Op: OpFLoad, Mnemonic: "LF", Left: fprD, Right: memOnly},
-	{Op: OpFStore, Mnemonic: "STF", Left: memOnly, Right: []Operand{{Slot: SlotA, Class: ClassFPR, Role: "stored value"}}},
-	{Op: OpFCvt, Mnemonic: "FCVT", Left: fprD, Right: gprA},
-	{Op: OpFTrunc, Mnemonic: "FTRUNC", Left: gprD, Right: fprA},
-	{Op: OpBCT, Mnemonic: "BCT", Right: []Operand{targetOp, {Slot: SlotA, Class: ClassGPR, Role: "counter"}}, DefIsA: true},
+	{Op: OpB, Mnemonic: "B", Right: []Operand{targetOp}, Unit: UnitBranch},
+	{Op: OpBC, Mnemonic: "BF", Right: condBC, Unit: UnitBranch},
+	{Op: OpBC, OnTrue: true, Mnemonic: "BT", Right: condBC, Unit: UnitBranch},
+	{Op: OpFAdd, Mnemonic: "FA", Left: fprD, Right: fprAB, Unit: UnitFloat},
+	{Op: OpFSub, Mnemonic: "FS", Left: fprD, Right: fprAB, Unit: UnitFloat},
+	{Op: OpFMul, Mnemonic: "FM", Left: fprD, Right: fprAB, Unit: UnitFloat},
+	{Op: OpFDiv, Mnemonic: "FD", Left: fprD, Right: fprAB, Unit: UnitFloat, Exec: ExecDiv},
+	{Op: OpFNeg, Mnemonic: "FNEG", Left: fprD, Right: fprA, Unit: UnitFloat},
+	{Op: OpFMove, Mnemonic: "FMR", Left: fprD, Right: fprA, Unit: UnitFloat},
+	{Op: OpFCmp, Mnemonic: "FC", Left: crD, Right: fprAB, Unit: UnitFloat},
+	{Op: OpFLoad, Mnemonic: "LF", Left: fprD, Right: memOnly, Unit: UnitFloat},
+	{Op: OpFStore, Mnemonic: "STF", Left: memOnly, Right: []Operand{{Slot: SlotA, Class: ClassFPR, Role: "stored value"}}, Unit: UnitFloat},
+	{Op: OpFCvt, Mnemonic: "FCVT", Left: fprD, Right: gprA, Unit: UnitFloat},
+	{Op: OpFTrunc, Mnemonic: "FTRUNC", Left: gprD, Right: fprA, Unit: UnitFloat},
+	{Op: OpBCT, Mnemonic: "BCT", Right: []Operand{targetOp, {Slot: SlotA, Class: ClassGPR, Role: "counter"}}, DefIsA: true, Unit: UnitBranch},
 	{Op: OpCall, Mnemonic: "CALL",
 		Left:  []Operand{{Slot: SlotDef, Class: ClassGPR, Role: "call result", Optional: true}},
 		Right: []Operand{{Slot: SlotTarget, Role: "callee"}, {Slot: SlotArgs, Class: ClassGPR, Role: "argument"}}},
-	{Op: OpRet, Mnemonic: "RET", Right: []Operand{{Slot: SlotA, Class: ClassGPR, Role: "return value", Optional: true}}},
+	{Op: OpRet, Mnemonic: "RET", Right: []Operand{{Slot: SlotA, Class: ClassGPR, Role: "return value", Optional: true}}, Unit: UnitBranch},
 }
 
 // formOf maps an opcode and an OnTrue value (0 or 1) to the form an
 // instruction with them is written in: OpBC's differ, BF and BT; every
 // other opcode's form serves both.
-var formOf = func() (of [numOps][2]*Form) {
+var formOf [numOps][2]*Form
+
+// unitOf and execOf copy each opcode's Unit and Exec out of its entry,
+// indexed by any Op value, an unknown one reading the zero values, so
+// that the simulator and the schedulers, which read them for every
+// instruction, pay one load each.
+var (
+	unitOf [256]Unit
+	execOf [256]ExecClass
+)
+
+func init() {
 	for k := range forms {
 		fm := &forms[k]
+		fm.RegB = slices.ContainsFunc(fm.Right, func(o Operand) bool { return o.Slot == SlotB })
+		unitOf[fm.Op], execOf[fm.Op] = fm.Unit, fm.Exec
 		if fm.OnTrue {
-			of[fm.Op][1] = fm
+			formOf[fm.Op][1] = fm
 		} else {
-			of[fm.Op] = [2]*Form{fm, fm}
+			formOf[fm.Op] = [2]*Form{fm, fm}
 		}
 	}
-	return of
-}()
+}
 
 // Forms returns every instruction form, in opcode order; OpBC's BF
 // form comes before its BT form. Callers must not modify it.
@@ -225,9 +303,10 @@ func (i *Instr) appendOperands(b []byte, sep byte, list []Operand) ([]byte, byte
 // form names is present, unless optional, and of the form's class; a
 // load or store has a memory operand, a frame slot inside f's frame,
 // with a base register for LU and STU; a branch or call names its
-// target; BCT decrements its own counter. The error names the operand
-// by its role. The asm parser calls it on each instruction it reads,
-// with a line number; Validate calls it on each instruction of f.
+// target; a conditional branch tests lt, gt or eq; BCT decrements its
+// own counter. The error names the operand by its role. The asm parser
+// calls it on each instruction it reads, with a line number; Validate
+// calls it on each instruction of f.
 func (f *Func) CheckInstr(i *Instr) error {
 	fm := i.form()
 	if fm == nil {
@@ -263,6 +342,10 @@ func (f *Func) checkOperands(i *Instr, fm *Form, list []Operand) error {
 		case SlotMem:
 			if err := f.checkMem(i, fm.NeedsBase); err != nil {
 				return err
+			}
+		case SlotBit:
+			if i.CRBit > BitEQ {
+				return fmt.Errorf("%s %s, want lt, gt or eq", o.Role, i.CRBit)
 			}
 		case SlotArgs:
 			for n, a := range i.CallArgs {

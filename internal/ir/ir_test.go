@@ -274,6 +274,13 @@ func TestValidateCatchesBrokenFunctions(t *testing.T) {
 			b.Block("f")
 			b.Ret(NoReg)
 		}},
+		{"condition bit out of range", "condition bit bit(5), want lt, gt or eq", func(b *Builder) {
+			b.Block("e")
+			b.Cmp(CR(0), GPR(0), GPR(1))
+			b.Emit(OpBC, func(i *Instr) { i.Target = "e"; i.A = CR(0); i.CRBit = 5 })
+			b.Block("f")
+			b.Ret(NoReg)
+		}},
 		{"load without mem", "without memory operand", func(b *Builder) {
 			b.Block("e")
 			b.Emit(OpLoad, func(i *Instr) { i.Def = GPR(0) })

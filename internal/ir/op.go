@@ -120,13 +120,65 @@ func (op Op) IsLoad() bool { return op == OpLoad || op == OpLoadU || op == OpFLo
 func (op Op) IsStore() bool { return op == OpStore || op == OpStoreU || op == OpFStore }
 
 // IsFloat reports whether op executes in the floating point unit.
-func (op Op) IsFloat() bool {
-	switch op {
-	case OpFAdd, OpFSub, OpFMul, OpFDiv, OpFNeg, OpFMove, OpFCmp, OpFLoad, OpFStore, OpFCvt, OpFTrunc:
-		return true
+func (op Op) IsFloat() bool { return op.Unit() == UnitFloat }
+
+// Unit returns the functional unit type that executes op.
+func (op Op) Unit() Unit { return unitOf[op] }
+
+// Exec returns op's execution time class.
+func (op Op) Exec() ExecClass { return execOf[op] }
+
+// Form returns the entry of ir.Forms that states op's semantics: its
+// only form, or BF for OpBC, whose BT form means the same. An unknown
+// opcode gets an empty entry: the fixed point unit, one cycle, no
+// evaluation and no counterparts. Callers must not modify it.
+func (op Op) Form() *Form {
+	if op < numOps {
+		return formOf[op][0]
 	}
-	return false
+	return &unknownForm
 }
+
+var unknownForm Form
+
+// Unit is a functional unit type, one of the m types of the paper's
+// machine model (§2).
+type Unit uint8
+
+const (
+	// UnitFixed is the fixed point (integer) unit type.
+	UnitFixed Unit = iota
+	// UnitFloat is the floating point unit type.
+	UnitFloat
+	// UnitBranch is the branch unit type.
+	UnitBranch
+
+	// NumUnitTypes is the number of functional unit types (the
+	// paper's m).
+	NumUnitTypes = 3
+)
+
+func (u Unit) String() string {
+	switch u {
+	case UnitFixed:
+		return "fixed"
+	case UnitFloat:
+		return "float"
+	case UnitBranch:
+		return "branch"
+	}
+	return fmt.Sprintf("unit(%d)", uint8(u))
+}
+
+// ExecClass classifies an opcode's execution time (the paper's t); a
+// machine description gives each class its number of cycles.
+type ExecClass uint8
+
+const (
+	ExecOne ExecClass = iota // one cycle
+	ExecMul                  // the machine's multiply time
+	ExecDiv                  // the machine's divide time
+)
 
 // TouchesMemory reports whether op reads or writes memory or may do so
 // through a callee (the paper's memory-disambiguation class: loads,
@@ -148,5 +200,5 @@ func (op Op) NeverMoves() bool { return op == OpCall || op.IsTerminator() }
 // they can trap when hoisted above the guard that excludes a zero
 // divisor (the compile-time analysis of §1 must reject such motions).
 func (op Op) NeverSpeculates() bool {
-	return op.IsStore() || op == OpCall || op == OpDiv || op == OpRem
+	return op.IsStore() || op == OpCall || op.Form().Traps
 }

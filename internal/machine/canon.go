@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"gsched/internal/ir"
 )
 
 // Canonical renders the semantically meaningful parameters of d as a
@@ -21,7 +23,7 @@ func (d *Desc) Canonical() string {
 // CanonicalTo streams the canonical form into w (typically a hash).
 // Write errors are ignored: the intended sinks cannot fail.
 func (d *Desc) CanonicalTo(w io.Writer) {
-	fmt.Fprintf(w, "units=%d/%d/%d", d.NumUnits[Fixed], d.NumUnits[Float], d.NumUnits[Branch])
+	fmt.Fprintf(w, "units=%d/%d/%d", d.NumUnits[ir.UnitFixed], d.NumUnits[ir.UnitFloat], d.NumUnits[ir.UnitBranch])
 	fmt.Fprintf(w, " mul=%d div=%d", d.MulTime, d.DivTime)
 	fmt.Fprintf(w, " dload=%d dcmpbr=%d dfloat=%d dfcmpbr=%d",
 		d.LoadDelay, d.CmpBranchDelay, d.FloatDelay, d.FloatCmpBranchDelay)

@@ -1,6 +1,10 @@
 package machine
 
-import "testing"
+import (
+	"testing"
+
+	"gsched/internal/ir"
+)
 
 func TestCanonicalIgnoresName(t *testing.T) {
 	a, b := RS6K(), RS6K()
@@ -13,7 +17,7 @@ func TestCanonicalIgnoresName(t *testing.T) {
 func TestCanonicalDistinguishesSemantics(t *testing.T) {
 	base := RS6K()
 	mods := map[string]func(*Desc){
-		"units":     func(d *Desc) { d.NumUnits[Fixed] = 2 },
+		"units":     func(d *Desc) { d.NumUnits[ir.UnitFixed] = 2 },
 		"mul":       func(d *Desc) { d.MulTime++ },
 		"div":       func(d *Desc) { d.DivTime++ },
 		"load":      func(d *Desc) { d.LoadDelay++ },

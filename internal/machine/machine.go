@@ -15,47 +15,17 @@ import (
 	"gsched/internal/ir"
 )
 
-// UnitType classifies functional units.
-type UnitType uint8
-
-const (
-	// Fixed is the fixed point (integer) unit type.
-	Fixed UnitType = iota
-	// Float is the floating point unit type. The instruction set in
-	// package ir is fixed-point only (as in the paper's evaluation),
-	// but the parameters are retained for completeness.
-	Float
-	// Branch is the branch unit type.
-	Branch
-
-	// NumUnitTypes is the number of functional unit types (the
-	// paper's m).
-	NumUnitTypes = 3
-)
-
-func (t UnitType) String() string {
-	switch t {
-	case Fixed:
-		return "fixed"
-	case Float:
-		return "float"
-	case Branch:
-		return "branch"
-	}
-	return fmt.Sprintf("unit(%d)", uint8(t))
-}
-
 // Desc is the parametric description of a machine.
 type Desc struct {
 	Name string
 
 	// NumUnits[t] is the number of functional units of type t (the
-	// paper's n_1..n_m). Each unit issues at most one instruction per
-	// cycle.
-	NumUnits [NumUnitTypes]int
+	// paper's n_1..n_m); ir.Op.Unit gives each opcode's type. Each unit
+	// issues at most one instruction per cycle.
+	NumUnits [ir.NumUnitTypes]int
 
-	// Execution times in cycles. Most instructions take one cycle;
-	// multiply and divide are multi-cycle as on the RS/6000.
+	// Execution times in cycles of ir.ExecMul and ir.ExecDiv opcodes;
+	// every other opcode takes one cycle, as on the RS/6000.
 	MulTime int
 	DivTime int
 
@@ -82,7 +52,7 @@ type Desc struct {
 // and non-negative pipeline delays (§2's d >= 0). It returns the first
 // violated constraint.
 func (d *Desc) Validate() error {
-	for t := UnitType(0); t < NumUnitTypes; t++ {
+	for t := ir.Unit(0); t < ir.NumUnitTypes; t++ {
 		if d.NumUnits[t] < 1 {
 			return fmt.Errorf("machine %q: %d %s units, want >= 1", d.Name, d.NumUnits[t], t)
 		}
@@ -125,7 +95,7 @@ func mustValidate(d *Desc) *Desc {
 func RS6K() *Desc {
 	return mustValidate(&Desc{
 		Name:                "rs6k",
-		NumUnits:            [NumUnitTypes]int{Fixed: 1, Float: 1, Branch: 1},
+		NumUnits:            [ir.NumUnitTypes]int{ir.UnitFixed: 1, ir.UnitFloat: 1, ir.UnitBranch: 1},
 		MulTime:             5,
 		DivTime:             19,
 		LoadDelay:           1,
@@ -141,8 +111,8 @@ func RS6K() *Desc {
 func Superscalar(nFixed, nBranch int) *Desc {
 	d := RS6K()
 	d.Name = fmt.Sprintf("ss%dx%d", nFixed, nBranch)
-	d.NumUnits[Fixed] = nFixed
-	d.NumUnits[Branch] = nBranch
+	d.NumUnits[ir.UnitFixed] = nFixed
+	d.NumUnits[ir.UnitBranch] = nBranch
 	return mustValidate(d)
 }
 
@@ -153,7 +123,7 @@ func Superscalar(nFixed, nBranch int) *Desc {
 func Scalar() *Desc {
 	return mustValidate(&Desc{
 		Name:     "scalar",
-		NumUnits: [NumUnitTypes]int{Fixed: 1, Float: 1, Branch: 1},
+		NumUnits: [ir.NumUnitTypes]int{ir.UnitFixed: 1, ir.UnitFloat: 1, ir.UnitBranch: 1},
 		MulTime:  1,
 		DivTime:  1,
 	})
@@ -222,10 +192,10 @@ func Random(seed int64) *Desc {
 func randomDraw(r *rand.Rand, seed int64) *Desc {
 	return &Desc{
 		Name: fmt.Sprintf("rand%d", seed),
-		NumUnits: [NumUnitTypes]int{
-			Fixed:  r.Intn(5),
-			Float:  r.Intn(4),
-			Branch: r.Intn(3),
+		NumUnits: [ir.NumUnitTypes]int{
+			ir.UnitFixed:  r.Intn(5),
+			ir.UnitFloat:  r.Intn(4),
+			ir.UnitBranch: r.Intn(3),
 		},
 		MulTime:             1 + r.Intn(8),
 		DivTime:             1 + r.Intn(24),
@@ -236,26 +206,9 @@ func randomDraw(r *rand.Rand, seed int64) *Desc {
 	}
 }
 
-// Unit returns the functional unit type that executes op.
-func (d *Desc) Unit(op ir.Op) UnitType {
-	if op.IsBranch() || op == ir.OpRet {
-		return Branch
-	}
-	if op.IsFloat() {
-		return Float
-	}
-	return Fixed
-}
-
 // Exec returns the execution time of op in cycles (the paper's t >= 1).
 func (d *Desc) Exec(op ir.Op) int {
-	switch op {
-	case ir.OpMul, ir.OpMulI:
-		return d.MulTime
-	case ir.OpDiv, ir.OpRem, ir.OpFDiv:
-		return d.DivTime
-	}
-	return 1
+	return [...]int{ir.ExecOne: 1, ir.ExecMul: d.MulTime, ir.ExecDiv: d.DivTime}[op.Exec()]
 }
 
 // Delay returns the pipeline delay d >= 0 assigned to the flow dependence
@@ -296,6 +249,6 @@ func (d *Desc) MaxDelay() int {
 
 func (d *Desc) String() string {
 	return fmt.Sprintf("%s(fixed=%d float=%d branch=%d load+%d cmp->br+%d)",
-		d.Name, d.NumUnits[Fixed], d.NumUnits[Float], d.NumUnits[Branch],
+		d.Name, d.NumUnits[ir.UnitFixed], d.NumUnits[ir.UnitFloat], d.NumUnits[ir.UnitBranch],
 		d.LoadDelay, d.CmpBranchDelay)
 }

@@ -10,7 +10,7 @@ import (
 
 func TestRS6KParameters(t *testing.T) {
 	d := RS6K()
-	if d.NumUnits[Fixed] != 1 || d.NumUnits[Float] != 1 || d.NumUnits[Branch] != 1 {
+	if d.NumUnits[ir.UnitFixed] != 1 || d.NumUnits[ir.UnitFloat] != 1 || d.NumUnits[ir.UnitBranch] != 1 {
 		t.Errorf("RS6K units = %v, want one of each (§2.1)", d.NumUnits)
 	}
 	if d.LoadDelay != 1 {
@@ -26,7 +26,7 @@ func TestRS6KParameters(t *testing.T) {
 
 func TestSuperscalarPreset(t *testing.T) {
 	d := Superscalar(4, 2)
-	if d.NumUnits[Fixed] != 4 || d.NumUnits[Branch] != 2 {
+	if d.NumUnits[ir.UnitFixed] != 4 || d.NumUnits[ir.UnitBranch] != 2 {
 		t.Errorf("units = %v", d.NumUnits)
 	}
 	if d.CmpBranchDelay != RS6K().CmpBranchDelay {
@@ -38,17 +38,16 @@ func TestSuperscalarPreset(t *testing.T) {
 }
 
 func TestUnitAssignment(t *testing.T) {
-	d := RS6K()
-	for op, want := range map[ir.Op]UnitType{
-		ir.OpAdd:  Fixed,
-		ir.OpLoad: Fixed,
-		ir.OpCmp:  Fixed,
-		ir.OpB:    Branch,
-		ir.OpBC:   Branch,
-		ir.OpRet:  Branch,
-		ir.OpCall: Fixed,
+	for op, want := range map[ir.Op]ir.Unit{
+		ir.OpAdd:  ir.UnitFixed,
+		ir.OpLoad: ir.UnitFixed,
+		ir.OpCmp:  ir.UnitFixed,
+		ir.OpB:    ir.UnitBranch,
+		ir.OpBC:   ir.UnitBranch,
+		ir.OpRet:  ir.UnitBranch,
+		ir.OpCall: ir.UnitFixed,
 	} {
-		if got := d.Unit(op); got != want {
+		if got := op.Unit(); got != want {
 			t.Errorf("Unit(%s) = %s, want %s", op, got, want)
 		}
 	}
@@ -132,9 +131,9 @@ func TestValidate(t *testing.T) {
 		{"zero delays are valid", func(d *Desc) {
 			d.LoadDelay, d.CmpBranchDelay, d.FloatDelay, d.FloatCmpBranchDelay = 0, 0, 0, 0
 		}, true},
-		{"zero fixed units", func(d *Desc) { d.NumUnits[Fixed] = 0 }, false},
-		{"zero float units", func(d *Desc) { d.NumUnits[Float] = 0 }, false},
-		{"negative branch units", func(d *Desc) { d.NumUnits[Branch] = -1 }, false},
+		{"zero fixed units", func(d *Desc) { d.NumUnits[ir.UnitFixed] = 0 }, false},
+		{"zero float units", func(d *Desc) { d.NumUnits[ir.UnitFloat] = 0 }, false},
+		{"negative branch units", func(d *Desc) { d.NumUnits[ir.UnitBranch] = -1 }, false},
 		{"zero multiply time", func(d *Desc) { d.MulTime = 0 }, false},
 		{"zero divide time", func(d *Desc) { d.DivTime = 0 }, false},
 		{"negative load delay", func(d *Desc) { d.LoadDelay = -1 }, false},
@@ -248,7 +247,7 @@ func TestRandomRedrawsUnissuableMixes(t *testing.T) {
 func TestParseMachine(t *testing.T) {
 	for name, fixed := range map[string]int{"rs6k": 1, "scalar": 1, "wide": 64, "4x2": 4} {
 		m, err := ByName(name)
-		if err != nil || m.NumUnits[Fixed] != fixed {
+		if err != nil || m.NumUnits[ir.UnitFixed] != fixed {
 			t.Errorf("ByName(%q) = %v, %v; want %d fixed point units", name, m, err, fixed)
 		}
 	}

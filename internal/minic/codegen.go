@@ -260,21 +260,17 @@ func (g *gen) genStmt(s statement) error {
 			if err != nil {
 				return err
 			}
+			op := ir.OpAdd
+			if s.Op == tokMinusAssign {
+				op = ir.OpSub
+			}
 			if isF(old) || isF(val) {
 				t := g.f.NewReg(ir.ClassFPR)
-				op := ir.OpFAdd
-				if s.Op == tokMinusAssign {
-					op = ir.OpFSub
-				}
 				a, b := g.toFloat(old), g.toFloat(val)
-				g.cur().Emit(op, func(i *ir.Instr) { i.Def = t; i.A = a; i.B = b })
+				g.cur().Emit(op.Form().FloatOp, func(i *ir.Instr) { i.Def = t; i.A = a; i.B = b })
 				val = t
 			} else {
 				t := g.f.NewReg(ir.ClassGPR)
-				op := ir.OpAdd
-				if s.Op == tokMinusAssign {
-					op = ir.OpSub
-				}
 				g.cur().Op2(op, t, old, val)
 				val = t
 			}
@@ -613,13 +609,10 @@ func (g *gen) genExpr(e expression) (ir.Reg, error) {
 		}
 		// Constant right operands use the immediate forms, matching
 		// the paper's AI-style code.
+		fm := op.Form()
 		if n, isNum := e.Y.(*numExpr); isNum && !isF(x) {
-			if iop, okI := immOp(op); okI {
+			if iop, imm, okI := fm.ImmForm(n.Value); okI {
 				r := g.f.NewReg(ir.ClassGPR)
-				imm := n.Value
-				if op == ir.OpSub {
-					imm = -imm
-				}
 				g.cur().OpI(iop, r, x, imm)
 				return r, nil
 			}
@@ -629,10 +622,10 @@ func (g *gen) genExpr(e expression) (ir.Reg, error) {
 			return ir.NoReg, err
 		}
 		if isF(x) || isF(y) {
-			if fop, okF := floatOp(op); okF {
+			if fm.FloatOp != ir.OpNop {
 				a, b := g.toFloat(x), g.toFloat(y)
 				r := g.f.NewReg(ir.ClassFPR)
-				g.cur().Emit(fop, func(i *ir.Instr) { i.Def = r; i.A = a; i.B = b })
+				g.cur().Emit(fm.FloatOp, func(i *ir.Instr) { i.Def = r; i.A = a; i.B = b })
 				return r, nil
 			}
 			// Integer-only operators truncate their float operands.
@@ -646,44 +639,6 @@ func (g *gen) genExpr(e expression) (ir.Reg, error) {
 		return g.genCall(e, true)
 	}
 	return ir.NoReg, fmt.Errorf("minic: internal: unknown expression %T", e)
-}
-
-// floatOp maps an integer opcode to its float counterpart when the
-// operator exists on floats.
-func floatOp(op ir.Op) (ir.Op, bool) {
-	switch op {
-	case ir.OpAdd:
-		return ir.OpFAdd, true
-	case ir.OpSub:
-		return ir.OpFSub, true
-	case ir.OpMul:
-		return ir.OpFMul, true
-	case ir.OpDiv:
-		return ir.OpFDiv, true
-	}
-	return op, false
-}
-
-// immOp maps a register-register opcode to its immediate form when one
-// exists (subtraction maps to AddI with a negated immediate).
-func immOp(op ir.Op) (ir.Op, bool) {
-	switch op {
-	case ir.OpAdd, ir.OpSub:
-		return ir.OpAddI, true
-	case ir.OpMul:
-		return ir.OpMulI, true
-	case ir.OpAnd:
-		return ir.OpAndI, true
-	case ir.OpOr:
-		return ir.OpOrI, true
-	case ir.OpXor:
-		return ir.OpXorI, true
-	case ir.OpShl:
-		return ir.OpShlI, true
-	case ir.OpShr:
-		return ir.OpShrI, true
-	}
-	return op, false
 }
 
 func (g *gen) genCall(e *callExpr, wantValue bool) (ir.Reg, error) {

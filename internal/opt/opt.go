@@ -195,7 +195,8 @@ func (s *scratch) propagateLocal(b *ir.Block) Stats {
 // fully constant operations become LI. Returns whether a rewrite
 // happened. Division and remainder are never folded into forms that
 // would hide a divide-by-zero (the original would have trapped too, but
-// folding 0/0 at compile time must not succeed).
+// folding 0/0 at compile time must not succeed), and a compare's
+// result is a condition, which LI cannot write.
 func foldConst(i *ir.Instr, constOf map[ir.Reg]int64) bool {
 	val := func(r ir.Reg) (int64, bool) {
 		if !r.Valid() {
@@ -204,54 +205,7 @@ func foldConst(i *ir.Instr, constOf map[ir.Reg]int64) bool {
 		v, ok := constOf[r]
 		return v, ok
 	}
-	switch i.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr:
-		av, aok := val(i.A)
-		bv, bok := val(i.B)
-		if aok && bok {
-			i.Imm = evalALU(i.Op, av, bv)
-			i.Op, i.A, i.B = ir.OpLI, ir.NoReg, ir.NoReg
-			return true
-		}
-		if bok {
-			if iop, ok := immForm(i.Op); ok {
-				imm := bv
-				if i.Op == ir.OpSub {
-					imm = -imm
-				}
-				i.Op, i.Imm, i.B = iop, imm, ir.NoReg
-				return true
-			}
-		}
-		// a + const  with commutative op and constant LEFT operand.
-		if aok && (i.Op == ir.OpAdd || i.Op == ir.OpMul || i.Op == ir.OpAnd || i.Op == ir.OpOr || i.Op == ir.OpXor) {
-			if iop, ok := immForm(i.Op); ok {
-				i.Op, i.Imm, i.A, i.B = iop, av, i.B, ir.NoReg
-				return true
-			}
-		}
-	case ir.OpAddI, ir.OpMulI, ir.OpAndI, ir.OpOrI, ir.OpXorI, ir.OpShlI, ir.OpShrI:
-		if av, ok := val(i.A); ok {
-			i.Imm = evalALUImm(i.Op, av, i.Imm)
-			i.Op, i.A = ir.OpLI, ir.NoReg
-			return true
-		}
-	case ir.OpNeg:
-		if av, ok := val(i.A); ok {
-			i.Op, i.Imm, i.A = ir.OpLI, -av, ir.NoReg
-			return true
-		}
-	case ir.OpNot:
-		if av, ok := val(i.A); ok {
-			i.Op, i.Imm, i.A = ir.OpLI, ^av, ir.NoReg
-			return true
-		}
-	case ir.OpCmp:
-		if bv, ok := val(i.B); ok {
-			i.Op, i.Imm, i.B = ir.OpCmpI, bv, ir.NoReg
-			return true
-		}
-	case ir.OpLoad, ir.OpStore:
+	if i.Op == ir.OpLoad || i.Op == ir.OpStore {
 		// Fold a constant base register into the displacement; keeps
 		// addresses out of registers for symbol-addressed accesses.
 		if i.Mem != nil && i.Mem.Base.Valid() {
@@ -261,70 +215,34 @@ func foldConst(i *ir.Instr, constOf map[ir.Reg]int64) bool {
 				return true
 			}
 		}
+		return false
+	}
+	fm := i.Op.Form()
+	if fm.Eval == nil || fm.Traps {
+		return false
+	}
+	av, aok := val(i.A)
+	bv, bok := i.Imm, true
+	if fm.RegB {
+		bv, bok = val(i.B)
+	}
+	if aok && bok && !i.Op.IsCompare() {
+		i.Op, i.Imm, i.A, i.B = ir.OpLI, fm.Eval(av, bv), ir.NoReg, ir.NoReg
+		return true
+	}
+	if !fm.RegB {
+		return false
+	}
+	if op, imm, ok := fm.ImmForm(bv); ok && bok {
+		i.Op, i.Imm, i.B = op, imm, ir.NoReg
+		return true
+	}
+	// A commutative operation with a constant LEFT operand.
+	if op, imm, ok := fm.ImmForm(av); ok && aok && fm.Commutes {
+		i.Op, i.Imm, i.A, i.B = op, imm, i.B, ir.NoReg
+		return true
 	}
 	return false
-}
-
-func immForm(op ir.Op) (ir.Op, bool) {
-	switch op {
-	case ir.OpAdd, ir.OpSub:
-		return ir.OpAddI, true
-	case ir.OpMul:
-		return ir.OpMulI, true
-	case ir.OpAnd:
-		return ir.OpAndI, true
-	case ir.OpOr:
-		return ir.OpOrI, true
-	case ir.OpXor:
-		return ir.OpXorI, true
-	case ir.OpShl:
-		return ir.OpShlI, true
-	case ir.OpShr:
-		return ir.OpShrI, true
-	}
-	return op, false
-}
-
-func evalALU(op ir.Op, a, b int64) int64 {
-	switch op {
-	case ir.OpAdd:
-		return a + b
-	case ir.OpSub:
-		return a - b
-	case ir.OpMul:
-		return a * b
-	case ir.OpAnd:
-		return a & b
-	case ir.OpOr:
-		return a | b
-	case ir.OpXor:
-		return a ^ b
-	case ir.OpShl:
-		return a << uint(b&63)
-	case ir.OpShr:
-		return a >> uint(b&63)
-	}
-	return 0
-}
-
-func evalALUImm(op ir.Op, a, imm int64) int64 {
-	switch op {
-	case ir.OpAddI:
-		return a + imm
-	case ir.OpMulI:
-		return a * imm
-	case ir.OpAndI:
-		return a & imm
-	case ir.OpOrI:
-		return a | imm
-	case ir.OpXorI:
-		return a ^ imm
-	case ir.OpShlI:
-		return a << uint(imm&63)
-	case ir.OpShrI:
-		return a >> uint(imm&63)
-	}
-	return 0
 }
 
 // eliminateDead removes instructions whose results are never used and

@@ -117,7 +117,7 @@ func DepMatrix(ref []*ir.Instr) [][]bool {
 func Makespan(order []*ir.Instr, d *machine.Desc) int {
 	avail := make(map[ir.Reg]int)
 	prod := make(map[ir.Reg]*ir.Instr)
-	var lastCycle, lastCount [machine.NumUnitTypes]int
+	var lastCycle, lastCount [ir.NumUnitTypes]int
 	prev, finish := 0, 0
 	for _, i := range order {
 		ready := 0
@@ -145,7 +145,7 @@ func Makespan(order []*ir.Instr, d *machine.Desc) int {
 		if ready > c {
 			c = ready
 		}
-		t := d.Unit(i.Op)
+		t := i.Op.Unit()
 		n := d.NumUnits[t]
 		if n < 1 {
 			n = 1

@@ -172,8 +172,8 @@ type runState struct {
 	// Timing state shared across frames.
 	traced    int64
 	prevStart int64 // issue cycle of the previous instruction in path order
-	lastCycle [machine.NumUnitTypes]int64
-	lastCount [machine.NumUnitTypes]int
+	lastCycle [ir.NumUnitTypes]int64
+	lastCount [ir.NumUnitTypes]int
 	finish    int64 // max completion cycle seen
 }
 
@@ -232,7 +232,7 @@ func (st *runState) issue(i *ir.Instr, ready int64) int64 {
 	if ready > c {
 		c = ready
 	}
-	t := d.Unit(i.Op)
+	t := i.Op.Unit()
 	n := d.NumUnits[t]
 	if n < 1 {
 		n = 1
@@ -375,16 +375,6 @@ const (
 	bitEQ = 1 << ir.BitEQ
 )
 
-func compare(a, b int64) int64 {
-	switch {
-	case a < b:
-		return bitLT
-	case a > b:
-		return bitGT
-	}
-	return bitEQ
-}
-
 // call runs function f to completion and returns its result.
 func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart int64) (int64, error) {
 	fr := newFrame(f)
@@ -438,7 +428,7 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 				st.traced++
 				unit := "-"
 				if st.opts.Machine != nil {
-					unit = st.opts.Machine.Unit(i.Op).String()
+					unit = i.Op.Unit().String()
 				}
 				fmt.Fprintf(st.opts.Trace, "c%-5d %-6s %s: %s\n", start, unit, f.Name, i)
 			}
@@ -450,56 +440,6 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 			fr.set(i.Def, i.Imm)
 		case ir.OpLR:
 			fr.set(i.Def, fr.get(i.A))
-		case ir.OpAdd:
-			fr.set(i.Def, fr.get(i.A)+fr.get(i.B))
-		case ir.OpSub:
-			fr.set(i.Def, fr.get(i.A)-fr.get(i.B))
-		case ir.OpMul:
-			fr.set(i.Def, fr.get(i.A)*fr.get(i.B))
-		case ir.OpDiv:
-			d := fr.get(i.B)
-			if d == 0 {
-				return 0, fmt.Errorf("sim: %s: division by zero (%s)", f.Name, i)
-			}
-			fr.set(i.Def, fr.get(i.A)/d)
-		case ir.OpRem:
-			d := fr.get(i.B)
-			if d == 0 {
-				return 0, fmt.Errorf("sim: %s: remainder by zero (%s)", f.Name, i)
-			}
-			fr.set(i.Def, fr.get(i.A)%d)
-		case ir.OpAnd:
-			fr.set(i.Def, fr.get(i.A)&fr.get(i.B))
-		case ir.OpOr:
-			fr.set(i.Def, fr.get(i.A)|fr.get(i.B))
-		case ir.OpXor:
-			fr.set(i.Def, fr.get(i.A)^fr.get(i.B))
-		case ir.OpShl:
-			fr.set(i.Def, fr.get(i.A)<<uint(fr.get(i.B)&63))
-		case ir.OpShr:
-			fr.set(i.Def, fr.get(i.A)>>uint(fr.get(i.B)&63))
-		case ir.OpAddI:
-			fr.set(i.Def, fr.get(i.A)+i.Imm)
-		case ir.OpMulI:
-			fr.set(i.Def, fr.get(i.A)*i.Imm)
-		case ir.OpAndI:
-			fr.set(i.Def, fr.get(i.A)&i.Imm)
-		case ir.OpOrI:
-			fr.set(i.Def, fr.get(i.A)|i.Imm)
-		case ir.OpXorI:
-			fr.set(i.Def, fr.get(i.A)^i.Imm)
-		case ir.OpShlI:
-			fr.set(i.Def, fr.get(i.A)<<uint(i.Imm&63))
-		case ir.OpShrI:
-			fr.set(i.Def, fr.get(i.A)>>uint(i.Imm&63))
-		case ir.OpNeg:
-			fr.set(i.Def, -fr.get(i.A))
-		case ir.OpNot:
-			fr.set(i.Def, ^fr.get(i.A))
-		case ir.OpCmp:
-			fr.set(i.Def, compare(fr.get(i.A), fr.get(i.B)))
-		case ir.OpCmpI:
-			fr.set(i.Def, compare(fr.get(i.A), i.Imm))
 		case ir.OpLoad:
 			v, err := st.loadWord(fr, i.Mem)
 			if err != nil {
@@ -639,7 +579,19 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 			}
 			return v, nil
 		default:
-			return 0, fmt.Errorf("sim: %s: cannot execute %s", f.Name, i)
+			// The integer operations, by their one evaluation in ir.
+			fm := i.Op.Form()
+			if fm.Eval == nil {
+				return 0, fmt.Errorf("sim: %s: cannot execute %s", f.Name, i)
+			}
+			y := i.Imm
+			if fm.RegB {
+				y = fr.get(i.B)
+			}
+			if fm.Traps && y == 0 {
+				return 0, fmt.Errorf("sim: %s: division by zero (%s)", f.Name, i)
+			}
+			fr.set(i.Def, fm.Eval(fr.get(i.A), y))
 		}
 		// Default register result accounting for straight-line ops.
 		st.recordDef(fr, i.Def, i, start)

@@ -15,6 +15,7 @@ import (
 
 	"gsched/internal/core"
 	"gsched/internal/eval"
+	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/policy"
 	"gsched/internal/workload"
@@ -114,7 +115,7 @@ type machineField struct {
 }
 
 func machineFields() []machineField {
-	unit := func(t machine.UnitType, max int) machineField {
+	unit := func(t ir.Unit, max int) machineField {
 		return machineField{
 			get: func(d *machine.Desc) int { return d.NumUnits[t] },
 			set: func(d *machine.Desc, v int) { d.NumUnits[t] = v },
@@ -122,9 +123,9 @@ func machineFields() []machineField {
 		}
 	}
 	return []machineField{
-		unit(machine.Fixed, 4),
-		unit(machine.Float, 3),
-		unit(machine.Branch, 2),
+		unit(ir.UnitFixed, 4),
+		unit(ir.UnitFloat, 3),
+		unit(ir.UnitBranch, 2),
 		{func(d *machine.Desc) int { return d.MulTime }, func(d *machine.Desc, v int) { d.MulTime = v }, 1, 8},
 		{func(d *machine.Desc) int { return d.DivTime }, func(d *machine.Desc, v int) { d.DivTime = v }, 1, 24},
 		{func(d *machine.Desc) int { return d.LoadDelay }, func(d *machine.Desc, v int) { d.LoadDelay = v }, 0, 3},
