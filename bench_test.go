@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ import (
 	"gsched/internal/eval"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
+	"gsched/internal/minic"
 	"gsched/internal/pdg"
 	"gsched/internal/progen"
 	"gsched/internal/sim"
@@ -293,6 +295,80 @@ func BenchmarkScaling(b *testing.B) {
 			b.ReportMetric(float64(max(peak, after.HeapAlloc))/(1<<20), "peak-heap-MiB")
 		})
 	}
+}
+
+// bigfuncSource returns the first program of the benchmark suite's
+// bigfunc shape drawn from seed 1: a single main of 25 statements at
+// depth 3 with loops, floats, a helper and three arrays, kept when it
+// compiles to 900-1100 instructions.
+func bigfuncSource(tb testing.TB) string {
+	tb.Helper()
+	r := rand.New(rand.NewSource(1))
+	for tries := 0; tries < 100; tries++ {
+		pg := progen.NewSized(r.Int63(), progen.Size{Stmts: 25, Depth: 3, Loops: true, Floats: true, Helper: true, Arrays: 3})
+		prog, err := minic.Compile(pg.Source)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n := 0
+		for _, f := range prog.Funcs {
+			n += f.NumInstrs()
+		}
+		if n >= 900 && n <= 1100 {
+			return pg.Source
+		}
+	}
+	tb.Fatal("no bigfunc-shaped program in 100 draws")
+	return ""
+}
+
+// compileVerified compiles mini-C src, schedules it with the verifier
+// on under DefaultConfig and prints it to w, as one bigfunc operation
+// of the benchmark suite does, and returns its input instruction count.
+func compileVerified(tb testing.TB, src string, opts core.Options, w io.Writer) int {
+	prog, err := minic.Compile(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := 0
+	for _, f := range prog.Funcs {
+		n += f.NumInstrs()
+	}
+	if _, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.DefaultConfig()); err != nil {
+		tb.Fatal(err)
+	}
+	if err := asm.PrintTo(w, prog); err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkVerifiedCompileBigfunc is one operation of the suite's
+// bigfunc workload: front end, verified scheduling at the default
+// parallelism, print. Besides ns/instr it reports the bytes and
+// objects allocated per instruction and the collections per compile
+// (gcs/op), which together say how often the collector runs and so how
+// often pooled state would be refilled.
+func BenchmarkVerifiedCompileBigfunc(b *testing.B) {
+	src := bigfuncSource(b)
+	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+	opts.Verify = true
+	compileVerified(b, src, opts, io.Discard) // fill the workers' scratch
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	instrs := 0
+	for i := 0; i < b.N; i++ {
+		instrs += compileVerified(b, src, opts, io.Discard)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(instrs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/instr")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/instr")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/instr")
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }
 
 // sampleHeap polls HeapAlloc every 10 ms until the returned stop is

@@ -91,10 +91,15 @@ func (p *parser) parseData(line string) error {
 }
 
 // checkName rejects a data or label name that no operand can name:
-// operands are split at ',' and '=', and '(' opens a memory operand.
+// operands are split at ',' and '=', '(' opens a memory operand, and a
+// memory operand frame(...) is always a frame slot, never the data
+// symbol frame.
 func (p *parser) checkName(what, name string) error {
 	if strings.ContainsAny(name, ",=(") {
 		return p.errf("bad %s name %q (no ',', '=' or '(')", what, name)
+	}
+	if what == "data" && name == "frame" {
+		return p.errf("bad data name %q (reserved: frame(...) is a frame slot)", name)
 	}
 	return nil
 }

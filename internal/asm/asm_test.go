@@ -218,8 +218,9 @@ func TestRegisterLimit(t *testing.T) {
 }
 
 // TestNamesOperandsCanName: a data or label name holding ',', '=' or
-// '(' is an error on the line that declares it, since no operand could
-// name it.
+// '(', and the data name frame, which a memory operand always reads as
+// a frame slot, are errors on the line that declares them, since no
+// operand could name them.
 func TestNamesOperandsCanName(t *testing.T) {
 	for _, tc := range []struct {
 		src  string
@@ -228,6 +229,7 @@ func TestNamesOperandsCanName(t *testing.T) {
 		{"data a,b 4\nfunc f:\n\tRET r0\n", 1},
 		{"data x 1\ndata a=b 4\nfunc f:\n\tRET r0\n", 2},
 		{"data a(b 4\nfunc f:\n\tRET r0\n", 1},
+		{"data x 1\ndata frame 4\nfunc f:\n\tRET r0\n", 2},
 		{"func f:\n\tNOP\na,b:\n\tRET r0\n", 3},
 		{"func f:\na=b:\n\tRET r0\n", 2},
 		{"func f:\n\tNOP\n\tNOP\na(b:\n\tRET r0\n", 4},

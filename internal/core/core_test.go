@@ -260,7 +260,7 @@ func TestLocalSchedulerFillsDelaySlot(t *testing.T) {
 	b.Ret(y)
 	f.ReindexBlocks()
 
-	if err := core.ScheduleBlockLocalPolicy(f.Blocks[0], machine.RS6K(), nil); err != nil {
+	if err := new(core.Scratch).ScheduleBlockLocalPolicy(f.Blocks[0], machine.RS6K(), nil); err != nil {
 		t.Fatal(err)
 	}
 	idx := func(i *ir.Instr) int {

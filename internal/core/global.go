@@ -166,12 +166,13 @@ func (rs *regionScheduler) gatherCandidates(a int) []*candidate {
 	// stays "not speculative"; it is only filled when a policy asks
 	// for features and the degree exceeds one.
 	var specDepth map[int]int
-	add := func(i *ir.Instr, home int, spec, dup bool, prob float64) {
+	// add takes i, the k-th instruction of block home.
+	add := func(i *ir.Instr, k, home int, spec, dup bool, prob float64) {
 		h := rs.heightsOf(home)
 		c := pl.newCand()
 		*c = candidate{
 			instr: i, home: home, spec: spec, dup: dup, prob: prob,
-			pos: rs.pos[i.ID], d: h.D(i.ID), cp: h.CP(i.ID),
+			pos: rs.pos[i.ID], d: h.D(k), cp: h.CP(k),
 		}
 		if pol != nil {
 			deg := 0
@@ -191,8 +192,8 @@ func (rs *regionScheduler) gatherCandidates(a int) []*candidate {
 		cands = append(cands, c)
 	}
 	// The block's own instructions, including its terminator.
-	for _, i := range rs.f.Blocks[a].Instrs {
-		add(i, a, false, false, 1)
+	for k, i := range rs.f.Blocks[a].Instrs {
+		add(i, k, a, false, false, 1)
 	}
 	// Useful candidates: bodies of EQUIV(a), minus never-moving
 	// instructions (calls, branches). Blocks of nested regions never
@@ -201,9 +202,9 @@ func (rs *regionScheduler) gatherCandidates(a int) []*candidate {
 		if !rs.own[b] {
 			continue
 		}
-		for _, i := range rs.f.Blocks[b].Instrs {
+		for k, i := range rs.f.Blocks[b].Instrs {
 			if !i.Op.NeverMoves() {
-				add(i, b, false, false, 1)
+				add(i, k, b, false, false, 1)
 			}
 		}
 	}
@@ -236,14 +237,14 @@ func (rs *regionScheduler) gatherCandidates(a int) []*candidate {
 					continue // gambling against the odds
 				}
 			}
-			for _, i := range rs.f.Blocks[b].Instrs {
+			for k, i := range rs.f.Blocks[b].Instrs {
 				if i.Op.NeverMoves() || i.Op.NeverSpeculates() {
 					continue
 				}
 				if i.Op.IsLoad() && !rs.opts.SpeculateLoads {
 					continue
 				}
-				add(i, b, true, false, prob)
+				add(i, k, b, true, false, prob)
 			}
 		}
 	}
@@ -253,14 +254,14 @@ func (rs *regionScheduler) gatherCandidates(a int) []*candidate {
 	// copies at pick time.
 	if rs.opts.Duplicate && rs.opts.Level >= LevelSpeculative {
 		for _, b := range rs.dupJoinsBelow(a) {
-			for _, i := range rs.f.Blocks[b].Instrs {
+			for k, i := range rs.f.Blocks[b].Instrs {
 				if i.Op.NeverMoves() || i.Op.NeverSpeculates() {
 					continue
 				}
 				if i.Op.IsLoad() && !rs.opts.SpeculateLoads {
 					continue
 				}
-				add(i, b, false, true, 1)
+				add(i, k, b, false, true, 1)
 			}
 		}
 	}
@@ -312,10 +313,8 @@ func (rs *regionScheduler) maxCPOf(b int) float64 {
 	if pl.maxCPStamp[b] != pl.stamp {
 		h := rs.heightsOf(b)
 		m := 0
-		for _, i := range rs.f.Blocks[b].Instrs {
-			if cp := h.CP(i.ID); cp > m {
-				m = cp
-			}
+		for k := range rs.f.Blocks[b].Instrs {
+			m = max(m, h.CP(k))
 		}
 		pl.maxCP[b] = m
 		pl.maxCPStamp[b] = pl.stamp

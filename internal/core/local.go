@@ -57,13 +57,12 @@ type localNode struct {
 // cycles. If the loop waits longer (malformed IR, such as one
 // instruction ID used twice in the block, leaves an instruction that
 // can never become ready), it returns an error and leaves blk as it
-// was.
-func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Policy) error {
+// was. It runs on the walker's pipeline of s.
+func (s *Scratch) ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Policy) error {
 	if len(blk.Instrs) < 2 {
 		return nil
 	}
-	pl := getPipeline()
-	defer putPipeline(pl)
+	pl := s.walk()
 	ddg := pl.ddgb.BuildBlockDDG(blk, mach)
 	pdg.HeightsInto(&pl.local.hv, blk, ddg, mach)
 	h := &pl.local.hv
@@ -90,18 +89,16 @@ func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Pol
 	usePol := pol != nil && pol.HasPriority()
 	if usePol {
 		maxCP := 0
-		for _, i := range blk.Instrs {
-			if cp := h.CP(i.ID); cp > maxCP {
-				maxCP = cp
-			}
+		for k := range blk.Instrs {
+			maxCP = max(maxCP, h.CP(k))
 		}
 		for k := range nodes {
 			n := &nodes[k]
 			i := n.instr
 			f := &n.feat // zeroed by grown above
-			f[policy.FeatD] = float64(h.D(i.ID))
-			f[policy.FeatCP] = float64(h.CP(i.ID))
-			f[policy.FeatSlack] = float64(maxCP - h.CP(i.ID))
+			f[policy.FeatD] = float64(h.D(n.pos))
+			f[policy.FeatCP] = float64(h.CP(n.pos))
+			f[policy.FeatSlack] = float64(maxCP - h.CP(n.pos))
 			f[policy.FeatPos] = float64(n.pos)
 			f[policy.FeatProb] = 1 // a block always reaches its own code
 			f[policy.FeatExec] = float64(mach.Exec(i.Op))
@@ -164,10 +161,10 @@ func ScheduleBlockLocalPolicy(blk *ir.Block, mach *machine.Desc, pol *policy.Pol
 			})
 		} else {
 			slices.SortFunc(ready, func(x, y localNode) int {
-				if dx, dy := h.D(x.instr.ID), h.D(y.instr.ID); dx != dy {
+				if dx, dy := h.D(x.pos), h.D(y.pos); dx != dy {
 					return dy - dx
 				}
-				if cx, cy := h.CP(x.instr.ID), h.CP(y.instr.ID); cx != cy {
+				if cx, cy := h.CP(x.pos), h.CP(y.pos); cx != cy {
 					return cy - cx
 				}
 				return x.pos - y.pos

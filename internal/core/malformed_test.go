@@ -67,8 +67,9 @@ func TestMalformedIRFailsBelowRunCtx(t *testing.T) {
 	}
 	bounded("level none", func() error {
 		f := dupIDFunc(t)
+		var sc core.Scratch
 		for _, b := range f.Blocks {
-			if err := core.ScheduleBlockLocalPolicy(b, mach, nil); err != nil {
+			if err := sc.ScheduleBlockLocalPolicy(b, mach, nil); err != nil {
 				return err
 			}
 		}
@@ -80,7 +81,7 @@ func TestMalformedIRFailsBelowRunCtx(t *testing.T) {
 		opts.Parallelism = 1
 		var st core.Stats
 		g := cfg.Build(f)
-		return core.ScheduleRegionTree(context.Background(), f, g, cfg.FindLoops(g), &opts, &st,
+		return new(core.Scratch).ScheduleRegionTree(context.Background(), f, g, cfg.FindLoops(g), &opts, &st,
 			func(*cfg.Region, int) bool { return true })
 	})
 }

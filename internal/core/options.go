@@ -165,7 +165,10 @@ type Options struct {
 	// pairs and M cross-block motions costs O(B²/64 + N + D +
 	// M·(B + occurrences of the moved register)), plus D log D only
 	// when it finds a violation; a check after a pass that moved
-	// nothing across blocks costs O(N + same-block D); see verify.Check.
+	// nothing across blocks costs O(N + same-block D); see
+	// verify.(*Verifier).Check. Each driver worker keeps one Verifier,
+	// so once it has seen a function as large, a snapshot allocates
+	// nothing and a check of a legal schedule allocates nothing.
 	Verify bool
 
 	// Trace, when non-nil, accumulates wall-clock time per scheduling

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"gsched/internal/cfg"
 	"gsched/internal/dataflow"
@@ -11,12 +10,12 @@ import (
 	"gsched/internal/pdg"
 )
 
-// pipeline is the per-worker scratch arena of the scheduling pipeline.
-// One pipeline serves one goroutine at a time; callers take one from
-// pipelinePool for the duration of a function (or region) and put it
-// back, so a steady stream of scheduled functions reuses the same DDG
-// arenas, liveness bitsets, candidate storage, ready lists, and
-// local-scheduler buffers instead of reallocating them per region.
+// pipeline is the scratch arena of one goroutine's scheduling: DDG
+// arenas, liveness bitsets, candidate storage, ready lists and the
+// local scheduler's buffers. A Scratch owns its pipelines and keeps
+// them from function to function, so a steady stream of scheduled
+// functions reuses the same storage instead of reallocating it per
+// region or block.
 type pipeline struct {
 	ddgb *pdg.Builder
 
@@ -73,24 +72,45 @@ type pipeline struct {
 	local localScratch
 }
 
-var pipelinePool = sync.Pool{
-	New: func() any { return &pipeline{ddgb: pdg.NewBuilder()} },
+// Scratch is the scheduling storage of one worker: the pipeline that
+// walks the region tree, schedules the root region and runs the local
+// pass, and one pipeline per region-group worker the walk starts. Its
+// owner keeps it for as long as it schedules, so every region, group
+// and block after the first reuses storage sized by the largest
+// function seen. A Scratch serves one goroutine at a time; the group
+// pipelines serve only the workers that goroutine's walk starts. The
+// zero value is ready to use.
+type Scratch struct {
+	walker *pipeline
+	groups []*pipeline
 }
 
-func getPipeline() *pipeline { return pipelinePool.Get().(*pipeline) }
+func newPipeline() *pipeline { return &pipeline{ddgb: pdg.NewBuilder()} }
 
-// putPipeline releases pl and returns it to the pool.
-func putPipeline(pl *pipeline) {
-	pl.release()
-	pipelinePool.Put(pl)
+// walk returns the walker's pipeline, made on first use.
+func (s *Scratch) walk() *pipeline {
+	if s.walker == nil {
+		s.walker = newPipeline()
+	}
+	return s.walker
 }
 
-// release drops the pipeline's references into the function it last
-// worked on — its IR, flow graph and liveness baseline — keeping every
-// buffer's capacity, so a pooled pipeline does not keep a finished
-// function reachable until its next use. The local scheduler takes a
-// pipeline per block, so the region scratch is cleared only after
-// region work.
+// Release drops every reference the scratch holds into the functions
+// it scheduled, keeping its storage, so a kept scratch does not keep a
+// finished function reachable.
+func (s *Scratch) Release() {
+	if s.walker != nil {
+		s.walker.release()
+	}
+	for _, pl := range s.groups {
+		pl.release()
+	}
+}
+
+// release drops the pipeline's references into the functions it worked
+// on — their IR, flow graphs and liveness baselines — keeping every
+// buffer's capacity. The region scratch is cleared only when region
+// work ran since the last release.
 func (pl *pipeline) release() {
 	pl.ddgb.Release()
 	pl.live.Release()
@@ -258,9 +278,9 @@ func regionPositions(pos []int, f *ir.Func, r *cfg.Region) []int {
 
 // ScheduleRegionTree schedules every region of the tree selected by keep
 // (given the region and its nesting height), children before parents,
-// honouring the size caps in opts. A region keep rejects is not
-// counted; one over MaxRegionBlocks or MaxRegionInstrs, or whose PDG
-// cannot be built, counts in RegionsSkipped.
+// honouring the size caps in opts, on s's pipelines. A region keep
+// rejects is not counted; one over MaxRegionBlocks or MaxRegionInstrs,
+// or whose PDG cannot be built, counts in RegionsSkipped.
 //
 // With opts.Parallelism > 1, top-level subtrees of the region tree are
 // partitioned into groups with pairwise-disjoint register footprints and
@@ -268,11 +288,10 @@ func regionPositions(pos []int, f *ir.Func, r *cfg.Region) []int {
 // of them. Sequential runs use the identical partition and per-group
 // scoped liveness, so the schedule is byte-identical at any parallelism
 // setting.
-func ScheduleRegionTree(ctx context.Context, f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo,
+func (s *Scratch) ScheduleRegionTree(ctx context.Context, f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo,
 	opts *Options, st *Stats, keep func(r *cfg.Region, height int) bool) error {
 
-	pl := getPipeline()
-	defer putPipeline(pl)
+	pl := s.walk()
 	pl.resetLive()
 
 	// scheduleOne applies the eligibility filters and size caps to one
@@ -333,9 +352,13 @@ func ScheduleRegionTree(ctx context.Context, f *ir.Func, g *cfg.Graph, li *cfg.L
 		}
 		stats := make([]Stats, len(comps))
 		errs := make([]error, len(comps))
-		runFuncsParallel(len(comps), opts.Parallelism, func(ci int) {
-			wpl := getPipeline()
-			defer putPipeline(wpl)
+		// One pipeline per group worker, made here before any worker
+		// starts; each group resets its worker's liveness scope.
+		for len(s.groups) < max(1, min(opts.Parallelism, len(comps))) {
+			s.groups = append(s.groups, newPipeline())
+		}
+		runFuncsParallel(len(comps), opts.Parallelism, func(w, ci int) {
+			wpl := s.groups[w]
 			wpl.resetLive()
 			for _, si := range comps[ci] {
 				if errs[ci] = scheduleSubtree(wpl, subtrees[si], &stats[ci], scopes[ci], base); errs[ci] != nil {

@@ -13,7 +13,7 @@ func TestRegionPoolForwardsPanic(t *testing.T) {
 	var running atomic.Int32
 	got := func() (v any) {
 		defer func() { v = recover() }()
-		runFuncsParallel(8, 3, func(i int) {
+		runFuncsParallel(8, 3, func(_, i int) {
 			running.Add(1)
 			defer running.Add(-1)
 			if i == 2 {

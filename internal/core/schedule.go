@@ -31,17 +31,19 @@ func Recovered(v any) *WorkerPanic {
 	return &WorkerPanic{Value: v, Stack: debug.Stack()}
 }
 
-// runFuncsParallel runs fn(i) for every i in [0, n) on min(workers, n)
-// goroutines and waits for all of them; fn must only touch state owned
-// by index i. A panic in fn stops its worker and is raised again, as a
+// runFuncsParallel runs fn(w, i) for every i in [0, n) on min(workers,
+// n) goroutines and waits for all of them; w numbers the goroutine
+// running fn, from 0 (the only one when the calls run sequentially), so
+// fn may use state owned by worker w as well as state owned by index i.
+// A panic in fn stops its worker and is raised again, as a
 // *WorkerPanic, once every worker has stopped.
-func runFuncsParallel(n, workers int, fn func(i int)) {
+func runFuncsParallel(n, workers int, fn func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -58,7 +60,7 @@ func runFuncsParallel(n, workers int, fn func(i int)) {
 				}
 			}()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

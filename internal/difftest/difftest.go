@@ -210,14 +210,15 @@ func (e *Engine) checkCell(rep *Report, prog *ir.Program, entry string, args []i
 	// Renaming runs before the snapshots so the verifier and the
 	// exhaustive oracle compare against exactly what the scheduler saw.
 	if cell.Rename {
+		var rn rename.Renamer
 		for _, f := range work.Funcs {
-			rename.Run(f, cfg.Build(f))
+			rn.Run(f, cfg.Build(f))
 		}
 	}
-	snaps := make([]*verify.Snapshot, len(work.Funcs))
+	verifiers := make([]verify.Verifier, len(work.Funcs))
 	refs := make([][][]*ir.Instr, len(work.Funcs))
 	for fi, f := range work.Funcs {
-		snaps[fi] = verify.Capture(f)
+		verifiers[fi].Capture(f)
 		blocks := make([][]*ir.Instr, len(f.Blocks))
 		for bi, b := range f.Blocks {
 			blocks[bi] = append([]*ir.Instr(nil), b.Instrs...)
@@ -239,7 +240,7 @@ func (e *Engine) checkCell(rep *Report, prog *ir.Program, entry string, args []i
 	// Oracle 2: static legality against the pre-schedule snapshot.
 	rules := opts.VerifyRules()
 	for fi, f := range work.Funcs {
-		if err := verify.Check(snaps[fi], f, rules); err != nil {
+		if err := verifiers[fi].Check(f, rules); err != nil {
 			return &oracleError{"verify", err}
 		}
 	}

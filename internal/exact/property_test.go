@@ -131,7 +131,8 @@ func TestExactSchedulesPassVerify(t *testing.T) {
 				t.Fatalf("seed %d %s: schedule: %v", seed, mach.Name, err)
 			}
 			for _, f := range prog.Funcs {
-				snap := verify.Capture(f)
+				ver := new(verify.Verifier)
+				ver.Capture(f)
 				changed := false
 				for _, b := range f.Blocks {
 					res, ok := exact.ScheduleBlock(b.Instrs, mach, exact.Limits{})
@@ -146,7 +147,7 @@ func TestExactSchedulesPassVerify(t *testing.T) {
 				if !changed {
 					continue
 				}
-				if err := verify.Check(snap, f, verify.Rules{}); err != nil {
+				if err := ver.Check(f, verify.Rules{}); err != nil {
 					t.Errorf("seed %d %s %s: exact schedule fails verify: %v", seed, mach.Name, f.Name, err)
 				}
 			}

@@ -275,6 +275,7 @@ func TestCompileErrors(t *testing.T) {
 		{"print as value", `int f(int a) { return print(a); }`, "returns no value"},
 		{"float global", `float x; int f(int a) { return a; }`, "only allowed for locals"},
 		{"void global", `void x; int f(int a) { return a; }`, "void globals are not allowed"},
+		{"reserved global", `int frame[4]; int f(int a) { return a; }`, "reserved for frame slots"},
 		{"top-level statement", `return 1;`, "expected 'int' or 'void' declaration"},
 	}
 	for _, tc := range cases {

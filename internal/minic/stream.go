@@ -89,6 +89,10 @@ func open(src string) (*reader, error) {
 		if isVoid {
 			return nil, errAt(name.Line, name.Col, "void globals are not allowed")
 		}
+		if name.Text == "frame" {
+			// Printed, its accesses would read as frame slots.
+			return nil, errAt(name.Line, name.Col, "global name %q is reserved for frame slots", name.Text)
+		}
 		g, err := p.parseGlobalRest(name.Text, name.Line)
 		if err != nil {
 			return nil, err

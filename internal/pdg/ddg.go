@@ -64,6 +64,10 @@ type DDG struct {
 	base int
 
 	pending []DepEdge // construction buffer, consumed by finalize
+
+	// at is HeightsInto's scratch: ID - base -> position in the block
+	// whose heights it last computed.
+	at []int32
 }
 
 // Builder constructs DDGs and PDGs repeatedly, reusing every
@@ -109,18 +113,21 @@ func NewBuilder() *Builder {
 	return &Builder{byReg: make(map[uint64]int32)}
 }
 
-// Release drops the builder's references into the function it last
-// built for: the PDG's function, graph and region, the subgraph views'
-// graph, and the instructions on the dependence edges, keeping every
-// arena's capacity. A pooled builder then does not keep a finished
-// function reachable. The cost is that of the edges built since the
-// last Release.
+// Release drops the builder's references into the functions it built
+// for: the PDG's function, graph and region, the subgraph views'
+// graph, the instructions on the dependence edges and those in the
+// per-block indexes, keeping every arena's capacity. A kept builder
+// then does not keep a finished function reachable. The cost is that of
+// the edges built since the last Release plus the indexes' storage.
 func (b *Builder) Release() {
 	b.pdg = PDG{}
 	b.forward.G, b.depView.G = nil, nil
 	clear(b.ddg.pending[:b.edgeHigh])
 	clear(b.backing[:2*b.edgeHigh])
 	b.edgeHigh = 0
+	for _, bi := range b.bis {
+		bi.release()
+	}
 }
 
 // reset prepares the builder's graph for a fresh build covering numIDs
@@ -298,6 +305,15 @@ func (bi *blockIndex) reset() {
 	bi.touches = bi.touches[:0]
 	bi.mems = bi.mems[:0]
 	bi.slabUsed = 0
+}
+
+// release drops the instructions bi holds, keeping its storage.
+func (bi *blockIndex) release() {
+	clear(bi.mems[:cap(bi.mems)])
+	for _, rt := range bi.slab {
+		clear(rt.entries[:cap(rt.entries)])
+		clear(rt.defEntries[:cap(rt.defEntries)])
+	}
 }
 
 func (bi *blockIndex) getTouch() *regTouches {
@@ -574,21 +590,19 @@ func instrIDRange(blk *ir.Block) (lo, hi int) {
 }
 
 // HeightVals holds the two §5.2 priority functions of one block's
-// instructions, stored relative to the block's smallest instruction ID
-// so the arrays cover only the block's ID range. D and CP must only be
-// asked about instructions of the block they were computed for.
+// instructions, indexed by position in the block, so a block's arrays
+// are as long as the block however wide its instruction IDs spread
+// (after unrolling, nearly the whole function's). D and CP must only be
+// asked about positions of the block layout they were computed for.
 type HeightVals struct {
-	base  int
 	d, cp []int
-	inBlk []bool
 }
 
-// D returns the delay heuristic of the instruction with the given ID.
-func (h *HeightVals) D(id int) int { return h.d[id-h.base] }
+// D returns the delay heuristic of the block's k-th instruction.
+func (h *HeightVals) D(k int) int { return h.d[k] }
 
-// CP returns the critical-path height of the instruction with the given
-// ID.
-func (h *HeightVals) CP(id int) int { return h.cp[id-h.base] }
+// CP returns the critical-path height of the block's k-th instruction.
+func (h *HeightVals) CP(k int) int { return h.cp[k] }
 
 // HeightsInto computes the paper's two priority functions over the
 // instructions of one block into h, considering only dependence
@@ -601,45 +615,42 @@ func (h *HeightVals) CP(id int) int { return h.cp[id-h.base] }
 // one HeightVals per block in its per-worker scratch, so steady-state
 // height computation allocates nothing.
 func HeightsInto(h *HeightVals, blk *ir.Block, ddg *DDG, mach *machine.Desc) {
-	lo, hi := instrIDRange(blk)
-	n := hi - lo + 1
-	if n < 0 {
-		n = 0
+	n := len(blk.Instrs)
+	h.d = resized(h.d, n)
+	h.cp = resized(h.cp, n)
+	// ddg.at maps an instruction to its position in blk. An entry is
+	// trusted only when blk holds that very instruction at that
+	// position, so entries left by other blocks need no clearing.
+	if len(ddg.at) < len(ddg.Succs) {
+		ddg.at = make([]int32, len(ddg.Succs))
 	}
-	h.base = lo
-	if cap(h.d) < n {
-		h.d = make([]int, n)
-		h.cp = make([]int, n)
-		h.inBlk = make([]bool, n)
-	} else {
-		h.d = h.d[:n]
-		h.cp = h.cp[:n]
-		h.inBlk = h.inBlk[:n]
-		clear(h.d)
-		clear(h.cp)
-		clear(h.inBlk)
-	}
-	for _, i := range blk.Instrs {
-		h.inBlk[i.ID-lo] = true
+	for k, i := range blk.Instrs {
+		if x := i.ID - ddg.base; x >= 0 && x < len(ddg.at) {
+			ddg.at[x] = int32(k)
+		}
 	}
 	// Visit in reverse order: successors of I within a block always come
 	// after I, so a reverse sweep visits successors first.
-	for k := len(blk.Instrs) - 1; k >= 0; k-- {
+	for k := n - 1; k >= 0; k-- {
 		i := blk.Instrs[k]
 		dv, cp := 0, 0
 		for _, e := range ddg.SuccsOf(i.ID) {
-			idx := e.To.ID - lo
-			if idx < 0 || idx >= n || !h.inBlk[idx] {
+			x := e.To.ID - ddg.base
+			if x < 0 || x >= len(ddg.at) {
 				continue
 			}
-			if v := h.d[idx] + e.Delay; v > dv {
+			j := int(ddg.at[x])
+			if j >= n || blk.Instrs[j] != e.To {
+				continue
+			}
+			if v := h.d[j] + e.Delay; v > dv {
 				dv = v
 			}
-			if v := h.cp[idx] + e.Delay; v > cp {
+			if v := h.cp[j] + e.Delay; v > cp {
 				cp = v
 			}
 		}
-		h.d[i.ID-lo] = dv
-		h.cp[i.ID-lo] = cp + mach.Exec(i.Op)
+		h.d[k] = dv
+		h.cp[k] = cp + mach.Exec(i.Op)
 	}
 }

@@ -82,8 +82,8 @@ func TestHeightsWithMultiCycleOps(t *testing.T) {
 	b := ir.NewBuilder(f)
 	blk := b.Block("e")
 	x, y, z := ir.GPR(0), ir.GPR(1), ir.GPR(2)
-	mul := b.Op2(ir.OpMul, y, x, x)
-	add := b.Op2(ir.OpAdd, z, y, y)
+	b.Op2(ir.OpMul, y, x, x)
+	b.Op2(ir.OpAdd, z, y, y)
 	b.Ret(z)
 	f.ReindexBlocks()
 	mach := machine.RS6K()
@@ -92,9 +92,10 @@ func TestHeightsWithMultiCycleOps(t *testing.T) {
 	HeightsInto(&h, blk, ddg, mach)
 	// CP(mul) >= MulTime + CP(add): the multi-cycle execution time
 	// enters the critical path.
-	if h.CP(mul.ID) < mach.MulTime+h.CP(add.ID) {
+	const mul, add = 0, 1 // positions in the block
+	if h.CP(mul) < mach.MulTime+h.CP(add) {
 		t.Errorf("CP(mul)=%d too small (MulTime=%d, CP(add)=%d)",
-			h.CP(mul.ID), mach.MulTime, h.CP(add.ID))
+			h.CP(mul), mach.MulTime, h.CP(add))
 	}
 }
 

@@ -192,20 +192,20 @@ func TestHeights(t *testing.T) {
 	ddg := p.DDG
 	var h HeightVals
 	HeightsInto(&h, bl1, ddg, machine.RS6K())
-	i1, i2, i3, i4 := bl1.Instrs[0], bl1.Instrs[1], bl1.Instrs[2], bl1.Instrs[3]
-	if h.D(i4.ID) != 0 || h.CP(i4.ID) != 1 {
-		t.Errorf("I4: D=%d CP=%d, want 0,1", h.D(i4.ID), h.CP(i4.ID))
+	const i1, i2, i3, i4 = 0, 1, 2, 3 // positions in BL1
+	if h.D(i4) != 0 || h.CP(i4) != 1 {
+		t.Errorf("I4: D=%d CP=%d, want 0,1", h.D(i4), h.CP(i4))
 	}
-	if h.D(i3.ID) != 3 || h.CP(i3.ID) != 5 {
-		t.Errorf("I3: D=%d CP=%d, want 3,5", h.D(i3.ID), h.CP(i3.ID))
+	if h.D(i3) != 3 || h.CP(i3) != 5 {
+		t.Errorf("I3: D=%d CP=%d, want 3,5", h.D(i3), h.CP(i3))
 	}
-	if h.D(i2.ID) != 4 || h.CP(i2.ID) != 7 {
-		t.Errorf("I2: D=%d CP=%d, want 4,7", h.D(i2.ID), h.CP(i2.ID))
+	if h.D(i2) != 4 || h.CP(i2) != 7 {
+		t.Errorf("I2: D=%d CP=%d, want 4,7", h.D(i2), h.CP(i2))
 	}
 	// I1: successors are I3 (flow, delay 1) and I2 (anti on r31, delay
 	// 0), so D = max(3+1, 4+0) = 4 and CP = max(5+1, 7+0) + 1 = 8.
-	if h.D(i1.ID) != 4 || h.CP(i1.ID) != 8 {
-		t.Errorf("I1: D=%d CP=%d, want 4,8", h.D(i1.ID), h.CP(i1.ID))
+	if h.D(i1) != 4 || h.CP(i1) != 8 {
+		t.Errorf("I1: D=%d CP=%d, want 4,8", h.D(i1), h.CP(i1))
 	}
 }
 

@@ -30,9 +30,56 @@ type defSite struct {
 	reg   ir.Reg
 }
 
+// Renamer renames registers, keeping its tables from one function to
+// the next, so a worker renaming a stream of functions reuses storage
+// sized by the largest one. It keeps no reference to a renamed function
+// after Run returns. A Renamer serves one goroutine at a time; the zero
+// value is ready to use.
+type Renamer struct {
+	defs       []defSite
+	defIdx     [][2]int32 // instr ID -> def ids; -1 when absent
+	entryDef   []int32    // packed register -> entry def id; -1 absent
+	regDefs    [][]int32  // packed register -> its def ids, ascending
+	count      []int32
+	defBacking []int32
+	sets       [][]uint64 // gen, kill, in and out of block i at 4i..4i+3
+	backing    []uint64
+	entryIn    []uint64
+	cur        []uint64
+	parent     []int32 // union-find forest over def ids
+	useOff     []int32
+	useDef     []int32
+	webReg     []ir.Reg
+	keepFirst  []bool
+}
+
+// filled returns s resized to n elements, each set to v, reusing its
+// backing array when it is large enough.
+func filled[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	} else {
+		s = s[:n]
+	}
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// find returns the representative of def id x's web.
+func (rn *Renamer) find(x int32) int32 {
+	parent := rn.parent
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
 // Run renames registers in f and returns the number of webs that
 // received a fresh name. The flow graph g must match f.
-func Run(f *ir.Func, g *cfg.Graph) int {
+func (rn *Renamer) Run(f *ir.Func, g *cfg.Graph) int {
 	numIDs := f.NumInstrIDs()
 	// Packed register index: the registers of all classes share one
 	// dense id space, class after class.
@@ -45,11 +92,13 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 	regIdx := func(r ir.Reg) int { return regBase[r.Class] + int(r.Num) }
 
 	// 1. Enumerate definition sites.
-	var defs []defSite
-	defIdx := make([][2]int32, numIDs) // instr ID -> def ids; -1 when absent
-	for i := range defIdx {
-		defIdx[i] = [2]int32{-1, -1}
-	}
+	defs := rn.defs[:0]
+	defer func() {
+		clear(defs) // drop the instructions
+		rn.defs = defs
+	}()
+	defIdx := filled(rn.defIdx, numIDs, [2]int32{-1, -1})
+	rn.defIdx = defIdx
 	addDef := func(i *ir.Instr, slot int, r ir.Reg) int32 {
 		id := int32(len(defs))
 		defs = append(defs, defSite{instr: i, slot: slot, reg: r})
@@ -60,10 +109,8 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 	// be read before written (conservatively: any register used in the
 	// function gets an entry def; webs that never see it are unaffected
 	// because it only reaches uses not covered by a real def).
-	entryDef := make([]int32, numRegs) // packed register -> entry def id; -1 absent
-	for i := range entryDef {
-		entryDef[i] = -1
-	}
+	entryDef := filled(rn.entryDef, numRegs, -1)
+	rn.entryDef = entryDef
 	noteEntry := func(r ir.Reg) {
 		if !r.Valid() {
 			return
@@ -99,12 +146,13 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 
 	// Packed register -> its def ids, ascending (for kill sets): rows
 	// counted, then carved from one backing array.
-	regDefs := make([][]int32, numRegs)
-	count := make([]int32, numRegs)
+	regDefs := filled(rn.regDefs, numRegs, nil)
+	count := filled(rn.count, numRegs, 0)
 	for _, d := range defs {
 		count[regIdx(d.reg)]++
 	}
-	defBacking := make([]int32, nd)
+	defBacking := filled(rn.defBacking, nd, 0)
+	rn.regDefs, rn.count, rn.defBacking = regDefs, count, defBacking
 	for r, c := range count {
 		regDefs[r], defBacking = defBacking[:0:c], defBacking[c:]
 	}
@@ -117,17 +165,16 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 	// walk). The four bit-vectors per block are carved from one backing
 	// array.
 	nb := len(f.Blocks)
-	gen := make([][]uint64, nb)
-	kill := make([][]uint64, nb)
-	in := make([][]uint64, nb)
-	out := make([][]uint64, nb)
-	backing := make([]uint64, 4*nb*words)
-	for bi := range f.Blocks {
-		gen[bi], backing = backing[:words:words], backing[words:]
-		kill[bi], backing = backing[:words:words], backing[words:]
-		in[bi], backing = backing[:words:words], backing[words:]
-		out[bi], backing = backing[:words:words], backing[words:]
+	rn.sets = filled(rn.sets, 4*nb, nil)
+	rn.backing = filled(rn.backing, 4*nb*words, 0)
+	backing := rn.backing
+	for i := range rn.sets {
+		rn.sets[i], backing = backing[:words:words], backing[words:]
 	}
+	gen := func(bi int) []uint64 { return rn.sets[4*bi] }
+	kill := func(bi int) []uint64 { return rn.sets[4*bi+1] }
+	in := func(bi int) []uint64 { return rn.sets[4*bi+2] }
+	out := func(bi int) []uint64 { return rn.sets[4*bi+3] }
 	set := func(bs []uint64, id int32) { bs[id/64] |= 1 << (uint(id) % 64) }
 	clr := func(bs []uint64, id int32) { bs[id/64] &^= 1 << (uint(id) % 64) }
 	has := func(bs []uint64, id int32) bool { return bs[id/64]&(1<<(uint(id)%64)) != 0 }
@@ -142,43 +189,45 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 				}
 				for _, other := range regDefs[regIdx(defs[id].reg)] {
 					if other != id {
-						set(kill[bi], other)
-						clr(gen[bi], other)
+						set(kill(bi), other)
+						clr(gen(bi), other)
 					}
 				}
-				set(gen[bi], id)
+				set(gen(bi), id)
 			}
 		}
 	}
 	// Entry block starts with the virtual entry defs.
-	entryIn := make([]uint64, words)
+	entryIn := filled(rn.entryIn, words, 0)
+	rn.entryIn = entryIn
 	for _, id := range entryDef {
 		if id >= 0 {
 			set(entryIn, id)
 		}
 	}
-	copy(in[0], entryIn)
+	copy(in(0), entryIn)
 
 	for changed := true; changed; {
 		changed = false
 		for bi := 0; bi < nb; bi++ {
 			// in = union of preds' out (plus entry defs for block 0).
+			inb, outb := in(bi), out(bi)
 			if bi == 0 {
-				copy(in[bi], entryIn)
+				copy(inb, entryIn)
 			} else {
-				for w := range in[bi] {
-					in[bi][w] = 0
-				}
+				clear(inb)
 			}
 			for _, p := range g.Preds[bi] {
-				for w := range in[bi] {
-					in[bi][w] |= out[p][w]
+				outp := out(p)
+				for w := range inb {
+					inb[w] |= outp[w]
 				}
 			}
-			for w := range out[bi] {
-				nv := gen[bi][w] | (in[bi][w] &^ kill[bi][w])
-				if nv != out[bi][w] {
-					out[bi][w] = nv
+			genb, killb := gen(bi), kill(bi)
+			for w := range outb {
+				nv := genb[w] | (inb[w] &^ killb[w])
+				if nv != outb[w] {
+					outb[w] = nv
 					changed = true
 				}
 			}
@@ -187,37 +236,31 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 
 	// 3. Union-find webs over def sites; walk each block connecting
 	// every use to the defs reaching it.
-	parent := make([]int32, nd)
+	parent := filled(rn.parent, nd, 0)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	rn.parent = parent
+	find := rn.find
 	union := func(a, b int32) { parent[find(a)] = find(b) }
 
 	// useDef remembers a representative def for each use slot so the
 	// rewrite can look up the web register. Use slots of instruction i
 	// live at useOff[i.ID]: 0=A, 1=B, 2=Mem.Base, 3+k=CallArgs[k].
-	useOff := make([]int32, numIDs)
+	useOff := filled(rn.useOff, numIDs, 0)
+	rn.useOff = useOff
 	totalSlots := 0
 	f.Instrs(func(_ *ir.Block, i *ir.Instr) {
 		useOff[i.ID] = int32(totalSlots)
 		totalSlots += 3 + len(i.CallArgs)
 	})
-	useDef := make([]int32, totalSlots)
-	for i := range useDef {
-		useDef[i] = -1
-	}
+	useDef := filled(rn.useDef, totalSlots, -1)
+	rn.useDef = useDef
 
-	cur := make([]uint64, words)
+	cur := filled(rn.cur, words, 0)
+	rn.cur = cur
 	for bi, b := range f.Blocks {
-		copy(cur, in[bi])
+		copy(cur, in(bi))
 		for _, i := range b.Instrs {
 			connect := func(r ir.Reg, which int32) {
 				if !r.Valid() {
@@ -265,16 +308,15 @@ func Run(f *ir.Func, g *cfg.Graph) int {
 	// the first real definition of each register also keeps the
 	// original name, so renaming is minimal and output remains
 	// recognisable.
-	webReg := make([]ir.Reg, nd) // by web representative; NoReg = unassigned
-	for i := range webReg {
-		webReg[i] = ir.NoReg
-	}
+	webReg := filled(rn.webReg, nd, ir.NoReg) // by web representative; NoReg = unassigned
+	rn.webReg = webReg
 	for _, id := range entryDef {
 		if id >= 0 {
 			webReg[find(id)] = defs[id].reg
 		}
 	}
-	keepFirst := make([]bool, numRegs)
+	keepFirst := filled(rn.keepFirst, numRegs, false)
+	rn.keepFirst = keepFirst
 	renamed := 0
 	for id := 0; id < nd; id++ {
 		d := defs[id]

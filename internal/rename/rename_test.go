@@ -12,7 +12,7 @@ import (
 func TestMinMaxRenamingSplitsCRWebs(t *testing.T) {
 	prog, f := paperex.MinMax()
 	g := cfg.Build(f)
-	n := Run(f, g)
+	n := new(Renamer).Run(f, g)
 	if n == 0 {
 		t.Fatal("expected webs to be renamed (cr6/cr7 are reused in Figure 2)")
 	}
@@ -60,7 +60,7 @@ func TestMinMaxRenamingSplitsCRWebs(t *testing.T) {
 func TestRenamePreservesParameters(t *testing.T) {
 	_, f := paperex.MinMax()
 	g := cfg.Build(f)
-	Run(f, g)
+	new(Renamer).Run(f, g)
 	if len(f.Params) != 1 || f.Params[0] != paperex.RegN {
 		t.Errorf("params changed: %v", f.Params)
 	}
@@ -76,12 +76,15 @@ func TestRenamePreservesParameters(t *testing.T) {
 	}
 }
 
+// TestRenameIdempotent: a second rename, on the same Renamer and so on
+// its reused tables, changes nothing.
 func TestRenameIdempotent(t *testing.T) {
 	_, f := paperex.MinMax()
 	g := cfg.Build(f)
-	Run(f, g)
+	var rn Renamer
+	rn.Run(f, g)
 	before := f.String()
-	n := Run(f, g)
+	n := rn.Run(f, g)
 	if n != 0 {
 		t.Errorf("second rename changed %d webs", n)
 	}
@@ -103,7 +106,7 @@ func TestRenameDisjointScalarWebs(t *testing.T) {
 	b.Ret(r3)
 	f.ReindexBlocks()
 	g := cfg.Build(f)
-	if n := Run(f, g); n != 1 {
+	if n := new(Renamer).Run(f, g); n != 1 {
 		t.Fatalf("renamed %d webs, want 1", n)
 	}
 	first := f.Blocks[0].Instrs[0].Def
@@ -134,7 +137,7 @@ func TestRenameLoopCarried(t *testing.T) {
 	b.Ret(i)
 	f.ReindexBlocks()
 	g := cfg.Build(f)
-	Run(f, g)
+	new(Renamer).Run(f, g)
 	ai := f.Blocks[1].Instrs[0]
 	if ai.Def != ai.A {
 		t.Errorf("loop-carried counter split: %s", ai)

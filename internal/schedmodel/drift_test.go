@@ -35,8 +35,9 @@ func TestNoDriftFromPDG(t *testing.T) {
 		}
 		for pass := 0; pass < 2; pass++ {
 			if pass == 1 {
+				var rn rename.Renamer
 				for _, f := range prog.Funcs {
-					rename.Run(f, cfg.Build(f))
+					rn.Run(f, cfg.Build(f))
 				}
 			}
 			for _, f := range prog.Funcs {

@@ -108,6 +108,19 @@ type Machine struct {
 	symBase map[string]int64
 	memSize int64 // in words
 	initMem []int64
+	// symAt resolves, per function and instruction ID, the address of
+	// the symbol the instruction's memory operand names, so an access
+	// need not look the name up in symBase.
+	symAt map[*ir.Func][]symRef
+}
+
+// symRef is the symbol address resolved at Load for one memory operand.
+// It applies only while the instruction still carries that operand
+// naming that symbol; otherwise the access looks the name up.
+type symRef struct {
+	mem  *ir.Mem
+	sym  string
+	addr int64
 }
 
 // Load prepares p for execution.
@@ -127,6 +140,19 @@ func Load(p *ir.Program) (*Machine, error) {
 		base := m.symBase[s.Name] / ir.WordSize
 		copy(m.initMem[base:base+s.Words], s.Init)
 	}
+	m.symAt = make(map[*ir.Func][]symRef, len(p.Funcs))
+	for _, f := range p.Funcs {
+		refs := make([]symRef, f.NumInstrIDs())
+		f.Instrs(func(_ *ir.Block, i *ir.Instr) {
+			if i.Mem == nil || i.Mem.Sym == "" {
+				return
+			}
+			if a, ok := m.symBase[i.Mem.Sym]; ok && i.ID < len(refs) {
+				refs[i.ID] = symRef{mem: i.Mem, sym: i.Mem.Sym, addr: a}
+			}
+		})
+		m.symAt[f] = refs
+	}
 	return m, nil
 }
 
@@ -144,20 +170,33 @@ type frame struct {
 	// the instruction that produced it (for consumer-specific delays).
 	avail [ir.NumClasses][]int64
 	prod  [ir.NumClasses][]*ir.Instr
+	symAt []symRef // Machine.symAt of f
+	args  []int64  // the argument values of the call in progress
 }
 
-func newFrame(f *ir.Func) *frame {
-	fr := &frame{f: f}
-	if f.FrameWords > 0 {
-		fr.slots = make([]int64, f.FrameWords)
+// zeroed returns s resized to n elements, all zero, reusing its
+// backing array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// enter makes fr a fresh frame of f, all registers, slots and scoreboard
+// entries zero, reusing the storage of the call it last served.
+func (fr *frame) enter(m *Machine, f *ir.Func) {
+	fr.f = f
+	fr.slots = zeroed(fr.slots, int(max(f.FrameWords, 0)))
 	for c := 0; c < ir.NumClasses; c++ {
 		n := f.NumRegs(ir.RegClass(c))
-		fr.regs[c] = make([]int64, n)
-		fr.avail[c] = make([]int64, n)
-		fr.prod[c] = make([]*ir.Instr, n)
+		fr.regs[c] = zeroed(fr.regs[c], n)
+		fr.avail[c] = zeroed(fr.avail[c], n)
+		fr.prod[c] = zeroed(fr.prod[c], n)
 	}
-	return fr
+	fr.symAt = m.symAt[f]
 }
 
 func (fr *frame) get(r ir.Reg) int64    { return fr.regs[r.Class][r.Num] }
@@ -168,6 +207,11 @@ type runState struct {
 	opts Options
 	mem  []int64
 	res  *Result
+
+	// frames[d] is the frame of the call at depth d, kept for the next
+	// call at that depth; depth is the number of calls in progress.
+	frames []*frame
+	depth  int
 
 	// Timing state shared across frames.
 	traced    int64
@@ -314,7 +358,8 @@ func (st *runState) slot(fr *frame, m *ir.Mem) (int64, error) {
 	return w, nil
 }
 
-func (st *runState) loadWord(fr *frame, m *ir.Mem) (int64, error) {
+// loadWord reads the word memory operand m of instruction id names.
+func (st *runState) loadWord(fr *frame, id int, m *ir.Mem) (int64, error) {
 	if m.Frame {
 		w, err := st.slot(fr, m)
 		if err != nil {
@@ -322,14 +367,16 @@ func (st *runState) loadWord(fr *frame, m *ir.Mem) (int64, error) {
 		}
 		return fr.slots[w], nil
 	}
-	w, err := st.addr(fr, m)
+	w, err := st.addr(fr, id, m)
 	if err != nil {
 		return 0, err
 	}
 	return st.mem[w], nil
 }
 
-func (st *runState) storeWord(fr *frame, m *ir.Mem, v int64) error {
+// storeWord writes v to the word memory operand m of instruction id
+// names.
+func (st *runState) storeWord(fr *frame, id int, m *ir.Mem, v int64) error {
 	if m.Frame {
 		w, err := st.slot(fr, m)
 		if err != nil {
@@ -338,7 +385,7 @@ func (st *runState) storeWord(fr *frame, m *ir.Mem, v int64) error {
 		fr.slots[w] = v
 		return nil
 	}
-	w, err := st.addr(fr, m)
+	w, err := st.addr(fr, id, m)
 	if err != nil {
 		return err
 	}
@@ -346,14 +393,19 @@ func (st *runState) storeWord(fr *frame, m *ir.Mem, v int64) error {
 	return nil
 }
 
-func (st *runState) addr(fr *frame, m *ir.Mem) (int64, error) {
+// addr resolves memory operand m of instruction id to a word index.
+func (st *runState) addr(fr *frame, id int, m *ir.Mem) (int64, error) {
 	var a int64
 	if m.Sym != "" {
-		base, ok := st.m.symBase[m.Sym]
-		if !ok {
-			return 0, fmt.Errorf("sim: unknown symbol %q", m.Sym)
+		if id < len(fr.symAt) && fr.symAt[id].mem == m && fr.symAt[id].sym == m.Sym {
+			a += fr.symAt[id].addr
+		} else {
+			base, ok := st.m.symBase[m.Sym]
+			if !ok {
+				return 0, fmt.Errorf("sim: unknown symbol %q", m.Sym)
+			}
+			a += base
 		}
-		a += base
 	}
 	if m.Base.Valid() {
 		a += fr.get(m.Base)
@@ -377,7 +429,13 @@ const (
 
 // call runs function f to completion and returns its result.
 func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart int64) (int64, error) {
-	fr := newFrame(f)
+	if st.depth == len(st.frames) {
+		st.frames = append(st.frames, new(frame))
+	}
+	fr := st.frames[st.depth]
+	fr.enter(st.m, f)
+	st.depth++
+	defer func() { st.depth-- }()
 	for k, p := range f.Params {
 		fr.set(p, args[k])
 		if caller != nil {
@@ -441,7 +499,7 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 		case ir.OpLR:
 			fr.set(i.Def, fr.get(i.A))
 		case ir.OpLoad:
-			v, err := st.loadWord(fr, i.Mem)
+			v, err := st.loadWord(fr, i.ID, i.Mem)
 			if err != nil {
 				if !st.opts.ForgivingLoads {
 					return 0, err
@@ -450,7 +508,7 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 			}
 			fr.set(i.Def, v)
 		case ir.OpLoadU:
-			v, err := st.loadWord(fr, i.Mem)
+			v, err := st.loadWord(fr, i.ID, i.Mem)
 			if err != nil {
 				if !st.opts.ForgivingLoads {
 					return 0, err
@@ -460,11 +518,11 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 			fr.set(i.Def, v)
 			fr.set(i.Def2, fr.get(i.Mem.Base)+i.Mem.Off)
 		case ir.OpStore:
-			if err := st.storeWord(fr, i.Mem, fr.get(i.A)); err != nil {
+			if err := st.storeWord(fr, i.ID, i.Mem, fr.get(i.A)); err != nil {
 				return 0, err
 			}
 		case ir.OpStoreU:
-			if err := st.storeWord(fr, i.Mem, fr.get(i.A)); err != nil {
+			if err := st.storeWord(fr, i.ID, i.Mem, fr.get(i.A)); err != nil {
 				return 0, err
 			}
 			fr.set(i.Def2, fr.get(i.Mem.Base)+i.Mem.Off)
@@ -530,7 +588,7 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 				fr.set(i.Def, int64(v))
 			}
 		case ir.OpFLoad:
-			v, err := st.loadWord(fr, i.Mem)
+			v, err := st.loadWord(fr, i.ID, i.Mem)
 			if err != nil {
 				if !st.opts.ForgivingLoads {
 					return 0, err
@@ -539,7 +597,7 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 			}
 			fr.set(i.Def, v)
 		case ir.OpFStore:
-			if err := st.storeWord(fr, i.Mem, fr.get(i.A)); err != nil {
+			if err := st.storeWord(fr, i.ID, i.Mem, fr.get(i.A)); err != nil {
 				return 0, err
 			}
 		case ir.OpBCT:
@@ -555,11 +613,13 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 			}
 			continue
 		case ir.OpCall:
-			vals := make([]int64, len(i.CallArgs))
-			for k, a := range i.CallArgs {
-				vals[k] = fr.get(a)
+			// The callee copies its arguments on entry and print copies
+			// them too, so the frame's buffer serves every call it makes.
+			fr.args = fr.args[:0]
+			for _, a := range i.CallArgs {
+				fr.args = append(fr.args, fr.get(a))
 			}
-			ret, err := st.dispatch(i, vals, start)
+			ret, err := st.dispatch(i, fr.args, start)
 			if err != nil {
 				return 0, err
 			}

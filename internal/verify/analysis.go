@@ -19,19 +19,50 @@ import (
 // bitset is a dense set of block numbers.
 type bitset []uint64
 
-func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 
-// newRows carves k empty n-element bitsets out of one allocation.
-func newRows(k, n int) []bitset {
+// bitRows is a reusable set of equally sized bitsets carved from one
+// backing array.
+type bitRows struct {
+	slab bitset
+	rows []bitset
+}
+
+// carve returns k empty n-element bitsets, reusing r's storage when it
+// is large enough.
+func (r *bitRows) carve(k, n int) []bitset {
 	w := (n + 63) / 64
-	slab := make(bitset, k*w)
-	rows := make([]bitset, k)
-	for i := range rows {
-		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	r.slab = zeroed(r.slab, k*w)
+	r.rows = zeroed(r.rows, k)
+	for i := range r.rows {
+		r.rows[i] = r.slab[i*w : (i+1)*w : (i+1)*w]
 	}
-	return rows
+	return r.rows
+}
+
+// zeroed returns s resized to n elements, all zero, reusing its
+// backing array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// emptyRows returns s resized to n rows, each emptied but keeping its
+// storage, so rows refilled by append reach a steady size.
+func emptyRows[T any](s [][]T, n int) [][]T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([][]T, n-cap(s))...)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
 }
 
 // count returns the number of members of b.
@@ -80,7 +111,8 @@ func (b bitset) union(o bitset) bool {
 type ctrlEdge struct{ From, To int }
 
 // analysis bundles the verifier's independently derived control-flow
-// facts about one function.
+// facts about one function. fill recomputes them in place, reusing the
+// rows and scratch of the previous function.
 type analysis struct {
 	n     int
 	succs [][]int // full control flow graph
@@ -102,26 +134,35 @@ type analysis struct {
 	cdSucc [][]int      // blocks directly control dependent on a block
 
 	loops [][]int // headers of the natural loops containing each block, ascending
+
+	// Storage kept between fills.
+	reachRow, full      bitRows
+	domRows, pdomRows   bitRows
+	freachRows          bitRows
+	label               map[string]int // block label -> first block index
+	stack, indeg, queue []int
+	size                []int
+	memoing, exitEdge   []bool
+	inLoop              []bool
+	body                []int
+	// specDepth's scratch.
+	seen           []bool
+	frontier, next []int
 }
 
-// analyze computes every fact from the current shape of f. Scheduling
+// fill computes every fact from the current shape of f. Scheduling
 // moves instructions but never blocks or terminators, so the result is
 // valid for both the pre- and post-schedule program.
-func analyze(f *ir.Func) *analysis {
+func (an *analysis) fill(f *ir.Func) {
 	n := len(f.Blocks)
-	an := &analysis{n: n, vexit: n}
-	an.succs = make([][]int, n)
-	an.preds = make([][]int, n)
-	for i, b := range f.Blocks {
-		for _, s := range ir.Succs(f, b) {
-			an.succs[i] = append(an.succs[i], s.Index)
-			an.preds[s.Index] = append(an.preds[s.Index], i)
-		}
-	}
+	an.n, an.vexit = n, n
+	an.succs = emptyRows(an.succs, n)
+	an.preds = emptyRows(an.preds, n)
+	an.fillSuccs(f)
 
 	// Reachability from the entry block.
-	an.reach = newBitset(n)
-	stack := []int{0}
+	an.reach = an.reachRow.carve(1, n)[0]
+	stack := append(an.stack[:0], 0)
 	an.reach.set(0)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
@@ -133,25 +174,66 @@ func analyze(f *ir.Func) *analysis {
 			}
 		}
 	}
+	an.stack = stack
 
 	an.computeDominators()
 	an.cutBackEdges()
 	an.computeForwardReach()
+	an.pdom, an.ipdom = an.pdom[:0], an.ipdom[:0]
+	an.cdep, an.cdSucc = an.cdep[:0], an.cdSucc[:0]
 	if !an.cyclic {
 		an.computePostDominators()
 		an.computeControlDeps()
 	}
 	an.computeLoops()
-	return an
+}
+
+// fillSuccs fills succs and preds with the control-flow edges of f, as
+// ir.Succs derives them: a conditional branch's fallthrough block first,
+// then its target, found by label (the first block carrying it); a block
+// without a terminator falls through.
+func (an *analysis) fillSuccs(f *ir.Func) {
+	if an.label == nil {
+		an.label = make(map[string]int)
+	}
+	for i := len(f.Blocks) - 1; i >= 0; i-- {
+		an.label[f.Blocks[i].Label] = i
+	}
+	edge := func(u int, v *ir.Block) {
+		an.succs[u] = append(an.succs[u], v.Index)
+		an.preds[v.Index] = append(an.preds[v.Index], u)
+	}
+	for i, b := range f.Blocks {
+		next := b.Index+1 < len(f.Blocks)
+		t := b.Terminator()
+		switch {
+		case t == nil:
+			if next {
+				edge(i, f.Blocks[b.Index+1])
+			}
+		case t.Op == ir.OpB:
+			if v, ok := an.label[t.Target]; ok {
+				edge(i, f.Blocks[v])
+			}
+		case t.Op == ir.OpBC || t.Op == ir.OpBCT:
+			if next {
+				edge(i, f.Blocks[b.Index+1])
+			}
+			if v, ok := an.label[t.Target]; ok {
+				edge(i, f.Blocks[v])
+			}
+		}
+	}
+	clear(an.label) // holds no label past the fill
 }
 
 // computeDominators solves dom[b] = {b} ∪ ∩ dom[preds] by iteration over
 // the full flow graph.
 func (an *analysis) computeDominators() {
-	an.dom = make([]bitset, an.n)
-	full := newBitset(an.n)
+	an.dom = zeroed(an.dom, an.n)
+	full := an.full.carve(1, an.n)[0]
 	full.setAll(an.n)
-	rows := newRows(an.n+1, an.n)
+	rows := an.domRows.carve(an.n+1, an.n)
 	for b := 0; b < an.n; b++ {
 		if !an.reach.has(b) {
 			continue
@@ -199,8 +281,8 @@ func (an *analysis) dominates(a, b int) bool {
 // cutBackEdges removes every edge u→v with v dominating u, producing the
 // forward graph, and records whether a cycle survives (irreducible flow).
 func (an *analysis) cutBackEdges() {
-	an.fsuccs = make([][]int, an.n)
-	an.fpreds = make([][]int, an.n)
+	an.fsuccs = emptyRows(an.fsuccs, an.n)
+	an.fpreds = emptyRows(an.fpreds, an.n)
 	for u := 0; u < an.n; u++ {
 		if !an.reach.has(u) {
 			continue
@@ -214,7 +296,7 @@ func (an *analysis) cutBackEdges() {
 		}
 	}
 	// Kahn's algorithm detects leftover cycles.
-	indeg := make([]int, an.n)
+	indeg := zeroed(an.indeg, an.n)
 	members := 0
 	for u := 0; u < an.n; u++ {
 		if !an.reach.has(u) {
@@ -225,56 +307,32 @@ func (an *analysis) cutBackEdges() {
 			indeg[v]++
 		}
 	}
-	var q []int
+	q := an.queue[:0]
 	for u := 0; u < an.n; u++ {
 		if an.reach.has(u) && indeg[u] == 0 {
 			q = append(q, u)
 		}
 	}
-	seen := 0
-	for len(q) > 0 {
-		u := q[0]
-		q = q[1:]
-		seen++
-		for _, v := range an.fsuccs[u] {
+	for head := 0; head < len(q); head++ {
+		for _, v := range an.fsuccs[q[head]] {
 			if indeg[v]--; indeg[v] == 0 {
 				q = append(q, v)
 			}
 		}
 	}
-	an.cyclic = seen != members
+	an.cyclic = len(q) != members
+	an.indeg, an.queue = indeg, q
 }
 
 // computeForwardReach fills freach by reverse-topological accumulation
 // (or per-node DFS if the forward graph is cyclic).
 func (an *analysis) computeForwardReach() {
-	an.freach = make([]bitset, an.n)
-	rows := newRows(an.n, an.n)
-	var dfs func(u int) bitset
-	memoing := make([]bool, an.n)
-	dfs = func(u int) bitset {
-		if an.freach[u] != nil {
-			return an.freach[u]
-		}
-		if memoing[u] { // cycle: fall back to iterative closure below
-			return nil
-		}
-		memoing[u] = true
-		r := rows[u]
-		r.set(u)
-		for _, v := range an.fsuccs[u] {
-			if rv := dfs(v); rv != nil {
-				r.union(rv)
-			} else {
-				r.set(v)
-			}
-		}
-		an.freach[u] = r
-		return r
-	}
+	an.freach = zeroed(an.freach, an.n)
+	rows := an.freachRows.carve(an.n, an.n)
+	an.memoing = zeroed(an.memoing, an.n)
 	for u := 0; u < an.n; u++ {
 		if an.reach.has(u) {
-			dfs(u)
+			an.reachFrom(u, rows)
 		}
 	}
 	if an.cyclic {
@@ -295,6 +353,30 @@ func (an *analysis) computeForwardReach() {
 	}
 }
 
+// reachFrom fills freach[u] from rows[u] by depth-first search over the
+// forward graph, and returns it; nil when u is on a cycle still being
+// searched.
+func (an *analysis) reachFrom(u int, rows []bitset) bitset {
+	if an.freach[u] != nil {
+		return an.freach[u]
+	}
+	if an.memoing[u] { // cycle: fall back to iterative closure
+		return nil
+	}
+	an.memoing[u] = true
+	r := rows[u]
+	r.set(u)
+	for _, v := range an.fsuccs[u] {
+		if rv := an.reachFrom(v, rows); rv != nil {
+			r.union(rv)
+		} else {
+			r.set(v)
+		}
+	}
+	an.freach[u] = r
+	return r
+}
+
 // forwardReach reports whether v is reachable from u (reflexively) in
 // the forward graph.
 func (an *analysis) forwardReach(u, v int) bool {
@@ -306,16 +388,17 @@ func (an *analysis) forwardReach(u, v int) bool {
 // block flows into.
 func (an *analysis) computePostDominators() {
 	nv := an.n + 1
-	an.pdom = make([]bitset, nv)
-	full := newBitset(nv)
+	an.pdom = zeroed(an.pdom, nv)
+	full := an.full.carve(1, nv)[0]
 	full.setAll(nv)
-	exitEdge := make([]bool, an.n)
+	exitEdge := zeroed(an.exitEdge, an.n)
+	an.exitEdge = exitEdge
 	for b := 0; b < an.n; b++ {
 		if an.reach.has(b) && len(an.fsuccs[b]) == 0 {
 			exitEdge[b] = true
 		}
 	}
-	rows := newRows(nv+1, nv)
+	rows := an.pdomRows.carve(nv+1, nv)
 	an.pdom[an.vexit] = rows[an.vexit]
 	an.pdom[an.vexit].set(an.vexit)
 	for b := 0; b < an.n; b++ {
@@ -355,7 +438,8 @@ func (an *analysis) computePostDominators() {
 	}
 	// Immediate postdominators via set sizes: ipdom(b) is the strict
 	// postdominator of b with the largest postdominance set.
-	size := make([]int, nv)
+	size := zeroed(an.size, nv)
+	an.size = size
 	for c := range size {
 		if c == an.vexit {
 			size[c] = 1
@@ -363,7 +447,7 @@ func (an *analysis) computePostDominators() {
 			size[c] = an.pdom[c].count()
 		}
 	}
-	an.ipdom = make([]int, an.n)
+	an.ipdom = zeroed(an.ipdom, an.n)
 	for b := 0; b < an.n; b++ {
 		an.ipdom[b] = -1
 		if an.pdom[b] == nil {
@@ -385,7 +469,7 @@ func (an *analysis) computePostDominators() {
 // postDominates reports whether a postdominates b (reflexively) on the
 // forward graph.
 func (an *analysis) postDominates(a, b int) bool {
-	return an.pdom != nil && an.pdom[b] != nil && an.pdom[b].has(a)
+	return b < len(an.pdom) && an.pdom[b] != nil && an.pdom[b].has(a)
 }
 
 // computeControlDeps derives forward control dependences per
@@ -393,7 +477,7 @@ func (an *analysis) postDominates(a, b int) bool {
 // postdominating u, every block on the postdominator chain from v up to
 // (exclusive) ipdom(u) is control dependent on that edge.
 func (an *analysis) computeControlDeps() {
-	an.cdep = make([][]ctrlEdge, an.n)
+	an.cdep = emptyRows(an.cdep, an.n)
 	for u := 0; u < an.n; u++ {
 		if !an.reach.has(u) {
 			continue
@@ -411,12 +495,10 @@ func (an *analysis) computeControlDeps() {
 			}
 		}
 	}
-	an.cdSucc = make([][]int, an.n)
+	an.cdSucc = emptyRows(an.cdSucc, an.n)
 	for b := 0; b < an.n; b++ {
 		deps := an.cdep[b]
-		slices.SortFunc(deps, func(x, y ctrlEdge) int {
-			return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
-		})
+		slices.SortFunc(deps, cmpCtrlEdge)
 		for _, d := range deps {
 			an.cdSucc[d.From] = append(an.cdSucc[d.From], b)
 		}
@@ -427,14 +509,18 @@ func (an *analysis) computeControlDeps() {
 	}
 }
 
+func cmpCtrlEdge(x, y ctrlEdge) int {
+	return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+}
+
 // computeLoops builds natural loops from the back edges and records,
 // for each block, the sorted headers of the loops containing it.
 // Instructions may never change their loop membership (region
 // boundaries, §6).
 func (an *analysis) computeLoops() {
-	an.loops = make([][]int, an.n)
-	inLoop := make([]bool, an.n)
-	var body []int
+	an.loops = emptyRows(an.loops, an.n)
+	inLoop := zeroed(an.inLoop, an.n)
+	body := an.body[:0]
 	for u := 0; u < an.n; u++ {
 		if !an.reach.has(u) {
 			continue
@@ -472,6 +558,7 @@ func (an *analysis) computeLoops() {
 		slices.Sort(hs)
 		an.loops[b] = slices.Compact(hs)
 	}
+	an.inLoop, an.body = inLoop, body
 }
 
 // sameLoops reports whether blocks a and b lie in the same natural loops.
@@ -512,9 +599,11 @@ func (an *analysis) specDepth(b, h int) int {
 	if an.equivalent(b, h) && an.dominates(b, h) {
 		return 0
 	}
-	seen := make([]bool, an.n)
+	seen := zeroed(an.seen, an.n)
+	an.seen = seen
 	seen[b] = true
-	frontier := []int{b}
+	frontier, next := append(an.frontier[:0], b), an.next[:0]
+	defer func() { an.frontier, an.next = frontier, next }()
 	for e := 0; e < an.n; e++ {
 		if e != b && an.sameCdep(e, b) && an.dominates(b, e) && an.postDominates(e, b) {
 			seen[e] = true
@@ -522,7 +611,7 @@ func (an *analysis) specDepth(b, h int) int {
 		}
 	}
 	for depth := 1; len(frontier) > 0; depth++ {
-		var next []int
+		next = next[:0]
 		for _, u := range frontier {
 			for _, ch := range an.cdSucc[u] {
 				if seen[ch] || !an.dominates(b, ch) {
@@ -535,7 +624,7 @@ func (an *analysis) specDepth(b, h int) int {
 				next = append(next, ch)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return -1
 }

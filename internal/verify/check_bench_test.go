@@ -21,20 +21,21 @@ var bigMainSize = progen.Size{Stmts: 25, Depth: 3, Loops: true, Floats: true, He
 // 900–1100 instructions, together with main's pre-schedule snapshot
 // after a speculative-level schedule and the rules that schedule ran
 // under.
-func scheduledBigMain(tb testing.TB) (*verify.Snapshot, *ir.Func, verify.Rules) {
+func scheduledBigMain(tb testing.TB) (*verify.Verifier, *ir.Func, verify.Rules) {
 	tb.Helper()
 	f, opts := bigMain(tb)
-	snap := verify.Capture(f)
+	ver := new(verify.Verifier)
+	ver.Capture(f)
 	if _, err := xform.RunCtx(context.Background(), f, opts, xform.Config{}); err != nil {
 		tb.Fatalf("schedule: %v", err)
 	}
-	return snap, f, opts.VerifyRules()
+	return ver, f, opts.VerifyRules()
 }
 
 // postPassBigMain returns the same main scheduled at level speculative
 // without the basic-block post-pass, snapshotted, and then post-pass
 // scheduled: the bracket that the driver checks under verify.Rules{}.
-func postPassBigMain(tb testing.TB) (*verify.Snapshot, *ir.Func) {
+func postPassBigMain(tb testing.TB) (*verify.Verifier, *ir.Func) {
 	tb.Helper()
 	f, opts := bigMain(tb)
 	return postPass(tb, f, opts), f
@@ -42,19 +43,21 @@ func postPassBigMain(tb testing.TB) (*verify.Snapshot, *ir.Func) {
 
 // postPass schedules f under opts without the post-pass, captures it,
 // runs the post-pass on every block and returns the capture.
-func postPass(tb testing.TB, f *ir.Func, opts core.Options) *verify.Snapshot {
+func postPass(tb testing.TB, f *ir.Func, opts core.Options) *verify.Verifier {
 	tb.Helper()
 	opts.LocalPass = false
 	if _, err := xform.RunCtx(context.Background(), f, opts, xform.Config{}); err != nil {
 		tb.Fatalf("%s: schedule: %v", f.Name, err)
 	}
-	snap := verify.Capture(f)
+	ver := new(verify.Verifier)
+	ver.Capture(f)
+	var sc core.Scratch
 	for _, b := range f.Blocks {
-		if err := core.ScheduleBlockLocalPolicy(b, opts.Machine, opts.Policy); err != nil {
+		if err := sc.ScheduleBlockLocalPolicy(b, opts.Machine, opts.Policy); err != nil {
 			tb.Fatalf("%s: post-pass: %v", f.Name, err)
 		}
 	}
-	return snap
+	return ver
 }
 
 // bigMain compiles the first generated main of 900–1100 instructions
@@ -84,20 +87,20 @@ func bigMain(tb testing.TB) (*ir.Func, core.Options) {
 // checks the whole speculative schedule, /postpass the basic-block
 // post-pass bracket.
 func BenchmarkCheck(b *testing.B) {
-	snap, f, rules := scheduledBigMain(b)
-	b.Run("global", func(b *testing.B) { benchCheck(b, snap, f, rules) })
-	snap, f = postPassBigMain(b)
-	b.Run("postpass", func(b *testing.B) { benchCheck(b, snap, f, verify.Rules{}) })
+	ver, f, rules := scheduledBigMain(b)
+	b.Run("global", func(b *testing.B) { benchCheck(b, ver, f, rules) })
+	ver, f = postPassBigMain(b)
+	b.Run("postpass", func(b *testing.B) { benchCheck(b, ver, f, verify.Rules{}) })
 }
 
-func benchCheck(b *testing.B, snap *verify.Snapshot, f *ir.Func, rules verify.Rules) {
-	if err := verify.Check(snap, f, rules); err != nil {
+func benchCheck(b *testing.B, ver *verify.Verifier, f *ir.Func, rules verify.Rules) {
+	if err := ver.Check(f, rules); err != nil {
 		b.Fatalf("legal schedule rejected: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := verify.Check(snap, f, rules); err != nil {
+		if err := ver.Check(f, rules); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,6 +139,15 @@ type depIndex struct {
 	occStart []int32 // dense register number -> first entry in occ; one sentinel past the end
 	occ      []occurrence
 	mem      []occurrence // memory-touching slots (def and used unset)
+
+	regSlab []int32 // backing of regNum
+}
+
+// mention is one slot's occurrence of a dense register number, before
+// buildIndex sorts the occurrences by register.
+type mention struct {
+	reg int32
+	occurrence
 }
 
 // occurrences returns the slots mentioning r, a register of the
@@ -157,9 +166,13 @@ func (x *depIndex) occurrences(r ir.Reg) []occurrence {
 // number outside [0, ir.MaxRegs), which ir.(*Func).Validate rules out:
 // the tables are indexed by register number.
 func (c *checker) buildIndex() bool {
-	c.sum = make([]summary, len(c.snap.instrs))
+	c.sum = zeroed(c.sum, len(c.snap.instrs))
 	n := len(c.snap.ids)
-	regs := make([]ir.Reg, 0, 3*n) // at most three per instruction but for calls
+	if cap(c.regs) < 3*n { // at most three per instruction but for calls
+		c.regs = make([]ir.Reg, 0, 3*n)
+	}
+	regs := c.regs[:0]
+	defer func() { c.regs = regs }()
 	var size [ir.NumClasses]int
 	for _, id := range c.snap.ids {
 		ins := c.snap.instrs[id]
@@ -182,17 +195,16 @@ func (c *checker) buildIndex() bool {
 	}
 
 	x := &c.idx
-	slab := make([]int32, size[0]+size[1]+size[2])
+	x.regSlab = zeroed(x.regSlab, size[0]+size[1]+size[2])
+	slab := x.regSlab
 	for cl := range x.regNum {
 		x.regNum[cl], slab = slab[:size[cl]:size[cl]], slab[size[cl]:]
 	}
-	type mention struct {
-		reg int32
-		occurrence
+	x.slotID, x.slotBlock, x.mem = x.slotID[:0], x.slotBlock[:0], x.mem[:0]
+	if cap(c.ms) < len(regs) {
+		c.ms = make([]mention, 0, len(regs))
 	}
-	x.slotID = make([]int32, 0, n)
-	x.slotBlock = make([]int32, 0, n)
-	ms := make([]mention, 0, len(regs))
+	ms := c.ms[:0]
 	nregs := int32(0)
 	for b, ids := range c.snap.order {
 		for _, id := range ids {
@@ -228,16 +240,18 @@ func (c *checker) buildIndex() bool {
 			}
 		}
 	}
+	c.ms = ms
 	// Counting sort by register keeps each register's slots in order.
-	x.occStart = make([]int32, nregs+1)
+	x.occStart = zeroed(x.occStart, int(nregs)+1)
 	for _, m := range ms {
 		x.occStart[m.reg+1]++
 	}
 	for n := 1; n < len(x.occStart); n++ {
 		x.occStart[n] += x.occStart[n-1]
 	}
-	x.occ = make([]occurrence, len(ms))
-	next := append([]int32(nil), x.occStart[:nregs]...)
+	x.occ = zeroed(x.occ, len(ms))
+	next := append(c.next[:0], x.occStart[:nregs]...)
+	c.next = next
 	for _, m := range ms {
 		x.occ[next[m.reg]] = m.occurrence
 		next[m.reg]++

@@ -68,7 +68,7 @@ func equivCorpus(t *testing.T) (progs []*ir.Program, entries []*progen.Program) 
 // scheduledCorpus schedules every corpus program at the given level
 // (training an edge profile first where the program can run) and
 // returns each function with its pre-schedule snapshot.
-func scheduledCorpus(t *testing.T, level core.Level) (snaps []*verify.Snapshot, funcs []*ir.Func, rules verify.Rules, st core.Stats) {
+func scheduledCorpus(t *testing.T, level core.Level) (vers []*verify.Verifier, funcs []*ir.Func, rules verify.Rules, st core.Stats) {
 	t.Helper()
 	progs, entries := equivCorpus(t)
 	opts := core.Defaults(machine.RS6K(), level)
@@ -91,7 +91,9 @@ func scheduledCorpus(t *testing.T, level core.Level) (snaps []*verify.Snapshot, 
 			}
 		}
 		for _, f := range prog.Funcs {
-			snaps = append(snaps, verify.Capture(f))
+			ver := new(verify.Verifier)
+			ver.Capture(f)
+			vers = append(vers, ver)
 			funcs = append(funcs, f)
 		}
 		s, err := xform.RunProgramCtx(context.Background(), prog, o, xform.Config{})
@@ -100,7 +102,7 @@ func scheduledCorpus(t *testing.T, level core.Level) (snaps []*verify.Snapshot, 
 		}
 		st.Add(s.Stats)
 	}
-	return snaps, funcs, opts.VerifyRules(), st
+	return vers, funcs, opts.VerifyRules(), st
 }
 
 // corrupt applies one random edit to f's layout, drawn from the first
@@ -160,7 +162,7 @@ func corrupt(r *rand.Rand, f *ir.Func, kinds int) {
 // §5.3 liveness agrees with the whole-program reference on every query.
 func TestIndexedCheckMatchesAllPairs(t *testing.T) {
 	for _, level := range []core.Level{core.LevelSpeculative, core.LevelDup} {
-		snaps, funcs, rules, st := scheduledCorpus(t, level)
+		vers, funcs, rules, st := scheduledCorpus(t, level)
 		r := rand.New(rand.NewSource(int64(level)))
 		var checks, queries int
 		byRule := map[string]int{}
@@ -173,8 +175,8 @@ func TestIndexedCheckMatchesAllPairs(t *testing.T) {
 				for k := 0; k < (variant+1)/2; k++ {
 					corrupt(r, f, 6)
 				}
-				got := verify.Check(snaps[i], f, rules)
-				want := verify.CheckReference(snaps[i], f, rules)
+				got := vers[i].Check(f, rules)
+				want := verify.CheckReference(vers[i], f, rules)
 				if !sameViolations(got, want) {
 					t.Fatalf("level %v %s variant %d: indexed and all-pairs checks differ\nindexed: %v\nreference: %v",
 						level, f.Name, variant, got, want)
@@ -184,7 +186,7 @@ func TestIndexedCheckMatchesAllPairs(t *testing.T) {
 						byRule[v.Rule]++
 					}
 				}
-				n, diffs := verify.OffPathMismatches(snaps[i], f, rules)
+				n, diffs := verify.OffPathMismatches(vers[i], f, rules)
 				queries += n
 				for _, d := range diffs {
 					t.Errorf("level %v %s variant %d: off-path liveness: %s", level, f.Name, variant, d)
@@ -200,6 +202,46 @@ func TestIndexedCheckMatchesAllPairs(t *testing.T) {
 		if byRule["dependence"] == 0 || queries == 0 {
 			t.Errorf("level %v: the comparison was vacuous", level)
 		}
+	}
+}
+
+// TestVerifierReuseMatchesFresh checks every function of the corpus,
+// larger and smaller in turn, on one Verifier, as a driver worker does,
+// and demands the verdict of a Verifier used once: storage kept from an
+// earlier function must never leak into a later one's report. Each
+// function is snapshotted as scheduled and then corrupted, so most
+// checks find violations and the legal ones run the full analysis.
+func TestVerifierReuseMatchesFresh(t *testing.T) {
+	_, funcs, rules, _ := scheduledCorpus(t, core.LevelDup)
+	r := rand.New(rand.NewSource(1))
+	var shared verify.Verifier
+	found := 0
+	for _, f := range funcs {
+		saved := make([][]*ir.Instr, len(f.Blocks))
+		for bi, b := range f.Blocks {
+			saved[bi] = b.Instrs
+		}
+		for variant := 0; variant < 4; variant++ {
+			shared.Capture(f)
+			fresh := new(verify.Verifier)
+			fresh.Capture(f)
+			for k := 0; k < variant; k++ {
+				corrupt(r, f, 6)
+			}
+			got, want := shared.Check(f, rules), fresh.Check(f, rules)
+			if !sameViolations(got, want) {
+				t.Fatalf("%s variant %d: reused and fresh verifiers differ\nreused: %v\nfresh: %v", f.Name, variant, got, want)
+			}
+			if got != nil {
+				found++
+			}
+			for bi, b := range f.Blocks {
+				b.Instrs = saved[bi]
+			}
+		}
+	}
+	if found == 0 {
+		t.Error("no check found a violation: the comparison was vacuous")
 	}
 }
 
@@ -219,8 +261,8 @@ func TestPostPassCheckMatchesAllPairs(t *testing.T) {
 	var local, localMulti, full int
 	for _, prog := range progs {
 		for _, f := range prog.Funcs {
-			snap := postPass(t, f, opts)
-			if err := verify.Check(snap, f, verify.Rules{}); err != nil {
+			ver := postPass(t, f, opts)
+			if err := ver.Check(f, verify.Rules{}); err != nil {
 				t.Fatalf("%s: legal post-pass rejected: %v", f.Name, err)
 			}
 			saved := make([][]*ir.Instr, len(f.Blocks))
@@ -235,13 +277,13 @@ func TestPostPassCheckMatchesAllPairs(t *testing.T) {
 				for k := 0; k <= variant%4; k++ {
 					corrupt(r, f, kinds)
 				}
-				got := verify.Check(snap, f, verify.Rules{})
-				want := verify.CheckReference(snap, f, verify.Rules{})
+				got := ver.Check(f, verify.Rules{})
+				want := verify.CheckReference(ver, f, verify.Rules{})
 				if !sameViolations(got, want) {
 					t.Fatalf("%s variant %d: indexed and all-pairs checks differ\nindexed: %v\nreference: %v",
 						f.Name, variant, got, want)
 				}
-				if verify.BlockLocal(snap, f) {
+				if verify.BlockLocal(ver, f) {
 					local++
 					if dependenceViolations(got) >= 2 {
 						localMulti++

@@ -56,9 +56,10 @@ func TestPropertyLevelDupSchedulesVerify(t *testing.T) {
 		opts := core.Defaults(machine.RS6K(), core.LevelDup)
 		opts.Profile = prof
 		opts.Rename = false // snapshots must see exactly what the scheduler saw
-		snaps := make([]*verify.Snapshot, len(prog.Funcs))
+		vers := make([]*verify.Verifier, len(prog.Funcs))
 		for fi, f := range prog.Funcs {
-			snaps[fi] = verify.Capture(f)
+			vers[fi] = new(verify.Verifier)
+			vers[fi].Capture(f)
 		}
 		st, err := xform.RunProgramCtx(context.Background(), prog, opts, xform.Config{})
 		if err != nil {
@@ -67,7 +68,7 @@ func TestPropertyLevelDupSchedulesVerify(t *testing.T) {
 		totalDup += st.DuplicatedMoves
 		rules := opts.VerifyRules()
 		for fi, f := range prog.Funcs {
-			if err := verify.Check(snaps[fi], f, rules); err != nil {
+			if err := vers[fi].Check(f, rules); err != nil {
 				t.Errorf("seed %d %s: level=dup schedule rejected: %v", seed, f.Name, err)
 			}
 		}
@@ -103,9 +104,10 @@ var dupRules = verify.Rules{CrossBlock: true, MaxSpecDepth: 1, SpeculateLoads: t
 // dupLI captures f, then moves the join's LI into the first listed
 // block and plants fresh-ID clones in the rest, each placed just above
 // its block's terminator, returning the snapshot.
-func dupLI(t *testing.T, f *ir.Func, into ...int) *verify.Snapshot {
+func dupLI(t *testing.T, f *ir.Func, into ...int) *verify.Verifier {
 	t.Helper()
-	snap := verify.Capture(f)
+	ver := new(verify.Verifier)
+	ver.Capture(f)
 	j := f.Blocks[len(f.Blocks)-1]
 	li := j.Instrs[0]
 	j.Instrs = j.Instrs[1:]
@@ -121,7 +123,7 @@ func dupLI(t *testing.T, f *ir.Func, into ...int) *verify.Snapshot {
 	for _, bi := range into[1:] {
 		insert(bi, f.CloneInstr(li))
 	}
-	return snap
+	return ver
 }
 
 // TestDef6CoverageAccepted: copies in all three predecessors of the
@@ -132,8 +134,8 @@ func TestDef6CoverageAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := prog.Funcs[0]
-	snap := dupLI(t, f, 0, 1, 2)
-	if err := verify.Check(snap, f, dupRules); err != nil {
+	ver := dupLI(t, f, 0, 1, 2)
+	if err := ver.Check(f, dupRules); err != nil {
 		t.Fatalf("legal duplication rejected: %v", err)
 	}
 }
@@ -150,8 +152,8 @@ func TestDef6CoverageViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := prog.Funcs[0]
-	snap := dupLI(t, f, 1, 2) // entry (block 0, a branch pred of the join) uncovered
-	err = verify.Check(snap, f, dupRules)
+	ver := dupLI(t, f, 1, 2) // entry (block 0, a branch pred of the join) uncovered
+	err = ver.Check(f, dupRules)
 	if err == nil {
 		t.Fatal("uncovered join predecessor accepted")
 	}
@@ -168,10 +170,10 @@ func TestDef6DisabledViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := prog.Funcs[0]
-	snap := dupLI(t, f, 0, 1, 2)
+	ver := dupLI(t, f, 0, 1, 2)
 	rules := dupRules
 	rules.AllowDuplication = false
-	err = verify.Check(snap, f, rules)
+	err = ver.Check(f, rules)
 	if err == nil {
 		t.Fatal("duplication accepted with AllowDuplication off")
 	}
@@ -213,7 +215,8 @@ func TestDef6OffPathLivenessViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := prog.Funcs[0]
-	snap := verify.Capture(f)
+	ver := new(verify.Verifier)
+	ver.Capture(f)
 	j := f.Blocks[3]
 	li := j.Instrs[0]
 	j.Instrs = j.Instrs[1:]
@@ -224,7 +227,7 @@ func TestDef6OffPathLivenessViolation(t *testing.T) {
 	entry := f.Blocks[0]
 	clone := f.CloneInstr(li)
 	entry.Instrs = append(entry.Instrs[:1], append([]*ir.Instr{clone}, entry.Instrs[1:]...)...)
-	err = verify.Check(snap, f, dupRules)
+	err = ver.Check(f, dupRules)
 	if err == nil {
 		t.Fatal("off-path clobber accepted")
 	}
@@ -243,7 +246,8 @@ func TestDef6OffPathLivenessAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := prog.Funcs[0]
-	snap := verify.Capture(f)
+	ver := new(verify.Verifier)
+	ver.Capture(f)
 	j := f.Blocks[3]
 	li := j.Instrs[0]
 	j.Instrs = j.Instrs[1:]
@@ -251,7 +255,7 @@ func TestDef6OffPathLivenessAccepted(t *testing.T) {
 	p2.Instrs = append(p2.Instrs, li)
 	clone := f.CloneInstr(li)
 	p1.Instrs = append(p1.Instrs[:1], append([]*ir.Instr{clone}, p1.Instrs[1:]...)...)
-	if err := verify.Check(snap, f, dupRules); err != nil {
+	if err := ver.Check(f, dupRules); err != nil {
 		t.Fatalf("legal duplication rejected: %v", err)
 	}
 }

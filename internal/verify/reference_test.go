@@ -14,12 +14,13 @@ import (
 // CheckReference is Check with the indexed dependence enumeration
 // replaced by the all-pairs sweep and without the block-local path: it
 // always runs the flow analysis and the motion checks.
-func CheckReference(snap *Snapshot, f *ir.Func, rules Rules) error {
-	c := &checker{snap: snap, f: f, rules: rules}
+func CheckReference(v *Verifier, f *ir.Func, rules Rules) error {
+	c := new(checker)
+	c.reset(&v.snap, f, rules)
 	if !c.structure() {
 		return c.result()
 	}
-	c.an = analyze(f)
+	c.needAnalysis()
 	c.accounting()
 	if !c.buildIndex() {
 		return c.result()
@@ -30,10 +31,10 @@ func CheckReference(snap *Snapshot, f *ir.Func, rules Rules) error {
 }
 
 // BlockLocal reports whether Check takes its block-local path for f
-// against snap: no extra instruction appeared and every surviving one
-// sits in its home block.
-func BlockLocal(snap *Snapshot, f *ir.Func) bool {
-	c := &checker{snap: snap, f: f}
+// against v's snapshot: no extra instruction appeared and every
+// surviving one sits in its home block.
+func BlockLocal(v *Verifier, f *ir.Func) bool {
+	c := &checker{snap: &v.snap, f: f}
 	if !c.structure() {
 		return false
 	}
@@ -169,12 +170,14 @@ func (c *checker) wholeProgramOffPathLive(r ir.Reg, pl place, H int, id int) boo
 // of every snapshot instruction and each register it defines, whether
 // the definition is live on paths bypassing its home block. It returns
 // the number of queries and a description of each disagreement.
-func OffPathMismatches(snap *Snapshot, f *ir.Func, rules Rules) (queries int, diffs []string) {
-	c := &checker{snap: snap, f: f, rules: rules}
+func OffPathMismatches(v *Verifier, f *ir.Func, rules Rules) (queries int, diffs []string) {
+	snap := &v.snap
+	c := new(checker)
+	c.reset(snap, f, rules)
 	if !c.structure() {
 		return 0, nil
 	}
-	c.an = analyze(f)
+	c.needAnalysis()
 	c.accounting()
 	if !c.buildIndex() {
 		return 0, nil

@@ -89,26 +89,47 @@ type place struct{ block, pos int }
 // absent marks an ID-indexed place slot that holds no instruction.
 var absent = place{-1, -1}
 
-// Snapshot is a deep copy of a function's instruction layout taken
+// snapshot is a deep copy of a function's instruction layout taken
 // before scheduling. Scheduling moves instructions but never blocks, so
-// the snapshot and the scheduled function share one flow graph.
-type Snapshot struct {
-	FuncName string
+// the snapshot and the scheduled function share one flow graph. Its
+// storage is reused by the next capture.
+type snapshot struct {
+	funcName string
 	labels   []string
 	order    [][]int     // instruction IDs per block, in pre-schedule order
 	instrs   []*ir.Instr // instruction ID -> copy, nil for IDs not in the snapshot
 	home     []place     // instruction ID -> pre-schedule location
 	ids      []int       // instruction IDs in the snapshot, ascending
+
+	// Backing storage of order and of the copies.
+	idSlab   []int
+	clones   []ir.Instr
+	mems     []ir.Mem
+	callArgs []ir.Reg
 }
 
-// Capture records the current layout of f.
-func Capture(f *ir.Func) *Snapshot {
-	s := &Snapshot{
-		FuncName: f.Name,
-		labels:   make([]string, len(f.Blocks)),
-		order:    make([][]int, len(f.Blocks)),
-	}
-	size, count, mems := f.NumInstrIDs(), 0, 0
+// Verifier checks the schedule of one function against the layout
+// Capture recorded before scheduling. It keeps the snapshot, the
+// checker's tables and the flow analysis' rows from call to call, so
+// once they have grown to the largest function seen, Capture allocates
+// nothing and Check allocates nothing for a legal schedule: only a
+// violation report, and the copies a duplicating schedule's extra
+// instructions need, allocate. A Verifier holds no reference to a
+// checked function after Check returns. It serves one goroutine at a
+// time; the zero value is ready to use.
+type Verifier struct {
+	snap snapshot
+	c    checker
+}
+
+// Capture records the current layout of f, replacing the previous
+// capture.
+func (v *Verifier) Capture(f *ir.Func) {
+	s := &v.snap
+	s.funcName = f.Name
+	s.labels = zeroed(s.labels, len(f.Blocks))
+	s.order = zeroed(s.order, len(f.Blocks))
+	size, count, mems, args := f.NumInstrIDs(), 0, 0, 0
 	for _, b := range f.Blocks {
 		for _, ins := range b.Instrs {
 			size = max(size, ins.ID+1)
@@ -116,13 +137,16 @@ func Capture(f *ir.Func) *Snapshot {
 			if ins.Mem != nil {
 				mems++
 			}
+			args += len(ins.CallArgs)
 		}
 	}
-	s.instrs = make([]*ir.Instr, size)
-	s.home = make([]place, size)
-	clones := make([]ir.Instr, count)
-	memClones := make([]ir.Mem, mems)
-	ids := make([]int, count)
+	s.instrs = zeroed(s.instrs, size)
+	s.home = zeroed(s.home, size)
+	s.clones = zeroed(s.clones, count)
+	s.mems = zeroed(s.mems, mems)
+	s.callArgs = zeroed(s.callArgs, args)
+	s.idSlab = zeroed(s.idSlab, count)
+	clones, memClones, callArgs, ids := s.clones, s.mems, s.callArgs, s.idSlab
 	for bi, b := range f.Blocks {
 		s.labels[bi] = b.Label
 		s.order[bi], ids = ids[:len(b.Instrs):len(b.Instrs)], ids[len(b.Instrs):]
@@ -136,32 +160,34 @@ func Capture(f *ir.Func) *Snapshot {
 				c.Mem, memClones = &memClones[0], memClones[1:]
 			}
 			if ins.CallArgs != nil {
-				c.CallArgs = append([]ir.Reg(nil), ins.CallArgs...)
+				n := len(ins.CallArgs)
+				c.CallArgs, callArgs = callArgs[:n:n], callArgs[n:]
+				copy(c.CallArgs, ins.CallArgs)
 			}
 			s.instrs[ins.ID] = c
 			s.home[ins.ID] = place{bi, pi}
 		}
 	}
+	s.ids = s.ids[:0]
 	for id, ins := range s.instrs {
 		if ins != nil {
 			s.ids = append(s.ids, id)
 		}
 	}
-	return s
 }
 
 // instr returns the snapshot copy of instruction id, nil when the
 // snapshot has none.
-func (s *Snapshot) instr(id int) *ir.Instr {
+func (s *snapshot) instr(id int) *ir.Instr {
 	if id < len(s.instrs) {
 		return s.instrs[id]
 	}
 	return nil
 }
 
-// Check validates the scheduled function f against its pre-schedule
-// snapshot under the given rules. It returns nil for a legal schedule
-// and a *checkError listing every violation otherwise.
+// Check validates the scheduled function f against the layout the last
+// Capture recorded, under the given rules. It returns nil for a legal
+// schedule and a *checkError listing every violation otherwise.
 //
 // With B blocks, N instructions, D dependent instruction pairs (sharing
 // a register written by one of them, or a store or call and a memory
@@ -177,8 +203,10 @@ func (s *Snapshot) instr(id int) *ir.Instr {
 // basic-block pass) only dependence order within each block can be
 // broken, and the check is O(N + same-block D) with no flow analysis.
 // Registers must lie below ir.MaxRegs, as ir.(*Func).Validate ensures.
-func Check(snap *Snapshot, f *ir.Func, rules Rules) error {
-	c := &checker{snap: snap, f: f, rules: rules}
+func (v *Verifier) Check(f *ir.Func, rules Rules) error {
+	c := &v.c
+	c.reset(&v.snap, f, rules)
+	defer c.release()
 	if !c.structure() {
 		return c.result()
 	}
@@ -195,10 +223,10 @@ func Check(snap *Snapshot, f *ir.Func, rules Rules) error {
 }
 
 type checker struct {
-	snap  *Snapshot
+	snap  *snapshot
 	f     *ir.Func
 	rules Rules
-	an    *analysis // nil until needAnalysis
+	an    *analysis // nil until needAnalysis, then &anStore
 
 	// blockLocal records that no extra instruction appeared and every
 	// surviving instruction sits in its home block: no motion happened,
@@ -222,10 +250,35 @@ type checker struct {
 	work         []int32
 
 	vs []violation
+
+	// Storage kept between checks.
+	anStore                analysis
+	extras                 []int
+	bySig                  map[string][]int
+	regs                   []ir.Reg
+	ms                     []mention
+	next                   []int32
+	cands                  []candidate
+	predSet, cover, doneAt []bool
+}
+
+// reset prepares c to check f against snap, reusing its storage.
+func (c *checker) reset(snap *snapshot, f *ir.Func, rules Rules) {
+	c.snap, c.f, c.rules, c.an = snap, f, rules, nil
+	c.vs = c.vs[:0]
+	c.liveIn = zeroed(c.liveIn, len(snap.order))
+	c.kill = zeroed(c.kill, len(snap.order))
+}
+
+// release drops c's references to the checked function, so a kept
+// Verifier does not keep it reachable.
+func (c *checker) release() {
+	c.f = nil
+	clear(c.finalInstr)
 }
 
 func (c *checker) violate(rule string, ins *ir.Instr, format string, args ...interface{}) {
-	v := violation{Func: c.snap.FuncName, Rule: rule, ID: -1, Msg: fmt.Sprintf(format, args...)}
+	v := violation{Func: c.snap.funcName, Rule: rule, ID: -1, Msg: fmt.Sprintf(format, args...)}
 	if ins != nil {
 		v.ID = ins.ID
 		v.Instr = ins.String()
@@ -238,23 +291,26 @@ func (c *checker) violate(rule string, ins *ir.Instr, format string, args ...int
 // shape serves the snapshot too.
 func (c *checker) needAnalysis() {
 	if c.an == nil {
-		c.an = analyze(c.f)
+		c.an = &c.anStore
+		c.an.fill(c.f)
 	}
 }
 
+// result reports the violations found, in a slice of their own: c's
+// is reused by the next check.
 func (c *checker) result() error {
 	if len(c.vs) == 0 {
 		return nil
 	}
-	return &checkError{Violations: c.vs}
+	return &checkError{Violations: slices.Clone(c.vs)}
 }
 
 // structure checks that the block skeleton is untouched: scheduling may
 // only permute and move instructions, never blocks. Returns false when
 // the skeletons are incomparable and no further checking is possible.
 func (c *checker) structure() bool {
-	if c.f.Name != c.snap.FuncName {
-		c.violate("structure", nil, "function %q checked against snapshot of %q", c.f.Name, c.snap.FuncName)
+	if c.f.Name != c.snap.funcName {
+		c.violate("structure", nil, "function %q checked against snapshot of %q", c.f.Name, c.snap.funcName)
 		return false
 	}
 	if len(c.f.Blocks) != len(c.snap.labels) {
@@ -280,14 +336,14 @@ func (c *checker) accounting() {
 			size = max(size, ins.ID+1)
 		}
 	}
-	c.final = make([]place, size)
+	c.final = zeroed(c.final, size)
 	for i := range c.final {
 		c.final[i] = absent
 	}
-	c.finalInstr = make([]*ir.Instr, size)
-	c.origin = make([]int, size)
-	c.placements = make([][]place, size)
-	c.dupGroup = make([]bool, size)
+	c.finalInstr = zeroed(c.finalInstr, size)
+	c.origin = zeroed(c.origin, size)
+	c.placements = zeroed(c.placements, size)
+	c.dupGroup = zeroed(c.dupGroup, size)
 
 	for bi, b := range c.f.Blocks {
 		for pi, ins := range b.Instrs {
@@ -308,7 +364,7 @@ func (c *checker) accounting() {
 			c.blockLocal = false
 		}
 	}
-	var extras []int // ascending
+	extras := c.extras[:0] // ascending
 	for id, ins := range c.finalInstr {
 		c.origin[id] = -1
 		if ins == nil {
@@ -325,11 +381,16 @@ func (c *checker) accounting() {
 			extras = append(extras, id)
 		}
 	}
-	var bySig map[string][]int
+	c.extras = extras
+	bySig := c.bySig
+	clear(bySig)
 	if len(extras) > 0 {
 		c.blockLocal = false
 		c.needAnalysis() // for matchScore
-		bySig = make(map[string][]int)
+		if bySig == nil {
+			bySig = make(map[string][]int)
+			c.bySig = bySig
+		}
 		for _, id := range c.snap.ids {
 			s := c.snap.instrs[id].String()
 			bySig[s] = append(bySig[s], id) // sorted-id order: deterministic
@@ -502,7 +563,8 @@ func (c *checker) checkDuplication(id int) {
 		return
 	}
 	n := len(c.f.Blocks)
-	predSet := make([]bool, n)
+	c.predSet = zeroed(c.predSet, n)
+	predSet := c.predSet
 	npreds := 0
 	for _, p := range c.an.preds[J] {
 		if !predSet[p] {
@@ -514,7 +576,8 @@ func (c *checker) checkDuplication(id int) {
 		c.violate("duplication", ins, "home block %d is not a join (%d predecessors)", J, npreds)
 		return
 	}
-	cover := make([]bool, n)
+	c.cover = zeroed(c.cover, n)
+	cover := c.cover
 	for _, pl := range c.placements[id] {
 		cover[pl.block] = true
 	}
@@ -548,7 +611,8 @@ func (c *checker) checkDuplication(id int) {
 	// A copy at J covers every entering path by itself; otherwise every
 	// predecessor must be covered by the forward induction.
 	if !cover[J] {
-		done := make([]bool, n)
+		c.doneAt = zeroed(c.doneAt, n)
+		done := c.doneAt
 		for changed := true; changed; {
 			changed = false
 			for b := range done {
@@ -614,10 +678,6 @@ func (c *checker) checkOffPath(id int, pl place, H int, rule string) {
 // Only the blocks mentioning r get gen/kill facts; live-in then spreads
 // backwards from the generating blocks through blocks that do not kill r.
 func (c *checker) offPathLive(r ir.Reg, pl place, H int, id int) bool {
-	if c.liveIn == nil {
-		c.liveIn = make([]bool, len(c.snap.order))
-		c.kill = make([]bool, len(c.snap.order))
-	}
 	occ := c.idx.occurrences(r)
 	work := c.work[:0]
 	for k := 0; k < len(occ); {
@@ -723,7 +783,11 @@ func (c *checker) depOrder() {
 	if !c.blockLocal {
 		size *= 2
 	}
-	cands := c.candidates(make([]candidate, 0, size))
+	if cap(c.cands) < size {
+		c.cands = make([]candidate, 0, size)
+	}
+	cands := c.candidates(c.cands[:0])
+	c.cands = cands
 	for _, p := range cands {
 		c.checkPair(p)
 		if len(c.vs) > mark {

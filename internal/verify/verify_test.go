@@ -36,9 +36,9 @@ func moveInstr(f *ir.Func, fb, fp, tb, tp int) {
 
 // wantViolation asserts that Check rejects f with a violation of the
 // given rule whose message contains msg.
-func wantViolation(t *testing.T, snap *Snapshot, f *ir.Func, rules Rules, rule, msg string) {
+func wantViolation(t *testing.T, v *Verifier, f *ir.Func, rules Rules, rule, msg string) {
 	t.Helper()
-	err := Check(snap, f, rules)
+	err := v.Check(f, rules)
 	if err == nil {
 		t.Fatalf("illegal schedule accepted (want [%s] %q)", rule, msg)
 	}
@@ -61,7 +61,9 @@ func TestAcceptsUntouchedSchedule(t *testing.T) {
 	A r3=r2,r1
 	RET r3
 `)
-	if err := Check(Capture(f), f, Rules{}); err != nil {
+	var v Verifier
+	v.Capture(f)
+	if err := v.Check(f, Rules{}); err != nil {
 		t.Fatalf("identity schedule rejected: %v", err)
 	}
 }
@@ -74,9 +76,10 @@ func TestRejectsReorderedFlowDep(t *testing.T) {
 	A r3=r2,r1
 	RET r3
 `)
-	snap := Capture(f)
+	var v Verifier
+	v.Capture(f)
 	moveInstr(f, 0, 0, 0, 1) // LI r2 now after the A that reads r2
-	wantViolation(t, snap, f, allRules, "dependence", "flow dependence")
+	wantViolation(t, &v, f, allRules, "dependence", "flow dependence")
 }
 
 // TestRejectsSpeculativeStore: a store hoisted above the branch that
@@ -91,9 +94,10 @@ CL.then:
 CL.join:
 	RET r1
 `)
-	snap := Capture(f)
+	var v Verifier
+	v.Capture(f)
 	moveInstr(f, 1, 0, 0, 1) // ST into the entry block, before the BT
-	wantViolation(t, snap, f, allRules, "speculative", "may not execute speculatively")
+	wantViolation(t, &v, f, allRules, "speculative", "may not execute speculatively")
 }
 
 // TestRejectsSpeculationPastDepthLimit: a motion that gambles on two
@@ -111,9 +115,10 @@ CL.b:
 CL.x:
 	RET r2
 `)
-	snap := Capture(f)
+	var v Verifier
+	v.Capture(f)
 	moveInstr(f, 2, 0, 0, 1) // AI from under two branches into the entry
-	wantViolation(t, snap, f, allRules, "speculative", "gambles on 2 branches")
+	wantViolation(t, &v, f, allRules, "speculative", "gambles on 2 branches")
 }
 
 // TestRejectsOffPathClobber: the hoisted definition overwrites a
@@ -128,9 +133,10 @@ CL.then:
 CL.skip:
 	RET r2
 `)
-	snap := Capture(f)
+	var v Verifier
+	v.Capture(f)
 	moveInstr(f, 1, 0, 0, 1) // LI r2=9 into the entry: clobbers r2=5 on the skip path
-	wantViolation(t, snap, f, allRules, "speculative", "live on paths bypassing")
+	wantViolation(t, &v, f, allRules, "speculative", "live on paths bypassing")
 }
 
 // TestAcceptsLegalSpeculation: the same motion shape is legal when the
@@ -146,9 +152,10 @@ CL.then:
 CL.skip:
 	RET r2
 `)
-	snap := Capture(f)
+	var v Verifier
+	v.Capture(f)
 	moveInstr(f, 1, 0, 0, 1) // LI r3=9 into the entry: r3 is dead on the skip path
-	if err := Check(snap, f, allRules); err != nil {
+	if err := v.Check(f, allRules); err != nil {
 		t.Fatalf("legal speculative motion rejected: %v", err)
 	}
 }
@@ -166,9 +173,10 @@ CL.then:
 CL.skip:
 	RET r2
 `)
-	snap := Capture(f)
+	var v Verifier
+	v.Capture(f)
 	moveInstr(f, 1, 0, 0, 1)
-	wantViolation(t, snap, f, Rules{}, "cross-block", "disabled")
+	wantViolation(t, &v, f, Rules{}, "cross-block", "disabled")
 }
 
 // TestRejectsLostInstruction: dropping an instruction is caught by
@@ -179,10 +187,11 @@ func TestRejectsLostInstruction(t *testing.T) {
 	A r3=r2,r1
 	RET r3
 `)
-	snap := Capture(f)
+	var v Verifier
+	v.Capture(f)
 	b := f.Blocks[0]
 	b.Instrs = append(b.Instrs[:1], b.Instrs[2:]...) // drop the A
-	wantViolation(t, snap, f, Rules{}, "accounting", "lost")
+	wantViolation(t, &v, f, Rules{}, "accounting", "lost")
 }
 
 // TestRegisterOutsideFileIsAViolation: Check indexes registers by
@@ -196,6 +205,8 @@ func TestRegisterOutsideFileIsAViolation(t *testing.T) {
 		b.Block("e")
 		b.Call(ir.NoReg, "print", r)
 		b.Ret(ir.NoReg)
-		wantViolation(t, Capture(f), f, Rules{}, "structure", "outside the register file")
+		var v Verifier
+		v.Capture(f)
+		wantViolation(t, &v, f, Rules{}, "structure", "outside the register file")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
 	"gsched/internal/asm"
@@ -73,19 +74,26 @@ func (s *Stats) Add(o Stats) {
 // used twice, a branch to a missing label) is an error, never a pass
 // that cannot terminate. Every error names f once.
 func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
+	sc := takeScratch()
+	defer sc.giveBack()
+	return sc.runFunc(ctx, f, opts, cfgX)
+}
+
+// runFunc is RunCtx on sc.
+func (sc *scratch) runFunc(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (Stats, error) {
 	if err := f.Validate(); err != nil {
 		return Stats{}, err // its errors already start with f.Name
 	}
-	st, err := run(ctx, f, opts, cfgX, transformInnerLoops)
+	st, err := sc.run(ctx, f, opts, cfgX, transformInnerLoops)
 	if err != nil {
 		return st, fmt.Errorf("%s: %w", f.Name, err)
 	}
 	return st, f.Validate() // its errors already start with f.Name
 }
 
-// run is RunCtx without validation and without the function name on
+// run is runFunc without validation and without the function name on
 // its errors, transforming loops with sweep.
-func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep loopSweep) (Stats, error) {
+func (sc *scratch) run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep loopSweep) (Stats, error) {
 	var st Stats
 	if opts.Machine == nil {
 		return st, errors.New("xform: Options.Machine is required")
@@ -96,17 +104,13 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 	// One flow analysis serves the whole pass. Renaming and scheduling
 	// never change the block skeleton, so it is refilled only after a
 	// transform that does.
-	fl := flowPool.Get().(*cfg.Flow)
-	defer func() {
-		fl.Release()
-		flowPool.Put(fl)
-	}()
+	fl := &sc.fl
 	if opts.Rename || opts.Level > core.LevelNone {
 		fl.Refill(f)
 	}
 	if opts.Rename {
 		done := opts.Trace.TimePhase(core.PhaseRename)
-		st.RenamedWebs += rename.Run(f, &fl.G)
+		st.RenamedWebs += sc.renamer.Run(f, &fl.G)
 		done()
 		opts.Rename = false // done once
 	}
@@ -116,20 +120,19 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 	// PhaseVerify. Unrolling and rotation restructure the flow graph, so
 	// each bracket snapshots after them: within a bracket the block
 	// skeleton is invariant, which is what the verifier relies on.
-	capture := func() *verify.Snapshot {
+	capture := func() {
+		if opts.Verify {
+			done := opts.Trace.TimePhase(core.PhaseVerify)
+			sc.verifier.Capture(f)
+			done()
+		}
+	}
+	check := func(rules verify.Rules) error {
 		if !opts.Verify {
 			return nil
 		}
 		done := opts.Trace.TimePhase(core.PhaseVerify)
-		defer done()
-		return verify.Capture(f)
-	}
-	check := func(snap *verify.Snapshot, rules verify.Rules) error {
-		if snap == nil {
-			return nil
-		}
-		done := opts.Trace.TimePhase(core.PhaseVerify)
-		err := verify.Check(snap, f, rules)
+		err := sc.verifier.Check(f, rules)
 		done()
 		if err != nil {
 			return fmt.Errorf("xform: illegal schedule: %w", err)
@@ -151,15 +154,15 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 			st.LoopsUnrolled = sweep(f, fl, unrollOnce)
 			done()
 		}
-		snap := capture()
+		capture()
 		// First pass: inner regions only.
-		irreducible, err := scheduleFiltered(ctx, f, fl, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
+		irreducible, err := sc.scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
 			return r.IsLoop && height == 0
 		})
 		if err != nil {
 			return st, err
 		}
-		if err := check(snap, opts.VerifyRules()); err != nil {
+		if err := check(opts.VerifyRules()); err != nil {
 			return st, err
 		}
 		rotated := 0
@@ -169,10 +172,10 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 			done()
 			st.LoopsRotated = rotated
 		}
-		snap = capture()
+		capture()
 		// Second pass: rotated inner loops (now fresh regions) and the
 		// outer regions.
-		irreducible2, err := scheduleFiltered(ctx, f, fl, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
+		irreducible2, err := sc.scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
 			if height >= opts.MaxRegionLevels {
 				return false
 			}
@@ -187,7 +190,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 		if irreducible || irreducible2 {
 			st.RegionsSkipped++ // once per function, not once per pass
 		}
-		if err := check(snap, opts.VerifyRules()); err != nil {
+		if err := check(opts.VerifyRules()); err != nil {
 			return st, err
 		}
 	}
@@ -196,11 +199,11 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 		if err := ctx.Err(); err != nil {
 			return st, fmt.Errorf("xform: cancelled: %w", err)
 		}
-		snap := capture()
+		capture()
 		mach := opts.Machine
 		done := opts.Trace.TimePhase(core.PhaseLocal)
 		for _, b := range f.Blocks {
-			if err := core.ScheduleBlockLocalPolicy(b, mach, opts.Policy); err != nil {
+			if err := sc.core.ScheduleBlockLocalPolicy(b, mach, opts.Policy); err != nil {
 				done()
 				return st, err
 			}
@@ -208,7 +211,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 		}
 		done()
 		// The basic block post-pass may not move anything across blocks.
-		if err := check(snap, verify.Rules{}); err != nil {
+		if err := check(verify.Rules{}); err != nil {
 			return st, err
 		}
 	}
@@ -217,7 +220,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 		if err := ctx.Err(); err != nil {
 			return st, fmt.Errorf("xform: cancelled: %w", err)
 		}
-		snap := capture()
+		capture()
 		done := opts.Trace.TimePhase(core.PhaseExact)
 		err := core.ExactPassCtx(ctx, f, &opts, &st.Stats)
 		done()
@@ -225,7 +228,7 @@ func run(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config, sweep 
 			return st, err
 		}
 		// The exact tier only permutes within blocks, like the post-pass.
-		if err := check(snap, verify.Rules{}); err != nil {
+		if err := check(verify.Rules{}); err != nil {
 			return st, err
 		}
 	}
@@ -298,8 +301,10 @@ func Drive(ctx context.Context, r asm.FuncReader, opts core.Options, cfgX Config
 	for w := 0; w < jobs; w++ {
 		go func() {
 			defer wg.Done()
+			sc := takeScratch()
+			defer sc.giveBack()
 			for t := range work {
-				t.run(ctx, opts, cfgX, out != nil)
+				t.run(ctx, sc, opts, cfgX, out != nil)
 			}
 		}()
 	}
@@ -363,15 +368,16 @@ parse:
 	return res, emitErr
 }
 
-// run schedules and prints one function on a worker goroutine.
-func (t *task) run(ctx context.Context, opts core.Options, cfgX Config, print bool) {
+// run schedules and prints one function on a worker goroutine, whose
+// scratch is sc.
+func (t *task) run(ctx context.Context, sc *scratch, opts core.Options, cfgX Config, print bool) {
 	defer close(t.done)
 	defer func() {
 		if v := recover(); v != nil {
 			t.err = core.Recovered(v)
 		}
 	}()
-	t.st, t.err = RunCtx(ctx, t.f, opts, cfgX)
+	t.st, t.err = sc.runFunc(ctx, t.f, opts, cfgX)
 	if t.err == nil && print {
 		t.buf = t.f.AppendString(t.buf)
 	}
@@ -407,10 +413,53 @@ func transformOnly(f *ir.Func, cfgX Config, sweep loopSweep) Stats {
 	return st
 }
 
-// flowPool recycles the flow analysis of RunCtx: a Drive worker takes
-// one for the duration of a function, so its storage is sized by the
-// largest function the worker has seen.
-var flowPool = sync.Pool{New: func() any { return new(cfg.Flow) }}
+// scratch is the storage one Drive worker keeps for a whole call: the
+// flow analysis of the function in hand, the scheduler's pipelines, the
+// renaming tables and the verifier. Each is sized by the largest
+// function the scratch has served, so only a worker's first functions
+// grow it.
+type scratch struct {
+	fl       cfg.Flow
+	core     core.Scratch
+	renamer  rename.Renamer
+	verifier verify.Verifier
+}
+
+// scratches keeps the scratch of finished calls for the next ones. It
+// is a free list and not a sync.Pool because a collection empties a
+// pool: a verified compile of a 1000-instruction function allocates
+// enough to run the collector several times, and each run would throw
+// away the storage the next function needs. It holds at most
+// GOMAXPROCS scratches, as many as can run at once.
+var scratches struct {
+	sync.Mutex
+	free []*scratch
+}
+
+// takeScratch returns a kept scratch, or a new one when none is free.
+func takeScratch() *scratch {
+	scratches.Lock()
+	defer scratches.Unlock()
+	if n := len(scratches.free); n > 0 {
+		sc := scratches.free[n-1]
+		scratches.free[n-1] = nil
+		scratches.free = scratches.free[:n-1]
+		return sc
+	}
+	return new(scratch)
+}
+
+// giveBack drops sc's references to the functions it served and keeps
+// it for a later call, unless GOMAXPROCS scratches are kept already.
+func (sc *scratch) giveBack() {
+	sc.fl.Release()
+	sc.core.Release()
+	scratches.Lock()
+	defer scratches.Unlock()
+	if len(scratches.free) < runtime.GOMAXPROCS(0) {
+		scratches.free = append(scratches.free, sc)
+	}
+}
 
 // A loopTransform rewrites the inner loop l of f in place, inserting
 // every new block right after l's last block, and reports whether it
@@ -509,15 +558,15 @@ func (l *loop) shift(hi, grew int) {
 // scheduleFiltered schedules the regions selected by keep (given the
 // region and its nesting height), innermost first, honouring the size
 // caps in opts, and reports whether f is irreducible, in which case
-// nothing is scheduled. fl is f's current flow analysis; scheduling
-// moves instructions only within the block skeleton, so fl stays valid.
+// nothing is scheduled. sc.fl is f's current flow analysis; scheduling
+// moves instructions only within the block skeleton, so it stays valid.
 // The walk, its region-level parallelism, and its cancellation
-// behaviour live in core.ScheduleRegionTree.
-func scheduleFiltered(ctx context.Context, f *ir.Func, fl *cfg.Flow, opts *core.Options, st *core.Stats,
+// behaviour live in core.(*Scratch).ScheduleRegionTree.
+func (sc *scratch) scheduleFiltered(ctx context.Context, f *ir.Func, opts *core.Options, st *core.Stats,
 	keep func(r *cfg.Region, height int) bool) (irreducible bool, err error) {
 
-	if fl.Loops.Irreducible {
+	if sc.fl.Loops.Irreducible {
 		return true, nil
 	}
-	return false, core.ScheduleRegionTree(ctx, f, &fl.G, &fl.Loops, opts, st, keep)
+	return false, sc.core.ScheduleRegionTree(ctx, f, &sc.fl.G, &sc.fl.Loops, opts, st, keep)
 }

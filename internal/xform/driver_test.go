@@ -251,7 +251,7 @@ func TestRunVerifyError(t *testing.T) {
 	for _, pass := range drivePasses {
 		f := twoWay(t).Func("two")
 		f.Blocks[2].Instrs[0].ID = f.Blocks[1].Instrs[0].ID
-		if _, err := run(context.Background(), f, opts, pass.cfg, transformInnerLoops); err == nil || !strings.Contains(err.Error(), "illegal schedule") {
+		if _, err := new(scratch).run(context.Background(), f, opts, pass.cfg, transformInnerLoops); err == nil || !strings.Contains(err.Error(), "illegal schedule") {
 			t.Errorf("%s: err = %v, want an illegal schedule", pass.name, err)
 		}
 	}

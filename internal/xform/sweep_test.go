@@ -166,7 +166,7 @@ func sweepMatches(t *testing.T, sp sweepProgram) {
 				opts.Profile = prof
 			}
 			both(fmt.Sprintf("%v %s", lvl, opts.Machine.Name), func(f *ir.Func, sweep loopSweep) Stats {
-				st, err := run(context.Background(), f, opts, DefaultConfig(), sweep)
+				st, err := new(scratch).run(context.Background(), f, opts, DefaultConfig(), sweep)
 				if err == nil {
 					err = f.Validate()
 				}

@@ -7,8 +7,8 @@
 package xform
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 
 	"gsched/internal/cfg"
 	"gsched/internal/ir"
@@ -23,7 +23,9 @@ type labelCounter struct {
 func (lc *labelCounter) fresh(prefix string) string {
 	for {
 		lc.n++
-		l := fmt.Sprintf("%s.%d", prefix, lc.n)
+		// Not fmt: its per-P printer pool would make a compile's
+		// allocation count depend on collections and scheduling.
+		l := prefix + "." + strconv.Itoa(lc.n)
 		if lc.f.BlockByLabel(l) == nil {
 			return l
 		}
