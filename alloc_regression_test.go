@@ -165,7 +165,6 @@ func TestAllocsSurviveCollections(t *testing.T) {
 	src := bigfuncSource(t)
 	opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
 	opts.Verify = true
-	opts.Parallelism = runtime.GOMAXPROCS(0) // as the suite schedules
 	compile := func() { compileVerified(t, src, opts, io.Discard) }
 	// Grow the workers' scratch. Which worker gets main is up to the
 	// scheduler, and some rows grow over several compiles, so warm up

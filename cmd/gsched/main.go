@@ -45,7 +45,7 @@ var (
 	dot      = flag.String("dot", "", "emit the Graphviz CFG of this function to stdout")
 	trace    = flag.Int64("trace", 0, "with -run: print the issue trace of the first N instructions")
 	verifyF  = flag.Bool("verify", false, "check every schedule with the independent legality verifier; fail on violations")
-	jobs     = flag.Int("jobs", runtime.NumCPU(), "schedule this many functions concurrently (1 = sequential); schedules are identical at any setting")
+	jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "schedule this many functions concurrently (default GOMAXPROCS; 1 = sequential); schedules are identical at any setting")
 	profIn   = flag.String("profile", "", "edge profile file (gsched-profile v1) guiding speculation and, at -level dup, superblock formation")
 	profOut  = flag.String("profile-out", "", "with -run: write the run's edge profile to this file")
 	policyF  = flag.String("policy", "", "scheduling policy expression replacing the §5.2 priority order (or @file to read one); 'default' names the built-in order")

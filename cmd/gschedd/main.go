@@ -51,7 +51,7 @@ import (
 
 var (
 	addr       = flag.String("addr", ":8421", "listen address")
-	workers    = flag.Int("workers", runtime.NumCPU(), "concurrent scheduling jobs")
+	workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent scheduling jobs (default GOMAXPROCS)")
 	queue      = flag.Int("queue", 0, "admitted jobs waiting beyond the workers before 503 (default 2×workers)")
 	cacheMB    = flag.Int64("cache-mb", 64, "in-memory response cache size in MiB (negative disables the whole store stack)")
 	cacheDir   = flag.String("cache-dir", "", "persistent cache directory (empty: memory only)")

@@ -198,8 +198,8 @@ func (o *Options) VerifyRules() verify.Rules {
 
 // Defaults returns the configuration used for the paper's experiments at
 // the given level. Functions are scheduled concurrently (one worker per
-// CPU); this cannot change any schedule — see Parallelism — so it is on
-// by default. Set Parallelism to 1 for a strictly sequential run.
+// GOMAXPROCS, as many as can run at once); this cannot change any
+// schedule — see Parallelism — so it is on by default. Set Parallelism to 1 for a strictly sequential run.
 func Defaults(m *machine.Desc, level Level) Options {
 	return Options{
 		Machine:         m,
@@ -213,7 +213,7 @@ func Defaults(m *machine.Desc, level Level) Options {
 		MaxRegionBlocks: 64,
 		MaxRegionInstrs: 256,
 		MaxRegionLevels: 2,
-		Parallelism:     runtime.NumCPU(),
+		Parallelism:     runtime.GOMAXPROCS(0),
 	}
 }
 

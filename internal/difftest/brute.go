@@ -10,9 +10,10 @@ import (
 
 // The exhaustive-schedule oracle. For a basic block small enough to
 // enumerate, every permutation of its instructions that respects the
-// block's data dependences (the §4.2 facts of internal/schedmodel,
-// derived independently of internal/pdg and internal/verify) is
-// generated and costed with the simulator's issue model. The scheduled
+// block's data dependences (internal/schedmodel's §4.2 pair rule, the
+// verifier's own, derived independently of internal/pdg) is generated
+// and costed with schedmodel's block replay, which issues through the
+// simulator's issue rule. The scheduled
 // order must be one of those permutations — an independent legality
 // proof for the block — and its makespan must lie within
 // [optimum, worst legal].

@@ -13,44 +13,6 @@ func instr(id int, op ir.Op, def, a, b ir.Reg) *ir.Instr {
 	return &ir.Instr{ID: id, Op: op, Def: def, Def2: ir.NoReg, A: a, B: b}
 }
 
-func load(id int, def ir.Reg, sym string, off int64) *ir.Instr {
-	return &ir.Instr{ID: id, Op: ir.OpLoad, Def: def, Def2: ir.NoReg, A: ir.NoReg, B: ir.NoReg,
-		Mem: &ir.Mem{Sym: sym, Base: ir.NoReg, Off: off}}
-}
-
-func store(id int, val ir.Reg, sym string, off int64) *ir.Instr {
-	return &ir.Instr{ID: id, Op: ir.OpStore, Def: ir.NoReg, Def2: ir.NoReg, A: val, B: ir.NoReg,
-		Mem: &ir.Mem{Sym: sym, Base: ir.NoReg, Off: off}}
-}
-
-func TestDepends(t *testing.T) {
-	add := instr(1, ir.OpAdd, ir.GPR(3), ir.GPR(1), ir.GPR(2))
-	use := instr(2, ir.OpAdd, ir.GPR(4), ir.GPR(3), ir.GPR(1))
-	clobber := instr(3, ir.OpAdd, ir.GPR(1), ir.GPR(5), ir.GPR(5))
-	indep := instr(4, ir.OpAdd, ir.GPR(6), ir.GPR(7), ir.GPR(7))
-	if !schedmodel.Depends(add, use) {
-		t.Error("flow dependence missed")
-	}
-	if !schedmodel.Depends(add, clobber) {
-		t.Error("anti dependence (r1 read then written) missed")
-	}
-	if schedmodel.Depends(add, indep) {
-		t.Error("independent pair flagged")
-	}
-	la, lb := load(5, ir.GPR(8), "x", 0), load(6, ir.GPR(9), "x", 0)
-	if schedmodel.Depends(la, lb) {
-		t.Error("load/load pair must not conflict")
-	}
-	st := store(7, ir.GPR(1), "x", 0)
-	if !schedmodel.Depends(la, st) {
-		t.Error("load/store on same symbol missed")
-	}
-	other := store(8, ir.GPR(1), "y", 0)
-	if schedmodel.Depends(la, other) {
-		t.Error("distinct symbols must be disjoint (§4.2)")
-	}
-}
-
 // TestMakespanDelaySensitive: on RS6K the cmp->branch delay of 3 makes
 // cmp-early strictly better than cmp-late in a 3-instruction block.
 func TestMakespanDelaySensitive(t *testing.T) {

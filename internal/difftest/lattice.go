@@ -3,7 +3,7 @@
 // through a configuration lattice — scheduling level × register
 // renaming × parallelism × machine description (presets, degenerate
 // corners and seeded-random machines) — and cross-checks every cell
-// with three independent oracles:
+// with three oracles, each independent of the scheduler's own analyses:
 //
 //  1. differential simulation: the scheduled program must behave
 //     exactly like the unscheduled one (return value and print record);

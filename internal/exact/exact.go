@@ -2,7 +2,9 @@
 // instructions of one block and a machine description, it finds an
 // instruction order of provably minimal makespan under the simulator's
 // issue model (in-order issue, n_t starts per unit type per cycle, the
-// k + t + d rule of §2 — the model of internal/schedmodel).
+// k + t + d rule of §2). It places and takes back instructions through
+// internal/schedmodel's block replay, the one Makespan runs, which
+// issues through the simulator's machine.Pipe.
 //
 // Where internal/difftest's enumeration oracle walks all O(n!)
 // dependence-legal orders, this package runs a branch-and-bound search

@@ -25,15 +25,13 @@ type searcher struct {
 	prio     []int             // child visit order: cp desc, then input position
 	defMask  map[ir.Reg]uint64 // instructions defining each register
 
-	// Mutable replay state (the schedmodel.Makespan machine, maintained
-	// incrementally with undo on backtrack).
-	mask                 uint64
-	order                []int
-	avail                map[ir.Reg]int
-	prod                 map[ir.Reg]*ir.Instr
-	lastCycle, lastCount [ir.NumUnitTypes]int
-	prev, finish         int
-	remaining            [ir.NumUnitTypes]int
+	// Mutable state: the scheduled set and order, the unscheduled
+	// instructions per unit type, and the replay that Makespan runs,
+	// placed and taken back as the search descends and backtracks.
+	mask      uint64
+	order     []int
+	remaining [ir.NumUnitTypes]int
+	replay    *schedmodel.Replay
 
 	// Search outcome.
 	best      int
@@ -94,8 +92,7 @@ func newSearcher(instrs []*ir.Instr, mach *machine.Desc, lim Limits) *searcher {
 		mach:    mach,
 		lim:     lim,
 		n:       n,
-		avail:   make(map[ir.Reg]int),
-		prod:    make(map[ir.Reg]*ir.Instr),
+		replay:  schedmodel.NewReplay(mach),
 		defMask: make(map[ir.Reg]uint64),
 		memo:    make(map[uint64][]stateSig),
 		order:   make([]int, 0, n),
@@ -191,111 +188,26 @@ func (s *searcher) run() {
 	s.dfs()
 }
 
-// undoFrame captures everything place mutates, so backtracking restores
-// the replay state exactly.
-type undoFrame struct {
-	prev, finish         int
-	lastCycle, lastCount int
-	defs                 [2]savedReg
-	numDefs              int
-}
-
-type savedReg struct {
-	reg    ir.Reg
-	avail  int
-	prod   *ir.Instr
-	wasSet bool
-}
-
-// place issues instruction i on the replay machine and returns its
-// issue cycle plus the undo frame.
-func (s *searcher) place(i int) (int, undoFrame) {
-	ins := s.ref[i]
-	ready := 0
-	use := func(r ir.Reg) {
-		if !r.Valid() {
-			return
-		}
-		p, ok := s.prod[r]
-		if !ok {
-			return
-		}
-		if c := s.avail[r] + s.mach.Delay(p, ins, r); c > ready {
-			ready = c
-		}
-	}
-	use(ins.A)
-	use(ins.B)
-	if ins.Mem != nil {
-		use(ins.Mem.Base)
-	}
-	for _, a := range ins.CallArgs {
-		use(a)
-	}
-
-	t := s.unit[i]
-	fr := undoFrame{
-		prev: s.prev, finish: s.finish,
-		lastCycle: s.lastCycle[t], lastCount: s.lastCount[t],
-	}
-
-	c := s.prev
-	if ready > c {
-		c = ready
-	}
-	nU := s.mach.NumUnits[t]
-	if nU < 1 {
-		nU = 1
-	}
-	if c == s.lastCycle[t] && s.lastCount[t] >= nU {
-		c++
-	}
-	if c > s.lastCycle[t] {
-		s.lastCycle[t] = c
-		s.lastCount[t] = 1
-	} else {
-		s.lastCount[t]++
-	}
-	s.prev = c
-	if done := c + s.exec[i]; done > s.finish {
-		s.finish = done
-	}
-	var dbuf [2]ir.Reg
-	for _, r := range ins.Defs(dbuf[:0]) {
-		old, ok := s.prod[r]
-		fr.defs[fr.numDefs] = savedReg{reg: r, avail: s.avail[r], prod: old, wasSet: ok}
-		fr.numDefs++
-		s.avail[r] = c + s.exec[i]
-		s.prod[r] = ins
-	}
+// place issues instruction i on the replay and returns its issue cycle
+// plus what unplace needs to take it back.
+func (s *searcher) place(i int) (int, schedmodel.Undo) {
 	s.mask |= 1 << uint(i)
-	s.remaining[t]--
-	return c, fr
+	s.remaining[s.unit[i]]--
+	return s.replay.Place(s.ref[i])
 }
 
 // unplace reverts place(i).
-func (s *searcher) unplace(i int, fr undoFrame) {
-	t := s.unit[i]
+func (s *searcher) unplace(i int, u schedmodel.Undo) {
 	s.mask &^= 1 << uint(i)
-	s.remaining[t]++
-	s.prev, s.finish = fr.prev, fr.finish
-	s.lastCycle[t], s.lastCount[t] = fr.lastCycle, fr.lastCount
-	for k := fr.numDefs - 1; k >= 0; k-- {
-		d := fr.defs[k]
-		if d.wasSet {
-			s.avail[d.reg] = d.avail
-			s.prod[d.reg] = d.prod
-		} else {
-			delete(s.avail, d.reg)
-			delete(s.prod, d.reg)
-		}
-	}
+	s.remaining[s.unit[i]]++
+	s.replay.Unplace(u)
 }
 
 // lowerBound combines the critical-path and resource arguments into a
 // lower bound on any completion of the current partial schedule.
 func (s *searcher) lowerBound() int {
-	lb := s.finish
+	prev := int(s.replay.Pipe.Prev)
+	lb := int(s.replay.Pipe.Finish)
 	// Every future issue happens at a cycle >= prev (in-order issue),
 	// so the tallest remaining critical path sits on top of prev.
 	maxcp := 0
@@ -304,35 +216,21 @@ func (s *searcher) lowerBound() int {
 			maxcp = s.cp[i]
 		}
 	}
-	if c := s.prev + maxcp; c > lb {
-		lb = c
-	}
+	lb = max(lb, prev+maxcp)
 	// Resource bound: m_t remaining type-t instructions issue at most
 	// n_t per cycle starting no earlier than prev, whose slots may be
-	// partly consumed already.
-	for t := 0; t < ir.NumUnitTypes; t++ {
+	// partly taken already.
+	for t := ir.Unit(0); t < ir.NumUnitTypes; t++ {
 		m := s.remaining[t]
 		if m == 0 {
 			continue
 		}
-		nU := s.mach.NumUnits[t]
-		if nU < 1 {
-			nU = 1
+		nU := max(s.mach.NumUnits[t], 1)
+		last := prev
+		if rem := m - max(nU-s.replay.Pipe.Taken(t), 0); rem > 0 {
+			last = prev + (rem+nU-1)/nU
 		}
-		slots0 := nU
-		if s.lastCycle[t] == s.prev && s.mask != 0 {
-			slots0 = nU - s.lastCount[t]
-			if slots0 < 0 {
-				slots0 = 0
-			}
-		}
-		last := s.prev
-		if rem := m - slots0; rem > 0 {
-			last = s.prev + (rem+nU-1)/nU
-		}
-		if c := last + 1; c > lb {
-			lb = c
-		}
+		lb = max(lb, last+1)
 	}
 	return lb
 }
@@ -343,11 +241,10 @@ func (s *searcher) lowerBound() int {
 // scheduled instruction defines — a mask-dependent but state-independent
 // ordering, so two signatures of the same mask compare element-wise.
 func (s *searcher) signature() stateSig {
-	sig := stateSig{prev: int32(s.prev), finish: int32(s.finish)}
-	for t := 0; t < ir.NumUnitTypes; t++ {
-		if s.lastCycle[t] == s.prev {
-			sig.eff[t] = int32(s.lastCount[t])
-		}
+	p := &s.replay.Pipe
+	sig := stateSig{prev: int32(p.Prev), finish: int32(p.Finish)}
+	for t := range sig.eff {
+		sig.eff[t] = int32(p.Taken(ir.Unit(t)))
 	}
 	add := func(r ir.Reg) {
 		if !r.Valid() {
@@ -356,7 +253,7 @@ func (s *searcher) signature() stateSig {
 		if s.defMask[r]&s.mask == 0 {
 			return
 		}
-		sig.avail = append(sig.avail, int32(s.avail[r]))
+		sig.avail = append(sig.avail, int32(s.replay.Avail(r)))
 	}
 	for i := 0; i < s.n; i++ {
 		if s.mask&(1<<uint(i)) != 0 {
@@ -403,8 +300,8 @@ func (s *searcher) memoPrune() bool {
 // every ready instruction in static priority order.
 func (s *searcher) dfs() {
 	if s.mask == 1<<uint(s.n)-1 {
-		if s.finish < s.best {
-			s.best = s.finish
+		if finish := int(s.replay.Pipe.Finish); finish < s.best {
+			s.best = finish
 			s.bestOrder = s.bestOrder[:0]
 			for _, i := range s.order {
 				s.bestOrder = append(s.bestOrder, s.ref[i])
@@ -431,13 +328,13 @@ func (s *searcher) dfs() {
 		if s.mask&bit != 0 || s.predMask[i]&^s.mask != 0 {
 			continue
 		}
-		c, fr := s.place(i)
+		c, u := s.place(i)
 		// Child bound: issuing i at cycle c commits finish >= c + cp[i].
 		if c+s.cp[i] < s.best && s.lowerBound() < s.best {
 			s.order = append(s.order, i)
 			s.dfs()
 			s.order = s.order[:len(s.order)-1]
 		}
-		s.unplace(i, fr)
+		s.unplace(i, u)
 	}
 }

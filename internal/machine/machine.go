@@ -235,6 +235,48 @@ func (d *Desc) Delay(prod, cons *ir.Instr, r ir.Reg) int {
 	return 0
 }
 
+// Pipe is the issue state of the §2 machine: instructions start in
+// order, at most n_t of unit type t per cycle, and one that starts at
+// cycle k and takes t cycles finishes at k + t. The zero Pipe is a cold
+// pipeline at cycle zero, and a copy of a Pipe saves its state.
+type Pipe struct {
+	Prev   int64 // start cycle of the last instruction issued
+	Finish int64 // latest completion cycle of an issued instruction
+
+	units [ir.NumUnitTypes]struct {
+		last  int64 // cycle of the latest start on a unit of this type
+		count int   // starts on units of this type in that cycle
+	}
+}
+
+// Issue starts an instruction of opcode op whose operands are ready at
+// cycle ready, and returns its start cycle: max(Prev, ready), plus one
+// when the n_t units of op's type have each started an instruction in
+// that cycle already.
+func (p *Pipe) Issue(d *Desc, op ir.Op, ready int64) int64 {
+	t := op.Unit()
+	c, u := max(p.Prev, ready), &p.units[t]
+	if c == u.last && u.count >= max(d.NumUnits[t], 1) {
+		c++
+	}
+	if c > u.last {
+		u.last, u.count = c, 0
+	}
+	u.count++
+	p.Prev = c
+	p.Finish = max(p.Finish, c+int64(d.Exec(op)))
+	return c
+}
+
+// Taken returns how many instructions of unit type t started at cycle
+// Prev.
+func (p *Pipe) Taken(t ir.Unit) int {
+	if u := p.units[t]; u.last == p.Prev {
+		return u.count
+	}
+	return 0
+}
+
 // MaxDelay returns an upper bound on any delay the machine can impose,
 // used to size lookahead windows.
 func (d *Desc) MaxDelay() int {

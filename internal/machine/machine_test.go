@@ -257,3 +257,34 @@ func TestParseMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestPipeIssue pins the §2 issue rule: in-order starts, at most n_t
+// per unit type per cycle, and finish = start + execution time.
+func TestPipeIssue(t *testing.T) {
+	d := Superscalar(2, 1)
+	var p Pipe
+	steps := []struct {
+		op    ir.Op
+		ready int64
+		start int64
+		taken int // fixed-point starts at the new Prev
+	}{
+		{ir.OpAdd, 0, 0, 1},
+		{ir.OpAdd, 0, 0, 2},
+		{ir.OpAdd, 0, 1, 1}, // both fixed-point units started at cycle 0
+		{ir.OpMul, 0, 1, 2}, // in order: no earlier than the previous start
+		{ir.OpBC, 4, 4, 0},  // operands ready at 4; the branch unit is free
+		{ir.OpAdd, 2, 4, 1}, // ready earlier, but issue is in order
+	}
+	for k, s := range steps {
+		if got := p.Issue(d, s.op, s.ready); got != s.start {
+			t.Fatalf("step %d: %s starts at %d, want %d", k, s.op, got, s.start)
+		}
+		if got := p.Taken(ir.UnitFixed); got != s.taken {
+			t.Errorf("step %d: %d fixed-point starts at cycle %d, want %d", k, got, p.Prev, s.taken)
+		}
+	}
+	if want := int64(1 + d.MulTime); p.Finish != want {
+		t.Errorf("finish %d, want %d (the multiply's start + execution time)", p.Finish, want)
+	}
+}

@@ -1,56 +1,96 @@
-// Package schedmodel is the shared block-scheduling model used by every
-// oracle that reasons about single-block instruction orders: the §4.2
-// dependence facts (register flow/anti/output dependences plus
-// conservative memory disambiguation) and the simulator's issue-model
-// replay that assigns a makespan to a concrete order.
+// Package schedmodel is the oracles' one statement of the paper's
+// block-level machine model: the §4.2 pair rule (register flow, anti and
+// output dependences plus conservative memory disambiguation) and a
+// replay of one block through the §2 issue rule, machine.Pipe, that
+// assigns a makespan to a concrete order.
 //
-// It exists to pin two independently dangerous pieces of logic in one
-// place. internal/difftest's exhaustive enumerator and internal/exact's
-// branch-and-bound scheduler must agree on (a) which orders are legal
-// and (b) what each order costs — any drift between them would make the
-// exact tier disagree with the enumeration oracle for reasons that have
-// nothing to do with search bugs. Both import this package; a test here
-// additionally pins the dependence derivation against internal/pdg's
-// block DDG on the fuzz corpus, so the oracles cannot drift from the
-// scheduler's own dependence analysis either.
+// internal/verify reads the pair rule for every dependence it checks,
+// internal/difftest's exhaustive enumerator reads the rule and the
+// replay, and internal/exact's branch-and-bound search places and undoes
+// instructions through the replay, so the oracles cannot disagree about
+// which orders are legal or what one costs. The simulator issues through
+// the same machine.Pipe. None of this is shared with internal/pdg or
+// internal/core: a test here pins the pair rule against pdg's block DDG
+// on the fuzz corpus, so the oracles cannot drift from the scheduler's
+// own dependence analysis either.
 package schedmodel
 
 import (
+	"slices"
+
 	"gsched/internal/ir"
 	"gsched/internal/machine"
 )
 
-// Depends reports whether, with a textually before b, b must stay
-// ordered after a: a register flow/anti/output dependence, or a memory
-// conflict. The aliasing facts mirror §4.2 of the paper (distinct named
-// symbols are disjoint, frame slots are disjoint from globals and from
-// differently-offset frame slots, calls may touch any global memory but
-// no frame slot) and intentionally match the scheduler's own
-// disambiguation power: a weaker rule here would flag legal schedules.
-func Depends(a, b *ir.Instr) bool {
-	var abuf, bbuf [2]ir.Reg
-	ad := a.Defs(abuf[:0])
-	bd := b.Defs(bbuf[:0])
-	for _, r := range ad {
-		if b.UsesReg(r) || b.DefsReg(r) {
-			return true // flow or output
-		}
-	}
-	for _, r := range bd {
-		if a.UsesReg(r) {
-			return true // anti
-		}
-	}
-	if a.Op.TouchesMemory() && b.Op.TouchesMemory() &&
-		!(a.Op.IsLoad() && b.Op.IsLoad()) && mayAlias(a, b) {
-		return true
-	}
-	return false
+// Kind names what carries a dependence.
+type Kind uint8
+
+const (
+	flow   Kind = iota // the later instruction reads a register the earlier writes
+	anti               // the later instruction writes a register the earlier reads
+	output             // both write one register
+	memory             // both touch memory that may alias, and not both only load
+)
+
+func (k Kind) String() string {
+	return [...]string{flow: "flow", anti: "anti", output: "output", memory: "memory"}[k]
 }
 
-// mayAlias conservatively decides whether two memory-touching
-// instructions can access a common location.
-func mayAlias(a, b *ir.Instr) bool {
+// Dep is one dependence of an ordered instruction pair.
+type Dep struct {
+	Kind Kind
+	Reg  ir.Reg // the register carrying a flow, anti or output dependence
+}
+
+// String renders d as the verifier reports it: "flow dependence (r3)",
+// or "memory dependence".
+func (d Dep) String() string {
+	if d.Kind == memory {
+		return "memory dependence"
+	}
+	return d.Kind.String() + " dependence (" + d.Reg.String() + ")"
+}
+
+// Operands is what the pair rule reads of one instruction: the
+// instruction and the registers it writes and reads, as ir.Instr.Defs
+// and Uses return them.
+type Operands struct {
+	Ins        *ir.Instr
+	Defs, Uses []ir.Reg
+}
+
+// Pair appends to out every dependence that keeps b after a, where a is
+// textually before b: flow and output dependences per register a
+// writes, then anti dependences per register a reads, then a memory
+// conflict. Pair does not order anything before a terminator.
+func Pair(a, b *Operands, out []Dep) []Dep {
+	for _, r := range a.Defs {
+		if slices.Contains(b.Uses, r) {
+			out = append(out, Dep{flow, r})
+		}
+		if slices.Contains(b.Defs, r) {
+			out = append(out, Dep{output, r})
+		}
+	}
+	for _, r := range a.Uses {
+		if slices.Contains(b.Defs, r) {
+			out = append(out, Dep{anti, r})
+		}
+	}
+	oa, ob := a.Ins.Op, b.Ins.Op
+	if oa.TouchesMemory() && ob.TouchesMemory() && !(oa.IsLoad() && ob.IsLoad()) && MayAlias(a.Ins, b.Ins) {
+		out = append(out, Dep{memory, ir.NoReg})
+	}
+	return out
+}
+
+// MayAlias conservatively decides whether two memory-touching
+// instructions may access a common location. The facts are §4.2's:
+// distinct named symbols are disjoint, frame slots are disjoint from
+// global memory and from differently-offset frame slots, direct
+// accesses to one symbol at different constant offsets are disjoint,
+// and a call may touch any global memory but no frame slot.
+func MayAlias(a, b *ir.Instr) bool {
 	if a.Op == ir.OpCall || b.Op == ir.OpCall {
 		other := a
 		if a.Op == ir.OpCall {
@@ -78,6 +118,23 @@ func mayAlias(a, b *ir.Instr) bool {
 		return ma.Off == mb.Off
 	}
 	return true
+}
+
+// Depends reports whether, with a textually before b, b must stay
+// ordered after a: Pair finds a dependence. The memory facts match the
+// verifier's, which reads the same rule: a weaker rule here would flag
+// schedules the verifier accepts.
+func Depends(a, b *ir.Instr) bool {
+	var abuf, bbuf [8]ir.Reg
+	var deps [4]Dep
+	oa, ob := operandsOf(a, abuf[:0]), operandsOf(b, bbuf[:0])
+	return len(Pair(&oa, &ob, deps[:0])) > 0
+}
+
+func operandsOf(i *ir.Instr, buf []ir.Reg) Operands {
+	defs := i.Defs(buf)
+	n := len(defs)
+	return Operands{Ins: i, Defs: defs[:n:n], Uses: i.Uses(defs)[n:]}
 }
 
 // DepMatrix derives the pairwise dependence relation over ref: dep[i][j]
@@ -109,65 +166,101 @@ func DepMatrix(ref []*ir.Instr) [][]bool {
 	return dep
 }
 
-// Makespan replays order through the simulator's issue model for a block
-// started from a cold pipeline: in-order issue, at most n_t starts per
-// unit type per cycle, and every consumer held to producer start + t + d
-// (the k + t + d rule of §2). Values defined before the block are ready
-// at cycle zero.
+// Makespan replays order from a cold pipeline and returns the cycle
+// its last instruction finishes.
 func Makespan(order []*ir.Instr, d *machine.Desc) int {
-	avail := make(map[ir.Reg]int)
-	prod := make(map[ir.Reg]*ir.Instr)
-	var lastCycle, lastCount [ir.NumUnitTypes]int
-	prev, finish := 0, 0
+	r := NewReplay(d)
 	for _, i := range order {
-		ready := 0
-		use := func(r ir.Reg) {
-			if !r.Valid() {
-				return
-			}
-			p, ok := prod[r]
-			if !ok {
-				return
-			}
-			if c := avail[r] + d.Delay(p, i, r); c > ready {
-				ready = c
-			}
+		r.Place(i)
+	}
+	return int(r.Pipe.Finish)
+}
+
+// Replay issues one block's instructions in a chosen order from a cold
+// pipeline: a register scoreboard in front of machine.Pipe. A consumer
+// starts no earlier than its producer's start + t + d (the k + t + d
+// rule of §2); values defined before the block are ready at cycle zero.
+// A replay charges every compare-to-branch delay, also on a machine with
+// TakenOnlyBranchDelay, because it cannot know whether the branch is
+// taken; the simulator's own operand scoreboard can.
+type Replay struct {
+	Pipe machine.Pipe
+
+	d    *machine.Desc
+	regs map[ir.Reg]written // registers defined by the placed instructions
+}
+
+// written is the scoreboard entry of one register.
+type written struct {
+	at   int       // cycle its value is available
+	prod *ir.Instr // the instruction that defined it
+}
+
+// Undo is what one Place changed, for Unplace to take back.
+type Undo struct {
+	pipe machine.Pipe
+	regs [2]struct {
+		reg ir.Reg
+		old written
+		was bool
+	}
+	n int
+}
+
+// NewReplay returns an empty replay on d.
+func NewReplay(d *machine.Desc) *Replay {
+	return &Replay{d: d, regs: make(map[ir.Reg]written)}
+}
+
+// Place issues ins after every instruction placed so far and returns
+// its start cycle.
+func (r *Replay) Place(ins *ir.Instr) (int, Undo) {
+	u := Undo{pipe: r.Pipe}
+	ready := 0
+	use := func(reg ir.Reg) {
+		if !reg.Valid() {
+			return
 		}
-		use(i.A)
-		use(i.B)
-		if i.Mem != nil {
-			use(i.Mem.Base)
-		}
-		for _, a := range i.CallArgs {
-			use(a)
-		}
-		c := prev
-		if ready > c {
-			c = ready
-		}
-		t := i.Op.Unit()
-		n := d.NumUnits[t]
-		if n < 1 {
-			n = 1
-		}
-		if c == lastCycle[t] && lastCount[t] >= n {
-			c++
-		}
-		if c > lastCycle[t] {
-			lastCycle[t] = c
-			lastCount[t] = 1
-		} else {
-			lastCount[t]++
-		}
-		prev = c
-		if done := c + d.Exec(i.Op); done > finish {
-			finish = done
-		}
-		var defs [2]ir.Reg
-		for _, r := range i.Defs(defs[:0]) {
-			avail[r] = c + d.Exec(i.Op)
-			prod[r] = i
+		if w, ok := r.regs[reg]; ok {
+			ready = max(ready, w.at+r.d.Delay(w.prod, ins, reg))
 		}
 	}
-	return finish
+	use(ins.A)
+	use(ins.B)
+	if ins.Mem != nil {
+		use(ins.Mem.Base)
+	}
+	for _, a := range ins.CallArgs {
+		use(a)
+	}
+	c := int(r.Pipe.Issue(r.d, ins.Op, int64(ready)))
+	var dbuf [2]ir.Reg
+	for _, reg := range ins.Defs(dbuf[:0]) {
+		s := &u.regs[u.n]
+		s.reg = reg
+		s.old, s.was = r.regs[reg]
+		u.n++
+		r.regs[reg] = written{c + r.d.Exec(ins.Op), ins}
+	}
+	return c, u
+}
+
+// Unplace takes back the Place that returned u, which must be the last
+// one not taken back yet.
+func (r *Replay) Unplace(u Undo) {
+	r.Pipe = u.pipe
+	for k := u.n - 1; k >= 0; k-- {
+		if s := u.regs[k]; s.was {
+			r.regs[s.reg] = s.old
+		} else {
+			delete(r.regs, s.reg)
+		}
+	}
+}
+
+// Avail returns the cycle the value of reg is available: when a placed
+// instruction defined it, that definition's start plus execution time,
+// else zero.
+func (r *Replay) Avail(reg ir.Reg) int {
+	return r.regs[reg].at
 }

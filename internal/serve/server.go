@@ -31,7 +31,7 @@ import (
 // Config parameterizes a Server. The zero value is usable: every field
 // falls back to the documented default.
 type Config struct {
-	// Workers bounds concurrent scheduling jobs (default NumCPU).
+	// Workers bounds concurrent scheduling jobs (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds jobs admitted beyond the running workers and
 	// waiting for a slot; past Workers+QueueDepth the server answers
@@ -95,7 +95,7 @@ type Config struct {
 
 func (c *Config) defaults() {
 	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers

@@ -9,7 +9,10 @@
 // starts no earlier than producer_start + t + d for every flow dependence
 // (the k + t + d rule, enforced by hardware interlocks). Per footnote 2
 // of the paper, the compare-to-branch delay is charged whether the branch
-// is taken or not.
+// is taken or not. The issue rule itself is machine.Pipe, which the
+// oracles' block replay (internal/schedmodel) issues through too; the
+// operand scoreboard stays here, because only an execution knows whether
+// a branch is taken (machine.Desc.TakenOnlyBranchDelay).
 package sim
 
 import (
@@ -214,11 +217,8 @@ type runState struct {
 	depth  int
 
 	// Timing state shared across frames.
-	traced    int64
-	prevStart int64 // issue cycle of the previous instruction in path order
-	lastCycle [ir.NumUnitTypes]int64
-	lastCount [ir.NumUnitTypes]int
-	finish    int64 // max completion cycle seen
+	traced int64
+	pipe   machine.Pipe // issue state along the executed path
 }
 
 // Run executes the named function with the given arguments. data, if
@@ -255,46 +255,22 @@ func (m *Machine) Run(entry string, args []int64, data map[string][]int64, opts 
 		return nil, err
 	}
 	st.res.Ret = ret
-	st.res.Cycles = st.finish
+	st.res.Cycles = st.pipe.Finish
 	return st.res, nil
 }
 
 // issue accounts the issue cycle for instruction i whose operand
 // constraints allow starting at cycle ready, and returns the chosen
-// start cycle.
+// start cycle. Without a machine every instruction takes the cycle
+// after its predecessor.
 func (st *runState) issue(i *ir.Instr, ready int64) int64 {
 	d := st.opts.Machine
 	if d == nil {
-		c := st.prevStart + 1
-		st.prevStart = c
-		if c > st.finish {
-			st.finish = c
-		}
-		return c
+		st.pipe.Prev++
+		st.pipe.Finish = max(st.pipe.Finish, st.pipe.Prev)
+		return st.pipe.Prev
 	}
-	c := st.prevStart
-	if ready > c {
-		c = ready
-	}
-	t := i.Op.Unit()
-	n := d.NumUnits[t]
-	if n < 1 {
-		n = 1
-	}
-	if c == st.lastCycle[t] && st.lastCount[t] >= n {
-		c++
-	}
-	if c > st.lastCycle[t] {
-		st.lastCycle[t] = c
-		st.lastCount[t] = 1
-	} else {
-		st.lastCount[t]++
-	}
-	st.prevStart = c
-	if done := c + int64(d.Exec(i.Op)); done > st.finish {
-		st.finish = done
-	}
-	return c
+	return st.pipe.Issue(d, i.Op, ready)
 }
 
 // operandReady returns the earliest start cycle allowed by i's register
@@ -627,7 +603,7 @@ func (st *runState) call(f *ir.Func, args []int64, caller *ir.Instr, callStart i
 				fr.set(i.Def, ret)
 				// The result is available when the callee finished.
 				if st.opts.Machine != nil {
-					fr.avail[i.Def.Class][i.Def.Num] = st.prevStart + 1
+					fr.avail[i.Def.Class][i.Def.Num] = st.pipe.Prev + 1
 					fr.prod[i.Def.Class][i.Def.Num] = i
 				}
 			}

@@ -4,120 +4,19 @@ import (
 	"cmp"
 
 	"gsched/internal/ir"
+	"gsched/internal/schedmodel"
 )
 
-// Dependence derivation, written from the paper's §3 definitions rather
-// than shared with internal/pdg. A dependence x → y means y must not
-// execute before x on any path where both execute.
-
-// depKind labels a dependence for diagnostics.
-type depKind uint8
-
-const (
-	depFlow depKind = iota
-	depAnti
-	depOutput
-	depMem
-)
-
-func (k depKind) String() string {
-	switch k {
-	case depFlow:
-		return "flow"
-	case depAnti:
-		return "anti"
-	case depOutput:
-		return "output"
-	case depMem:
-		return "memory"
-	}
-	return "dep"
-}
-
-// dep records that instruction From must stay ordered before To.
-type dep struct {
-	From, To int // instruction IDs
-	Kind     depKind
-	Reg      ir.Reg // register carrying the dependence (register kinds)
-}
-
-// memConflict conservatively decides whether two memory-touching
-// instructions may access the same location. The facts mirror §4.2 of
-// the paper: distinct named symbols are disjoint, stack frame slots are
-// disjoint from global memory and from differently-offset frame slots,
-// and a call may touch any global memory but never a private frame slot.
-func memConflict(a, b *ir.Instr) bool {
-	if a.Op == ir.OpCall || b.Op == ir.OpCall {
-		other := a
-		if a.Op == ir.OpCall {
-			other = b
-		}
-		if other.Op == ir.OpCall {
-			return true
-		}
-		// Calls cannot see the caller's frame slots.
-		return other.Mem == nil || !other.Mem.Frame
-	}
-	ma, mb := a.Mem, b.Mem
-	if ma == nil || mb == nil {
-		return false
-	}
-	if ma.Frame != mb.Frame {
-		return false
-	}
-	if ma.Frame {
-		return ma.Off == mb.Off
-	}
-	if ma.Sym != "" && mb.Sym != "" && ma.Sym != mb.Sym {
-		return false
-	}
-	if ma.Sym == mb.Sym && ma.Sym != "" && ma.Base == ir.NoReg && mb.Base == ir.NoReg {
-		// Direct accesses to the same symbol at constant offsets.
-		return ma.Off == mb.Off
-	}
-	return true
-}
+// Dependence derivation: the §4.2 pair rule is schedmodel.Pair, shared
+// with the other oracles and written independently of internal/pdg. A
+// dependence x → y means y must not execute before x on any path where
+// both execute.
 
 // summary is what dependence derivation reads of one snapshot
 // instruction, computed once per check.
 type summary struct {
-	ins        *ir.Instr
-	defs, uses []ir.Reg // as ir.Instr.Defs and Uses return them
-	mem, load  bool     // touches memory; is a load
-}
-
-func hasReg(set []ir.Reg, r ir.Reg) bool {
-	for _, x := range set {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
-
-// pairDeps appends every dependence forcing a to stay before b (a is
-// textually earlier on some path).
-func pairDeps(a, b *summary, out []dep) []dep {
-	for _, r := range a.defs {
-		if hasReg(b.uses, r) {
-			out = append(out, dep{From: a.ins.ID, To: b.ins.ID, Kind: depFlow, Reg: r})
-		}
-		if hasReg(b.defs, r) {
-			out = append(out, dep{From: a.ins.ID, To: b.ins.ID, Kind: depOutput, Reg: r})
-		}
-	}
-	for _, r := range a.uses {
-		if hasReg(b.defs, r) {
-			out = append(out, dep{From: a.ins.ID, To: b.ins.ID, Kind: depAnti, Reg: r})
-		}
-	}
-	if a.mem && b.mem && !(a.load && b.load) && memConflict(a.ins, b.ins) {
-		out = append(out, dep{From: a.ins.ID, To: b.ins.ID, Kind: depMem})
-	}
-	// Nothing may migrate across a terminator within its block; the
-	// terminator-stays-last structural check covers that instead of
-	// explicit control edges here.
-	return out
+	schedmodel.Operands
+	mem, load bool // touches memory; is a load
 }
 
 // occurrence is one snapshot slot mentioning a register.
@@ -177,13 +76,13 @@ func (c *checker) buildIndex() bool {
 	for _, id := range c.snap.ids {
 		ins := c.snap.instrs[id]
 		s := &c.sum[id]
-		s.ins = ins
+		s.Ins = ins
 		start := len(regs)
 		regs = ins.Defs(regs)
-		s.defs = regs[start:len(regs):len(regs)]
+		s.Defs = regs[start:len(regs):len(regs)]
 		mid := len(regs)
 		regs = ins.Uses(regs)
-		s.uses = regs[mid:len(regs):len(regs)]
+		s.Uses = regs[mid:len(regs):len(regs)]
 		s.mem, s.load = ins.Op.TouchesMemory(), ins.Op.IsLoad()
 		for _, r := range regs[start:] {
 			if int(r.Class) >= ir.NumClasses || r.Num < 0 || r.Num >= ir.MaxRegs {
@@ -232,10 +131,10 @@ func (c *checker) buildIndex() bool {
 				}
 				ms = append(ms, mention{n, occurrence{slot: slot, def: def, used: !def}})
 			}
-			for _, r := range s.defs {
+			for _, r := range s.Defs {
 				note(r, true)
 			}
-			for _, r := range s.uses {
+			for _, r := range s.Uses {
 				note(r, false)
 			}
 		}
@@ -327,7 +226,7 @@ func (c *checker) candidates(out []candidate) []candidate {
 				if j == i || (!st.load && j < i) {
 					continue // each pair of non-loads (stores, calls) once
 				}
-				if memConflict(ss.ins, st.ins) {
+				if schedmodel.MayAlias(ss.Ins, st.Ins) {
 					add(s.slot, t.slot)
 				}
 			}

@@ -75,21 +75,7 @@ func scheduledCorpus(t *testing.T, level core.Level) (vers []*verify.Verifier, f
 	opts.Rename = false // snapshots must see exactly what the scheduler saw
 	opts.Parallelism = 1
 	for i, prog := range progs {
-		o := opts
-		if pg := entries[i]; pg != nil && level == core.LevelDup {
-			train, err := minic.Compile(pg.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := sim.Load(train)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.Profile = profile.New()
-			if _, err := m.Run(pg.Entry, pg.Args, nil, sim.Options{Profile: o.Profile, MaxInstrs: 20_000_000}); err != nil {
-				t.Fatalf("training run: %v", err)
-			}
-		}
+		o := trained(t, opts, entries[i])
 		for _, f := range prog.Funcs {
 			ver := new(verify.Verifier)
 			ver.Capture(f)
@@ -103,6 +89,28 @@ func scheduledCorpus(t *testing.T, level core.Level) (vers []*verify.Verifier, f
 		st.Add(s.Stats)
 	}
 	return vers, funcs, opts.VerifyRules(), st
+}
+
+// trained returns opts with an edge profile trained on pg when opts
+// duplicate (level=dup) and pg can run, else opts as they are.
+func trained(t *testing.T, opts core.Options, pg *progen.Program) core.Options {
+	t.Helper()
+	if pg == nil || opts.Level != core.LevelDup {
+		return opts
+	}
+	train, err := minic.Compile(pg.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.Load(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Profile = profile.New()
+	if _, err := m.Run(pg.Entry, pg.Args, nil, sim.Options{Profile: opts.Profile, MaxInstrs: 20_000_000}); err != nil {
+		t.Fatalf("training run: %v", err)
+	}
+	return opts
 }
 
 // corrupt applies one random edit to f's layout, drawn from the first

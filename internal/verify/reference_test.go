@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gsched/internal/ir"
+	"gsched/internal/schedmodel"
 )
 
 // This file keeps the verifier's original, index-free derivations as a
@@ -45,11 +46,11 @@ func BlockLocal(v *Verifier, f *ir.Func) bool {
 // allPairsDepOrder visits every instruction pair of every block, then
 // every pair of every forward-reachable block pair.
 func (c *checker) allPairsDepOrder() {
-	var buf []dep
+	var buf []schedmodel.Dep
 	emit := func(a, b *ir.Instr) {
 		buf = allPairsDeps(a, b, buf[:0])
 		for _, d := range buf {
-			c.checkDep(d)
+			c.checkDep(a.ID, b.ID, d)
 		}
 	}
 	for _, ids := range c.snap.order {
@@ -79,31 +80,12 @@ func (c *checker) allPairsDepOrder() {
 
 // allPairsDeps derives the dependences of one pair straight from the
 // instructions' Defs and Uses.
-func allPairsDeps(a, b *ir.Instr, out []dep) []dep {
-	var adefs, auses, bdefs, buses [4]ir.Reg
-	ad := a.Defs(adefs[:0])
-	au := a.Uses(auses[:0])
-	bd := b.Defs(bdefs[:0])
-	bu := b.Uses(buses[:0])
-	for _, r := range ad {
-		if hasReg(bu, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depFlow, Reg: r})
-		}
-		if hasReg(bd, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depOutput, Reg: r})
-		}
-	}
-	for _, r := range au {
-		if hasReg(bd, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depAnti, Reg: r})
-		}
-	}
-	if a.Op.TouchesMemory() && b.Op.TouchesMemory() {
-		if !(a.Op.IsLoad() && b.Op.IsLoad()) && memConflict(a, b) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depMem})
-		}
-	}
-	return out
+func allPairsDeps(a, b *ir.Instr, out []schedmodel.Dep) []schedmodel.Dep {
+	var abuf, bbuf [8]ir.Reg
+	ad, bd := a.Defs(abuf[:0]), b.Defs(bbuf[:0])
+	oa := schedmodel.Operands{Ins: a, Defs: ad, Uses: a.Uses(ad[len(ad):])}
+	ob := schedmodel.Operands{Ins: b, Defs: bd, Uses: b.Uses(bd[len(bd):])}
+	return schedmodel.Pair(&oa, &ob, out)
 }
 
 // wholeProgramOffPathLive is offPathLive computed with gen/kill facts
@@ -185,7 +167,7 @@ func OffPathMismatches(v *Verifier, f *ir.Func, rules Rules) (queries int, diffs
 	for _, id := range snap.ids {
 		H := snap.home[id].block
 		for _, pl := range c.placements[id] {
-			for _, r := range c.sum[id].defs {
+			for _, r := range c.sum[id].Defs {
 				queries++
 				got, want := c.offPathLive(r, pl, H, id), c.wholeProgramOffPathLive(r, pl, H, id)
 				if got != want {

@@ -14,9 +14,6 @@ import (
 	"gsched/internal/core"
 	"gsched/internal/ir"
 	"gsched/internal/machine"
-	"gsched/internal/minic"
-	"gsched/internal/profile"
-	"gsched/internal/sim"
 	"gsched/internal/verify"
 )
 
@@ -79,21 +76,7 @@ func postPassVerdicts(t *testing.T, level core.Level) []string {
 	var lines []string
 	n := 0
 	for pi, prog := range progs {
-		o := opts
-		if pg := entries[pi]; pg != nil && level == core.LevelDup {
-			train, err := minic.Compile(pg.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := sim.Load(train)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.Profile = profile.New()
-			if _, err := m.Run(pg.Entry, pg.Args, nil, sim.Options{Profile: o.Profile, MaxInstrs: 20_000_000}); err != nil {
-				t.Fatalf("training run: %v", err)
-			}
-		}
+		o := trained(t, opts, entries[pi])
 		for _, f := range prog.Funcs {
 			ver := postPass(t, f, o)
 			saved := saveLayout(f)

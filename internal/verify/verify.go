@@ -17,9 +17,11 @@
 //   - no instruction changes its loop (region) membership.
 //
 // The verifier shares no analysis code with internal/pdg or internal/cfg:
-// dominators, postdominators, control dependences, natural loops and the
-// dependence relation are all derived here from first principles, so it
-// serves as a second, independent oracle next to differential simulation.
+// dominators, postdominators, control dependences and natural loops are
+// derived here from first principles, and the dependence relation from
+// the §4.2 pair rule of internal/schedmodel, which the other oracles
+// read too. So it serves as a second, independent oracle next to
+// differential simulation.
 package verify
 
 import (
@@ -28,6 +30,7 @@ import (
 	"strings"
 
 	"gsched/internal/ir"
+	"gsched/internal/schedmodel"
 )
 
 // Rules configures which motions the checked schedule was allowed to
@@ -243,7 +246,7 @@ type checker struct {
 
 	sum  []summary // snapshot ID -> dependence summary
 	idx  depIndex
-	deps []dep // scratch for checkPair
+	deps []schedmodel.Dep // scratch for checkPair
 
 	// Scratch for offPathLive, indexed by block.
 	liveIn, kill []bool
@@ -663,7 +666,7 @@ func (c *checker) checkDuplication(id int) {
 // re-checks liveness dynamically after every motion, §5.3) no longer
 // read the clobbered register.
 func (c *checker) checkOffPath(id int, pl place, H int, rule string) {
-	for _, r := range c.sum[id].defs {
+	for _, r := range c.sum[id].Defs {
 		if c.offPathLive(r, pl, H, id) {
 			c.violate(rule, c.snap.instrs[id],
 				"definition of %s is live on paths bypassing home block %d (clobbers an off-path value at block %d)",
@@ -807,22 +810,22 @@ func (c *checker) depOrder() {
 // checkPair checks every dependence of one candidate pair.
 func (c *checker) checkPair(p candidate) {
 	a, b := c.idx.slotID[p.a()], c.idx.slotID[p.b()]
-	c.deps = pairDeps(&c.sum[a], &c.sum[b], c.deps[:0])
+	c.deps = schedmodel.Pair(&c.sum[a].Operands, &c.sum[b].Operands, c.deps[:0])
 	for _, d := range c.deps {
-		c.checkDep(d)
+		c.checkDep(int(a), int(b), d)
 	}
 }
 
-// checkDep verifies one snapshot dependence at every placement pair of
-// its endpoints.
-func (c *checker) checkDep(d dep) {
-	for _, px := range c.placements[d.From] {
-		for _, py := range c.placements[d.To] {
+// checkDep verifies one snapshot dependence, from instruction from to
+// instruction to, at every placement pair of its endpoints.
+func (c *checker) checkDep(from, to int, d schedmodel.Dep) {
+	for _, px := range c.placements[from] {
+		for _, py := range c.placements[to] {
 			if px.block == py.block {
 				if px.pos >= py.pos {
-					c.violate("dependence", c.snap.instrs[d.From],
-						"%s dependence%s on %q reordered within block %d",
-						d.Kind, regSuffix(d), c.snap.instrs[d.To].String(), px.block)
+					c.violate("dependence", c.snap.instrs[from],
+						"%s on %q reordered within block %d",
+						d, c.snap.instrs[to].String(), px.block)
 				}
 				continue
 			}
@@ -831,45 +834,38 @@ func (c *checker) checkDep(d dep) {
 			// holds an ordered copy of the whole chain (checked above as
 			// same-block pairs), and a path crossing two predecessors
 			// re-executes the chain consistently in the later one.
-			if c.dupGroup[d.From] && c.dupGroup[d.To] {
+			if c.dupGroup[from] && c.dupGroup[to] {
 				continue
 			}
 			if c.an.forwardReach(px.block, py.block) {
 				continue
 			}
 			if c.an.forwardReach(py.block, px.block) {
-				// A copy of To placed upstream of From is shadowed: any
+				// A copy of to placed upstream of from is shadowed: any
 				// path that later reaches the join re-executes the copy in
-				// its entering predecessor after From (coverage is exactly
+				// its entering predecessor after from (coverage is exactly
 				// once per predecessor, and same-block pairs order each
-				// predecessor's copy against From directly). Paths that
+				// predecessor's copy against from directly). Paths that
 				// bypass the join are duplication off-paths, covered by
 				// the §5.3 liveness check.
-				if c.dupGroup[d.To] {
+				if c.dupGroup[to] {
 					continue
 				}
-				c.violate("dependence", c.snap.instrs[d.From],
-					"%s dependence%s on %q reversed across blocks (%d vs %d)",
-					d.Kind, regSuffix(d), c.snap.instrs[d.To].String(), px.block, py.block)
+				c.violate("dependence", c.snap.instrs[from],
+					"%s on %q reversed across blocks (%d vs %d)",
+					d, c.snap.instrs[to].String(), px.block, py.block)
 				continue
 			}
 			// Parallel placements: legal only for duplication copies,
 			// whose paths are disjoint from the other endpoint's.
-			if c.dupGroup[d.From] || c.dupGroup[d.To] {
+			if c.dupGroup[from] || c.dupGroup[to] {
 				continue
 			}
-			c.violate("dependence", c.snap.instrs[d.From],
-				"%s dependence%s on %q split onto parallel blocks (%d vs %d)",
-				d.Kind, regSuffix(d), c.snap.instrs[d.To].String(), px.block, py.block)
+			c.violate("dependence", c.snap.instrs[from],
+				"%s on %q split onto parallel blocks (%d vs %d)",
+				d, c.snap.instrs[to].String(), px.block, py.block)
 		}
 	}
-}
-
-func regSuffix(d dep) string {
-	if d.Kind == depMem {
-		return ""
-	}
-	return " (" + d.Reg.String() + ")"
 }
 
 // sameInstr compares everything but the ID and comment.
